@@ -17,14 +17,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .invariants import (
+    _h_monomials,
     _s_monomials,
     _w_monomials,
+    decide,
     invariant_H,
+    invariant_W,
     s_numerator,
-    scaled_zero,
     w_numerator,
 )
-from .jets import jets_of_series
+from .jets import hessian_series, jets_of_series, slope_numerator_series, w_numerator_series
 from .series import TruncatedSeries1, TruncatedSeries2
 
 Coord = Tuple[int, int]
@@ -191,22 +193,8 @@ def _full_products(F: TruncatedSeries2):
     that realizes a family to its order evaluates these exactly: the low part
     vanishes and the high part is the honest truncation tail.
     """
-    big = 4 * F.order
-    G = _padded(F, big)
-    fx = G.derivative("x")
-    fy = G.derivative("y")
-    fxx = fx.derivative("x")
-    fxy = fx.derivative("y")
-    fyy = fy.derivative("y")
-    fxxx = fxx.derivative("x")
-    fxxy = fxx.derivative("y")
-    fxxxx = fxxx.derivative("x")
-    fxxxy = fxxx.derivative("y")
-    two = TruncatedSeries2(big, {(0, 0): Fraction(2)})
-    H = fxx * fyy - fxy * fxy
-    S = fxx * fxxy - fxy * fxxx
-    W = fxx * fxx * fxxxy - fxx * fxxxx * fxy + fxxx * fxxx * fxy * two - fxxx * fxxy * fxx * two
-    return H, S, W
+    G = _padded(F, 4 * F.order)
+    return hessian_series(G), slope_numerator_series(G), w_numerator_series(G)
 
 
 def _low_zero(num: TruncatedSeries2, low_degree: int, tol: float) -> bool:
@@ -265,7 +253,6 @@ def classify(
     def jets_at(pt):
         return jets_of_series(F.shift(pt[0], pt[1])).values
 
-    from .invariants import _h_monomials
     from .scalars import to_float
 
     # point type across the grid
@@ -300,7 +287,7 @@ def classify(
     witnesses["S"] = s_numerator(c0) / c0[(2, 0)] ** 2
     if jet_s_zero:
         return Classification(point_type, "cylinder", witnesses)
-    if scaled_zero(s_numerator(c0), _s_monomials(c0), tol):
+    if decide(s_numerator(c0), _s_monomials(c0), tol):
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
     jet_w_zero = _low_zero(Wfull, n - 4, 1e3 * tol)
@@ -308,15 +295,13 @@ def classify(
         _grid_zero(Wfull, n - 4, pt, tol, _w_monomials(jets_at(pt))) for pt in sample_points
     ):
         raise MixedTypeError("fourth-order invariant vanishes as a jet but not across the grid")
-    from .invariants import invariant_W
-
     try:
         witnesses["W"] = invariant_W(c0)
     except ZeroDivisionError:
         pass
     if jet_w_zero:
         return Classification(point_type, "cone", witnesses)
-    if scaled_zero(w_numerator(c0), _w_monomials(c0), tol):
+    if decide(w_numerator(c0), _w_monomials(c0), tol):
         raise MixedTypeError("fourth-order invariant vanishes at the base point but not identically")
     return Classification(point_type, "tangential", witnesses)
 

@@ -16,7 +16,6 @@ from .classify import Cone, Cylinder, MixedTypeError, Tangential, classify, real
 from .invariants import evaluate_at_jet
 from .jets import jets_of_series
 from .normalize import (
-    AmbiguousBranchError,
     BranchError,
     normalize_curve_gl2,
     normalize_curve_sl2,
@@ -147,7 +146,7 @@ def cmd_normalize(args) -> int:
             if isinstance(F, TruncatedSeries1):
                 return _fail("--surface expects a bivariate series (vars = 2)")
             res = normalize_parabolic_surface(F, args.tol)
-    except (BranchError, AmbiguousBranchError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), 1)
     normal = series_to_json(res.normal_series)
     readings = {
@@ -267,10 +266,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except BranchError as exc:
+        return _fail(str(exc), 1)
     except ValueError as exc:
         return _fail(str(exc))
-    except (BranchError, AmbiguousBranchError) as exc:
-        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -22,8 +22,12 @@ from .series import TruncatedSeries2
 Coord = Tuple[int, int]
 
 
-def _g(c: Mapping, jk: Coord):
-    return c[jk]
+class BranchError(ValueError):
+    """Raised when the input sits outside the requested branch domain."""
+
+
+class AmbiguousBranchError(BranchError):
+    """A branch-deciding value fell inside the (tol, 10 tol) gray zone."""
 
 
 # -- order 2 and 3 -------------------------------------------------------------
@@ -32,10 +36,6 @@ def _g(c: Mapping, jk: Coord):
 def invariant_H(c: Mapping[Coord, object]):
     """Hessian determinant u_xx u_yy - u_xy^2 (relative invariant, weight d^2/L^4)."""
     return c[(2, 0)] * c[(0, 2)] - c[(1, 1)] * c[(1, 1)]
-
-
-def hessian_entries(c: Mapping[Coord, object]):
-    return c[(2, 0)], c[(1, 1)], c[(0, 2)]
 
 
 def invariant_S(c: Mapping[Coord, object]):
@@ -85,12 +85,15 @@ def invariant_W_cubed(c: Mapping[Coord, object]):
 # -- order 5: X (cone branch) and M (generic branch) ---------------------------
 
 
+def conic_numerator(c: Mapping[Coord, object]):
+    """9 u_xx^2 u_5 - 45 u_xx u_3 u_4 + 40 u_3^3 over the pure x-jets; zero exactly where X is."""
+    u20, u30, u40, u50 = c[(2, 0)], c[(3, 0)], c[(4, 0)], c[(5, 0)]
+    return 9 * u20**2 * u50 - 45 * u20 * u30 * u40 + 40 * u30**3
+
+
 def invariant_X(c: Mapping[Coord, object]):
     """Fifth-order invariant of the cone branch (rational in the jet)."""
-    u20, u30, u40, u50 = c[(2, 0)], c[(3, 0)], c[(4, 0)], c[(5, 0)]
-    s = s_numerator(c)
-    conic = 9 * u20**2 * u50 - 45 * u20 * u30 * u40 + 40 * u30**3
-    return s * conic / (9 * u20**6)
+    return s_numerator(c) * conic_numerator(c) / (9 * c[(2, 0)] ** 6)
 
 
 # generic-branch fifth-order numerator: 57 monomials with exponent vectors over
@@ -232,19 +235,12 @@ def invariant_Y(c: Mapping[Coord, object]):
     """
     u20 = c[(2, 0)]
     s = s_numerator(c)
-    conic = 9 * u20**2 * c[(5, 0)] - 45 * u20 * c[(3, 0)] * c[(4, 0)] + 40 * c[(3, 0)] ** 3
+    conic = conic_numerator(c)
     if u20 == 0 or conic == 0:
         raise ZeroDivisionError("Y needs u_xx != 0 and a nonzero fifth-order invariant")
     s13 = cbrt(s)
     s53 = s13**5
     return y_numerator(c) * s53 / (18 * u20**10 * conic)
-
-
-def invariant_Y_cubed(c: Mapping[Coord, object]):
-    u20 = c[(2, 0)]
-    s = s_numerator(c)
-    conic = 9 * u20**2 * c[(5, 0)] - 45 * u20 * c[(3, 0)] * c[(4, 0)] + 40 * c[(3, 0)] ** 3
-    return y_numerator(c) ** 3 * s**5 / (18**3 * u20**30 * conic**3)
 
 
 # -- curve invariants -----------------------------------------------------------
@@ -301,14 +297,6 @@ def curve_invariant_F7(jet: Mapping[int, object]):
         - 280 * u3**5
     )
     return num / (9 * r**20)
-
-
-def curve_invariant_F6_affine(jet: Mapping[int, object]):
-    """Sixth-order full-affine invariant (denominator the fourth-order one squared)."""
-    u2, u3, u4, u5, u6 = jet[2], jet[3], jet[4], jet[5], jet[6]
-    disc = 3 * u2 * u4 - 5 * u3**2
-    num = 9 * u2**3 * u6 - 63 * u2**2 * u3 * u5 + 105 * u2 * u3**2 * u4 - 35 * u3**4
-    return num / disc**2
 
 
 def euclid_curvature(jet: Mapping[int, object]):
@@ -493,10 +481,23 @@ class InvariantReport:
         return out
 
 
-def scaled_zero(value, monomials, tol) -> bool:
-    """|value| <= tol (1 + scale), scale the largest absolute numerator monomial."""
-    scale = max([0.0] + [abs(to_float(m)) for m in monomials])
-    return abs(to_float(value)) <= tol * (1.0 + scale)
+def decide(value, monomials, tol: float) -> bool:
+    """The branch-deciding zero test shared by the closed forms and the loops.
+
+    True when |value| <= tol (1 + max |m|) over the numerator monomials m;
+    raises :class:`AmbiguousBranchError` when |value| is within ten times that
+    bound, and returns False beyond it.
+    """
+    v = abs(to_float(value))
+    bound = tol * (1.0 + max([0.0] + [abs(to_float(m)) for m in monomials]))
+    if v <= bound:
+        return True
+    if v <= 10.0 * bound:
+        raise AmbiguousBranchError(
+            f"value {v:.3e} is within (tol, 10 tol) of zero (tol {tol:.1e}); "
+            "refusing to pick a branch"
+        )
+    return False
 
 
 def _h_monomials(c):
@@ -517,28 +518,39 @@ def _w_monomials(c):
     )
 
 
+def _conic_monomials(c):
+    u20, u30 = c[(2, 0)], c[(3, 0)]
+    return (9 * u20**2 * c[(5, 0)], 45 * u20 * u30 * c[(4, 0)], 40 * u30**3)
+
+
 def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantReport:
-    """Branch decision and invariant values at a single filled jet."""
+    """Branch decision and invariant values at a single filled jet.
+
+    Every zero test is :func:`decide` on the numerator of the deciding
+    invariant, exactly as in :func:`parajet.normalize.normalize_parabolic_surface`.
+    """
     u20, u11, u02 = c[(2, 0)], c[(1, 1)], c[(0, 2)]
     flat_scale = max(abs(to_float(u20)), abs(to_float(u11)), abs(to_float(u02)))
     H = invariant_H(c)
     values: Dict[str, object] = {"H": H}
     if flat_scale <= tol:
         return InvariantReport("Flat", values, tol, "closed-form")
-    if not scaled_zero(H, _h_monomials(c), tol):
+    if not decide(H, _h_monomials(c), tol):
         kind = "elliptic" if to_float(H) > 0 else "hyperbolic"
         values["Pick"] = pick_invariant(c, kind)
         return InvariantReport(kind.capitalize(), values, tol, "closed-form")
+    if abs(to_float(u20)) <= tol * (1.0 + flat_scale):
+        # the axis swap of the loops, x = t, y = -s: F'_(j,k) = (-1)^j F_(k,j)
+        c = {(j, k): -c[(k, j)] if j % 2 else c[(k, j)] for (j, k) in c}
     S = invariant_S(c)
     values["S"] = S
-    if scaled_zero(s_numerator(c), _s_monomials(c), tol):
+    if decide(s_numerator(c), _s_monomials(c), tol):
         return InvariantReport("Cylinder-branch", values, tol, "closed-form")
     W = invariant_W(c)
     values["W"] = W
-    if scaled_zero(w_numerator(c), _w_monomials(c), tol):
-        X = invariant_X(c)
-        values["X"] = X
-        if not scaled_zero(X, (X,), tol):
+    if decide(w_numerator(c), _w_monomials(c), tol):
+        values["X"] = invariant_X(c)
+        if not decide(conic_numerator(c), _conic_monomials(c), tol):
             try:
                 values["Y"] = invariant_Y(c)
             except KeyError:

@@ -15,7 +15,6 @@ the dependent-jet substitutions.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from .scalars import Sens
@@ -261,11 +260,6 @@ def realize_series(p: ParabolicJet, order: int | None = None) -> TruncatedSeries
     return TruncatedSeries2(n, coeffs)
 
 
-def curve_jet_of_series(F: TruncatedSeries1) -> Dict[int, object]:
-    """u_i := F_i for a univariate series (plain dict jet for curves)."""
-    return {i: F[i] for i in range(F.order + 1)}
-
-
 def curve_total_derivative(f: Callable[[Mapping[int, object]], object], jet: Mapping[int, object]):
     """D_x f for a function of curve jet coordinates u_0 .. u_n."""
     seeded = {i: Sens.seed(v, i) for i, v in jet.items()}
@@ -291,5 +285,24 @@ def hessian_series(F: TruncatedSeries2) -> TruncatedSeries2:
     return fxx * fyy - fxy * fxy
 
 
-def factorial(n: int) -> int:
-    return math.factorial(n)
+def slope_numerator_series(F: TruncatedSeries2) -> TruncatedSeries2:
+    """The slope numerator F_xx F_xxy - F_xy F_xxx as a series."""
+    fxx = F.derivative("x").derivative("x")
+    fxy = F.derivative("x").derivative("y")
+    return fxx * fxx.derivative("y") - fxy * fxx.derivative("x")
+
+
+def w_numerator_series(F: TruncatedSeries2) -> TruncatedSeries2:
+    """The numerator of the fourth-order invariant W as a series."""
+    fxx = F.derivative("x").derivative("x")
+    fxy = F.derivative("x").derivative("y")
+    fxxx = fxx.derivative("x")
+    fxxy = fxx.derivative("y")
+    fxxxx = fxxx.derivative("x")
+    fxxxy = fxxx.derivative("y")
+    return (
+        fxx * fxx * fxxxy
+        - fxx * fxxxx * fxy
+        + (fxxx * fxxx * fxy).scale(2)
+        - (fxxx * fxxy * fxx).scale(2)
+    )

@@ -22,7 +22,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .jets import ParabolicJet, hessian_series, realize_series
+from .invariants import (  # the branch errors are re-exported from here
+    AmbiguousBranchError,
+    BranchError,
+    _conic_monomials,
+    _s_monomials,
+    _w_monomials,
+    conic_numerator,
+    decide,
+    s_numerator,
+    w_numerator,
+)
+from .jets import (
+    ParabolicJet,
+    hessian_series,
+    jets_of_series,
+    realize_series,
+    slope_numerator_series,
+)
 from .scalars import cbrt, cbrt_frac, snap, sqrt_frac, to_float
 from .series import (
     AffineTransform3,
@@ -67,29 +84,7 @@ def _snap1(F: TruncatedSeries1) -> TruncatedSeries1:
     return TruncatedSeries1(F.order, {i: _snap_val(c) for i, c in F.coeffs.items()})
 
 
-class BranchError(ValueError):
-    """Raised when the input sits outside the requested branch domain."""
-
-
-class AmbiguousBranchError(BranchError):
-    """A branch-deciding value fell inside the (tol, 10 tol) gray zone."""
-
-
 DEFAULT_TOL = 1e-9
-
-
-def _zero_kind(value, tol: float, scale=1.0) -> bool:
-    """Scale-aware zero test with a gray zone that refuses to guess."""
-    v = abs(to_float(value))
-    bound = tol * (1.0 + abs(to_float(scale)))
-    if v <= bound:
-        return True
-    if v <= 10.0 * bound:
-        raise AmbiguousBranchError(
-            f"value {v:.3e} is within (tol, 10 tol) of zero (tol {tol:.1e}); "
-            "refusing to pick a branch"
-        )
-    return False
 
 
 @dataclass
@@ -122,7 +117,7 @@ def _curve_prenormalize(F: TruncatedSeries1, tol: float):
         G = apply_affine_curve(G, T1)
         T = T.then(T1)
         steps.append("shear away the first-order term")
-    if _zero_kind(G[2], tol, scale=max([1.0] + [abs(to_float(c)) for c in G.coeffs.values()])):
+    if decide(G[2], [1.0, *G.coeffs.values()], tol):
         raise BranchError("flat curve: second-order coefficient vanishes")
     return G, T, steps
 
@@ -143,7 +138,7 @@ def normalize_curve_sl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     # loop 2: shear kills G3
     if F.order >= 3 and G[3] != 0:
         T2 = CurveTransform2(a=1, b=-G[3] / 3, d=1)
-        G = apply_affine_curve(G, T2)
+        G = _snap1(apply_affine_curve(G, T2))
         T = T.then(T2)
     steps.append("unipotent shear kills the third-order term")
     readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
@@ -177,7 +172,7 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
         G = apply_affine_curve(G, T2)
         T = T.then(T2)
     steps.append("unipotent shear kills the third-order term")
-    if F.order < 4 or _zero_kind(G[4], tol, scale):
+    if F.order < 4 or decide(G[4], (scale,), tol):
         readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
         return NormalFormResult("Parabola", G, T, readings, steps)
     # loop 3: G4 := +-1
@@ -190,24 +185,6 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
     readings["eps"] = eps
     return NormalFormResult("Plus" if eps > 0 else "Minus", G, T, readings, steps)
-
-
-def curve_invariant_operator_factor(F: TruncatedSeries1, tol: float = DEFAULT_TOL):
-    """1/mu such that the invariant derivation is (1/mu) D_x, from the frame.
-
-    mu = D_x of the first target coordinate along the graph, i.e.
-    a_fwd + b_fwd u_1 for the composed forward matrix of the normalization.
-    Derived operationally, which settles the plane-affine case where no
-    closed form is printed.
-    """
-    res = normalize_curve_gl2(F, tol)
-    (af, bf), _ = res.transform.forward_matrix()
-    return 1 / (af + bf * F[1])
-
-
-def sl2_curve_operator_factor(jet2):
-    """The unimodular-group multiplier: D_invariant = u2^(-1/3) D_x."""
-    return 1 / cbrt(jet2)
 
 
 # -- the plane-affine moving frame for curves ---------------------------------
@@ -326,9 +303,6 @@ def normalize_parabolic_surface(
 
     # branch decisions are made on the pre-loop jets with monomial-based
     # scales, where the zero sets are best conditioned
-    from .invariants import _s_monomials, _w_monomials, s_numerator, w_numerator
-    from .jets import jets_of_series
-
     base = jets_of_series(G).values
 
     # loop 1: G20 := 1, G11 := 0
@@ -340,9 +314,7 @@ def normalize_parabolic_surface(
     steps.append("scale and shear: second-order terms become s^2/2")
 
     # branch on the slope invariant
-    if F.order < 3 or _zero_kind(
-        s_numerator(base), tol, scale=max(abs(to_float(m)) for m in _s_monomials(base))
-    ):
+    if F.order < 3 or decide(s_numerator(base), _s_monomials(base), tol):
         return _cylinder_branch(F, G, T, steps, tol)
 
     # loop 2: G21 := 1, G30 := 0
@@ -368,10 +340,8 @@ def normalize_parabolic_surface(
     if F.order < 5:
         return NormalFormResult("order-too-low", G, T, readings, steps)
 
-    if _zero_kind(
-        w_numerator(base), tol, scale=max(abs(to_float(m)) for m in _w_monomials(base))
-    ):
-        return _cone_branch(G, T, readings, steps, tol, _series_scale(G))
+    if decide(w_numerator(base), _w_monomials(base), tol):
+        return _cone_branch(G, T, readings, steps, tol, base)
 
     # generic branch, loop 4: G41 := 0
     c = G[(4, 1)] / (2 * W)
@@ -394,7 +364,7 @@ def _cylinder_branch(original, G, T, steps, tol) -> NormalFormResult:
     The slope invariant must vanish identically, which is checked on the jet
     coefficients of its numerator to the truncation order.
     """
-    num = _slope_numerator_series(G)
+    num = slope_numerator_series(G)
     scale = _series_scale(G) ** 2 + 1.0
     bad = [c for c in num.coeffs.values() if abs(to_float(c)) > 1e3 * tol * scale]
     if bad:
@@ -418,7 +388,7 @@ def _cylinder_branch(original, G, T, steps, tol) -> NormalFormResult:
     )
 
 
-def _cone_branch(G, T, readings, steps, tol, scale) -> NormalFormResult:
+def _cone_branch(G, T, readings, steps, tol, base) -> NormalFormResult:
     low = max(
         [1.0]
         + [abs(to_float(c)) for jk, c in G.coeffs.items() if jk[0] + jk[1] <= 5]
@@ -430,7 +400,7 @@ def _cone_branch(G, T, readings, steps, tol, scale) -> NormalFormResult:
         )
     X = G[(5, 0)]
     readings["X"] = X
-    if _zero_kind(X, tol, low):
+    if decide(conic_numerator(base), _conic_monomials(base), tol):
         readings["Y"] = None
         return NormalFormResult("Cone[model]", G, T, readings, steps + ["flat-cone model reached"])
     if G.order >= 6:
@@ -446,14 +416,6 @@ def _cone_branch(G, T, readings, steps, tol, scale) -> NormalFormResult:
         for j in range(8, G.order + 1):
             readings[f"I{j}0"] = G[(j, 0)]
     return NormalFormResult("Cone", G, T, readings, steps)
-
-
-def _slope_numerator_series(G: TruncatedSeries2) -> TruncatedSeries2:
-    gxx = G.derivative("x").derivative("x")
-    gxy = G.derivative("x").derivative("y")
-    gxxx = gxx.derivative("x")
-    gxxy = gxx.derivative("y")
-    return gxx * gxxy - gxy * gxxx
 
 
 def invariantize(p: ParabolicJet, jk: Tuple[int, int], tol: float = DEFAULT_TOL):

@@ -184,27 +184,6 @@ def p_divexact(num: Poly, den: Poly) -> Poly:
     return quot
 
 
-def p_str(a: Poly) -> str:
-    def vname(v: Var) -> str:
-        if v == X:
-            return "x"
-        if v == Y:
-            return "y"
-        if v == U:
-            return "u"
-        return f"u{v[0]}{v[1]}"
-
-    if not a:
-        return "0"
-    parts = []
-    for m, c in sorted(a.items()):
-        factors = "*".join(
-            vname(v) + (f"^{e}" if e > 1 else "") for v, e in m
-        )
-        parts.append(f"{c}" + (f"*{factors}" if factors else ""))
-    return " + ".join(parts)
-
-
 @dataclass(frozen=True)
 class VectorField:
     """xi d/dx + eta d/dy + phi d/du with polynomial coefficients in (x, y, u)."""

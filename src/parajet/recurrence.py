@@ -108,11 +108,11 @@ def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerC
     The matrix rows are generated from the prolongation machinery and
     invariantized at the normalized jet; they are never hand-copied.
     """
+    if branch not in ("Generic", "Cone"):
+        raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
     res, values = _normalized_jet_values(p, tol)
-    if branch == "Generic" and res.branch != "Generic":
-        raise BranchError("jet is not in the generic branch")
-    if branch in ("Cone", "ConeBranch") and res.branch != "Cone":
-        raise BranchError("jet is not in the cone branch")
+    if res.branch != branch:
+        raise BranchError(f"jet is not in the {branch.lower()} branch")
     phantoms = GENERIC_PHANTOMS if res.branch == "Generic" else CONE_PHANTOMS
     A = _phantom_rows(phantoms, values)
     rhs1 = [-values[(j + 1, k)] for (j, k) in phantoms]
@@ -268,10 +268,6 @@ def second_derivative(
 # -- identity verification -------------------------------------------------------
 
 
-def _jetfun(closed) -> Callable[[Mapping[Coord, object]], object]:
-    return closed
-
-
 def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
     """Residuals of the printed recurrence identities at one jet."""
     out: Dict[str, dict] = {}
@@ -418,10 +414,6 @@ def solve_mc_curve(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> 
     rhs = [-values[(k + 1, 0)] for k in phantom_orders]
     R = solve_linear_exact(A, rhs)
     return MaurerCartan(group, R, [], A, rhs, [], dict(res.readings))
-
-
-def sl2_operator(jet: Mapping[int, object]):
-    return 1 / cbrt(jet[2])
 
 
 def gl2_operator(jet: Mapping[int, object], tol: float = 1e-9):

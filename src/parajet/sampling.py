@@ -13,9 +13,9 @@ import random
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .invariants import s_numerator, w_numerator
-from .jets import ParabolicJet, realize_series
-from .series import AffineTransform3, TruncatedSeries1, TruncatedSeries2
+from .invariants import conic_numerator, s_numerator, w_numerator
+from .jets import ParabolicJet, realize_series, w_numerator_series
+from .series import AffineTransform3
 
 Coord = Tuple[int, int]
 
@@ -98,12 +98,7 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
             coords[(m, 1)] = -g0 / (g1 - g0)
         p = ParabolicJet(order, coords)
         # keep away from the degenerate fifth-order locus
-        conic = (
-            9 * p[(2, 0)] ** 2 * p[(5, 0)]
-            - 45 * p[(2, 0)] * p[(3, 0)] * p[(4, 0)]
-            + 40 * p[(3, 0)] ** 3
-        )
-        if abs(float(conic)) < 0.1:
+        if abs(float(conic_numerator(p))) < 0.1:
             continue
         return p
 
@@ -115,20 +110,7 @@ def _w_chain_residual(coords, order, m):
     for j in range(m + 1):
         sub[(j, 1)] = coords[(j, 1)]
     F = realize_series(ParabolicJet(m + 1, sub))
-    return _w_numerator_series(F)[(m - 3, 0)]
-
-
-def _w_numerator_series(F: TruncatedSeries2) -> TruncatedSeries2:
-    fx = F.derivative("x")
-    fy = F.derivative("y")
-    fxx = fx.derivative("x")
-    fxy = fx.derivative("y")
-    fxxx = fxx.derivative("x")
-    fxxy = fxx.derivative("y")
-    fxxxx = fxxx.derivative("x")
-    fxxxy = fxxx.derivative("y")
-    two = TruncatedSeries2(fxxxy.order, {(0, 0): Fraction(2)})
-    return fxx * fxx * fxxxy - fxx * fxxxx * fxy + fxxx * fxxx * fxy * two - fxxx * fxxy * fxx * two
+    return w_numerator_series(F)[(m - 3, 0)]
 
 
 def random_curve_jet(
@@ -173,13 +155,3 @@ def near_identity_transform(
         r = (1 - rest) / cof_r
         T = AffineTransform3(a=a, b=b, c=c, k=k, l=l, m=m, p=p, q=q, r=r)
     return T
-
-
-def random_curve_series(rng: random.Random, order: int, exact=True) -> TruncatedSeries1:
-    def val():
-        return rand_rational(rng) if exact else rng.uniform(-2.0, 2.0)
-
-    while True:
-        coeffs = {i: val() for i in range(2, order + 1)}
-        if abs(float(coeffs[2])) >= U20_FLOOR:
-            return TruncatedSeries1(order, coeffs)

@@ -138,28 +138,6 @@ def cbrt(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def cbrt2(x):
-    """x^(2/3) := (x^(1/3))^2 -- always >= 0 on the reals."""
-    r = cbrt(x)
-    return r * r
-
-
-def rational_power(x, num: int, den: int):
-    """x^(num/den) for den in {1, 2, 3} under the real root conventions."""
-    if den == 1:
-        base = x
-    elif den == 2:
-        base = sqrt(x)
-    elif den == 3:
-        base = cbrt(x)
-    else:
-        raise ValueError(f"unsupported root order {den}")
-    if num >= 0:
-        return base**num
-    inv = 1 / base if not isinstance(base, Sens) else base.recip()
-    return inv ** (-num)
-
-
 class Sens:
     """A scalar carrying first-order sensitivities d(value)/d(seed key).
 
@@ -271,9 +249,3 @@ def scalar_to_string(x) -> str:
     if "." not in s and "e" not in s and "E" not in s and "n" not in s:
         s += ".0"
     return s
-
-
-def rel_close(a, b, tol: float) -> bool:
-    """|a-b| <= tol * (1 + max(|a|,|b|))."""
-    a, b = to_float(a), to_float(b)
-    return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))

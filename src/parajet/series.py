@@ -16,7 +16,6 @@ fundamental equation with a degree-graded Newton step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -608,8 +607,3 @@ def series_from_json(doc: dict):
             raise ValueError("univariate series has nonzero k index")
         return TruncatedSeries1(order, {j: v for j, _, v in values})
     return TruncatedSeries2(order, {(j, k): v for j, k, v in values})
-
-
-def load_series(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return series_from_json(json.load(fh))

@@ -15,6 +15,8 @@ from typing import Dict, List
 from .classify import Cone, Cylinder, Tangential, classify, realize_graph
 from .invariants import (
     conic_invariant,
+    curve_invariant_F6,
+    curve_invariant_F7,
     equiaffine_curvature,
     hessian_congruence_check,
     hessian_transfer_check,
@@ -71,10 +73,6 @@ def _rec(name: str, ok: bool, worst: float, samples: int, detail=None) -> dict:
     if detail is not None:
         out["detail"] = detail
     return out
-
-
-def _worst(records: Dict[str, dict], key: str) -> float:
-    return records[key]["residual"]
 
 
 def suite_prolongation(seed: int = 0, samples: int = 20, tol: float = 0.0) -> List[dict]:
@@ -395,28 +393,15 @@ def suite_curves(seed: int = 0, samples: int = 50, tol: float = 1e-9) -> List[di
     rng = random.Random(seed)
     out: List[dict] = []
     worst = {"G4": 0.0, "G5": 0.0, "G6": 0.0, "G7": 0.0}
-    from .scalars import cbrt
-
     for _ in range(samples):
         jet = random_curve_jet(rng, 8)
         F = TruncatedSeries1(8, dict(jet))
         res = normalize_curve_sl2(F)
-        u2, u3, u4, u5, u6, u7 = (jet[i] for i in range(2, 8))
-        r = cbrt(u2)
         closed = {
-            "G4": (3 * u2 * u4 - 5 * u3**2) / (3 * r**8),
-            "G5": (9 * u2**2 * u5 - 45 * u2 * u3 * u4 + 40 * u3**3) / (9 * u2**4),
-            "G6": (9 * u2**3 * u6 - 63 * u2**2 * u3 * u5 + 105 * u2 * u3**2 * u4 - 35 * u3**4)
-            / (9 * r**16),
-            "G7": (
-                9 * u2**4 * u7
-                - 84 * u2**3 * u3 * u6
-                + 210 * u2**2 * u3**2 * u5
-                - 105 * u2**2 * u3 * u4**2
-                + 210 * u2 * u3**3 * u4
-                - 280 * u3**5
-            )
-            / (9 * r**20),
+            "G4": equiaffine_curvature(jet),
+            "G5": conic_invariant(jet),
+            "G6": curve_invariant_F6(jet),
+            "G7": curve_invariant_F7(jet),
         }
         for k, v in closed.items():
             a, b = to_float(res.readings[k]), to_float(v)

@@ -164,3 +164,20 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "[PASS]" in proc.stdout
+
+
+def test_invariants_swaps_axes_when_u_xx_vanishes(tmp_path, capsys):
+    # u = y^2/2 + y^3/12: u_xx = 0 != u_yy, as in the loops' axis swap
+    doc = {
+        "vars": 2,
+        "order": 5,
+        "coeffs": [{"j": 0, "k": 2, "value": "1"}, {"j": 0, "k": 3, "value": "1/2"}],
+    }
+    path = tmp_path / "y_profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["invariants", "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["branch"] == "Cylinder-branch"
+    code, out, _ = run_cli(["normalize", "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["branch"].startswith("Cylinder")

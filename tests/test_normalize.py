@@ -7,6 +7,7 @@ import pytest
 from parajet.invariants import invariant_M, invariant_W, invariant_X
 from parajet.jets import realize_series
 from parajet.normalize import (
+    PIPELINE_BITS,
     AmbiguousBranchError,
     BranchError,
     equivalent_surfaces,
@@ -273,3 +274,16 @@ def test_cone_normal_form_shape():
     assert abs(to_float(ns[(5, 1)]) - 4 * X) <= 1e-9 * (1 + abs(X))
     assert abs(to_float(ns[(5, 2)]) - 20 * X) <= 1e-9 * (1 + abs(X))
     assert abs(to_float(ns[(2, 3)]) - 6) < 1e-12
+
+
+def test_sl2_normal_form_bit_size_stays_bounded():
+    # every loop snaps, so coefficients stay near the 2 PIPELINE_BITS snapping
+    # threshold instead of growing by about 127 bits per order
+    rng = random.Random(0)
+    worst = 0
+    for _ in range(20):
+        jet = random_curve_jet(rng, 8)
+        res = normalize_curve_sl2(TruncatedSeries1(8, dict(jet)))
+        for c in res.normal_series.coeffs.values():
+            worst = max(worst, c.numerator.bit_length(), c.denominator.bit_length())
+    assert worst <= 2 * PIPELINE_BITS + 8

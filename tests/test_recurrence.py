@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from parajet.invariants import invariant_W
 from parajet.recurrence import (
     apply_D,
@@ -233,3 +235,10 @@ def test_generation_property_one_depth():
         res = normalize_parabolic_surface(realize_series(p))
         assert abs(i51 - to_float(res.readings["I51"])) <= 1e-6 * (1 + abs(i51))
         assert abs(i60 - to_float(res.readings["I60"])) <= 1e-6 * (1 + abs(i60))
+
+
+def test_solve_mc_surface_rejects_unknown_branch():
+    p = random_parabolic_jet(random.Random(33), 8)
+    for branch in ("bogus", "ConeBranch", "generic"):
+        with pytest.raises(ValueError, match="unknown surface branch"):
+            solve_mc_surface(branch, p)
