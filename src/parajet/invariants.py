@@ -30,6 +30,12 @@ class AmbiguousBranchError(BranchError):
     """A branch-deciding value fell inside the (tol, 10 tol) gray zone."""
 
 
+NOT_GRAPH_ALIGNED = (
+    "rank-one direction not graph-aligned (u_xx = u_yy = 0 but u_xy != 0); "
+    "apply a preliminary rotation"
+)
+
+
 # -- order 2 and 3 -------------------------------------------------------------
 
 
@@ -527,8 +533,14 @@ def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantRe
     """Branch decision and invariant values at a single filled jet.
 
     Every zero test is :func:`decide` on the numerator of the deciding
-    invariant, exactly as in :func:`parajet.normalize.normalize_parabolic_surface`.
+    invariant, exactly as in :func:`parajet.normalize.normalize_parabolic_surface`,
+    and so are the order gates: a jet below order 2 is flat, an order-2 jet
+    is read as the cylinder branch and a jet of order 3 or 4 off it as
+    ``order-too-low``.
     """
+    order = max(j + k for j, k in c)
+    if order < 2:
+        return InvariantReport("Flat", {}, tol, "closed-form")
     u20, u11, u02 = c[(2, 0)], c[(1, 1)], c[(0, 2)]
     flat_scale = max(abs(to_float(u20)), abs(to_float(u11)), abs(to_float(u02)))
     H = invariant_H(c)
@@ -537,24 +549,30 @@ def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantRe
         return InvariantReport("Flat", values, tol, "closed-form")
     if not decide(H, _h_monomials(c), tol):
         kind = "elliptic" if to_float(H) > 0 else "hyperbolic"
-        values["Pick"] = pick_invariant(c, kind)
+        if order >= 3:
+            values["Pick"] = pick_invariant(c, kind)
         return InvariantReport(kind.capitalize(), values, tol, "closed-form")
     if abs(to_float(u20)) <= tol * (1.0 + flat_scale):
+        if abs(to_float(u02)) <= tol * (1.0 + flat_scale):
+            raise BranchError(NOT_GRAPH_ALIGNED)
         # the axis swap of the loops, x = t, y = -s: F'_(j,k) = (-1)^j F_(k,j)
         c = {(j, k): -c[(k, j)] if j % 2 else c[(k, j)] for (j, k) in c}
+    if order < 3:
+        return InvariantReport("Cylinder-branch", values, tol, "closed-form")
     S = invariant_S(c)
     values["S"] = S
     if decide(s_numerator(c), _s_monomials(c), tol):
         return InvariantReport("Cylinder-branch", values, tol, "closed-form")
+    if order < 5:
+        if order == 4:
+            values["W"] = invariant_W(c)
+        return InvariantReport("order-too-low", values, tol, "closed-form")
     W = invariant_W(c)
     values["W"] = W
     if decide(w_numerator(c), _w_monomials(c), tol):
         values["X"] = invariant_X(c)
-        if not decide(conic_numerator(c), _conic_monomials(c), tol):
-            try:
-                values["Y"] = invariant_Y(c)
-            except KeyError:
-                pass
+        if not decide(conic_numerator(c), _conic_monomials(c), tol) and order >= 7:
+            values["Y"] = invariant_Y(c)
         return InvariantReport("Cone-branch", values, tol, "closed-form")
     values["M"] = invariant_M(c)
     return InvariantReport("Generic", values, tol, "closed-form")

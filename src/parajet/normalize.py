@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .invariants import (  # the branch errors are re-exported from here
+    NOT_GRAPH_ALIGNED,
     AmbiguousBranchError,
     BranchError,
     _conic_monomials,
@@ -276,10 +277,7 @@ def _surface_prenormalize(F: TruncatedSeries2, tol: float):
         return G, T, steps, "Flat"
     if abs(to_float(G[(2, 0)])) <= tol * (1.0 + low_scale):
         if abs(to_float(G[(0, 2)])) <= tol * (1.0 + low_scale):
-            raise BranchError(
-                "rank-one direction not graph-aligned (u_xx = u_yy = 0 but u_xy != 0); "
-                "apply a preliminary rotation"
-            )
+            raise BranchError(NOT_GRAPH_ALIGNED)
         # swap the horizontal axes: x = t', y = -s' keeps the volume form
         Tsw = AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0))
         G = apply_affine(G, Tsw)
@@ -418,13 +416,21 @@ def _cone_branch(G, T, readings, steps, tol, base) -> NormalFormResult:
     return NormalFormResult("Cone", G, T, readings, steps)
 
 
+def surface_frame(p: ParabolicJet, tol: float = DEFAULT_TOL) -> NormalFormResult:
+    """The normal form of the realized jet on a branch that carries a moving frame.
+
+    Raises :class:`BranchError` on every other branch (flat, cylinder,
+    order-too-low).
+    """
+    res = normalize_parabolic_surface(realize_series(p), tol)
+    if res.branch not in ("Generic", "Cone", "Cone[model]"):
+        raise BranchError(f"no surface moving frame on branch {res.branch}")
+    return res
+
+
 def invariantize(p: ParabolicJet, jk: Tuple[int, int], tol: float = DEFAULT_TOL):
     """The normal-form reading G_{j,k} of the jet, defining I_{j,k} numerically."""
-    F = realize_series(p)
-    res = normalize_parabolic_surface(F, tol)
-    if res.branch not in ("Generic", "Cone", "Cone[model]"):
-        raise BranchError(f"invariantize outside the surface branches: {res.branch}")
-    return res.normal_series[jk]
+    return surface_frame(p, tol).normal_series[jk]
 
 
 def surface_frame_operators(res: NormalFormResult, fx, fy):

@@ -503,44 +503,29 @@ def order2_matrix_symbolic() -> List[List[Poly]]:
     return out
 
 
-def _eval_rp(rp: RationalPoly, assignment):
-    num, m = rp
-    return p_eval(num, assignment) / assignment[(2, 0)] ** m
-
-
 def orbit_rank(order: int, p, base=(0, 0)) -> dict:
     """Rank data of the prolonged special-affine action at a rank-one jet.
 
-    order 2: rank of all 11 pushed fields on the 7 coordinates; also the
-    exact 7x7 block determinant.  order 3: full rank on 9 coordinates.
-    order 4: the 6x6 jet-block of v1..v6, its determinant and rank, plus the
-    three key 5x5 minors.
+    The prolonged generators are evaluated at the filled jet, which carries
+    the dependent coordinates exactly.  order 2: rank of all 11 fields on the
+    7 coordinates; also the exact 7x7 block determinant.  order 3: full rank
+    on 9 coordinates.  order 4: the 6x6 jet-block of v1..v6, its determinant
+    and rank, plus the three key 5x5 minors.
     """
     if order not in (2, 3, 4):
         raise ValueError("order must be 2, 3 or 4")
-    assignment = {X: base[0], Y: base[1]}
-    for j in range(p.order + 1):
-        for k in range(p.order + 1 - j):
-            if k <= 1:
-                if (j, k) in p.coords:
-                    assignment[(j, k)] = p.coords[(j, k)]
-            else:
-                if j + k <= p.order:
-                    assignment[(j, k)] = p.value((j, k))
-
-    coords = [X, Y, U, (1, 0), (0, 1)]
+    assignment = {X: base[0], Y: base[1], **p.filled(p.order)}
     jet_cols = []
     for n in range(2, order + 1):
         jet_cols.append((n, 0))
         jet_cols.append((n - 1, 1))
-    coords = coords + jet_cols
 
     gens = sa3_generators()
     rows = []
     for g in gens:
         row = [p_eval(g.xi, assignment), p_eval(g.eta, assignment), p_eval(g.phi, assignment)]
         for J in [(1, 0), (0, 1)] + jet_cols:
-            row.append(_eval_rp(parabolic_pushforward(prolong(g, J)), assignment))
+            row.append(p_eval(prolong(g, J), assignment))
         rows.append(row)
 
     result = {"rank": rank_exact(rows), "dim": 3 + 2 * order}
@@ -551,14 +536,8 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
         block = [sel[n] for n in names]
         result["det7"] = det_exact(block)
     if order == 4:
-        sub = []
-        for g, _ in zip(gens[:6], range(6)):
-            sub.append(
-                [
-                    _eval_rp(parabolic_pushforward(prolong(g, J)), assignment)
-                    for J in _ORDER4_COLS
-                ]
-            )
+        # the last six columns are exactly _ORDER4_COLS
+        sub = [row[5:] for row in rows[:6]]
         result["block_det"] = det_exact(sub)
         result["block_rank"] = rank_exact(sub)
         result["minors"] = {

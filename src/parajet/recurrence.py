@@ -37,9 +37,10 @@ from .jets import (
 )
 from .normalize import (
     BranchError,
+    NormalFormResult,
     normalize_curve_gl2,
     normalize_curve_sl2,
-    normalize_parabolic_surface,
+    surface_frame,
     surface_frame_operators,
 )
 from .prolong import (
@@ -49,7 +50,6 @@ from .prolong import (
     U as VAR_U,
     gl2_curve_generators,
     p_eval,
-    parabolic_pushforward,
     prolong,
     sa3_generators,
     sl2_curve_generators,
@@ -74,32 +74,19 @@ class MaurerCartan:
     readings: Dict[str, object]
 
 
-def _normalized_jet_values(p: ParabolicJet, tol: float):
-    """Invariantization data: all jet values of the normal form realizing p."""
-    res = normalize_parabolic_surface(realize_series(p), tol)
-    if res.branch not in ("Generic", "Cone"):
-        raise BranchError(f"Maurer-Cartan systems need a surface branch, got {res.branch}")
+def _normalized_jet_values(res: NormalFormResult):
+    """Invariantization data: all jet values of the normal form, at the origin."""
     ns = res.normal_series
-    normalized = parabolic_jet_of_series(ns)
-    values = normalized.filled(ns.order)
+    values = parabolic_jet_of_series(ns).filled(ns.order)
     values[VAR_X] = 0
     values[VAR_Y] = 0
-    return res, values
+    return values
 
 
 def _phantom_rows(phantoms, values):
-    rows = []
-    for (j, k) in phantoms:
-        row = [
-            _eval_pushed(prolong(g, (j, k)), values) for g in sa3_generators()[:6]
-        ]
-        rows.append(row)
-    return rows
-
-
-def _eval_pushed(phi: Poly, values):
-    num, m = parabolic_pushforward(phi)
-    return p_eval(num, values) / values[(2, 0)] ** m
+    """Prolonged generator coefficients at the filled jet, one row per phantom."""
+    gens = sa3_generators()[:6]
+    return [[p_eval(prolong(g, jk), values) for g in gens] for jk in phantoms]
 
 
 def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerCartan:
@@ -110,9 +97,10 @@ def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerC
     """
     if branch not in ("Generic", "Cone"):
         raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
-    res, values = _normalized_jet_values(p, tol)
+    res = surface_frame(p, tol)
     if res.branch != branch:
         raise BranchError(f"jet is not in the {branch.lower()} branch")
+    values = _normalized_jet_values(res)
     phantoms = GENERIC_PHANTOMS if res.branch == "Generic" else CONE_PHANTOMS
     A = _phantom_rows(phantoms, values)
     rhs1 = [-values[(j + 1, k)] for (j, k) in phantoms]
@@ -200,11 +188,13 @@ def frame_derivatives(p: ParabolicJet, tol: float = 1e-9) -> InvariantDerivation
     Works on both surface branches, which settles the cone branch where no
     closed form is printed.
     """
-    res = normalize_parabolic_surface(realize_series(p), tol)
-    if res.branch not in ("Generic", "Cone", "Cone[model]"):
-        raise BranchError(f"no invariant derivations on branch {res.branch}")
-    a, b, g, d = surface_frame_operators(res, p.coords[(1, 0)], p.coords[(0, 1)])
-    return InvariantDerivationCoeffs(a, b, g, d)
+    return _frame_coeffs(surface_frame(p, tol), p)
+
+
+def _frame_coeffs(res: NormalFormResult, p: ParabolicJet) -> InvariantDerivationCoeffs:
+    return InvariantDerivationCoeffs(
+        *surface_frame_operators(res, p.coords[(1, 0)], p.coords[(0, 1)])
+    )
 
 
 def apply_D(i: int, f: Callable[[Mapping[Coord, object]], object], p: ParabolicJet,
@@ -268,63 +258,59 @@ def second_derivative(
 # -- identity verification -------------------------------------------------------
 
 
+def identity_record(lhs, rhs, tolerance: float) -> dict:
+    """One identity check: residual |lhs - rhs| / (1 + max(|lhs|, |rhs|)) against tolerance."""
+    lhs, rhs = to_float(lhs), to_float(rhs)
+    resid = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+    return {"lhs": lhs, "rhs": rhs, "residual": resid, "pass": resid <= tolerance}
+
+
 def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
     """Residuals of the printed recurrence identities at one jet."""
     out: Dict[str, dict] = {}
-
-    def record(name, lhs, rhs, tolerance):
-        lhs, rhs = to_float(lhs), to_float(rhs)
-        resid = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        out[name] = {"lhs": lhs, "rhs": rhs, "residual": resid, "pass": resid <= tolerance}
-
     if branch == "Generic":
         coeffs = invariant_derivatives(p)
         c = p.filled(5)
         W = invariant_W(c)
         M = invariant_M(c)
-        pipeline = normalize_parabolic_surface(realize_series(p), tol)
+        pipeline = surface_frame(p, tol)
         I51 = pipeline.readings["I51"]
         I60 = pipeline.readings["I60"]
         d1w = apply_D(1, invariant_W, p, coeffs)
         d2w = apply_D(2, invariant_W, p, coeffs)
-        record("D1W = -(2/3) W^2", d1w, -Fraction(2, 3) * to_float(W) ** 2, 1e-7)
-        record("D2W = 2W", d2w, 2 * to_float(W), 1e-7)
+        out["D1W = -(2/3) W^2"] = identity_record(d1w, -Fraction(2, 3) * to_float(W) ** 2, 1e-7)
+        out["D2W = 2W"] = identity_record(d2w, 2 * to_float(W), 1e-7)
         d1m = apply_D(1, invariant_M, p, coeffs)
         d2m = apply_D(2, invariant_M, p, coeffs)
-        record(
-            "D2M = I51 - M + (80/9) W^3",
-            d2m,
-            to_float(I51) - to_float(M) + 80.0 / 9.0 * to_float(W) ** 3,
-            1e-6,
+        out["D2M = I51 - M + (80/9) W^3"] = identity_record(
+            d2m, to_float(I51) - to_float(M) + 80.0 / 9.0 * to_float(W) ** 3, 1e-6
         )
-        record(
-            "D1M = I60 - 14 M W + (10/3) I51 W",
+        out["D1M = I60 - 14 M W + (10/3) I51 W"] = identity_record(
             d1m,
             to_float(I60) - 14.0 * to_float(M) * to_float(W) + 10.0 / 3.0 * to_float(I51) * to_float(W),
             1e-6,
         )
-        record(
-            "det(D) = u20 / S^(2/3)",
-            coeffs.determinant(),
-            p.coords[(2, 0)] / cbrt(s_numerator(c)) ** 2,
-            1e-10,
+        out["det(D) = u20 / S^(2/3)"] = identity_record(
+            coeffs.determinant(), p.coords[(2, 0)] / cbrt(s_numerator(c)) ** 2, 1e-10
         )
     elif branch == "Cone":
-        coeffs = frame_derivatives(p, tol)
+        res = surface_frame(p, tol)
+        coeffs = _frame_coeffs(res, p)
         c = p.filled(7)
         Xv = invariant_X(c)
         Yv = invariant_Y(c)
         d1x = apply_D(1, invariant_X, p, coeffs)
         d2x = apply_D(2, invariant_X, p, coeffs)
-        record("D1X = 0", d1x, 0.0, 1e-6)
-        record("D2X = 3X", d2x, 3 * to_float(Xv), 1e-6)
+        out["D1X = 0"] = identity_record(d1x, 0.0, 1e-6)
+        out["D2X = 3X"] = identity_record(d2x, 3 * to_float(Xv), 1e-6)
         d2y = apply_D(2, invariant_Y, p, coeffs)
-        record("D2Y = 5Y", d2y, 5 * to_float(Yv), 1e-6)
-        res = normalize_parabolic_surface(realize_series(p), tol)
+        out["D2Y = 5Y"] = identity_record(d2y, 5 * to_float(Yv), 1e-6)
         I80 = res.readings.get("I80")
         if I80 is not None:
             d1y = apply_D(1, invariant_Y, p, coeffs)
-            record("D1Y = I80 - (35/2) X^2", d1y, to_float(I80) - 17.5 * to_float(Xv) ** 2, 1e-6)
+            out["D1Y = I80 - (35/2) X^2"] = identity_record(
+                d1y, to_float(I80) - 17.5 * to_float(Xv) ** 2, 1e-6
+            )
     else:
         raise ValueError(branch)
     return out
@@ -333,11 +319,6 @@ def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[
 def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
     """[D1, D2] identities via Richardson second derivatives, tol 1e-5."""
     out: Dict[str, dict] = {}
-
-    def record(name, lhs, rhs, tolerance=1e-5):
-        resid = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        out[name] = {"lhs": lhs, "rhs": rhs, "residual": resid, "pass": resid <= tolerance}
-
     if branch == "Generic":
         coeffs = invariant_derivatives(p)
         W = invariant_W(p.filled(4))
@@ -351,11 +332,11 @@ def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[s
         d1d2 = second_derivative(1, g2, p, tol, coeffs=coeffs)
         d2d1 = second_derivative(2, g1, p, tol, coeffs=coeffs)
         comm = d1d2 - d2d1
-        record("[D1,D2]W = (4/3) W^2", comm, 4.0 / 3.0 * to_float(W) ** 2)
+        out["[D1,D2]W = (4/3) W^2"] = identity_record(comm, 4.0 / 3.0 * to_float(W) ** 2, 1e-5)
         span = -to_float(apply_D(1, invariant_W, p, coeffs)) + to_float(W) / 3.0 * to_float(
             apply_D(2, invariant_W, p, coeffs)
         )
-        record("[D1,D2]W = -D1W + (1/3) W D2W", comm, span)
+        out["[D1,D2]W = -D1W + (1/3) W D2W"] = identity_record(comm, span, 1e-5)
     elif branch == "Cone":
         # the difference scheme perturbs the jet off the subvariety by the
         # truncation tail, so the inner branch decisions get a loose tolerance
@@ -381,7 +362,7 @@ def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[s
             "residual": abs(comm + d1x) / scale,
             "pass": abs(comm + d1x) / scale <= 1e-5,
         }
-        record("D1X = 0 (cone)", d1x / (1.0 + abs(d2x)), 0.0)
+        out["D1X = 0 (cone)"] = identity_record(d1x / (1.0 + abs(d2x)), 0.0, 1e-5)
     return out
 
 
@@ -414,16 +395,6 @@ def solve_mc_curve(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> 
     rhs = [-values[(k + 1, 0)] for k in phantom_orders]
     R = solve_linear_exact(A, rhs)
     return MaurerCartan(group, R, [], A, rhs, [], dict(res.readings))
-
-
-def gl2_operator(jet: Mapping[int, object], tol: float = 1e-9):
-    """The full-affine invariant-derivation multiplier, from the moving frame."""
-    from .series import TruncatedSeries1
-
-    n = max(jet)
-    res = normalize_curve_gl2(TruncatedSeries1(n, dict(jet)), tol)
-    (af, bf), _ = res.transform.forward_matrix()
-    return 1 / (af + bf * jet[1])
 
 
 # -- homogeneous models -----------------------------------------------------------
@@ -475,32 +446,28 @@ def homogeneous_tangent_field(a, sign: int):
     return vf("L", xi=xi, eta=None, phi=eta)
 
 
+def _along(polyc: Poly, bases, unit):
+    """A field coefficient along a graph: each variable replaced by its series in bases."""
+    out = unit.scale(0)
+    for mono, coef in polyc.items():
+        term = unit.scale(coef)
+        for var, e in mono:
+            if var not in bases:
+                raise ValueError("field touches a jet variable")
+            for _ in range(e):
+                term = term * bases[var]
+        out = out + term
+    return out
+
+
 def tangency_residual_curve(field, F) -> object:
-    """max |coefficient| of eta(x, F) - F'(x) xi(x, F) up to order N - 1."""
+    """eta(x, F) - F'(x) xi(x, F) as a series in x, to order N - 1."""
     from .series import TruncatedSeries1
 
-    n = F.order
-    # evaluate the coefficient polynomials along the graph as series in x
-    def along(polyc):
-        out = TruncatedSeries1(n - 1, {})
-        for mono, coef in polyc.items():
-            term = TruncatedSeries1(n - 1, {0: coef})
-            for var, e in mono:
-                if var == VAR_X:
-                    base = TruncatedSeries1(n - 1, {1: Fraction(1)})
-                elif var == VAR_U:
-                    base = TruncatedSeries1(n - 1, {i: c for i, c in F.coeffs.items() if i <= n - 1})
-                else:
-                    raise ValueError("curve field touches a jet variable")
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
-
-    xi = along(field.xi)
-    eta = along(field.phi)
-    resid = eta - F.derivative() * xi
-    return resid
+    m = F.order - 1
+    bases = {VAR_X: TruncatedSeries1(m, {1: Fraction(1)}), VAR_U: TruncatedSeries1(m, F.coeffs)}
+    unit = TruncatedSeries1(m, {0: Fraction(1)})
+    return _along(field.phi, bases, unit) - F.derivative() * _along(field.xi, bases, unit)
 
 
 def cone_symmetry_fields():
@@ -522,55 +489,20 @@ def surface_tangency_residual(field, F):
     """phi - xi F_x - eta F_y along the graph, as a bivariate series."""
     from .series import TruncatedSeries2
 
-    n = F.order
-    m = n - 1
-
-    def along(polyc):
-        out = TruncatedSeries2(m, {})
-        for mono, coef in polyc.items():
-            term = TruncatedSeries2(m, {(0, 0): coef})
-            for var, e in mono:
-                if var == VAR_X:
-                    base = TruncatedSeries2(m, {(1, 0): Fraction(1)})
-                elif var == VAR_Y:
-                    base = TruncatedSeries2(m, {(0, 1): Fraction(1)})
-                elif var == VAR_U:
-                    base = TruncatedSeries2(m, {jk: c for jk, c in F.coeffs.items() if jk[0] + jk[1] <= m})
-                else:
-                    raise ValueError("field touches a jet variable")
-                for _ in range(e):
-                    term = term * base
-            out = out + term
-        return out
-
-    xi = along(field.xi)
-    eta = along(field.eta)
-    phi = along(field.phi)
-    return phi - F.derivative("x") * xi - F.derivative("y") * eta
-
-
-def homogeneity_contradictions() -> Dict[str, bool]:
-    """No non-cylindrical homogeneous models exist off the flat cone.
-
-    Constant invariants make every invariant derivative vanish, so the scaling
-    rows of the recurrences force 3X = 0 on the cone branch and 2W = 0 on the
-    generic branch.
-    """
-    return {
-        "cone branch: 0 = D2X = 3X forces X = 0": True,
-        "generic branch: 0 = D2W = 2W forces W = 0": True,
+    m = F.order - 1
+    bases = {
+        VAR_X: TruncatedSeries2(m, {(1, 0): Fraction(1)}),
+        VAR_Y: TruncatedSeries2(m, {(0, 1): Fraction(1)}),
+        VAR_U: TruncatedSeries2(m, F.coeffs),
     }
+    unit = TruncatedSeries2(m, {(0, 0): Fraction(1)})
+    xi, eta, phi = (_along(c, bases, unit) for c in (field.xi, field.eta, field.phi))
+    return phi - F.derivative("x") * xi - F.derivative("y") * eta
 
 
 def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> Dict[str, dict]:
     """The printed curve recurrences at one jet, via nested total derivatives."""
     out: Dict[str, dict] = {}
-
-    def record(name, lhs, rhs, tolerance=1e-6):
-        lhs, rhs = to_float(lhs), to_float(rhs)
-        resid = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
-        out[name] = {"lhs": lhs, "rhs": rhs, "residual": resid, "pass": resid <= tolerance}
-
     from .series import TruncatedSeries1
 
     n = max(jet)
@@ -588,29 +520,24 @@ def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float =
         I6 = res.readings["G6"]
         I7 = res.readings.get("G7")
         dP = DX(P)
-        record("I5 = DxP", dP(jet), I5)
+        out["I5 = DxP"] = identity_record(dP(jet), I5, 1e-6)
         d2P = DX(dP)
-        record("I6 = Dx^2 P + 5 P^2", to_float(d2P(jet)) + 5 * to_float(P(jet)) ** 2, I6)
+        out["I6 = Dx^2 P + 5 P^2"] = identity_record(
+            to_float(d2P(jet)) + 5 * to_float(P(jet)) ** 2, I6, 1e-6
+        )
         if I7 is not None and n >= 7:
             d3P = DX(d2P)
-            record(
-                "I7 = Dx^3 P + 17 DxP P",
-                to_float(d3P(jet)) + 17.0 * to_float(dP(jet)) * to_float(P(jet)),
-                I7,
+            out["I7 = Dx^3 P + 17 DxP P"] = identity_record(
+                to_float(d3P(jet)) + 17.0 * to_float(dP(jet)) * to_float(P(jet)), I7, 1e-6
             )
     elif group.lower() == "gl2":
         res = normalize_curve_gl2(TruncatedSeries1(n, dict(jet)), tol)
         if res.branch == "Parabola":
             raise BranchError("parabola branch has no affine recurrences")
         eps = res.readings["eps"]
-        mu = gl2_operator(jet, tol)
-
-        def DX(f):
-            def g(c):
-                # frame multiplier along the shifted jets: recompute per point
-                return curve_total_derivative(f, c) * to_float(mu)
-
-            return g
+        # the invariant-derivation multiplier of the full-affine moving frame
+        (af, bf), _ = res.transform.forward_matrix()
+        mu = 1 / (af + bf * jet[1])
 
         def I5fun(c):
             return curve_invariant_I5(c, eps)
@@ -618,7 +545,9 @@ def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float =
         I5v = to_float(res.readings["G5"])
         I6v = to_float(res.readings["G6"])
         d5 = to_float(curve_total_derivative(I5fun, jet)) * to_float(mu)
-        record("I6 = DxI5 +- (3/2) I5^2 + 5", d5 + eps * 1.5 * I5v**2 + 5.0, I6v)
+        out["I6 = DxI5 +- (3/2) I5^2 + 5"] = identity_record(
+            d5 + eps * 1.5 * I5v**2 + 5.0, I6v, 1e-6
+        )
     else:
         raise ValueError(group)
     return out

@@ -231,12 +231,21 @@ class Sens:
 
 
 def scalar_from_string(text: str):
-    """Parse a coefficient: 'p/q' or integer -> Fraction (exact), decimal -> float."""
+    """Parse a coefficient: 'p/q' or integer -> Fraction (exact), decimal -> float.
+
+    Raises ValueError on a zero denominator and on a value that is not finite.
+    """
     t = text.strip()
     if "/" in t:
-        return Fraction(t)
-    if any(c in t for c in ".eE") or t in ("inf", "-inf", "nan"):
-        return float(t)
+        try:
+            return Fraction(t)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {t!r}") from exc
+    if any(c in t for c in ".eE"):
+        v = float(t)
+        if not math.isfinite(v):
+            raise ValueError(f"value {t!r} is not finite")
+        return v
     return Fraction(int(t))
 
 

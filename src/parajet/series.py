@@ -590,20 +590,34 @@ def series_from_json(doc: dict):
         raise ValueError(f"malformed series document: missing {exc}") from exc
     if nvars not in (1, 2):
         raise ValueError("vars must be 1 or 2")
-    values = []
+    if not _is_index(order):
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    if not isinstance(entries, list):
+        raise ValueError("coeffs must be a list")
+    values: Dict[Tuple[int, int], object] = {}
     for pos, entry in enumerate(entries):
         try:
-            j = int(entry["j"])
-            k = int(entry.get("k", 0))
+            j, k = entry["j"], entry.get("k", 0)
             v = scalar_from_string(str(entry["value"]))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"malformed coefficient at index {pos}: {exc}") from exc
-        values.append((j, k, v))
-    kinds = {is_exact(v) for _, _, v in values if v != 0}
+        if not (_is_index(j) and _is_index(k)):
+            raise ValueError(f"coefficient at index {pos}: j and k must be non-negative integers")
+        if j + k > order:
+            raise ValueError(f"coefficient at index {pos}: (j, k) = ({j}, {k}) exceeds order {order}")
+        if (j, k) in values:
+            raise ValueError(f"coefficient at index {pos}: duplicate (j, k) = ({j}, {k})")
+        values[(j, k)] = v
+    kinds = {is_exact(v) for v in values.values() if v != 0}
     if len(kinds) > 1:
         raise ValueError("series mixes exact rational and floating coefficients")
     if nvars == 1:
-        if any(k != 0 for _, k, _ in values):
+        if any(k != 0 for _, k in values):
             raise ValueError("univariate series has nonzero k index")
-        return TruncatedSeries1(order, {j: v for j, _, v in values})
-    return TruncatedSeries2(order, {(j, k): v for j, k, v in values})
+        return TruncatedSeries1(order, {j: v for (j, _), v in values.items()})
+    return TruncatedSeries2(order, values)
+
+
+def _is_index(n) -> bool:
+    """A JSON integer >= 0; booleans are not integers here."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0

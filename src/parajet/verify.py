@@ -45,10 +45,14 @@ from .prolong import (
     tangency_quotients,
 )
 from .recurrence import (
+    apply_D,
     cone_symmetry_fields,
+    frame_derivatives,
     homogeneous_curve_coefficients,
     homogeneous_curve_series,
     homogeneous_tangent_field,
+    identity_record,
+    invariant_derivatives,
     mc_closed_form,
     solve_mc_curve,
     solve_mc_surface,
@@ -119,14 +123,13 @@ def suite_prolongation(seed: int = 0, samples: int = 20, tol: float = 0.0) -> Li
 
 def _generators_tangent(p: ParabolicJet) -> bool:
     """v(u_{j,k} - R_{j,k}) = 0 exactly at the jet, for all generators, order <= 5."""
-    values = {}
     from .prolong import X as VX, Y as VY
 
-    values[VX] = rand_rational(random.Random(1))
-    values[VY] = rand_rational(random.Random(2))
-    for j in range(p.order + 1):
-        for k in range(p.order + 1 - j):
-            values[(j, k)] = p[(j, k)]
+    values = {
+        VX: rand_rational(random.Random(1)),
+        VY: rand_rational(random.Random(2)),
+        **p.filled(p.order),
+    }
     seeded = {key: Sens.seed(val, key) for key, val in p.coords.items()}
     from .jets import _FilledView
 
@@ -458,6 +461,7 @@ def suite_curves(seed: int = 0, samples: int = 50, tol: float = 1e-9) -> List[di
 
 
 def suite_homogeneous(seed: int = 0, tol: float = 1e-9) -> List[dict]:
+    rng = random.Random(seed)
     out: List[dict] = []
     F = Fraction
     ok = True
@@ -513,12 +517,22 @@ def suite_homogeneous(seed: int = 0, tol: float = 1e-9) -> List[dict]:
     ok = g[1] == 0 and g[2] == f2 / F(125, 64) and euclid_curvature({1: f1, 2: f2}) == g[2]
     out.append(_rec("rotation normal form recovers the Euclidean curvature exactly", ok, 0.0, 1))
 
+    # the scaling rows D2W = 2W (closed-form operators) and D2X = 3X (frame
+    # operators) at sampled jets; on a homogeneous model D2 kills every invariant
+    worst = 0.0
+    for _ in range(3):
+        p = random_parabolic_jet(rng, 8)
+        d2w = apply_D(2, invariant_W, p, invariant_derivatives(p))
+        worst = max(worst, identity_record(d2w, 2 * invariant_W(p.filled(4)), 1e-6)["residual"])
+        q = random_cone_branch_jet(rng, 8)
+        d2x = apply_D(2, invariant_X, q, frame_derivatives(q, tol))
+        worst = max(worst, identity_record(d2x, 3 * invariant_X(q.filled(5)), 1e-6)["residual"])
     out.append(
         _rec(
             "no homogeneous models with constant nonzero X or W (scaling rows)",
-            True,
-            0.0,
-            1,
+            worst <= 1e-6,
+            worst,
+            6,
             detail="0 = D2X = 3X and 0 = D2W = 2W force the invariants to vanish",
         )
     )

@@ -98,3 +98,18 @@ def test_cli_invariants_refuses_gray_band(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "refusing to pick a branch" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_low_order_truncations_agree(tmp_path, capsys, order):
+    generic = realize_series(random_parabolic_jet(random.Random(71), 6), order)
+    cone = TruncatedSeries2(order, {(2, k): F(math.factorial(k)) for k in range(order - 1)})
+    want = "Cylinder" if order == 2 else "order-too-low"
+    for f in (generic, cone):
+        closed = evaluate_at_jet(jets_of_series(f).values).branch
+        loops = normalize_parabolic_surface(f).branch
+        assert family(closed) == family(loops) == want, (closed, loops)
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(series_to_json(f)))
+        assert main(["invariants", "--surface", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["branch"] == closed

@@ -181,3 +181,73 @@ def test_invariants_swaps_axes_when_u_xx_vanishes(tmp_path, capsys):
     code, out, _ = run_cli(["normalize", "--surface", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["branch"].startswith("Cylinder")
+
+
+@pytest.mark.parametrize("command", ["invariants", "normalize"])
+def test_axes_without_curvature_are_a_branch_error(tmp_path, capsys, command):
+    # u = u_11 xy with u_11 small enough that H decides zero, and u_xx = u_yy = 0
+    doc = {"vars": 2, "order": 4, "coeffs": [{"j": 1, "k": 1, "value": "1/100000"}]}
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli([command, "--surface", str(path)], capsys)
+    assert code == 1
+    assert "rank-one direction not graph-aligned" in json.loads(err)["error"]
+
+
+def _surface_doc(order=4, coeffs=None):
+    if coeffs is None:
+        coeffs = [{"j": 2, "k": 0, "value": "1"}, {"j": 2, "k": 1, "value": "1/2"}]
+    return {"vars": 2, "order": order, "coeffs": coeffs}
+
+
+def _entry(j, k, value="1/3"):
+    return {"j": j, "k": k, "value": value}
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        (_surface_doc(order="4"), []),
+        (_surface_doc(order=True), []),
+        (_surface_doc(order=4.0), []),
+        (_surface_doc(coeffs=5), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1/0")]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "nan")]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "inf")]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1e400")]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1"), _entry(-1, 3)]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1"), _entry("3", 0)]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1"), _entry(3.0, 0)]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1"), _entry(2, 0, "2")]), []),
+        (_surface_doc(coeffs=[_entry(2, 0, "1"), _entry(4, 1)]), []),
+        (_surface_doc(), ["--point", "1/0,0"]),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["invariants", "--surface", str(path)] + extra, capsys)
+    assert code == 2
+    assert json.loads(err)["error"]
+
+
+def test_malformed_directrix_exits_2(capsys):
+    code, _, err = run_cli(["classify", "--family", "cone", "--directrix", '[0, 0, "1/0"]'], capsys)
+    assert code == 2
+    assert "zero denominator" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "order, coeffs, branch",
+    [
+        (0, [_entry(0, 0, "1")], "Flat"),
+        (1, [_entry(1, 0, "1")], "Flat"),
+        (2, [_entry(2, 0, "1"), _entry(0, 2, "1")], "Elliptic"),
+    ],
+)
+def test_invariants_below_order_3_without_traceback(tmp_path, capsys, order, coeffs, branch):
+    path = tmp_path / "low.json"
+    path.write_text(json.dumps(_surface_doc(order=order, coeffs=coeffs)))
+    code, out, _ = run_cli(["invariants", "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["branch"] == branch

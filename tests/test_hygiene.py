@@ -25,3 +25,38 @@ def test_private_functions_are_referenced():
         and node.name not in used
     ]
     assert unused == []
+
+
+def _references(tree) -> dict:
+    """Count, per name, the Name, Attribute and import nodes that mention it."""
+    counts: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.split(".")[-1]]
+        else:
+            continue
+        for name in names:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def test_module_level_names_are_referenced():
+    root = SRC.parents[1]
+    files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
+    total: dict = {}
+    for path in files:
+        for name, n in _references(ast.parse(path.read_text(encoding="utf-8"))).items():
+            total[name] = total.get(name, 0) + n
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                # mentions inside the definition itself (recursion) do not count
+                own = _references(node).get(node.name, 0)
+                if total.get(node.name, 0) - own == 0:
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []

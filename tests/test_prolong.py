@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 from parajet.prolong import (
+    X,
+    Y,
     det_poly_matrix,
     lie_bracket,
     max_jet_order,
@@ -10,6 +12,7 @@ from parajet.prolong import (
     order4_matrix_symbolic,
     p_add,
     p_divexact,
+    p_eval,
     p_mul,
     p_neg,
     p_pow,
@@ -228,3 +231,19 @@ def test_rank_exact_and_solve():
 
     sol = solve_linear_exact([[F(2), F(1)], [F(1), F(3)]], [F(4), F(7)])
     assert sol == [F(1), F(2)]
+
+
+def test_filled_jet_rows_equal_pushforward_rows():
+    # the numeric routes evaluate prolonged generators at the filled jet; the
+    # symbolic push-forward to the rank-one locus is their reference
+    rng = random.Random(47)
+    for _ in range(3):
+        p = random_parabolic_jet(rng, 5, exact=True, generic_floor=None)
+        values = {X: rand_rational(rng), Y: rand_rational(rng), **p.filled(p.order)}
+        assert all(isinstance(v, Fraction) for v in values.values())
+        for g in sa3_generators():
+            for n in range(1, 5):
+                for j in range(n + 1):
+                    phi = prolong(g, (j, n - j))
+                    num, m = parabolic_pushforward(phi)
+                    assert p_eval(phi, values) == p_eval(num, values) / values[(2, 0)] ** m

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,34 @@ def test_solve_mc_surface_rejects_unknown_branch():
     for branch in ("bogus", "ConeBranch", "generic"):
         with pytest.raises(ValueError, match="unknown surface branch"):
             solve_mc_surface(branch, p)
+
+
+def _count_calls(monkeypatch, module_name, name):
+    """Wrap a function in every parajet module that binds it; return the call log."""
+    original = getattr(sys.modules[module_name], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("parajet") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_cone_recurrences_normalize_once(monkeypatch):
+    p = random_cone_branch_jet(random.Random(29), 8)
+    calls = _count_calls(monkeypatch, "parajet.normalize", "normalize_parabolic_surface")
+    rep = verify_recurrences("Cone", p)
+    assert all(v["pass"] for v in rep.values())
+    assert len(calls) == 1
+
+
+def test_gl2_curve_recurrences_normalize_once(monkeypatch):
+    jet = random_curve_jet(random.Random(31), 8, affine_floor=0.3)
+    calls = _count_calls(monkeypatch, "parajet.normalize", "normalize_curve_gl2")
+    rep = verify_curve_recurrences("gl2", jet)
+    assert all(v["pass"] for v in rep.values())
+    assert len(calls) == 1
