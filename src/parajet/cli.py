@@ -28,7 +28,7 @@ from .series import (
     series_from_json,
     series_to_json,
 )
-from .verify import run_suite
+from .verify import SUITES, record_line, run_suite
 
 
 def _emit(doc, code: int = 0) -> int:
@@ -167,38 +167,23 @@ def cmd_normalize(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        records = run_suite(
-            args.suite, branch=args.branch, seed=args.seed, samples=args.samples, tol=args.tol_opt
-        )
+        records = run_suite(args.suite, branch=args.branch, seed=args.seed, samples=args.samples)
     except ValueError as exc:
         return _fail(str(exc))
     doc = {"suite": args.suite, "branch": args.branch, "seed": args.seed, "results": records}
     ok = all(r["pass"] for r in records)
     for r in records:
-        status = "PASS" if r["pass"] else "FAIL"
-        print(f"[{status}] {r['name']}  (worst residual {r['worst_residual']:.2e}, n={r['samples']})")
+        print(record_line(r))
     print(json.dumps(doc, indent=2, sort_keys=True, default=scalar_to_string))
     return 0 if ok else 1
 
 
 def cmd_report(args) -> int:
-    suites = [
-        ("prolongation", None),
-        ("oracle", None),
-        ("transfer", None),
-        ("classification", None),
-        ("curves", None),
-        ("homogeneous", None),
-        ("recurrence", "generic"),
-        ("recurrence", "cone"),
-        ("recurrence", "curve-sa2"),
-        ("recurrence", "curve-gl2"),
-    ]
     all_ok = True
     doc = {}
-    for name, branch in suites:
-        recs = run_suite(name, branch=branch, seed=args.seed, samples=args.samples)
-        key = name if branch is None else f"{name}/{branch}"
+    for key in SUITES:
+        name, _, branch = key.partition("/")
+        recs = run_suite(name, branch=branch or None, seed=args.seed, samples=args.samples)
         doc[key] = recs
         ok = all(r["pass"] for r in recs)
         all_ok &= ok
@@ -239,15 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nrm.set_defaults(fn=cmd_normalize)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument(
-        "--suite",
-        required=True,
-        choices=["prolongation", "oracle", "transfer", "classification", "curves", "homogeneous", "recurrence"],
-    )
-    p_ver.add_argument("--branch", choices=["generic", "cone", "curve-sa2", "curve-gl2"])
+    keys = [key.partition("/") for key in SUITES]
+    p_ver.add_argument("--suite", required=True, choices=list(dict.fromkeys(name for name, _, _ in keys)))
+    p_ver.add_argument("--branch", choices=[branch for _, _, branch in keys if branch])
     p_ver.add_argument("--samples", type=int)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", dest="tol_opt", type=float)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_rep = sub.add_parser("report", help="run every suite and summarize")
@@ -270,6 +251,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 1)
     except ValueError as exc:
         return _fail(str(exc))
+    except OverflowError as exc:
+        return _fail(f"float arithmetic overflowed ({exc}); rescale the input or give exact rationals")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ arithmetic and are cross-checked against the loop pipeline in the tests
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Tuple
 
 from .scalars import cbrt, to_float
@@ -492,10 +493,13 @@ def decide(value, monomials, tol: float) -> bool:
 
     True when |value| <= tol (1 + max |m|) over the numerator monomials m;
     raises :class:`AmbiguousBranchError` when |value| is within ten times that
-    bound, and returns False beyond it.
+    bound, and returns False beyond it.  A value or bound that is not finite
+    (float products past the float range) raises :class:`OverflowError`.
     """
     v = abs(to_float(value))
     bound = tol * (1.0 + max([0.0] + [abs(to_float(m)) for m in monomials]))
+    if not (math.isfinite(v) and math.isfinite(bound)):
+        raise OverflowError(f"value {v:.3e} or its bound {bound:.3e} is not finite")
     if v <= bound:
         return True
     if v <= 10.0 * bound:

@@ -1,461 +1,100 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
-Each test prints a single PASS/FAIL line (run pytest with -s to see them all;
-they also appear for failing criteria in the failure report).  Sampling is
-seeded, so reruns are reproducible.
+Every criterion replays a verification suite (``parajet verify``) or the
+per-jet recurrence checks on its own seed and sample count; the identities,
+residuals and bounds live in :mod:`parajet.verify` and
+:mod:`parajet.recurrence` only.  Each test prints one PASS/FAIL line per
+record (run pytest with -s to see them all).
 """
 
-import math
 import random
-from fractions import Fraction
 
-from parajet.classify import Cone, Cylinder, Tangential, classify, realize_graph
-from parajet.invariants import (
-    conic_invariant,
-    equiaffine_curvature,
-    hessian_congruence_check,
-    hessian_transfer_check,
-    invariant_M,
-    invariant_W,
-    invariant_W_cubed,
-    invariant_X,
-    invariant_Y,
-    slope_transfer_check,
-    w_numerator,
-)
-from parajet.jets import jets_of_series, realize_series
-from parajet.normalize import (
-    normalize_curve_sl2,
-    normalize_parabolic_surface,
-    sa2_frame_fourth_order,
-)
-from parajet.prolong import (
-    det_poly_matrix,
-    orbit_rank,
-    order2_matrix_symbolic,
-    poly,
-    tangency_quotients,
-)
-from parajet.recurrence import (
-    apply_D,
-    frame_derivatives,
-    homogeneous_curve_coefficients,
-    homogeneous_curve_series,
-    homogeneous_tangent_field,
-    invariant_derivatives,
-    second_derivative,
-    cone_symmetry_fields,
-    tangency_residual_curve,
-    verify_curve_recurrences,
-)
-from parajet.sampling import (
-    near_identity_transform,
-    rand_rational,
-    random_cone_branch_jet,
-    random_curve_jet,
-    random_parabolic_jet,
-)
-from parajet.scalars import cbrt, to_float
-from parajet.series import (
-    CurveTransform2,
-    TruncatedSeries1,
-    TruncatedSeries2,
-    apply_affine,
-    apply_affine_curve,
-)
-
-F = Fraction
+from parajet.recurrence import verify_commutator, verify_recurrences
+from parajet.sampling import random_cone_branch_jet, random_parabolic_jet
+from parajet.verify import merge_reports, record_line, run_suite
 
 
-def report(name: str, ok: bool, detail: str = ""):
-    line = f"[{'PASS' if ok else 'FAIL'}] {name}" + (f"  ({detail})" if detail else "")
-    print(line)
-    assert ok, line
-
-
-def rel(a, b):
-    a, b = to_float(a), to_float(b)
-    return abs(a - b) / (1.0 + max(abs(a), abs(b)))
+def check(criterion: str, records):
+    print(criterion)
+    for r in records:
+        print(record_line(r))
+    failed = [r["name"] for r in records if not r["pass"]]
+    assert records and not failed, f"{criterion}: failed {failed}"
 
 
 def test_criterion_1_oracle_equivalence():
-    rng = random.Random(101)
-    worst = {"W": 0.0, "M": 0.0, "X": 0.0, "Y": 0.0}
-    for _ in range(100):
-        p = random_parabolic_jet(rng, 8)
-        res = normalize_parabolic_surface(realize_series(p))
-        c = p.filled(5)
-        worst["W"] = max(worst["W"], rel(invariant_W(c), res.readings["W"]))
-        worst["M"] = max(worst["M"], rel(invariant_M(c), res.readings["M"]))
-    for _ in range(100):
-        p = random_cone_branch_jet(rng, 8)
-        res = normalize_parabolic_surface(realize_series(p))
-        c = p.filled(7)
-        worst["X"] = max(worst["X"], rel(invariant_X(c), res.readings["X"]))
-        worst["Y"] = max(worst["Y"], rel(invariant_Y(c), res.readings["Y"]))
-    ok = all(v <= 1e-8 for v in worst.values())
-    report(
+    check(
         "criterion 1: oracle equivalence of G31, G50, G70 readings with W, M, X, Y (1e-8, 100/branch)",
-        ok,
-        "worst " + ", ".join(f"{k}={v:.2e}" for k, v in worst.items()),
+        run_suite("oracle", seed=101, samples=100),
     )
 
 
 def test_criterion_2_generic_recurrences():
     rng = random.Random(102)
-    worst_w1 = worst_w2 = worst_m1 = worst_m2 = 0.0
-    for _ in range(100):
-        p = random_parabolic_jet(rng, 8)
-        coeffs = invariant_derivatives(p)
-        c = p.filled(5)
-        W = to_float(invariant_W(c))
-        M = to_float(invariant_M(c))
-        d1w = to_float(apply_D(1, invariant_W, p, coeffs))
-        d2w = to_float(apply_D(2, invariant_W, p, coeffs))
-        worst_w1 = max(worst_w1, abs(d1w + 2.0 / 3.0 * W * W) / (1 + W * W))
-        worst_w2 = max(worst_w2, abs(d2w - 2 * W) / (1 + abs(W)))
-        res = normalize_parabolic_surface(realize_series(p))
-        I51 = to_float(res.readings["I51"])
-        I60 = to_float(res.readings["I60"])
-        d1m = to_float(apply_D(1, invariant_M, p, coeffs))
-        d2m = to_float(apply_D(2, invariant_M, p, coeffs))
-        r2 = abs(d2m - I51 + M - 80.0 / 9.0 * W**3) / (1 + abs(d2m))
-        r1 = abs(d1m - I60 + 14.0 * M * W - 10.0 / 3.0 * I51 * W) / (1 + abs(d1m))
-        worst_m1 = max(worst_m1, r1)
-        worst_m2 = max(worst_m2, r2)
-    ok = worst_w1 <= 1e-7 and worst_w2 <= 1e-7 and worst_m1 <= 1e-6 and worst_m2 <= 1e-6
-    report(
+    check(
         "criterion 2: generic recurrences D1W, D2W (1e-7), D1M, D2M with invariantized I51, I60 (1e-6, 100 jets)",
-        ok,
-        f"worst D1W={worst_w1:.2e} D2W={worst_w2:.2e} D1M={worst_m1:.2e} D2M={worst_m2:.2e}",
+        merge_reports(verify_recurrences("Generic", random_parabolic_jet(rng, 8)) for _ in range(100)),
     )
 
 
 def test_criterion_3_cone_recurrences():
     rng = random.Random(103)
-    worst = {"D1X": 0.0, "D2X": 0.0, "D2Y": 0.0}
-    for _ in range(50):
-        p = random_cone_branch_jet(rng, 8)
-        coeffs = frame_derivatives(p)
-        c = p.filled(7)
-        Xv = to_float(invariant_X(c))
-        Yv = to_float(invariant_Y(c))
-        worst["D1X"] = max(worst["D1X"], abs(to_float(apply_D(1, invariant_X, p, coeffs))) / (1 + abs(Xv)))
-        worst["D2X"] = max(
-            worst["D2X"], abs(to_float(apply_D(2, invariant_X, p, coeffs)) - 3 * Xv) / (1 + abs(Xv))
-        )
-        worst["D2Y"] = max(
-            worst["D2Y"], abs(to_float(apply_D(2, invariant_Y, p, coeffs)) - 5 * Yv) / (1 + abs(Yv))
-        )
-    ok = all(v <= 1e-6 for v in worst.values())
-    report(
+    check(
         "criterion 3: cone-branch recurrences D1X = 0, D2X = 3X, D2Y = 5Y (1e-6, 50 jets)",
-        ok,
-        "worst " + ", ".join(f"{k}={v:.2e}" for k, v in worst.items()),
+        merge_reports(verify_recurrences("Cone", random_cone_branch_jet(rng, 8)) for _ in range(50)),
     )
 
 
 def test_criterion_4_commutator():
     rng = random.Random(104)
-    worst_direct = worst_span = 0.0
-    for _ in range(5):
-        p = random_parabolic_jet(rng, 8)
-        coeffs = invariant_derivatives(p)
-        W = to_float(invariant_W(p.filled(4)))
-
-        def g1(q):
-            return apply_D(1, invariant_W, q, invariant_derivatives(q))
-
-        def g2(q):
-            return apply_D(2, invariant_W, q, invariant_derivatives(q))
-
-        comm = second_derivative(1, g2, p, coeffs=coeffs) - second_derivative(2, g1, p, coeffs=coeffs)
-        worst_direct = max(worst_direct, abs(comm - 4.0 / 3.0 * W * W) / (1 + W * W))
-        span = -to_float(apply_D(1, invariant_W, p, coeffs)) + W / 3.0 * to_float(
-            apply_D(2, invariant_W, p, coeffs)
-        )
-        worst_span = max(worst_span, abs(comm - span) / (1 + abs(span)))
-    worst_cone = 0.0
-    for _ in range(3):
-        p = random_cone_branch_jet(rng, 8)
-        coeffs = frame_derivatives(p)
-
-        def gx1(q):
-            return apply_D(1, invariant_X, q, frame_derivatives(q, 1e-6))
-
-        def gx2(q):
-            return apply_D(2, invariant_X, q, frame_derivatives(q, 1e-6))
-
-        comm = second_derivative(1, gx2, p, coeffs=coeffs) - second_derivative(2, gx1, p, coeffs=coeffs)
-        d1x = to_float(apply_D(1, invariant_X, p, coeffs))
-        d2x = to_float(apply_D(2, invariant_X, p, coeffs))
-        scale = 1.0 + abs(d2x)
-        worst_cone = max(worst_cone, abs(comm + d1x) / scale, abs(d1x) / scale)
-    ok = worst_direct <= 1e-5 and worst_span <= 1e-5 and worst_cone <= 1e-5
-    report(
+    reports = [verify_commutator("Generic", random_parabolic_jet(rng, 8)) for _ in range(5)]
+    reports += [verify_commutator("Cone", random_cone_branch_jet(rng, 8)) for _ in range(3)]
+    check(
         "criterion 4: commutator [D1,D2]W = (4/3) W^2 and span formula (1e-5); cone [D1,D2]X = -D1X = 0",
-        ok,
-        f"worst direct={worst_direct:.2e} span={worst_span:.2e} cone={worst_cone:.2e}",
+        merge_reports(reports),
     )
 
 
 def test_criterion_5_derivation_determinant():
     rng = random.Random(105)
-    worst = 0.0
-    for _ in range(50):
-        p = random_parabolic_jet(rng, 6)
-        coeffs = invariant_derivatives(p)
-        c = p.coords
-        s = c[(2, 0)] * c[(2, 1)] - c[(1, 1)] * c[(3, 0)]
-        expect = to_float(c[(2, 0)]) / to_float(cbrt(s)) ** 2
-        worst = max(worst, abs(to_float(coeffs.determinant()) - expect) / (1 + abs(expect)))
-    ok = worst <= 1e-10
-    report(
+    check(
         "criterion 5: alpha delta - beta gamma = u20 / S^(2/3) (1e-10, 50 jets)",
-        ok,
-        f"worst {worst:.2e}",
+        merge_reports(verify_recurrences("Generic", random_parabolic_jet(rng, 6)) for _ in range(50)),
     )
 
 
 def test_criterion_6_exact_algebra():
-    quot_ok = tangency_quotients() == [
-        poly((-4, {})),
-        poly((-4, {})),
-        {},
-        poly((-4, {(1, 0): 1})),
-        {},
-        poly((-4, {(0, 1): 1})),
-    ]
-    det2_ok = det_poly_matrix(order2_matrix_symbolic()) == poly((1, {(2, 0): 2}))
-    rng = random.Random(106)
-    det4_ok = rank_ok = True
-    for _ in range(20):
-        p = random_parabolic_jet(rng, 6, exact=True, generic_floor=None)
-        r4 = orbit_rank(4, p, (rand_rational(rng), rand_rational(rng)))
-        det4_ok &= r4["block_det"] == 0
-        rank_ok &= r4["block_rank"] == 5
-    ok = quot_ok and det2_ok and det4_ok and rank_ok
-    report(
+    check(
         "criterion 6: exact tangency quotients, order-2 determinant u20^2, order-4 det 0 and rank 5 (20 exact jets)",
-        ok,
-        f"quotients={quot_ok} det2={det2_ok} det4={det4_ok} rank5={rank_ok}",
+        run_suite("prolongation", seed=106, samples=20),
     )
 
 
 def test_criterion_7_transfer_laws():
-    rng = random.Random(107)
-    exact_h = exact_congr = True
-    worst_s = worst_abs = 0.0
-    done = 0
-    while done < 20:
-        p = random_parabolic_jet(rng, 8, exact=True)
-        f = realize_series(p)
-        f = TruncatedSeries2(f.order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
-        T = near_identity_transform(rng)
-        hout = hessian_transfer_check(f, T)
-        exact_h &= hout["lhs"] == hout["rhs"] and hout["delta"] == 1
-        cout = hessian_congruence_check(f, T)
-        exact_congr &= cout["lhs"] == cout["rhs"]
-        sout = slope_transfer_check(f, T)
-        worst_s = max(worst_s, rel(sout["lhs"], sout["rhs"]))
-        g = apply_affine(f, T)
-        cf = p.filled(5)
-        cg = jets_of_series(g)
-        cgv = {jk: cg[jk] for jk in cf}
-        if abs(to_float(w_numerator(cgv))) < 1e-3:
-            continue
-        worst_abs = max(worst_abs, rel(invariant_W(cf), invariant_W(cgv)))
-        worst_abs = max(worst_abs, rel(invariant_M(cf), invariant_M(cgv)))
-        done += 1
-    done = 0
-    while done < 20:
-        p = random_cone_branch_jet(rng, 8, exact=True)
-        f = realize_series(p)
-        f = TruncatedSeries2(f.order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
-        T = near_identity_transform(rng)
-        g = apply_affine(f, T)
-        cf = p.filled(7)
-        cg = jets_of_series(g)
-        cgv = {jk: cg[jk] for jk in cf}
-        worst_abs = max(worst_abs, rel(invariant_X(cf), invariant_X(cgv)))
-        worst_abs = max(worst_abs, rel(invariant_Y(cf), invariant_Y(cgv)))
-        done += 1
-    ok = exact_h and exact_congr and worst_s <= 1e-9 and worst_abs <= 1e-7
-    report(
+    check(
         "criterion 7: Hessian transfer and congruence exact; slope transfer 1e-9; W, M, X, Y invariant 1e-7 (20 maps)",
-        ok,
-        f"S={worst_s:.2e} abs={worst_abs:.2e}",
+        run_suite("transfer", seed=107, samples=20),
     )
 
 
 def test_criterion_8_classification():
-    rng = random.Random(108)
-    counts = {"cylinder": 0, "cone": 0, "tangential": 0}
-    for kind in counts:
-        done = 0
-        while done < 50:
-            if kind == "cylinder":
-                prof = TruncatedSeries1(8, {i: rand_rational(rng) for i in range(2, 9)})
-                if abs(prof[2]) < F(1, 4):
-                    continue
-                fam = Cylinder(prof)
-            elif kind == "cone":
-                cs = {i: rand_rational(rng) for i in range(2, 9)}
-                if abs(cs[2]) < F(1, 4):
-                    continue
-                fam = Cone(TruncatedSeries1(8, cs))
-            else:
-                avs = {i: rand_rational(rng) for i in range(2, 9)}
-                cvs = {i: rand_rational(rng) for i in range(2, 9)}
-                if abs(avs[2]) < F(1, 4) or abs(avs[3] * cvs[2] - avs[2] * cvs[3]) < F(1, 6):
-                    continue
-                fam = Tangential(TruncatedSeries1(8, avs), TruncatedSeries1(8, cvs))
-            done += 1
-            counts[kind] += classify(realize_graph(fam, 8)).developable_kind == kind
-    roundtrip_ok = all(v == 50 for v in counts.values())
-
-    model = TruncatedSeries2(8, {(2, k): F(math.factorial(k)) for k in range(7)})
-    res = normalize_parabolic_surface(model)
-    model_ok = (
-        res.branch == "Cone[model]"
-        and to_float(res.readings["W"]) == 0
-        and to_float(res.readings["X"]) == 0
-    )
-
-    tang_ok = True
-    done = 0
-    while done < 20:
-        avs = {i: rand_rational(rng) for i in range(2, 9)}
-        cvs = {i: rand_rational(rng) for i in range(2, 9)}
-        if abs(avs[2]) < F(1, 4) or avs[3] * cvs[2] - avs[2] * cvs[3] == 0:
-            continue
-        g = realize_graph(Tangential(TruncatedSeries1(8, avs), TruncatedSeries1(8, cvs)), 8)
-        tang_ok &= invariant_W_cubed(jets_of_series(g).values) == 1 / (avs[3] * cvs[2] - avs[2] * cvs[3])
-        done += 1
-    ok = roundtrip_ok and model_ok and tang_ok
-    report(
+    check(
         "criterion 8: family round trips (50 each), flat-cone model W = X = 0, tangential W^3 exact",
-        ok,
-        f"counts={counts} model={model_ok} tangential_exact={tang_ok}",
+        run_suite("classification", seed=108, samples=50),
     )
 
 
 def test_criterion_9_curves():
-    rng = random.Random(109)
-    worst = 0.0
-    for _ in range(50):
-        jet = random_curve_jet(rng, 8)
-        res = normalize_curve_sl2(TruncatedSeries1(8, dict(jet)))
-        u2, u3, u4, u5, u6, u7 = (jet[i] for i in range(2, 8))
-        r = cbrt(u2)
-        closed = {
-            "G4": (3 * u2 * u4 - 5 * u3**2) / (3 * r**8),
-            "G5": (9 * u2**2 * u5 - 45 * u2 * u3 * u4 + 40 * u3**3) / (9 * u2**4),
-            "G6": (9 * u2**3 * u6 - 63 * u2**2 * u3 * u5 + 105 * u2 * u3**2 * u4 - 35 * u3**4)
-            / (9 * r**16),
-            "G7": (
-                9 * u2**4 * u7
-                - 84 * u2**3 * u3 * u6
-                + 210 * u2**2 * u3**2 * u5
-                - 105 * u2**2 * u3 * u4**2
-                + 210 * u2 * u3**3 * u4
-                - 280 * u3**5
-            )
-            / (9 * r**20),
-        }
-        for k, v in closed.items():
-            worst = max(worst, rel(res.readings[k], v))
-    closed_ok = worst <= 1e-9
-
-    # square-root parabolas have vanishing equi-affine curvature
-    parab_ok = True
-    for _ in range(10):
-        g0 = 0.5 + rng.random()
-        h0 = 0.5 + rng.random()
-        x0 = rng.random() * 0.5
-        root = math.sqrt(2 * g0 * x0 + h0)
-        jet = {
-            0: 0.0,
-            1: g0 / root,
-            2: -(g0**2) / root**3,
-            3: 3 * g0**3 / root**5,
-            4: -15 * g0**4 / root**7,
-        }
-        parab_ok &= abs(to_float(equiaffine_curvature(jet))) < 1e-12
-    conic_ok = True
-    for epsv in (1, -1):
-        for x in (0.1, 0.3):
-            s = math.sqrt(1 + epsv * x * x)
-            jet = {
-                0: epsv * s - epsv,
-                1: x / s,
-                2: 1 / s**3,
-                3: -3 * epsv * x / s**5,
-                4: (12 * x * x - 3 * epsv) / s**7,
-                5: (45 * x - 60 * epsv * x**3) / s**9,
-            }
-            conic_ok &= abs(to_float(conic_invariant(jet))) < 1e-10
-
-    frame_ok = True
-    for _ in range(20):
-        jet = random_curve_jet(rng, 8)
-        frame_ok &= rel(sa2_frame_fourth_order(jet), equiaffine_curvature(jet)) <= 1e-9
-
-    worst_rec = 0.0
-    for _ in range(25):
-        jet = random_curve_jet(rng, 8)
-        rep = verify_curve_recurrences("sa2", jet)
-        for v in rep.values():
-            worst_rec = max(worst_rec, v["residual"])
-        jetg = random_curve_jet(rng, 8, affine_floor=0.3)
-        repg = verify_curve_recurrences("gl2", jetg)
-        for v in repg.values():
-            worst_rec = max(worst_rec, v["residual"])
-    rec_ok = worst_rec <= 1e-6
-    ok = closed_ok and parab_ok and conic_ok and frame_ok and rec_ok
-    report(
+    check(
         "criterion 9: curve closed forms 1e-9; P and C vanish on parabola/conic samples; frame; recurrences 1e-6",
-        ok,
-        f"closed={worst:.2e} recurrences={worst_rec:.2e}",
+        run_suite("curves", seed=109, samples=50)
+        + run_suite("recurrence", "curve-sa2", seed=109, samples=25)
+        + run_suite("recurrence", "curve-gl2", seed=109, samples=25),
     )
 
 
 def test_criterion_10_homogeneous_models():
-    gen_ok = True
-    for a, sign in [(F(1), 1), (F(1), -1), (F(3, 7), 1), (F(-5, 4), -1)]:
-        I = homogeneous_curve_coefficients(a, sign, 8)
-        gen_ok &= I[6] == 5 + sign * F(3, 2) * a * a
-        gen_ok &= I[7] == 3 * a**3 + sign * 17 * a
-    tang_worst = 0.0
-    for a, sign in [(F(1), 1), (F(2, 5), -1)]:
-        Fs = homogeneous_curve_series(a, sign, 10)
-        L = homogeneous_tangent_field(a, sign)
-        resid = tangency_residual_curve(L, Fs)
-        tang_worst = max([tang_worst] + [abs(to_float(c)) for c in resid.coeffs.values()])
-    tangency_ok = tang_worst <= 1e-9
-
-    from parajet.prolong import lie_bracket, p_neg, p_sub
-
-    e1, e2, e3 = cone_symmetry_fields()
-
-    def components(v):
-        return (v.xi, v.eta, v.phi)
-
-    brackets_ok = (
-        all(p_sub(x, p_neg(y)) == {} for x, y in zip(components(lie_bracket(e1, e2)), components(e3)))
-        and all(p_sub(x, p_neg(y)) == {} for x, y in zip(components(lie_bracket(e1, e3)), components(e1)))
-        and all(p_sub(x, y) == {} for x, y in zip(components(lie_bracket(e2, e3)), components(e2)))
-    )
-
-    f1, f2 = F(3, 4), F(7, 5)
-    c, s = F(4, 5), F(3, 5)
-    curve = TruncatedSeries1(3, {1: f1, 2: f2})
-    g = apply_affine_curve(curve, CurveTransform2(a=c, b=-s, c=s, d=c))
-    euclid_ok = g[1] == 0 and g[2] == f2 / F(125, 64)
-
-    ok = gen_ok and tangency_ok and brackets_ok and euclid_ok
-    report(
+    check(
         "criterion 10: homogeneous-model series I6, I7 exact; field tangency 1e-9; cone brackets exact; curvature example exact",
-        ok,
-        f"series={gen_ok} tangency={tang_worst:.1e} brackets={brackets_ok} curvature={euclid_ok}",
+        run_suite("homogeneous", seed=110),
     )

@@ -251,3 +251,36 @@ def test_invariants_below_order_3_without_traceback(tmp_path, capsys, order, coe
     code, out, _ = run_cli(["invariants", "--surface", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["branch"] == branch
+
+
+@pytest.mark.parametrize("command", ["invariants", "normalize"])
+def test_float_overflow_exits_2(tmp_path, capsys, command):
+    # finite input whose float products overflow: u_20 = u_21 = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_surface_doc(coeffs=[_entry(2, 0, "1e300"), _entry(2, 1, "1e300")])))
+    code, out, err = run_cli([command, "--surface", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "overflowed" in json.loads(err)["error"]
+
+
+def test_verify_has_no_tolerance_option(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "oracle", "--tol", "1"], capsys)
+    assert code == 2
+    assert "[PASS]" not in out
+
+
+def test_report_runs_every_registered_suite(monkeypatch, capsys):
+    from parajet import cli, verify
+
+    calls = []
+
+    def fake(name, branch=None, seed=0, samples=None):
+        calls.append(name if branch is None else f"{name}/{branch}")
+        return [{"name": "stub", "pass": True, "worst_residual": 0.0, "samples": samples}]
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    code, out, _ = run_cli(["report", "--samples", "1"], capsys)
+    assert code == 0
+    assert calls == list(verify.SUITES)
+    assert [line.split()[2] for line in out.splitlines()] == [f"{key}:" for key in verify.SUITES]

@@ -7,6 +7,8 @@ import pytest
 from parajet.invariants import (
     M_TABLE,
     conic_invariant,
+    curve_invariant_F6,
+    curve_invariant_F7,
     equiaffine_curvature,
     euclid_curvature,
     evaluate_at_jet,
@@ -253,6 +255,30 @@ def test_curve_invariants_parabola_and_conic():
         5: (45 * x - 60 * x**3) / s**9,
     }
     assert abs(conic_invariant(jet)) < 1e-12
+
+
+def test_curve_invariants_equal_the_printed_polynomials_exactly():
+    # u2 = r^3 for rational r, so every root is exact and the comparison is in Fractions
+    rng = random.Random(9)
+    for _ in range(20):
+        r = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        u2 = r**3
+        u3, u4, u5, u6, u7 = (F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5))
+        jet = {0: F(0), 1: F(0), 2: u2, 3: u3, 4: u4, 5: u5, 6: u6, 7: u7}
+        assert equiaffine_curvature(jet) == (3 * u2 * u4 - 5 * u3**2) / (3 * r**8)
+        assert conic_invariant(jet) == (9 * u2**2 * u5 - 45 * u2 * u3 * u4 + 40 * u3**3) / (9 * u2**4)
+        assert curve_invariant_F6(jet) == (
+            9 * u2**3 * u6 - 63 * u2**2 * u3 * u5 + 105 * u2 * u3**2 * u4 - 35 * u3**4
+        ) / (9 * r**16)
+        assert curve_invariant_F7(jet) == (
+            9 * u2**4 * u7
+            - 84 * u2**3 * u3 * u6
+            + 210 * u2**2 * u3**2 * u5
+            - 105 * u2**2 * u3 * u4**2
+            + 210 * u2 * u3**3 * u4
+            - 280 * u3**5
+        ) / (9 * r**20)
+        assert all(isinstance(v, F) for v in (equiaffine_curvature(jet), curve_invariant_F7(jet)))
 
 
 def test_curve_trivial_P():

@@ -1,9 +1,13 @@
 """The verification records measure what their names claim, so they can fail."""
 
+import inspect
+
 import pytest
 
-from parajet import verify
+from parajet import recurrence, verify
+from parajet.invariants import invariant_W
 from parajet.recurrence import InvariantDerivationCoeffs
+from parajet.scalars import to_float
 
 SCALING = "no homogeneous models with constant nonzero X or W (scaling rows)"
 
@@ -32,3 +36,49 @@ def test_scaling_rows_record_fails_on_a_perturbed_row(monkeypatch, operators):
     rec = _scaling_record()
     assert not rec["pass"]
     assert rec["worst_residual"] > 1e-6
+
+
+def test_recurrence_records_hold_each_identity_to_its_own_tolerance(monkeypatch):
+    # verify_recurrences states D2W = 2W at 1e-7: scaling D2 so that its residual
+    # is 3e-7 must fail the suite record, though it is within 1e-6
+    original = recurrence.invariant_derivatives
+
+    def perturbed(p):
+        c = original(p)
+        w2 = abs(2 * to_float(invariant_W(p.filled(4))))
+        k = 1 + 3e-7 * (1 + w2) / w2
+        return InvariantDerivationCoeffs(c.alpha, c.beta, c.gamma * k, c.delta * k)
+
+    monkeypatch.setattr(recurrence, "invariant_derivatives", perturbed)
+    monkeypatch.setattr(verify, "verify_commutator", lambda branch, p: {})
+    recs = {r["name"]: r for r in verify.suite_recurrence("generic", seed=0, samples=1)}
+    rec = recs["D2W = 2W"]
+    assert 1e-7 < rec["worst_residual"] < 1e-6
+    assert not rec["pass"]
+    assert recs["D1W = -(2/3) W^2"]["pass"]
+
+
+def test_classification_samples_count_the_checks_made(monkeypatch):
+    calls = {"w_numerator": 0, "invariant_W_cubed": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(verify, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(verify, name, counted)
+    recs = {r["name"]: r for r in verify.suite_classification(seed=0, samples=1)}
+    assert recs["cone families have exactly vanishing W numerator"]["samples"] == calls["w_numerator"]
+    assert recs["tangential W^3 = 1/(a3 c2 - a2 c3) exactly"]["samples"] == calls["invariant_W_cubed"]
+
+
+@pytest.mark.parametrize("key", list(verify.SUITES))
+def test_suites_take_no_tolerance(key):
+    assert list(inspect.signature(verify.SUITES[key]).parameters) == ["seed", "samples"]
+
+
+def test_run_suite_rejects_unknown_suites_and_empty_samples():
+    with pytest.raises(ValueError):
+        verify.run_suite("oracle", branch="cone")
+    with pytest.raises(ValueError):
+        verify.run_suite("oracle", samples=0)
