@@ -119,12 +119,6 @@ class ParabolicJet:
         self.coords = dict(coords)
         self._cols: List[TruncatedSeries1] | None = None
 
-    def independent_keys(self):
-        keys = [(0, 0)]
-        keys += [(j, 0) for j in range(1, self.order + 1)]
-        keys += [(j, 1) for j in range(0, self.order)]
-        return keys
-
     def _columns(self) -> List[TruncatedSeries1]:
         if self._cols is None:
             self._cols = _columns_from_coords(self.coords, self.order)

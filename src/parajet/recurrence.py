@@ -97,7 +97,11 @@ def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerC
     """
     if branch not in ("Generic", "Cone"):
         raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
-    res = surface_frame(p, tol)
+    return _solve_mc_at_frame(branch, surface_frame(p, tol))
+
+
+def _solve_mc_at_frame(branch: str, res: NormalFormResult) -> MaurerCartan:
+    """:func:`solve_mc_surface` from the jet's normal form."""
     if res.branch != branch:
         raise BranchError(f"jet is not in the {branch.lower()} branch")
     values = _normalized_jet_values(res)
@@ -261,15 +265,21 @@ def identity_record(lhs, rhs, tolerance: float) -> dict:
 
 def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
     """Residuals of the printed recurrence identities at one jet."""
+    if branch not in ("Generic", "Cone"):
+        raise ValueError(branch)
+    return _recurrences_at_frame(branch, p, surface_frame(p, tol))
+
+
+def _recurrences_at_frame(branch: str, p: ParabolicJet, res: NormalFormResult) -> Dict[str, dict]:
+    """:func:`verify_recurrences` from the jet's normal form ``res``."""
     out: Dict[str, dict] = {}
     if branch == "Generic":
         coeffs = invariant_derivatives(p)
         c = p.filled(5)
         W = invariant_W(c)
         M = invariant_M(c)
-        pipeline = surface_frame(p, tol)
-        I51 = pipeline.readings["I51"]
-        I60 = pipeline.readings["I60"]
+        I51 = res.readings["I51"]
+        I60 = res.readings["I60"]
         d1w, d2w = apply_D_pair(invariant_W, p, coeffs)
         out["D1W = -(2/3) W^2"] = identity_record(d1w, -Fraction(2, 3) * to_float(W) ** 2, 1e-7)
         out["D2W = 2W"] = identity_record(d2w, 2 * to_float(W), 1e-7)
@@ -285,8 +295,7 @@ def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[
         out["det(D) = u20 / S^(2/3)"] = identity_record(
             coeffs.determinant(), p.coords[(2, 0)] / cbrt(s_numerator(c)) ** 2, 1e-10
         )
-    elif branch == "Cone":
-        res = surface_frame(p, tol)
+    else:
         coeffs = _frame_coeffs(res, p)
         c = p.filled(7)
         Xv = invariant_X(c)
@@ -301,8 +310,6 @@ def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[
             out["D1Y = I80 - (35/2) X^2"] = identity_record(
                 d1y, to_float(I80) - 17.5 * to_float(Xv) ** 2, 1e-6
             )
-    else:
-        raise ValueError(branch)
     return out
 
 

@@ -10,8 +10,13 @@ float-ness the way IEEE does.
 The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
 coordinates as functions of target coordinates), and :func:`apply_affine`
-produces the graphing series of the transformed surface by solving the
-fundamental equation with a degree-graded Newton step.
+produces the graphing series of the transformed surface in one graded pass
+per kernel.  :func:`series3_from_bivariate_in_linear` substitutes the two
+linear forms by Horner in the first over cached powers of the second, and
+:func:`solve_implicit` solves the fundamental equation degree by degree from
+cached homogeneous parts of the powers of the graph.  Both kernels work in
+monomial convention inside: factorials are divided out on entry and put
+back on exit, so no binomial weight enters an inner loop.
 """
 
 from __future__ import annotations
@@ -248,6 +253,11 @@ def from_monomials1(order: int, monos: Dict[int, object]) -> TruncatedSeries1:
     return TruncatedSeries1(order, {i: c * math.factorial(i) for i, c in monos.items()})
 
 
+def _over(c, m: int):
+    """c / m, staying a ``Fraction`` when c is exact."""
+    return c / Fraction(m) if is_exact(c) else c / m
+
+
 def one2(order: int) -> TruncatedSeries2:
     return TruncatedSeries2(order, {(0, 0): Fraction(1)})
 
@@ -268,9 +278,7 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
     for (a, b), Fc in F.coeffs.items():
         if a + b > n:
             continue
-        f = Fc / Fraction(math.factorial(a) * math.factorial(b)) if is_exact(Fc) else Fc / (
-            math.factorial(a) * math.factorial(b)
-        )
+        f = _over(Fc, math.factorial(a) * math.factorial(b))
         out = out + (xpows[a] * ypows[b]).scale(f)
     return out
 
@@ -301,53 +309,23 @@ class _Series3:
                 del out[key]
         return _Series3(min(self.order, other.order), out)
 
-    def scale(self, s) -> "_Series3":
-        return _Series3(self.order, {k: s * c for k, c in self.coeffs.items()})
-
-    def mul(self, other: "_Series3") -> "_Series3":
-        n = min(self.order, other.order)
-        out: Dict[Tuple[int, int, int], object] = {}
-        for (a1, b1, c1), u in self.coeffs.items():
-            for (a2, b2, c2), v in other.coeffs.items():
-                j, k, l = a1 + a2, b1 + b2, c1 + c2
-                if j + k + l > n:
-                    continue
-                t = _binom(j, a1) * _binom(k, b1) * _binom(l, c1) * u * v
-                out[(j, k, l)] = out.get((j, k, l), 0) + t
-        return _Series3(n, out)
-
     def dv_at_zero(self):
         return self.coeffs.get((0, 0, 1), 0)
 
-    def substitute_v(self, G: TruncatedSeries2, upto: int | None = None) -> TruncatedSeries2:
-        """Evaluate Phi(s, t, G(s, t)) truncated at degree ``upto``.
 
-        G must vanish at the origin, so the substitution is degree-graded and
-        the truncated result only consumes coefficients up to that degree.
-        """
-        if G[(0, 0)] != 0:
-            raise ValueError("graph series must vanish at the origin")
-        n = min(self.order, G.order)
-        if upto is not None:
-            n = min(n, upto)
-        Gn = TruncatedSeries2(n, {jk: c for jk, c in G.coeffs.items() if jk[0] + jk[1] <= n})
-        gpows = [one2(n)]
-        vmax = max((c for (_, _, c) in self.coeffs), default=0)
-        for _ in range(min(n, vmax)):
-            gpows.append(gpows[-1] * Gn)
-        out: Dict[Tuple[int, int], object] = {}
-        for (a, b, c), coeff in self.coeffs.items():
-            if a + b > n or c > len(gpows) - 1:
-                continue
-            f = coeff / Fraction(math.factorial(c)) if is_exact(coeff) else coeff / math.factorial(c)
-            for (j, k), g in gpows[c].coeffs.items():
-                jj, kk = a + j, b + k
-                if jj + kk > n:
-                    continue
-                t = _binom(jj, a) * _binom(kk, b) * f * g
-                key = (jj, kk)
-                out[key] = out.get(key, 0) + t
-        return TruncatedSeries2(n, out)
+def _times_linear(P: dict, form) -> dict:
+    """Monomial polynomial in (s, t, v) times the linear form form[0] s + form[1] t + form[2] v."""
+    out: dict = {}
+    for (di, dj, dk), coef in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form):
+        if coef == 0:
+            continue
+        unit = coef == 1
+        for (i, j, k), c in P.items():
+            key = (i + di, j + dj, k + dk)
+            x = c if unit else coef * c
+            prev = out.get(key)
+            out[key] = x if prev is None else prev + x
+    return out
 
 
 def series3_from_bivariate_in_linear(
@@ -356,35 +334,59 @@ def series3_from_bivariate_in_linear(
     """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0.
 
     ``xs`` and ``ys`` are 4-tuples (coef_s, coef_t, coef_v, constant).  The
-    constant parts re-center the expansion exactly on the truncation.
+    constant parts re-center the expansion exactly on the truncation.  With
+    F = sum f_ab x^a y^b in monomial convention and L1, L2 the linear parts,
+    the powers of L2 are built once and the sum is taken by Horner in L1:
+    R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b, for a = order, ..., 0.  Each
+    Q_a has degree at most order - a, so no step needs a truncation.
     """
-    ax, bx, cx, dx = xs
-    ay, by, cy, dy = ys
-    Fc = F if (dx == 0 and dy == 0) else F.shift(dx, dy)
+    Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
     n = order
-    s_x = _Series3(n, {(1, 0, 0): ax, (0, 1, 0): bx, (0, 0, 1): cx})
-    s_y = _Series3(n, {(1, 0, 0): ay, (0, 1, 0): by, (0, 0, 1): cy})
-    xp = [_Series3(n, {(0, 0, 0): Fraction(1)})]
-    yp = [_Series3(n, {(0, 0, 0): Fraction(1)})]
-    for _ in range(n):
-        xp.append(xp[-1].mul(s_x))
-        yp.append(yp[-1].mul(s_y))
-    out = _Series3(n, {})
-    for (a, b), c in Fc.coeffs.items():
-        if a + b > n:
-            continue
-        f = c / Fraction(math.factorial(a) * math.factorial(b)) if is_exact(c) else c / (
-            math.factorial(a) * math.factorial(b)
-        )
-        out = out.add(xp[a].mul(yp[b]).scale(f))
-    return out
+    f = {
+        ab: _over(c, math.factorial(ab[0]) * math.factorial(ab[1]))
+        for ab, c in Fc.coeffs.items()
+        if ab[0] + ab[1] <= n
+    }
+    y_pows = [{(0, 0, 0): 1}]
+    for _ in range(max((b for _, b in f), default=0)):
+        y_pows.append(_times_linear(y_pows[-1], ys[:3]))
+    R: dict = {}
+    for a in range(n, -1, -1):
+        R = _times_linear(R, xs[:3])
+        for b in range(n - a + 1):
+            fab = f.get((a, b))
+            if fab is None:
+                continue
+            for key, c in y_pows[b].items():
+                x = fab * c
+                prev = R.get(key)
+                R[key] = x if prev is None else prev + x
+    return _Series3(
+        n,
+        {
+            (i, j, k): c * (math.factorial(i) * math.factorial(j) * math.factorial(k))
+            for (i, j, k), c in R.items()
+        },
+    )
+
+
+def _times_homogeneous(A: dict, B: dict, out: dict) -> None:
+    """Accumulate into ``out`` the product of two homogeneous parts keyed by the power of s."""
+    for i, x in A.items():
+        for j, y in B.items():
+            prev = out.get(i + j)
+            out[i + j] = x * y if prev is None else prev + x * y
 
 
 def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     """The unique G(s,t), G(0,0)=0, with Phi(s,t,G(s,t)) = 0 to truncation order.
 
-    Degree-graded Newton: the degree-d correction is the degree-d residual
-    divided by -dPhi/dv(0), so exactness is preserved in rational mode.
+    Degree-graded solve in monomial convention.  Write Phi = sum_c phi_c v^c.
+    The homogeneous parts (G^c)_e = sum_i G_i (G^(c-1))_(e-i) are cached as G
+    grows, and the degree-d part of G is -[sum_c phi_c G^c]_d / phi_v(0),
+    where the sum omits the phi_v(0) G_d term itself.  Only additions,
+    products and that one division occur, so exactness is preserved in
+    rational mode.
     """
     if Phi[(0, 0, 0)] != 0:
         raise ValueError("Phi must vanish at the origin")
@@ -392,17 +394,31 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")
     n = Phi.order
-    G = TruncatedSeries2(n, {})
+    # phi[c][e][j]: monomial coefficient of s^j t^(e-j) v^c
+    phi: Dict[int, Dict[int, dict]] = {}
+    for (a, b, c), x in Phi.coeffs.items():
+        if (a, b, c) != (0, 0, 1):
+            m = math.factorial(a) * math.factorial(b) * math.factorial(c)
+            phi.setdefault(c, {}).setdefault(a + b, {})[a] = _over(x, m)
+    vmax = max(max(phi, default=0), 1)
+    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1)
+    powers: Dict[int, Dict[int, dict]] = {c: {} for c in range(1, vmax + 1)}
+    out: Dict[Tuple[int, int], object] = {}
     for d in range(1, n + 1):
-        residual = Phi.substitute_v(G, upto=d)
-        corr = {
-            jk: -c / pv for jk, c in residual.coeffs.items() if jk[0] + jk[1] == d and c != 0
-        }
-        if corr:
-            merged = dict(G.coeffs)
-            merged.update(corr)
-            G = TruncatedSeries2(n, merged)
-    return G
+        for c in range(2, min(d, vmax) + 1):
+            part: dict = {}
+            for i in range(1, d - c + 2):
+                _times_homogeneous(powers[1][i], powers[c - 1].get(d - i, {}), part)
+            powers[c][d] = part
+        residual = dict(phi.get(0, {}).get(d, {}))
+        for c in range(1, vmax + 1):
+            for e, h in phi.get(c, {}).items():
+                if d - e in powers[c]:
+                    _times_homogeneous(h, powers[c][d - e], residual)
+        powers[1][d] = {j: -x / pv for j, x in residual.items() if x != 0}
+        for j, x in powers[1][d].items():
+            out[(j, d - j)] = x * (math.factorial(j) * math.factorial(d - j))
+    return TruncatedSeries2(n, out)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .normalize import (
     normalize_curve_sl2,
     normalize_parabolic_surface,
     sa2_frame_fourth_order,
+    surface_frame,
 )
 from .prolong import (
     X as VX,
@@ -57,6 +58,8 @@ from .prolong import (
     tangency_quotients,
 )
 from .recurrence import (
+    _recurrences_at_frame,
+    _solve_mc_at_frame,
     apply_D,
     cone_symmetry_fields,
     frame_derivatives,
@@ -67,12 +70,10 @@ from .recurrence import (
     invariant_derivatives,
     mc_closed_form,
     solve_mc_curve,
-    solve_mc_surface,
     surface_tangency_residual,
     tangency_residual_curve,
     verify_commutator,
     verify_curve_recurrences,
-    verify_recurrences,
 )
 from .sampling import (
     near_identity_transform,
@@ -204,8 +205,9 @@ def _surface_sample(branch: str, rng: random.Random) -> Dict[str, dict]:
         p, names = random_parabolic_jet(rng, 8), ("W", "M", "I51")
     else:
         p, names = random_cone_branch_jet(rng, 8), ("X", "Y")
-    rep = verify_recurrences(branch, p)
-    mc = solve_mc_surface(branch, p)
+    res = surface_frame(p)
+    rep = _recurrences_at_frame(branch, p, res)
+    mc = _solve_mc_at_frame(branch, res)
     K1c, K2c = mc_closed_form(branch, **{k: to_float(mc.readings[k]) for k in names})
     rep[f"Cramer solution equals closed-form K ({branch.lower()})"] = _max_record(
         zip(mc.K1 + mc.K2, K1c + K2c), 1e-10

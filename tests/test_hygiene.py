@@ -44,19 +44,44 @@ def _references(tree) -> dict:
     return counts
 
 
-def test_module_level_names_are_referenced():
+def _reference_totals() -> dict:
+    """Per name, its references across the sources, the tests and the benchmark."""
     root = SRC.parents[1]
     files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
     total: dict = {}
     for path in files:
         for name, n in _references(ast.parse(path.read_text(encoding="utf-8"))).items():
             total[name] = total.get(name, 0) + n
+    return total
+
+
+def _unreferenced(nodes, total) -> list:
+    """Names among the definitions with no reference outside their own bodies (recursion)."""
+    return [node.name for node in nodes if total.get(node.name, 0) - _references(node).get(node.name, 0) == 0]
+
+
+def test_module_level_names_are_referenced():
+    total = _reference_totals()
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # mentions inside the definition itself (recursion) do not count
-                own = _references(node).get(node.name, 0)
-                if total.get(node.name, 0) - own == 0:
-                    unused.append(f"{path.name}:{node.name}")
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defs = [n for n in body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        unused += [f"{path.name}:{name}" for name in _unreferenced(defs, total)]
+    assert unused == []
+
+
+def test_methods_are_referenced():
+    total = _reference_totals()
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [
+                n
+                for n in cls.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (n.name.startswith("__") and n.name.endswith("__"))
+            ]
+            unused += [f"{path.name}:{cls.name}.{name}" for name in _unreferenced(methods, total)]
     assert unused == []

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parajet.invariants import invariant_M, invariant_W, invariant_X
 from parajet.jets import realize_series
@@ -105,6 +107,24 @@ def test_equivalence_decision_under_random_transform():
     other = dict(f.coeffs)
     other[(5, 0)] = other.get((5, 0), F(0)) + 1
     assert not equivalent_surfaces(f, TruncatedSeries2(f.order, other))
+
+
+@pytest.mark.parametrize("cone", [False, True])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_normalizing_an_affine_image_gives_the_same_normal_form(cone, seed):
+    rng = random.Random(seed)
+    draw = random_cone_branch_jet if cone else random_parabolic_jet
+    f = realize_series(draw(rng, 8, exact=True))
+    f = TruncatedSeries2(f.order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
+    T = near_identity_transform(rng)
+    assert T.delta() == 1
+    res_f = normalize_parabolic_surface(f)
+    res_g = normalize_parabolic_surface(apply_affine(f, T))
+    assert res_g.branch == res_f.branch == ("Cone" if cone else "Generic")
+    for name in ("X", "Y") if cone else ("W", "M"):
+        a, b = to_float(res_f.reading(name)), to_float(res_g.reading(name))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (name, a, b)
 
 
 def test_invariantize_phantoms_and_readings():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from parajet.jets import realize_series
+from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_parabolic_jet
 from parajet.series import (
     AffineTransform3,
     CurveTransform2,
@@ -262,3 +264,151 @@ def test_series3_recenter_matches_substitution():
             if cc == 0
         ) + phi[(0, 0, 0)] * 0
         assert expanded == direct
+
+
+# -- exact reference: the substitute-and-re-solve kernel ---------------------
+# Factorial convention throughout: the linear substitution multiplies out the
+# powers of both linear forms, and the implicit solve re-substitutes the whole
+# graph, rebuilding every power of G, once per degree.
+
+
+def _ref_mul3(u, v, n):
+    out = {}
+    for (a1, b1, c1), x in u.items():
+        for (a2, b2, c2), y in v.items():
+            j, k, l = a1 + a2, b1 + b2, c1 + c2
+            if j + k + l <= n:
+                w = math.comb(j, a1) * math.comb(k, b1) * math.comb(l, c1) * x * y
+                out[(j, k, l)] = out.get((j, k, l), 0) + w
+    return out
+
+
+def _ref_linear_substitution(f, xs, ys, n):
+    fc = f if xs[3] == 0 and ys[3] == 0 else f.shift(xs[3], ys[3])
+    pows = []
+    for form in (xs, ys):
+        lin = {(1, 0, 0): form[0], (0, 1, 0): form[1], (0, 0, 1): form[2]}
+        pows.append([{(0, 0, 0): F(1)}])
+        for _ in range(n):
+            pows[-1].append(_ref_mul3(pows[-1][-1], lin, n))
+    out = {}
+    for (a, b), c in fc.coeffs.items():
+        if a + b <= n:
+            for key, x in _ref_mul3(pows[0][a], pows[1][b], n).items():
+                out[key] = out.get(key, 0) + c / (math.factorial(a) * math.factorial(b)) * x
+    return _Series3(n, out)
+
+
+def _ref_solve_implicit(phi):
+    n, pv = phi.order, phi[(0, 0, 1)]
+    g = TruncatedSeries2(n, {})
+    for d in range(1, n + 1):
+        gpows = [TruncatedSeries2(n, {(0, 0): F(1)})]
+        for _ in range(d):
+            gpows.append(gpows[-1] * g)
+        residual = {}
+        for (a, b, c), x in phi.coeffs.items():
+            if c > d:
+                continue  # G^c starts at degree c
+            for (j, k), y in gpows[c].coeffs.items():
+                if a + b + j + k == d:
+                    w = math.comb(a + j, a) * math.comb(b + k, b) * x * y / math.factorial(c)
+                    residual[(a + j, b + k)] = residual.get((a + j, b + k), 0) + w
+        g = TruncatedSeries2(n, {**g.coeffs, **{jk: -r / pv for jk, r in residual.items()}})
+    return g
+
+
+def _ref_apply_affine(f, T):
+    phi = _ref_linear_substitution(f, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), f.order)
+    phi = phi.add(_Series3(f.order, {(0, 0, 0): -T.w, (1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r}))
+    assert phi[(0, 0, 0)] == 0
+    return _ref_solve_implicit(phi)
+
+
+def _ref_apply_affine_curve(f, T):
+    f2 = TruncatedSeries2(f.order, {(j, 0): c for j, c in f.coeffs.items()})
+    surface = AffineTransform3(a=T.a, c=T.b, d=T.e, p=T.c, r=T.d, w=T.f)
+    return TruncatedSeries1(f.order, {j: c for (j, k), c in _ref_apply_affine(f2, surface).coeffs.items() if k == 0})
+
+
+def _centered_exact_jet(rng, order, cone=False):
+    draw = random_cone_branch_jet if cone else random_parabolic_jet
+    f = realize_series(draw(rng, order, exact=True))
+    return TruncatedSeries2(order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
+
+
+# loop-shaped transforms: few nonzero entries, including c != 0 and m != 0 so
+# that v enters both linear forms
+SPARSE_TRANSFORMS = [
+    AffineTransform3(p=F(3, 7), q=F(-2, 5)),
+    AffineTransform3(a=F(8, 9), b=F(-1, 3), r=F(9, 8)),
+    AffineTransform3(a=F(5, 4), k=F(-2, 9), l=F(3, 5), r=F(25, 16)),
+    AffineTransform3(m=F(-7, 12)),
+    AffineTransform3(c=F(1, 6), k=F(-1, 6), m=F(5, 18)),
+    AffineTransform3(a=F(0), b=F(1), k=F(-1), l=F(0)),
+]
+
+
+@pytest.mark.parametrize("order, cone", [(8, False), (8, True), (12, False)])
+def test_apply_affine_equals_the_reference_kernel_under_near_identity_maps(order, cone):
+    rng = random.Random(500 + order)
+    f = _centered_exact_jet(rng, order, cone)
+    T = near_identity_transform(rng)
+    xs, ys = (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n)
+    phi = series3_from_bivariate_in_linear(f, xs, ys, order)
+    ref_phi = _ref_linear_substitution(f, xs, ys, order)
+    assert phi.coeffs == ref_phi.coeffs
+    lin = _Series3(order, {(1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r})
+    assert solve_implicit(phi.add(lin)) == _ref_solve_implicit(ref_phi.add(lin))
+    g = apply_affine(f, T)
+    assert g == _ref_apply_affine(f, T)
+    assert g.is_exact()
+
+
+@pytest.mark.parametrize("T", SPARSE_TRANSFORMS)
+def test_apply_affine_equals_the_reference_kernel_under_loop_shaped_maps(T):
+    f = _centered_exact_jet(random.Random(61), 8)
+    assert apply_affine(f, T) == _ref_apply_affine(f, T)
+
+
+def test_apply_affine_equals_the_reference_kernel_under_a_horizontal_translation():
+    f = _centered_exact_jet(random.Random(62), 8)
+    d, n = F(1, 5), F(-2, 7)
+    T = AffineTransform3(a=F(9, 10), b=F(1, 4), c=F(-1, 8), m=F(1, 3), d=d, n=n, w=f.shift(d, n)[(0, 0)])
+    xs, ys = (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n)
+    assert series3_from_bivariate_in_linear(f, xs, ys, 8).coeffs == _ref_linear_substitution(f, xs, ys, 8).coeffs
+    assert apply_affine(f, T) == _ref_apply_affine(f, T)
+
+
+def test_apply_affine_curve_equals_the_reference_kernel():
+    rng = random.Random(63)
+    f = TruncatedSeries1(10, {j: F(rng.randint(-40, 40), rng.randint(1, 9)) for j in range(1, 11)})
+    for T in [
+        CurveTransform2(a=F(4, 5), b=F(-3, 5), c=F(3, 5), d=F(4, 5)),
+        CurveTransform2(a=F(7, 6), b=F(1, 9), c=F(-2, 3), d=F(5, 4)),
+        CurveTransform2(b=F(1, 3), d=F(2, 3), e=F(1, 2), f=f.shift(F(1, 2))[0]),
+    ]:
+        assert apply_affine_curve(f, T) == _ref_apply_affine_curve(f, T)
+
+
+def test_apply_affine_round_trip_through_the_inverse_is_exact():
+    rng = random.Random(64)
+    f = _centered_exact_jet(rng, 8)
+    for T in [near_identity_transform(rng), SPARSE_TRANSFORMS[4]]:
+        (a, b, c), (k, l, m), (p, q, r) = T.inverse_matrix()
+        T_inv = AffineTransform3(a=a, b=b, c=c, k=k, l=l, m=m, p=p, q=q, r=r)
+        assert apply_affine(apply_affine(f, T), T_inv) == f
+
+
+def test_apply_affine_float_route_agrees_with_the_exact_route():
+    rng = random.Random(65)
+    n = 8
+    f = TruncatedSeries2(n, {(j, k): rng.uniform(-2, 2) for j in range(n + 1) for k in range(n + 1 - j) if j + k >= 2})
+    entries = dict(a=1.1, b=-0.2, c=0.15, k=0.05, l=0.9, m=-0.12, p=0.3, q=-0.25, r=1.05)
+    g = apply_affine(f, AffineTransform3(**entries))
+    lifted = TruncatedSeries2(n, {jk: F(c) for jk, c in f.coeffs.items()})
+    exact = apply_affine(lifted, AffineTransform3(**{name: F(v) for name, v in entries.items()}))
+    assert exact.is_exact() and not g.is_exact()
+    scale = 1 + max(abs(c) for c in exact.coeffs.values())
+    for jk in exact.coeffs.keys() | g.coeffs.keys():
+        assert abs(g[jk] - exact[jk]) <= 1e-12 * scale, jk

@@ -1,10 +1,12 @@
 """The verification records measure what their names claim, so they can fail."""
 
 import inspect
+import random
+import sys
 
 import pytest
 
-from parajet import recurrence, verify
+from parajet import normalize, recurrence, verify
 from parajet.invariants import invariant_W
 from parajet.recurrence import InvariantDerivationCoeffs
 from parajet.scalars import to_float
@@ -56,6 +58,25 @@ def test_recurrence_records_hold_each_identity_to_its_own_tolerance(monkeypatch)
     assert 1e-7 < rec["worst_residual"] < 1e-6
     assert not rec["pass"]
     assert recs["D1W = -(2/3) W^2"]["pass"]
+
+
+@pytest.mark.parametrize("branch", ["Generic", "Cone"])
+def test_surface_recurrence_sample_normalizes_each_jet_once(monkeypatch, branch):
+    original = normalize.normalize_parabolic_surface
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("parajet") and getattr(mod, "normalize_parabolic_surface", None) is original:
+            monkeypatch.setattr(mod, "normalize_parabolic_surface", counted)
+    rng = random.Random(5)
+    for _ in range(3):
+        rep = verify._surface_sample(branch, rng)
+        assert all(r["pass"] for r in rep.values())
+    assert len(calls) == 3
 
 
 def test_classification_samples_count_the_checks_made(monkeypatch):
