@@ -278,14 +278,6 @@ def prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
     return q
 
 
-def max_jet_order(a: Poly) -> int:
-    m = 0
-    for v in p_vars(a):
-        if v[0] >= 0:
-            m = max(m, v[0] + v[1])
-    return m
-
-
 # -- symbolic rank-one substitutions -----------------------------------------
 
 RationalPoly = Tuple[Poly, int]  # numerator and the exponent of the u20 denominator

@@ -14,14 +14,19 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .invariants import conic_numerator, s_numerator, w_numerator
-from .jets import ParabolicJet, realize_series, w_numerator_series
-from .series import AffineTransform3
+from .jets import ParabolicJet, w_numerator_series
+from .series import AffineTransform3, TruncatedSeries2
 
 Coord = Tuple[int, int]
 
 U20_FLOOR = 0.3
 S_FLOOR = 0.1
 W_FLOOR = 0.1
+
+
+def _require_order(sampler: str, order: int, least: int) -> None:
+    if order < least:
+        raise ValueError(f"{sampler} needs order >= {least}, got {order}")
 
 
 def rand_rational(rng: random.Random, lo=-2, hi=2, den=16) -> Fraction:
@@ -35,6 +40,7 @@ def random_parabolic_jet(
     generic_floor: float | None = W_FLOOR,
 ) -> ParabolicJet:
     """A random rank-one jet; with a floor on the W numerator when requested."""
+    _require_order("random_parabolic_jet", order, 3 if generic_floor is None else 4)
 
     def val():
         if exact:
@@ -60,12 +66,15 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
     """A random jet on the vanishing-fourth-order-invariant subvariety.
 
     The mixed coordinates u_{j,1} for j >= 3 are solved from the vanishing of
-    the fourth-order numerator and all its total-derivative consequences, by
-    successive linear solves on the realized series (each unknown enters the
-    corresponding series coefficient linearly).  The chain always runs in
-    exact rational arithmetic so the jet sits exactly on the subvariety; with
-    ``exact=False`` the free draws are uniform floats converted losslessly.
+    the fourth-order numerator and all its total-derivative consequences.  The
+    y^0 row of the numerator series reads only the u_{j,0} and u_{j,1}, and
+    u_{m,1} enters its x^(m-3) coefficient only through u_{2,0}^2 u_{m,1};
+    so one evaluation with u_{m,1} = 0 on those coordinates alone gives it.
+    The chain always runs in exact rational arithmetic so the jet sits exactly
+    on the subvariety; with ``exact=False`` the free draws are uniform floats
+    converted losslessly.
     """
+    _require_order("random_cone_branch_jet", order, 5)
 
     def val():
         if exact:
@@ -92,10 +101,9 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
         coords[(3, 1)] = (u20 * u40 * u11 - 2 * u30**2 * u11 + 2 * u30 * u21 * u20) / u20**2
         for m in range(4, order):
             coords[(m, 1)] = 0
-            g0 = _w_chain_residual(coords, order, m)
-            coords[(m, 1)] = 1
-            g1 = _w_chain_residual(coords, order, m)
-            coords[(m, 1)] = -g0 / (g1 - g0)
+            rows = {(j, 0): coords[(j, 0)] for j in range(m + 2)}
+            rows.update({(j, 1): coords[(j, 1)] for j in range(m + 1)})
+            coords[(m, 1)] = -w_numerator_series(TruncatedSeries2(m + 1, rows))[(m - 3, 0)] / u20**2
         p = ParabolicJet(order, coords)
         # keep away from the degenerate fifth-order locus
         if abs(float(conic_numerator(p))) < 0.1:
@@ -103,20 +111,11 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
         return p
 
 
-def _w_chain_residual(coords, order, m):
-    sub: Dict[Coord, object] = {(0, 0): coords[(0, 0)]}
-    for j in range(1, m + 2):
-        sub[(j, 0)] = coords[(j, 0)]
-    for j in range(m + 1):
-        sub[(j, 1)] = coords[(j, 1)]
-    F = realize_series(ParabolicJet(m + 1, sub))
-    return w_numerator_series(F)[(m - 3, 0)]
-
-
 def random_curve_jet(
     rng: random.Random, order: int, exact: bool = False, affine_floor: float | None = None
 ) -> Dict[int, object]:
     """Curve jet u_0..u_order with |u_2| floored; optional full-affine floor."""
+    _require_order("random_curve_jet", order, 2 if affine_floor is None else 4)
 
     def val():
         if exact:

@@ -7,6 +7,12 @@ point.  Coefficients are exact ``Fraction``s or ``float``s; a series never
 mixes the two kinds on construction from JSON, and arithmetic propagates
 float-ness the way IEEE does.
 
+Both series classes multiply through one kernel, :func:`_product`: exact
+factors are convolved as integer numerators over their least common
+denominators, with one ``Fraction`` per output coefficient and no gcd per
+term pair; other coefficients run through the same loop in the same order,
+so float products are unchanged to the bit.
+
 The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
 coordinates as functions of target coordinates), and :func:`apply_affine`
@@ -38,6 +44,36 @@ def _binom(n: int, k: int) -> int:
         v = math.comb(n, k)
         _BINOM_CACHE[key] = v
     return v
+
+
+def _integer_form(coeffs: dict):
+    """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact."""
+    kinds = {type(c) for c in coeffs.values()}
+    if not kinds <= {int, Fraction}:
+        return None
+    d = math.lcm(*[c.denominator for c in coeffs.values()])
+    nums = {key: c.numerator * (d // c.denominator) for key, c in coeffs.items()}
+    return (d if Fraction in kinds else None), nums
+
+
+def _product(A: dict, B: dict, n: int) -> dict:
+    """Coefficients (j, k), j + k <= n, of the product of two factorial-convention series."""
+    ia, ib = _integer_form(A), _integer_form(B)
+    if ia is not None and ib is not None:
+        (da, A), (db, B) = ia, ib
+    rows = [(c, d, c + d, v) for (c, d), v in B.items()]
+    out: Dict[Tuple[int, int], object] = {}
+    for (a, b), u in A.items():
+        room = n - a - b
+        for c, d, e, v in rows:
+            if e > room:
+                continue
+            jk = (a + c, b + d)
+            out[jk] = out.get(jk, 0) + _binom(jk[0], a) * _binom(jk[1], b) * u * v
+    if ia is None or ib is None or da is db is None:
+        return out
+    den = (da or 1) * (db or 1)
+    return {jk: Fraction(v, den) for jk, v in out.items() if v}
 
 
 class TruncatedSeries1:
@@ -88,15 +124,10 @@ class TruncatedSeries1:
 
     def __mul__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
         n = min(self.order, other.order)
-        out: Dict[int, object] = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                d = i + j
-                if d > n:
-                    continue
-                t = _binom(d, i) * a * b
-                out[d] = out.get(d, 0) + t
-        return TruncatedSeries1(n, out)
+        out = _product(
+            {(i, 0): c for i, c in self.coeffs.items()}, {(i, 0): c for i, c in other.coeffs.items()}, n
+        )
+        return TruncatedSeries1(n, {j: c for (j, _), c in out.items()})
 
     def derivative(self) -> "TruncatedSeries1":
         """d/dx, order drops by one."""
@@ -188,15 +219,7 @@ class TruncatedSeries2:
 
     def __mul__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
         n = min(self.order, other.order)
-        out: Dict[Tuple[int, int], object] = {}
-        for (a, b), u in self.coeffs.items():
-            for (c, d), v in other.coeffs.items():
-                j, k = a + c, b + d
-                if j + k > n:
-                    continue
-                t = _binom(j, a) * _binom(k, b) * u * v
-                out[(j, k)] = out.get((j, k), 0) + t
-        return TruncatedSeries2(n, out)
+        return TruncatedSeries2(n, _product(self.coeffs, other.coeffs, n))
 
     def derivative(self, direction: str) -> "TruncatedSeries2":
         if self.order == 0:
@@ -239,18 +262,6 @@ class TruncatedSeries2:
     def __repr__(self):
         terms = ", ".join(f"{jk}: {c}" for jk, c in sorted(self.coeffs.items()))
         return f"TruncatedSeries2(order={self.order}, {{{terms}}})"
-
-
-def from_monomials2(order: int, monos: Dict[Tuple[int, int], object]) -> TruncatedSeries2:
-    """Build from plain monomial coefficients c_{j,k} x^j y^k."""
-    return TruncatedSeries2(
-        order,
-        {jk: c * math.factorial(jk[0]) * math.factorial(jk[1]) for jk, c in monos.items()},
-    )
-
-
-def from_monomials1(order: int, monos: Dict[int, object]) -> TruncatedSeries1:
-    return TruncatedSeries1(order, {i: c * math.factorial(i) for i, c in monos.items()})
 
 
 def _over(c, m: int):

@@ -15,7 +15,9 @@ from parajet.classify import (
 )
 from parajet.invariants import invariant_W_cubed, w_numerator
 from parajet.jets import jets_of_series
-from parajet.series import TruncatedSeries1, TruncatedSeries2, from_monomials1
+from parajet.series import TruncatedSeries1, TruncatedSeries2
+
+from helpers import from_monomials1
 
 F = Fraction
 

@@ -33,7 +33,9 @@ from parajet.sampling import (
     random_parabolic_jet,
 )
 from parajet.scalars import to_float
-from parajet.series import TruncatedSeries2, apply_affine, from_monomials2
+from parajet.series import TruncatedSeries2, apply_affine
+
+from helpers import from_monomials2
 
 F = Fraction
 

@@ -6,7 +6,6 @@ from parajet.prolong import (
     Y,
     det_poly_matrix,
     lie_bracket,
-    max_jet_order,
     orbit_rank,
     order2_matrix_symbolic,
     order4_matrix_symbolic,
@@ -28,6 +27,8 @@ from parajet.prolong import (
     tangency_quotients,
 )
 from parajet.sampling import rand_rational, random_parabolic_jet
+
+from helpers import max_jet_order
 
 F = Fraction
 

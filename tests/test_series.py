@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parajet.jets import realize_series
 from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_parabolic_jet
@@ -16,13 +18,13 @@ from parajet.series import (
     apply_affine,
     apply_affine_curve,
     compose2,
-    from_monomials1,
-    from_monomials2,
     series_from_json,
     series_to_json,
     series3_from_bivariate_in_linear,
     solve_implicit,
 )
+
+from helpers import from_monomials1, from_monomials2
 
 F = Fraction
 
@@ -412,3 +414,104 @@ def test_apply_affine_float_route_agrees_with_the_exact_route():
     scale = 1 + max(abs(c) for c in exact.coeffs.values())
     for jk in exact.coeffs.keys() | g.coeffs.keys():
         assert abs(g[jk] - exact[jk]) <= 1e-12 * scale, jk
+
+
+# -- reference: the product loops with one Fraction multiply-add per pair ----
+
+
+def _ref_mul1(f, g):
+    n = min(f.order, g.order)
+    out = {}
+    for i, a in f.coeffs.items():
+        for j, b in g.coeffs.items():
+            if i + j <= n:
+                out[i + j] = out.get(i + j, 0) + math.comb(i + j, i) * a * b
+    return TruncatedSeries1(n, out)
+
+
+def _ref_mul2(f, g):
+    n = min(f.order, g.order)
+    out = {}
+    for (a, b), u in f.coeffs.items():
+        for (c, d), v in g.coeffs.items():
+            j, k = a + c, b + d
+            if j + k <= n:
+                out[(j, k)] = out.get((j, k), 0) + math.comb(j, a) * math.comb(k, b) * u * v
+    return TruncatedSeries2(n, out)
+
+
+def _random_coeffs(rng, keys, kind):
+    """Random nonzero coefficients: 'exact' Fractions, 'int', 'float' or a 'mixed' draw of all three."""
+    def draw(kind):
+        if kind == "exact":
+            return F(rng.randint(-50, 50) or 1, rng.choice([1, 2, 3, 8, 9, 35, 2**40]))
+        if kind == "int":
+            return rng.randint(-50, 50) or 1
+        if kind == "float":
+            return rng.uniform(-3, 3) * 10 ** rng.randint(-4, 4)
+        return draw(rng.choice(["exact", "int", "float"]))
+
+    return {key: draw(kind) for key in keys if rng.random() < 0.8}
+
+
+def _keys1(n):
+    return list(range(n + 1))
+
+
+def _keys2(n):
+    return [(j, k) for j in range(n + 1) for k in range(n + 1 - j)]
+
+
+def _same_coefficients(got, ref):
+    """Equal keys and values, the same type per value, and equal float bits."""
+    assert got.order == ref.order and got.coeffs.keys() == ref.coeffs.keys()
+    for key, r in ref.coeffs.items():
+        g = got.coeffs[key]
+        assert type(g) is type(r), (key, g, r)
+        assert g.hex() == r.hex() if isinstance(r, float) else g == r, (key, g, r)
+
+
+@pytest.mark.parametrize("kinds", [("exact", "exact"), ("int", "int"), ("int", "exact"), ("mixed", "mixed"), ("exact", "float")])
+def test_products_equal_the_reference_loops_on_exact_and_mixed_series(kinds):
+    rng = random.Random(70)
+    for n, m in [(0, 0), (3, 5), (8, 8), (12, 10)]:
+        f1, g1 = (TruncatedSeries1(o, _random_coeffs(rng, _keys1(o), kind)) for o, kind in zip((n, m), kinds))
+        _same_coefficients(f1 * g1, _ref_mul1(f1, g1))
+        f2, g2 = (TruncatedSeries2(o, _random_coeffs(rng, _keys2(o), kind)) for o, kind in zip((n, m), kinds))
+        _same_coefficients(f2 * g2, _ref_mul2(f2, g2))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_products_of_float_series_are_bit_identical_to_the_reference_loops(n):
+    rng = random.Random(71 + n)
+    f1, g1 = (TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "float")) for _ in range(2))
+    _same_coefficients(f1 * g1, _ref_mul1(f1, g1))
+    f2, g2 = (TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "float")) for _ in range(2))
+    _same_coefficients(f2 * g2, _ref_mul2(f2, g2))
+
+
+def test_jet_products_equal_the_reference_loops():
+    rng = random.Random(72)
+    f = realize_series(random_parabolic_jet(rng, 12, exact=True))
+    g = realize_series(random_cone_branch_jet(rng, 10))
+    for u, v in [(f, g), (f.derivative("x"), f.derivative("y")), (g, g)]:
+        _same_coefficients(u * v, _ref_mul2(u, v))
+        _same_coefficients(u.x_profile() * v.x_profile(), _ref_mul1(u.x_profile(), v.x_profile()))
+
+
+def _series_strategy(exact):
+    value = st.fractions(max_denominator=10**6) if exact else st.floats(allow_nan=False, allow_infinity=False)
+
+    def build(order, bivariate, values):
+        keys = _keys2(order) if bivariate else _keys1(order)
+        return (TruncatedSeries2 if bivariate else TruncatedSeries1)(order, dict(zip(keys, values)))
+
+    return st.builds(build, st.integers(0, 6), st.booleans(), st.lists(value, max_size=28))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(series=st.one_of(_series_strategy(True), _series_strategy(False)))
+def test_series_json_round_trip_property(series):
+    back = series_from_json(json.loads(json.dumps(series_to_json(series))))
+    assert type(back) is type(series)
+    _same_coefficients(back, series)
