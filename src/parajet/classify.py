@@ -3,10 +3,12 @@
 A developable graph is locally a cylinder, a cone, or the tangent surface of
 a space curve; the three cases are separated by the vanishing pattern of the
 slope invariant S and the fourth-order invariant W.  Families are realized
-as graphing series by a graded linear solve of u(t, v) = F(x(t, v), y(t, v)),
-which reproduces the printed coefficient tables; classification evaluates
-the invariants on a sample grid plus the jet-coefficient criterion at the
-base point and reports its witnesses.
+as graphing series of u(t, v) = F(x(t, v), y(t, v)): y is linear in the
+parameters, so swapping the axes of the graph x = x(t, v) gives t over
+(x, y) by one implicit solve, and F is one composition; this reproduces the
+printed coefficient tables.  Classification evaluates the invariants on a
+sample grid, with the jet at each grid point computed once, plus the
+jet-coefficient criterion at the base point, and reports its witnesses.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .invariants import (
     w_numerator,
 )
 from .jets import hessian_series, jets_of_series, slope_numerator_series, w_numerator_series
-from .series import TruncatedSeries1, TruncatedSeries2
-
-Coord = Tuple[int, int]
+from .series import AffineTransform3, TruncatedSeries1, TruncatedSeries2, apply_affine, compose2
 
 
 @dataclass(frozen=True)
@@ -79,86 +79,48 @@ class Graph:
     kind = "graph"
 
 
-def _solve_graph(x2: TruncatedSeries2, y2: TruncatedSeries2, u2: TruncatedSeries2) -> TruncatedSeries2:
-    """F with F(x(t,v), y(t,v)) = u(t,v), by graded inversion of the linear part.
+def _column(s1: TruncatedSeries1, col: int, n: int) -> TruncatedSeries2:
+    """The series s1(t) v^col / col! in (t, v), truncated at order n."""
+    return TruncatedSeries2(n, {(j, col): c for j, c in s1.coeffs.items()})
 
-    Requires x, y, u to vanish at the origin and the linear part of (x, y) to
-    be invertible; coefficients solve order by order, exactly on rationals.
+
+def _solve_graph(x2: TruncatedSeries2, k1, k2, u2: TruncatedSeries2) -> TruncatedSeries2:
+    """F with F(x(t,v), y) = u(t,v), where y = k1 t + k2 v is linear.
+
+    Swapping the axes of the graph x = x(t, v) makes t a graph over (x, y):
+    :func:`apply_affine` reads the source (t, v, x) = (v', (t' - k1 v') / k2, s)
+    off the target (s, t', v') = (x, y, t) and solves for v' = t(x, y) in one
+    implicit solve.  Then v = (y - k1 t) / k2, and F = u(t, v) is one
+    composition.  Requires x and u to vanish at the origin and the linear
+    part of (x, y) to be invertible; exact on rationals.
     """
-    n = u2.order
-    a11, a12 = x2[(1, 0)], x2[(0, 1)]
-    a21, a22 = y2[(1, 0)], y2[(0, 1)]
-    det = a11 * a22 - a12 * a21
-    if det == 0:
+    if x2[(1, 0)] * k2 - x2[(0, 1)] * k1 == 0:
         raise ValueError("parametrization has a singular linear part")
-    # inverse linear substitution (t, v) = L^{-1}(x, y) as series
-    inv = (
-        TruncatedSeries2(n, {(1, 0): a22 / det, (0, 1): -a12 / det}),
-        TruncatedSeries2(n, {(1, 0): -a21 / det, (0, 1): a11 / det}),
-    )
-    from .series import compose2
-
-    F = TruncatedSeries2(n, {})
-    for d in range(1, n + 1):
-        # residual of degree d, in the (t, v) chart
-        FofXY = compose2(F, x2, y2)
-        resid = u2 - FofXY
-        layer = TruncatedSeries2(n, {jk: c for jk, c in resid.coeffs.items() if jk[0] + jk[1] == d})
-        if not layer.coeffs:
-            continue
-        # push the layer through the inverse linear map to read F's degree-d part
-        corr = compose2(layer, inv[0], inv[1])
-        merged = dict(F.coeffs)
-        for jk, c in corr.coeffs.items():
-            if jk[0] + jk[1] == d and c != 0:
-                merged[jk] = merged.get(jk, 0) + c
-        F = TruncatedSeries2(n, merged)
-    return F
+    t = apply_affine(x2, AffineTransform3(a=0, c=1, l=1 / k2, m=-k1 / k2, p=1, r=0))
+    v = TruncatedSeries2(u2.order, {(0, 1): 1 / k2}) - t.scale(k1 / k2)
+    return compose2(u2, t, v)
 
 
 def realize_graph(fam, order: int) -> TruncatedSeries2:
     """The graphing series of the family at its marked point."""
+    n = order
     if isinstance(fam, Graph):
         return fam.series
     if isinstance(fam, Cylinder):
-        prof = fam.profile
-        return TruncatedSeries2(order, {(j, 0): c for j, c in prof.coeffs.items() if j <= order})
+        return _column(fam.profile, 0, n)
     if isinstance(fam, Cone):
         c = fam.directrix
-        n = order
         # x = (1 - v) t, y = v, u = (1 - v) c(t)
         x2 = TruncatedSeries2(n, {(1, 0): Fraction(1), (1, 1): Fraction(-1)})
-        y2 = TruncatedSeries2(n, {(0, 1): Fraction(1)})
-        cu = {(j, 0): cv for j, cv in c.coeffs.items() if j <= n}
-        cu.update({(j, 1): -cv for j, cv in c.coeffs.items() if j + 1 <= n})
-        u2 = TruncatedSeries2(n, cu)
-        return _solve_graph(x2, y2, u2)
+        return _solve_graph(x2, Fraction(0), Fraction(1), _column(c, 0, n) - _column(c, 1, n))
     if isinstance(fam, Tangential):
         a, c = fam.a, fam.c
-        n = order
         # around (t, v) = (0, 1): with v = 1 + w,
         # x = a(t) + (1 + w) a'(t), y = t + w, u = c(t) + (1 + w) c'(t)
         ap, cp = a.derivative(), c.derivative()
-
-        def embed(s1: TruncatedSeries1, col: int) -> Dict[Coord, object]:
-            return {(j, col): cv for j, cv in s1.coeffs.items() if j + col <= n}
-
-        x2 = TruncatedSeries2(n, {})
-        for src, col in ((a, 0), (ap, 0), (ap, 1)):
-            add = embed(src, col)
-            merged = dict(x2.coeffs)
-            for jk, cv in add.items():
-                merged[jk] = merged.get(jk, 0) + cv
-            x2 = TruncatedSeries2(n, merged)
-        y2 = TruncatedSeries2(n, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-        u2 = TruncatedSeries2(n, {})
-        for src, col in ((c, 0), (cp, 0), (cp, 1)):
-            add = embed(src, col)
-            merged = dict(u2.coeffs)
-            for jk, cv in add.items():
-                merged[jk] = merged.get(jk, 0) + cv
-            u2 = TruncatedSeries2(n, merged)
-        return _solve_graph(x2, y2, u2)
+        x2 = _column(a, 0, n) + _column(ap, 0, n) + _column(ap, 1, n)
+        u2 = _column(c, 0, n) + _column(cp, 0, n) + _column(cp, 1, n)
+        return _solve_graph(x2, Fraction(1), Fraction(1), u2)
     raise TypeError(f"not a surface family: {fam!r}")
 
 
@@ -246,19 +208,22 @@ def classify(
     if sample_points is None:
         h = Fraction(1, 8)
         sample_points = [(0, 0), (h, 0), (0, h), (-h, h), (h, -h)]
-    witnesses: Dict[str, object] = {}
     n = F.order
+    if n < 2:
+        raise ValueError(f"classification needs a series of order >= 2, got {n}")
+    witnesses: Dict[str, object] = {}
     Hfull, Sfull, Wfull = _full_products(F)
-
-    def jets_at(pt):
-        return jets_of_series(F.shift(pt[0], pt[1])).values
+    # the jet at each grid point, shifted there once; the base point needs no shift
+    c0 = jets_of_series(F).values
+    grid = [
+        (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
+    ]
 
     from .scalars import to_float
 
     # point type across the grid
     types = []
-    for pt in sample_points:
-        c = jets_at(pt)
+    for pt, c in grid:
         flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
         if flat_scale <= tol:
             types.append("flat")
@@ -269,20 +234,19 @@ def classify(
     if len(set(types)) != 1:
         raise MixedTypeError(f"inconsistent point types across samples: {types}")
     point_type = types[0]
-    witnesses["H"] = invariant_H(jets_at(sample_points[0]))
+    witnesses["H"] = invariant_H(grid[0][1])
     if point_type != "parabolic":
         return Classification(point_type, None, witnesses)
+    if n < 4:
+        raise ValueError(f"classifying a parabolic point needs a series of order >= 4, got {n}")
     if not _low_zero(Hfull, n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 
     # slope invariant: the jet criterion decides (analyticity); when it says
     # zero, every grid value must stay inside the truncation-tail envelope,
     # otherwise the surface is of mixed type
-    c0 = jets_at((0, 0))
     jet_s_zero = _low_zero(Sfull, n - 3, 1e3 * tol)
-    if jet_s_zero and not all(
-        _grid_zero(Sfull, n - 3, pt, tol, _s_monomials(jets_at(pt))) for pt in sample_points
-    ):
+    if jet_s_zero and not all(_grid_zero(Sfull, n - 3, pt, tol, _s_monomials(c)) for pt, c in grid):
         raise MixedTypeError("slope invariant vanishes as a jet but not across the grid")
     witnesses["S"] = s_numerator(c0) / c0[(2, 0)] ** 2
     if jet_s_zero:
@@ -291,9 +255,7 @@ def classify(
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
     jet_w_zero = _low_zero(Wfull, n - 4, 1e3 * tol)
-    if jet_w_zero and not all(
-        _grid_zero(Wfull, n - 4, pt, tol, _w_monomials(jets_at(pt))) for pt in sample_points
-    ):
+    if jet_w_zero and not all(_grid_zero(Wfull, n - 4, pt, tol, _w_monomials(c)) for pt, c in grid):
         raise MixedTypeError("fourth-order invariant vanishes as a jet but not across the grid")
     try:
         witnesses["W"] = invariant_W(c0)

@@ -156,31 +156,6 @@ def parabolic_fill(p: ParabolicJet, upto: Coord | int) -> JetPoint:
     return p.to_jetpoint(upto)
 
 
-class _FilledView:
-    """Mapping over seeded independent coordinates with on-demand dependent jets."""
-
-    def __init__(self, seeded: Dict[Coord, object], order: int):
-        self._seeded = seeded
-        self._order = order
-        self._cols: List[TruncatedSeries1] | None = None
-
-    def __getitem__(self, jk: Coord):
-        if jk in self._seeded:
-            return self._seeded[jk]
-        j, k = jk
-        if k < 2 or j + k > self._order:
-            raise KeyError(f"coordinate {jk} beyond the jet order {self._order}")
-        if self._cols is None:
-            self._cols = _columns_from_coords(self._seeded, self._order)
-        return self._cols[k][j]
-
-    def get(self, jk: Coord, default=None):
-        try:
-            return self[jk]
-        except KeyError:
-            return default
-
-
 def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
     """D_x f or D_y f at a parabolic jet, exact via sensitivity propagation.
 
@@ -192,7 +167,7 @@ def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
     if direction not in ("x", "y"):
         raise ValueError("direction must be 'x' or 'y'")
     seeded = {key: Sens.seed(val, key) for key, val in p.coords.items()}
-    g = f(_FilledView(seeded, p.order))
+    g = f(ParabolicJet(p.order, seeded))
     if not isinstance(g, Sens):
         return 0
     total = 0

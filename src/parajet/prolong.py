@@ -391,59 +391,33 @@ def tangency_quotients() -> List[Poly]:
 # -- exact linear algebra -----------------------------------------------------
 
 
-def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over the rationals by exact Gaussian elimination."""
+def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
+    """Rank over the rationals and determinant by one exact forward elimination.
+
+    The determinant is that of a square matrix; it is 0 whenever the rank
+    falls short of the number of rows or columns.
+    """
     m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
     for col in range(ncols):
-        piv = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        pv = m[rank][col]
+        det *= pv
+        for r in range(rank + 1, len(m)):
             if m[r][col] != 0:
                 f = m[r][col] / pv
                 for cidx in range(col, ncols):
-                    m[r][cidx] -= f * m[row][cidx]
-        row += 1
+                    m[r][cidx] -= f * m[rank][cidx]
         rank += 1
-        if row == len(m):
-            break
-    return rank
-
-
-def det_exact(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        pv = m[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for cidx in range(col, n):
-                    m[r][cidx] -= f * m[col][cidx]
-    return det
+    return rank, det if rank == len(m) == ncols else Fraction(0)
 
 
 def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
@@ -520,22 +494,21 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
             row.append(p_eval(prolong(g, J), assignment))
         rows.append(row)
 
-    result = {"rank": rank_exact(rows), "dim": 3 + 2 * order}
+    result = {"rank": rank_det_exact(rows)[0], "dim": 3 + 2 * order}
 
     if order == 2:
         names = ["v2", "v3", "v7", "v8", "w1", "w2", "w3"]
         sel = {g.name: r for g, r in zip(gens, rows)}
         block = [sel[n] for n in names]
-        result["det7"] = det_exact(block)
+        result["det7"] = rank_det_exact(block)[1]
     if order == 4:
         # the last six columns are exactly _ORDER4_COLS
         sub = [row[5:] for row in rows[:6]]
-        result["block_det"] = det_exact(sub)
-        result["block_rank"] = rank_exact(sub)
+        result["block_rank"], result["block_det"] = rank_det_exact(sub)
         result["minors"] = {
-            "M46": det_exact(_delete(sub, 3, 5)),
-            "M56": det_exact(_delete(sub, 4, 5)),
-            "M66": det_exact(_delete(sub, 5, 5)),
+            "M46": rank_det_exact(_delete(sub, 3, 5))[1],
+            "M56": rank_det_exact(_delete(sub, 4, 5))[1],
+            "M66": rank_det_exact(_delete(sub, 5, 5))[1],
         }
     return result
 

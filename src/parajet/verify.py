@@ -35,7 +35,7 @@ from .invariants import (
     slope_transfer_check,
     w_numerator,
 )
-from .jets import ParabolicJet, _FilledView, jets_of_series, realize_series
+from .jets import ParabolicJet, jets_of_series, realize_series
 from .normalize import (
     normalize_curve_sl2,
     normalize_parabolic_surface,
@@ -179,7 +179,7 @@ def _generators_tangent(p: ParabolicJet) -> bool:
         **p.filled(p.order),
     }
     seeded = {key: Sens.seed(val, key) for key, val in p.coords.items()}
-    view = _FilledView(seeded, p.order)
+    view = ParabolicJet(p.order, seeded)
     for g in sa3_generators():
         phis = {}
         for j in range(p.order + 1):

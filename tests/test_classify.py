@@ -180,3 +180,144 @@ def test_cone_fifth_invariant_is_the_monge_expression():
         from parajet.scalars import to_float
 
         assert abs(to_float(res.readings["X"]) - to_float(monge)) <= 1e-9 * (1 + abs(to_float(monge)))
+
+
+# -- the graph realization against the graded inversion it replaced -----------
+
+
+def _reference_solve_graph(x2, y2, u2):
+    """F with F(x(t,v), y(t,v)) = u(t,v) by graded inversion of the linear part.
+
+    The former realization: per degree, the residual u - F(x, y) is pushed
+    through the inverse linear map, with two full compositions per degree.
+    """
+    from parajet.series import compose2
+
+    n = u2.order
+    a11, a12 = x2[(1, 0)], x2[(0, 1)]
+    a21, a22 = y2[(1, 0)], y2[(0, 1)]
+    det = a11 * a22 - a12 * a21
+    inv = (
+        TruncatedSeries2(n, {(1, 0): a22 / det, (0, 1): -a12 / det}),
+        TruncatedSeries2(n, {(1, 0): -a21 / det, (0, 1): a11 / det}),
+    )
+    G = TruncatedSeries2(n, {})
+    for d in range(1, n + 1):
+        resid = u2 - compose2(G, x2, y2)
+        layer = TruncatedSeries2(n, {jk: c for jk, c in resid.coeffs.items() if jk[0] + jk[1] == d})
+        if not layer.coeffs:
+            continue
+        corr = compose2(layer, inv[0], inv[1])
+        merged = dict(G.coeffs)
+        for jk, c in corr.coeffs.items():
+            if jk[0] + jk[1] == d and c != 0:
+                merged[jk] = merged.get(jk, 0) + c
+        G = TruncatedSeries2(n, merged)
+    return G
+
+
+def _reference_graph(fam, n):
+    """The former cone and tangential parametrizations, solved by the reference."""
+
+    def embed(s1, col):
+        return {(j, col): cv for j, cv in s1.coeffs.items() if j + col <= n}
+
+    def summed(parts):
+        out = {}
+        for src, col in parts:
+            for jk, cv in embed(src, col).items():
+                out[jk] = out.get(jk, 0) + cv
+        return TruncatedSeries2(n, out)
+
+    if isinstance(fam, Cone):
+        c = fam.directrix
+        x2 = TruncatedSeries2(n, {(1, 0): F(1), (1, 1): F(-1)})
+        y2 = TruncatedSeries2(n, {(0, 1): F(1)})
+        cu = embed(c, 0)
+        cu.update({jk: -cv for jk, cv in embed(c, 1).items()})
+        return _reference_solve_graph(x2, y2, TruncatedSeries2(n, cu))
+    ap, cp = fam.a.derivative(), fam.c.derivative()
+    x2 = summed(((fam.a, 0), (ap, 0), (ap, 1)))
+    y2 = TruncatedSeries2(n, {(1, 0): F(1), (0, 1): F(1)})
+    u2 = summed(((fam.c, 0), (cp, 0), (cp, 1)))
+    return _reference_solve_graph(x2, y2, u2)
+
+
+def _seeded_families(order, exact=True):
+    """Two cone and two tangential families per seed and order, plus the README cone."""
+    rng = random.Random(1000 + order)
+    conv = (lambda v: v) if exact else float
+
+    def draw():
+        while True:
+            cs = {i: F(rng.randint(-24, 24), 12) for i in range(2, order + 1)}
+            ds = {i: F(rng.randint(-24, 24), 12) for i in range(2, order + 1)}
+            if abs(cs[2]) >= F(1, 4):
+                return (
+                    TruncatedSeries1(order, {i: conv(v) for i, v in cs.items()}),
+                    TruncatedSeries1(order, {i: conv(v) for i, v in ds.items()}),
+                )
+
+    readme = TruncatedSeries1(3, {2: conv(F(1, 2)), 3: conv(F(-1, 3))})
+    fams = [Cone(readme)]
+    for _ in range(2):
+        fams.append(Cone(draw()[0]))
+        fams.append(Tangential(*draw()))
+    return fams
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_realize_graph_equals_graded_inversion_exactly(order):
+    for fam in _seeded_families(order):
+        got, ref = realize_graph(fam, order), _reference_graph(fam, order)
+        assert got == ref
+        assert all(type(got[jk]) is type(c) for jk, c in ref.coeffs.items())
+
+
+@pytest.mark.parametrize("order", range(2, 11))
+def test_realize_graph_float_families_match_graded_inversion(order):
+    for fam in _seeded_families(order, exact=False):
+        got, ref = realize_graph(fam, order), _reference_graph(fam, order)
+        scale = max(abs(c) for c in ref.coeffs.values())
+        assert all(isinstance(c, float) for c in got.coeffs.values())
+        for jk in set(got.coeffs) | set(ref.coeffs):
+            assert abs(got[jk] - ref[jk]) <= 1e-12 * scale, (jk, got[jk], ref[jk])
+
+
+def test_realize_graph_rejects_singular_parametrization():
+    with pytest.raises(ValueError, match="singular linear part"):
+        realize_graph(Cone(TruncatedSeries1(2, {2: F(1)})), 0)
+
+
+def test_classify_shifts_once_per_non_origin_point(monkeypatch):
+    shifts = []
+    plain = TruncatedSeries2.shift
+
+    def counted(self, hx, hy):
+        shifts.append((hx, hy))
+        return plain(self, hx, hy)
+
+    monkeypatch.setattr(TruncatedSeries2, "shift", counted)
+    fams = {
+        "cylinder": Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
+        "cone": Cone(TruncatedSeries1(3, {2: F(1, 2), 3: F(-1, 3)})),
+        "tangential": Tangential(TruncatedSeries1(8, {2: F(1)}), TruncatedSeries1(8, {3: F(1)})),
+    }
+    h = F(1, 8)
+    for kind, fam in fams.items():
+        g = realize_graph(fam, 8)
+        shifts.clear()
+        assert classify(g).developable_kind == kind
+        assert sorted(shifts) == sorted([(h, 0), (0, h), (-h, h), (h, -h)])
+        shifts.clear()
+        assert classify(g, sample_points=[(h, h), (-h, 0)]).developable_kind == kind
+        assert sorted(shifts) == sorted([(h, h), (-h, 0)])
+
+
+def test_classify_needs_order_2_and_order_4_when_parabolic():
+    with pytest.raises(ValueError, match="order >= 2, got 1"):
+        classify(TruncatedSeries2(1, {(1, 0): F(1)}))
+    for n in (2, 3):
+        with pytest.raises(ValueError, match=f"order >= 4, got {n}"):
+            classify(realize_graph(Cone(TruncatedSeries1(n, {2: F(1)})), n))
+    assert classify(TruncatedSeries2(2, {(2, 0): F(1), (0, 2): F(1)})).point_type == "elliptic"

@@ -253,6 +253,33 @@ def test_invariants_below_order_3_without_traceback(tmp_path, capsys, order, coe
     assert json.loads(out)["branch"] == branch
 
 
+@pytest.mark.parametrize(
+    "args, needed",
+    [
+        (["--family", "cone", "--directrix", "[0, 0, 1]", "--order", "1"], "order >= 2"),
+        (["--family", "cone", "--directrix", "[0, 0, 1]", "--order", "2"], "order >= 4"),
+        (["--family", "tangential", "--a", "[0, 0, 1, 1]", "--c", "[0, 0, 0, 1]", "--order", "3"], "order >= 4"),
+        (["--surface"], "order >= 4"),
+    ],
+)
+def test_classify_below_needed_order_exits_2(tmp_path, capsys, args, needed):
+    if args == ["--surface"]:
+        path = tmp_path / "parabolic3.json"
+        path.write_text(json.dumps(_surface_doc(order=3, coeffs=[_entry(2, 0, "1"), _entry(2, 1, "1/2")])))
+        args = ["--surface", str(path)]
+    code, _, err = run_cli(["classify"] + args, capsys)
+    assert code == 2
+    assert needed in json.loads(err)["error"]
+
+
+def test_classify_order_2_elliptic(tmp_path, capsys):
+    path = tmp_path / "elliptic2.json"
+    path.write_text(json.dumps(_surface_doc(order=2, coeffs=[_entry(2, 0, "1"), _entry(0, 2, "1")])))
+    code, out, _ = run_cli(["classify", "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["point_type"] == "elliptic"
+
+
 @pytest.mark.parametrize("command", ["invariants", "normalize"])
 def test_float_overflow_exits_2(tmp_path, capsys, command):
     # finite input whose float products overflow: u_20 = u_21 = 1e300

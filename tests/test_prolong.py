@@ -20,7 +20,7 @@ from parajet.prolong import (
     parabolic_pushforward,
     poly,
     prolong,
-    rank_exact,
+    rank_det_exact,
     rank_one_substitution,
     sa3_generators,
     sl2_curve_generators,
@@ -225,9 +225,32 @@ def test_divexact_raises_on_remainder():
         p_divexact(poly((1, {(2, 0): 1})), poly((1, {(1, 1): 1})))
 
 
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _laplace_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_rank_det_exact_matches_cofactor_expansion():
+    rng = random.Random(48)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        rank, det = rank_det_exact(rows)
+        assert det == _laplace_det(rows) and isinstance(det, F)
+        assert (rank == n) == (det != 0)
+    assert rank_det_exact([]) == (0, 1)
+    assert rank_det_exact([[F(0), F(1)], [F(1), F(0)]]) == (2, -1)
+    assert rank_det_exact([[F(0), F(1), F(2)], [F(0), F(2), F(4)]]) == (1, 0)
+    assert rank_det_exact([[F(1), F(2)], [F(3), F(4)], [F(5), F(7)]]) == (2, 0)
+
+
 def test_rank_exact_and_solve():
     rows = [[F(1), F(2)], [F(2), F(4)]]
-    assert rank_exact(rows) == 1
+    assert rank_det_exact(rows) == (1, 0)
     from parajet.prolong import solve_linear_exact
 
     sol = solve_linear_exact([[F(2), F(1)], [F(1), F(3)]], [F(4), F(7)])
