@@ -105,6 +105,8 @@ def cmd_classify(args) -> int:
             return _fail("classification expects a surface series")
     else:
         order = args.order
+        if args.family and order < 2:
+            return _fail(f"classification needs a series of order >= 2, got {order}")
         if args.family == "cylinder":
             if not args.profile:
                 return _fail("cylinder family needs --profile")

@@ -13,6 +13,15 @@ denominators, with one ``Fraction`` per output coefficient and no gcd per
 term pair; other coefficients run through the same loop in the same order,
 so float products are unchanged to the bit.
 
+Both re-expand at a new base point through one column kernel,
+:func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
+monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997).  For exact
+h = p/q the column is brought to integers over its least common denominator
+with term i scaled by q^(n-i), so the steps run on integers with p and one
+``Fraction`` is built per output.  A bivariate shift is separable: each
+y-column in x, then each x-row in y.  Exact evaluation likewise sums integer
+numerators and divides once.
+
 The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
 coordinates as functions of target coordinates), and :func:`apply_affine`
@@ -74,6 +83,33 @@ def _product(A: dict, B: dict, n: int) -> dict:
         return out
     den = (da or 1) * (db or 1)
     return {jk: Fraction(v, den) for jk, v in out.items() if v}
+
+
+def _taylor_shift(col: dict, n: int, h) -> dict:
+    """Coefficients i <= n of the univariate factorial-convention series col re-expanded at h."""
+    if h == 0:
+        return dict(col)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    form = _integer_form({i: _over(c, fact[i]) for i, c in col.items()}) if is_exact(h) else None
+    if form is None:
+        g, q, den = [_over(col.get(i, 0), fact[i]) for i in range(n + 1)], 1, None
+    else:
+        (d, nums), (h, q) = form, h.as_integer_ratio()
+        g, den = [nums.get(i, 0) * q ** (n - i) for i in range(n + 1)], (d or 1) * q**n
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] += h * g[j + 1]
+    if den is None:
+        return {j: v * fact[j] for j, v in enumerate(g) if v != 0}
+    return {j: Fraction(v * q**j * fact[j], den) for j, v in enumerate(g) if v}
+
+
+def _shift_columns(coeffs: dict, n: int, h) -> dict:
+    """Shift each column (j, k), k fixed, of a bivariate series in j by h; keys come back as (k, j)."""
+    cols: Dict[int, dict] = {}
+    for (j, k), c in coeffs.items():
+        cols.setdefault(k, {})[j] = c
+    return {(k, j): c for k, col in cols.items() for j, c in _taylor_shift(col, n - k, h).items()}
 
 
 class TruncatedSeries1:
@@ -144,26 +180,12 @@ class TruncatedSeries1:
                 fact *= i
             c = self.coeffs.get(i)
             if c is not None:
-                total = total + c * x**i / fact
+                total = total + _over(c * x**i, fact)
         return total
 
     def shift(self, h) -> "TruncatedSeries1":
         """Re-expand at x = h: G(x') := F(h + x'); exact on the truncation."""
-        out: Dict[int, object] = {}
-        for j in range(self.order + 1):
-            acc = 0
-            hp = 1
-            fact = 1
-            for a in range(j, self.order + 1):
-                if a > j:
-                    hp = hp * h
-                    fact *= a - j
-                c = self.coeffs.get(a)
-                if c is not None:
-                    acc = acc + c * hp / fact
-            if acc != 0:
-                out[j] = acc
-        return TruncatedSeries1(self.order, out)
+        return TruncatedSeries1(self.order, _taylor_shift(self.coeffs, self.order, h))
 
     def __repr__(self):
         terms = ", ".join(f"{i}: {c}" for i, c in sorted(self.coeffs.items()))
@@ -235,25 +257,23 @@ class TruncatedSeries2:
         raise ValueError("direction must be 'x' or 'y'")
 
     def eval(self, x, y):
-        total = 0
-        for (j, k), c in self.coeffs.items():
-            total = total + c * x**j * y**k / (math.factorial(j) * math.factorial(k))
-        return total
+        form = None
+        if is_exact(x) and is_exact(y):
+            fact = [math.factorial(i) for i in range(self.order + 1)]
+            form = _integer_form({(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in self.coeffs.items()})
+        if form is None:
+            total = 0
+            for (j, k), c in self.coeffs.items():
+                total = total + c * x**j * y**k / (math.factorial(j) * math.factorial(k))
+            return total
+        (d, nums), (px, qx), (py, qy), n = form, x.as_integer_ratio(), y.as_integer_ratio(), self.order
+        total = sum(v * px**j * qx ** (n - j) * py**k * qy ** (n - k) for (j, k), v in nums.items())
+        return Fraction(total, (d or 1) * (qx * qy) ** n)
 
     def shift(self, hx, hy) -> "TruncatedSeries2":
-        """Re-expand at (hx, hy); exact on the truncation."""
-        out: Dict[Tuple[int, int], object] = {}
-        for (j, k) in [(j, k) for j in range(self.order + 1) for k in range(self.order + 1 - j)]:
-            acc = 0
-            for (a, b), c in self.coeffs.items():
-                if a < j or b < k:
-                    continue
-                acc = acc + c * hx ** (a - j) * hy ** (b - k) / (
-                    math.factorial(a - j) * math.factorial(b - k)
-                )
-            if acc != 0:
-                out[(j, k)] = acc
-        return TruncatedSeries2(self.order, out)
+        """Re-expand at (hx, hy); exact on the truncation: each y-column in x, then each x-row in y."""
+        n = self.order
+        return TruncatedSeries2(n, _shift_columns(_shift_columns(self.coeffs, n, hx), n, hy))
 
     def x_profile(self) -> TruncatedSeries1:
         """The section y = 0 as a univariate series."""

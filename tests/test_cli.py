@@ -272,6 +272,17 @@ def test_classify_below_needed_order_exits_2(tmp_path, capsys, args, needed):
     assert needed in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize(
+    "family",
+    [["cone", "--directrix", "[0, 0, 1]"], ["tangential", "--a", "[0, 0, 1, 1]", "--c", "[0, 0, 0, 1]"]],
+)
+def test_classify_family_below_order_2_names_the_needed_order(capsys, family, order):
+    code, out, err = run_cli(["classify", "--family"] + family + ["--order", order], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == f"classification needs a series of order >= 2, got {order}"
+
+
 def test_classify_order_2_elliptic(tmp_path, capsys):
     path = tmp_path / "elliptic2.json"
     path.write_text(json.dumps(_surface_doc(order=2, coeffs=[_entry(2, 0, "1"), _entry(0, 2, "1")])))

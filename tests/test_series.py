@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from parajet.jets import realize_series
 from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_parabolic_jet
+from parajet.scalars import is_exact
 from parajet.series import (
     AffineTransform3,
     CurveTransform2,
@@ -499,14 +500,14 @@ def test_jet_products_equal_the_reference_loops():
         _same_coefficients(u.x_profile() * v.x_profile(), _ref_mul1(u.x_profile(), v.x_profile()))
 
 
-def _series_strategy(exact):
+def _series_strategy(exact, bivariate=st.booleans(), max_order=6):
     value = st.fractions(max_denominator=10**6) if exact else st.floats(allow_nan=False, allow_infinity=False)
 
     def build(order, bivariate, values):
         keys = _keys2(order) if bivariate else _keys1(order)
         return (TruncatedSeries2 if bivariate else TruncatedSeries1)(order, dict(zip(keys, values)))
 
-    return st.builds(build, st.integers(0, 6), st.booleans(), st.lists(value, max_size=28))
+    return st.builds(build, st.integers(0, max_order), bivariate, st.lists(value, max_size=len(_keys2(max_order))))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -515,3 +516,105 @@ def test_series_json_round_trip_property(series):
     back = series_from_json(json.loads(json.dumps(series_to_json(series))))
     assert type(back) is type(series)
     _same_coefficients(back, series)
+
+
+# -- reference: the re-expansion and evaluation loops, one Fraction op per term --
+
+
+def _ref_shift1(f, h):
+    out = {}
+    for j in range(f.order + 1):
+        acc, hp, fact = 0, 1, 1
+        for a in range(j, f.order + 1):
+            if a > j:
+                hp, fact = hp * h, fact * (a - j)
+            c = f.coeffs.get(a)
+            if c is not None:
+                acc = acc + c * hp / fact
+        if acc != 0:
+            out[j] = acc
+    return TruncatedSeries1(f.order, out)
+
+
+def _ref_shift2(f, hx, hy):
+    out = {}
+    for j, k in _keys2(f.order):
+        acc = 0
+        for (a, b), c in f.coeffs.items():
+            if a >= j and b >= k:
+                acc = acc + c * hx ** (a - j) * hy ** (b - k) / (math.factorial(a - j) * math.factorial(b - k))
+        if acc != 0:
+            out[(j, k)] = acc
+    return TruncatedSeries2(f.order, out)
+
+
+def _ref_eval2(f, x, y):
+    total = 0
+    for (j, k), c in f.coeffs.items():
+        total = total + c * x**j * y**k / (math.factorial(j) * math.factorial(k))
+    return total
+
+
+SHIFTS = [0, F(1, 8), F(-1, 8), 3, F(-7, 5), F(1, 999983)]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_shift_and_eval_equal_the_reference_loops_on_exact_series(n):
+    rng = random.Random(80 + n)
+    f1 = TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "exact"))
+    f2 = TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "exact"))
+    for i, h in enumerate(SHIFTS):
+        _same_coefficients(f1.shift(h), _ref_shift1(f1, h))
+        for hx, hy in [(h, 0), (0, h), (h, SHIFTS[i - 1])]:
+            _same_coefficients(f2.shift(hx, hy), _ref_shift2(f2, hx, hy))
+            got, ref = f2.eval(hx, hy), _ref_eval2(f2, hx, hy)
+            assert type(got) is Fraction and got == ref  # the reference's empty sum is the int 0
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_float_shifts_agree_with_the_reference_loops_and_float_eval_is_bit_identical(n):
+    rng = random.Random(90 + n)
+    f1 = TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "float"))
+    f2 = TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "float"))
+
+    def close(got, ref):
+        assert got.order == ref.order and got.is_exact() == ref.is_exact()
+        scale = max([abs(c) for c in ref.coeffs.values()], default=0)
+        for key in got.coeffs.keys() | ref.coeffs.keys():
+            assert abs(got[key] - ref[key]) <= 1e-12 * scale, key
+
+    for h in (float(h) for h in SHIFTS[1:]):
+        close(f1.shift(h), _ref_shift1(f1, h))
+        close(f2.shift(h, -h / 3), _ref_shift2(f2, h, -h / 3))
+        for x, y in [(h, 0.0), (h, 0.25), (0, h)]:
+            assert f2.eval(x, y).hex() == _ref_eval2(f2, x, y).hex()
+
+
+def test_shift_and_eval_of_integer_coefficients_at_integer_points_stay_exact():
+    f2 = TruncatedSeries2(3, {(2, 0): 2})
+    assert f2.shift(1, 0).coeffs == {(0, 0): 1, (1, 0): 2, (2, 0): 2}
+    assert f2.shift(1, 0).is_exact() and f2.shift(0, -2).is_exact()
+    assert TruncatedSeries1(3, {2: 2}).shift(0).is_exact()
+    assert TruncatedSeries1(3, {2: 2}).shift(-1).coeffs == {0: 1, 1: -2, 2: 2}
+    for value in (f2.eval(1, 0), f2.eval(3, -1), TruncatedSeries1(3, {2: 2}).eval(3)):
+        assert is_exact(value)
+    assert f2.eval(3, -1) == 9 and TruncatedSeries1(3, {2: 2}).eval(3) == 9
+
+
+_POINTS = st.fractions(min_value=-3, max_value=3, max_denominator=30)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(f=_series_strategy(True, st.just(False), 10), a=_POINTS, b=_POINTS)
+def test_univariate_shift_properties(f, a, b):
+    assert f.shift(a).shift(-a) == f
+    assert f.shift(a).shift(b) == f.shift(a + b)
+    assert f.shift(a)[0] == f.eval(a)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(f=_series_strategy(True, st.just(True), 10), a=st.tuples(_POINTS, _POINTS), b=st.tuples(_POINTS, _POINTS))
+def test_bivariate_shift_properties(f, a, b):
+    assert f.shift(*a).shift(-a[0], -a[1]) == f
+    assert f.shift(*a).shift(*b) == f.shift(a[0] + b[0], a[1] + b[1])
+    assert f.shift(*a)[(0, 0)] == f.eval(*a)
