@@ -132,7 +132,9 @@ def cmd_classify(args) -> int:
 
 def cmd_normalize(args) -> int:
     F = _load_series_arg(args.surface or args.curve)
-    if args.order:
+    if args.order is not None:
+        if args.order < 0:
+            return _fail(f"--order must be >= 0, got {args.order}")
         if isinstance(F, TruncatedSeries1):
             F = TruncatedSeries1(args.order, {i: c for i, c in F.coeffs.items() if i <= args.order})
         else:

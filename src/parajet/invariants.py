@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Tuple
 
+from .jets import jets_of_series
 from .scalars import cbrt, to_float
-from .series import TruncatedSeries2
+from .series import AffineTransform3, TruncatedSeries2, apply_affine
 
 Coord = Tuple[int, int]
 
@@ -168,10 +169,11 @@ M_TABLE = (
 _M_VARS = ((2, 0), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (5, 0))
 
 
-def m_numerator(c: Mapping[Coord, object]):
-    vals = [c[v] for v in _M_VARS]
+def _table_numerator(table, variables, c: Mapping[Coord, object]):
+    """Sum of the monomials coef * prod v^e of a numerator table at the jet."""
+    vals = [c[v] for v in variables]
     total = 0
-    for coef, exps in M_TABLE:
+    for coef, exps in table:
         term = coef
         for v, e in zip(vals, exps):
             if e == 1:
@@ -185,15 +187,15 @@ def m_numerator(c: Mapping[Coord, object]):
 def invariant_M(c: Mapping[Coord, object]):
     """Fifth-order invariant of the generic branch; rational in the jet.
 
-    M = m_numerator / (36 u_xx^6 S_num W_num) where S_num, W_num are the
-    numerators of the slope invariant and of the fourth-order invariant.
+    M = M_num / (36 u_xx^6 S_num W_num) where M_num is the M_TABLE sum and
+    S_num, W_num are the numerators of the slope and fourth-order invariants.
     """
     u20 = c[(2, 0)]
     s = s_numerator(c)
     wn = w_numerator(c)
     if u20 == 0 or s == 0 or wn == 0:
         raise ZeroDivisionError("M needs u_xx, the slope numerator and the W numerator nonzero")
-    return m_numerator(c) / (36 * u20**6 * s * wn)
+    return _table_numerator(M_TABLE, _M_VARS, c) / (36 * u20**6 * s * wn)
 
 
 # cone-branch seventh-order numerator: exponent vectors over (u20 .. u70);
@@ -221,24 +223,10 @@ Y_TABLE = (
 _Y_VARS = ((2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
 
 
-def y_numerator(c: Mapping[Coord, object]):
-    vals = [c[v] for v in _Y_VARS]
-    total = 0
-    for coef, exps in Y_TABLE:
-        term = coef
-        for v, e in zip(vals, exps):
-            if e == 1:
-                term = term * v
-            elif e:
-                term = term * v**e
-        total = total + term
-    return total
-
-
 def invariant_Y(c: Mapping[Coord, object]):
     """Seventh-order invariant of the cone branch (needs the fifth one nonzero).
 
-    Y = y_num * S_num^{5/3} / (18 u_xx^{10} (9 u_xx^2 u5 - 45 u_xx u3 u4 + 40 u3^3)).
+    Y = Y_num * S_num^{5/3} / (18 u_xx^{10} (9 u_xx^2 u5 - 45 u_xx u3 u4 + 40 u3^3)).
     """
     u20 = c[(2, 0)]
     s = s_numerator(c)
@@ -247,7 +235,7 @@ def invariant_Y(c: Mapping[Coord, object]):
         raise ZeroDivisionError("Y needs u_xx != 0 and a nonzero fifth-order invariant")
     s13 = cbrt(s)
     s53 = s13**5
-    return y_numerator(c) * s53 / (18 * u20**10 * conic)
+    return _table_numerator(Y_TABLE, _Y_VARS, c) * s53 / (18 * u20**10 * conic)
 
 
 # -- curve invariants -----------------------------------------------------------
@@ -373,21 +361,23 @@ def _centered(F: TruncatedSeries2) -> TruncatedSeries2:
     return TruncatedSeries2(F.order, coeffs)
 
 
+def _transported_jets(F: TruncatedSeries2, T_fwd):
+    """Jets at the origin of the centered graph and of its image under the forward map.
+
+    The inverse of ``T_fwd`` acts on the series; centering changes none of the
+    quantities the transfer laws compare.
+    """
+    F = _centered(F)
+    G = apply_affine(F, _invert_transform(T_fwd))
+    return jets_of_series(F), jets_of_series(G)
+
+
 def hessian_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:
     """Verify H_G = (delta^2 / Lambda^4) H_F at the origin for a forward map.
 
-    ``T_fwd`` is the forward transform (target from source); its inverse acts
-    on the series.  The graph is first translated through the origin, which
-    changes none of the compared quantities.  Exact on rational data.
+    Exact on rational data.
     """
-    from .series import AffineTransform3, apply_affine
-    from .jets import jets_of_series
-
-    F = _centered(F)
-    inv = _invert_transform(T_fwd)
-    G = apply_affine(F, inv)
-    cf = jets_of_series(F)
-    cg = jets_of_series(G)
+    cf, cg = _transported_jets(F, T_fwd)
     fx, fy = cf[(1, 0)], cf[(0, 1)]
     delta = T_fwd.delta()
     lam = _lambda_forward(T_fwd, fx, fy)
@@ -408,8 +398,6 @@ def _lambda_forward(T, fx, fy):
 
 
 def _invert_transform(T):
-    from .series import AffineTransform3
-
     inv_lin = T.inverse_matrix()
     (d, n, w) = T.translation()
     tr = [-sum(inv_lin[i][h] * (d, n, w)[h] for h in range(3)) for i in range(3)]
@@ -423,13 +411,7 @@ def _invert_transform(T):
 
 def hessian_congruence_check(F: TruncatedSeries2, T_fwd) -> dict:
     """The 2x2 congruence A Hess_G A^t = (delta/Lambda) Hess_F at the origin."""
-    from .series import apply_affine
-    from .jets import jets_of_series
-
-    F = _centered(F)
-    G = apply_affine(F, _invert_transform(T_fwd))
-    cf = jets_of_series(F)
-    cg = jets_of_series(G)
+    cf, cg = _transported_jets(F, T_fwd)
     fx, fy = cf[(1, 0)], cf[(0, 1)]
     A = (
         (T_fwd.a + T_fwd.c * fx, T_fwd.k + T_fwd.m * fx),
@@ -452,13 +434,7 @@ def hessian_congruence_check(F: TruncatedSeries2, T_fwd) -> dict:
 
 def slope_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:
     """S_G = (F_xx / Upsilon) S_F with Upsilon = (l + m F_y) F_xx - (k + m F_x) F_xy."""
-    from .series import apply_affine
-    from .jets import jets_of_series
-
-    F = _centered(F)
-    G = apply_affine(F, _invert_transform(T_fwd))
-    cf = jets_of_series(F)
-    cg = jets_of_series(G)
+    cf, cg = _transported_jets(F, T_fwd)
     fx, fy = cf[(1, 0)], cf[(0, 1)]
     upsilon = (T_fwd.l + T_fwd.m * fy) * cf[(2, 0)] - (T_fwd.k + T_fwd.m * fx) * cf[(1, 1)]
     sf = invariant_S(cf.values)
@@ -482,7 +458,7 @@ class InvariantReport:
         from .scalars import scalar_to_string
 
         out = {"branch": self.branch, "tolerance": self.tol, "provenance": self.provenance}
-        for key in ("H", "S", "W", "X", "Y", "M"):
+        for key in ("H", "Pick", "S", "W", "X", "Y", "M"):
             v = self.values.get(key)
             out[key] = None if v is None else scalar_to_string(v)
         return out

@@ -59,16 +59,10 @@ from .series import (
 PIPELINE_BITS = 128
 
 
-def _lift_series2(F: TruncatedSeries2) -> TruncatedSeries2:
-    return TruncatedSeries2(
-        F.order, {jk: Fraction(c) if not isinstance(c, Fraction) else c for jk, c in F.coeffs.items()}
-    )
-
-
-def _lift_series1(F: TruncatedSeries1) -> TruncatedSeries1:
-    return TruncatedSeries1(
-        F.order, {i: Fraction(c) if not isinstance(c, Fraction) else c for i, c in F.coeffs.items()}
-    )
+def _lift(F):
+    """The series (either class) with every coefficient a Fraction."""
+    coeffs = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in F.coeffs.items()}
+    return type(F)(F.order, coeffs)
 
 
 def _snap_val(c):
@@ -77,12 +71,9 @@ def _snap_val(c):
     return c
 
 
-def _snap2(F: TruncatedSeries2) -> TruncatedSeries2:
-    return TruncatedSeries2(F.order, {jk: _snap_val(c) for jk, c in F.coeffs.items()})
-
-
-def _snap1(F: TruncatedSeries1) -> TruncatedSeries1:
-    return TruncatedSeries1(F.order, {i: _snap_val(c) for i, c in F.coeffs.items()})
+def _snapped(F):
+    """The series (either class) with long-denominator coefficients snapped to the pipeline grid."""
+    return type(F)(F.order, {key: _snap_val(c) for key, c in F.coeffs.items()})
 
 
 DEFAULT_TOL = 1e-9
@@ -129,17 +120,17 @@ def normalize_curve_sl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     The readings G4, G5, ... are the equi-affine curve invariants; a flat
     second-order term raises a branch error.
     """
-    G, T, steps = _curve_prenormalize(_lift_series1(F), tol)
+    G, T, steps = _curve_prenormalize(_lift(F), tol)
     # loop 1: scale so that G2 = 1 (real cube root keeps this total on F2 < 0)
     a = 1 / cbrt_frac(G[2], PIPELINE_BITS)
     T1 = CurveTransform2(a=a, d=1 / a)
-    G = _snap1(apply_affine_curve(G, T1))
+    G = _snapped(apply_affine_curve(G, T1))
     T = T.then(T1)
     steps.append("volume-preserving scaling makes the second-order term 1")
     # loop 2: shear kills G3
     if F.order >= 3 and G[3] != 0:
         T2 = CurveTransform2(a=1, b=-G[3] / 3, d=1)
-        G = _snap1(apply_affine_curve(G, T2))
+        G = _snapped(apply_affine_curve(G, T2))
         T = T.then(T2)
     steps.append("unipotent shear kills the third-order term")
     readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
@@ -153,7 +144,7 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     Plus or Minus according to its sign, with the reading G5 the first
     absolute invariant.
     """
-    G, T, steps = _curve_prenormalize(_lift_series1(F), tol)
+    G, T, steps = _curve_prenormalize(_lift(F), tol)
     if to_float(G[2]) < 0:
         # half-turn pins the residual sign freedom; every reading below is
         # invariant under it, so closed forms and pipeline agree
@@ -180,7 +171,7 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     eps = 1 if to_float(G[4]) > 0 else -1
     mag = abs(G[4])
     T3 = CurveTransform2(a=1 / sqrt_frac(mag, PIPELINE_BITS), d=1 / mag)
-    G = _snap1(apply_affine_curve(G, T3))
+    G = _snapped(apply_affine_curve(G, T3))
     T = T.then(T3)
     steps.append("dilation normalizes the fourth-order term to +-1")
     readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
@@ -295,7 +286,7 @@ def normalize_parabolic_surface(
     Returns the branch label, the normal-form series, the composed transform
     acting on the original series, and the invariant readings.
     """
-    G, T, steps, early = _surface_prenormalize(_lift_series2(F), tol)
+    G, T, steps, early = _surface_prenormalize(_lift(F), tol)
     if early == "Flat":
         return NormalFormResult("Flat", G, T, {}, steps + ["flat: zero Hessian"])
 
@@ -307,7 +298,7 @@ def normalize_parabolic_surface(
     f20, f11 = G[(2, 0)], G[(1, 1)]
     c3 = cbrt_frac(f20, PIPELINE_BITS)
     T1 = AffineTransform3(a=1 / c3, b=-f11 / f20, r=c3)
-    G = _snap2(apply_affine(G, T1))
+    G = _snapped(apply_affine(G, T1))
     T = T.then(T1)
     steps.append("scale and shear: second-order terms become s^2/2")
 
@@ -321,14 +312,14 @@ def normalize_parabolic_surface(
     T2 = AffineTransform3(
         a=r3, k=-f30 / (3 * r3 * r3), l=1 / f21, r=r3 * r3
     )
-    G = _snap2(apply_affine(G, T2))
+    G = _snapped(apply_affine(G, T2))
     T = T.then(T2)
     steps.append("scalings and shear: third-order terms become s^2 t / 2")
 
     # loop 3: G40 := 0
     if F.order >= 4 and G[(4, 0)] != 0:
         T3 = AffineTransform3(m=-G[(4, 0)] / 6)
-        G = _snap2(apply_affine(G, T3))
+        G = _snapped(apply_affine(G, T3))
         T = T.then(T3)
     steps.append("vertical transvection kills the pure fourth-order term")
 
@@ -344,7 +335,7 @@ def normalize_parabolic_surface(
     # generic branch, loop 4: G41 := 0
     c = G[(4, 1)] / (2 * W)
     T4 = AffineTransform3(c=c, k=-c, m=2 * c * W / 3 - c * c / 2)
-    G = _snap2(apply_affine(G, T4))
+    G = _snapped(apply_affine(G, T4))
     T = T.then(T4)
     steps.append("residual shear kills the (4,1) coefficient")
     readings["W"] = G[(3, 1)]
@@ -405,7 +396,7 @@ def _cone_branch(G, T, readings, steps, tol, base) -> NormalFormResult:
         # final shear kills G60 (only possible on X != 0)
         c = G[(6, 0)] / (3 * X)
         T5 = AffineTransform3(c=c, k=-c, m=-c * c / 2)
-        G = _snap2(apply_affine(G, T5))
+        G = _snapped(apply_affine(G, T5))
         T = T.then(T5)
         steps.append("last shear kills the pure sixth-order term")
         readings["X"] = G[(5, 0)]

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from .scalars import to_float
+
 X = (-1, 0)
 Y = (-1, 1)
 U = (0, 0)
@@ -421,11 +423,11 @@ def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
 
 
 def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
-    """Solve a square system; works for Fractions and floats alike."""
+    """Solve a square system over Fractions, floats or ``Sens`` (pivots chosen by value)."""
     n = len(b)
     m = [list(a[i]) + [b[i]] for i in range(n)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(float(m[r][col])))
+        piv = max(range(col, n), key=lambda r: abs(to_float(m[r][col])))
         if m[piv][col] == 0:
             raise ZeroDivisionError("singular linear system")
         m[col], m[piv] = m[piv], m[col]

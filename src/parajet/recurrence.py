@@ -8,9 +8,9 @@ derivation operators D1 = alpha Dx + beta Dy and D2 = gamma Dx + delta Dy are
 available both in closed form (generic branch) and operationally from the
 composed moving-frame transform (either branch).
 
-All identity checks are numeric at sampled jets with stated tolerances;
-second derivatives of invariants are obtained by Richardson-extrapolated
-differences of first invariant derivatives along a realizing surface.
+All identity checks are numeric at sampled jets with stated tolerances.
+Commutators nest two recurrence derivations D_i I_J = I_{J+e_i} +
+sum_sigma K_i^sigma phi_sigma^J(I) on ``Sens``-seeded normal forms, exact.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from .invariants import (
     invariant_Y,
     s_numerator,
 )
-from .jets import (
-    ParabolicJet,
-    curve_total_derivative,
-    parabolic_jet_of_series,
-    realize_series,
-    total_derivative,
-)
+from .jets import ParabolicJet, curve_total_derivative, parabolic_jet_of_series, total_derivative
 from .normalize import (
     BranchError,
     NormalFormResult,
@@ -55,7 +49,7 @@ from .prolong import (
     sl2_curve_generators,
     solve_linear_exact,
 )
-from .scalars import cbrt, to_float
+from .scalars import Sens, cbrt, to_float
 
 Coord = Tuple[int, int]
 
@@ -74,10 +68,9 @@ class MaurerCartan:
     readings: Dict[str, object]
 
 
-def _normalized_jet_values(res: NormalFormResult):
-    """Invariantization data: all jet values of the normal form, at the origin."""
-    ns = res.normal_series
-    values = parabolic_jet_of_series(ns).filled(ns.order)
+def _jet_values(p: ParabolicJet):
+    """Invariantization data: all values of the normalized jet, at the origin."""
+    values = p.filled(p.order)
     values[VAR_X] = 0
     values[VAR_Y] = 0
     return values
@@ -87,6 +80,19 @@ def _phantom_rows(phantoms, values):
     """Prolonged generator coefficients at the filled jet, one row per phantom."""
     gens = sa3_generators()[:6]
     return [[p_eval(prolong(g, jk), values) for g in gens] for jk in phantoms]
+
+
+def _cramer(phantoms, values):
+    """Rows A, right sides and solutions of the phantom Cramer systems A K_i = -(I_{J+e_i})_J."""
+    A = _phantom_rows(phantoms, values)
+    rhs = [[-values[(j + 1, k)] for (j, k) in phantoms], [-values[(j, k + 1)] for (j, k) in phantoms]]
+    return A, rhs, [solve_linear_exact(A, b) for b in rhs]
+
+
+def _branch_phantoms(branch: str, res: NormalFormResult):
+    if res.branch != branch:
+        raise BranchError(f"jet is not in the {branch.lower()} branch")
+    return GENERIC_PHANTOMS if branch == "Generic" else CONE_PHANTOMS
 
 
 def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerCartan:
@@ -102,15 +108,8 @@ def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerC
 
 def _solve_mc_at_frame(branch: str, res: NormalFormResult) -> MaurerCartan:
     """:func:`solve_mc_surface` from the jet's normal form."""
-    if res.branch != branch:
-        raise BranchError(f"jet is not in the {branch.lower()} branch")
-    values = _normalized_jet_values(res)
-    phantoms = GENERIC_PHANTOMS if res.branch == "Generic" else CONE_PHANTOMS
-    A = _phantom_rows(phantoms, values)
-    rhs1 = [-values[(j + 1, k)] for (j, k) in phantoms]
-    rhs2 = [-values[(j, k + 1)] for (j, k) in phantoms]
-    K1 = solve_linear_exact(A, rhs1)
-    K2 = solve_linear_exact(A, rhs2)
+    phantoms = _branch_phantoms(branch, res)
+    A, (rhs1, rhs2), (K1, K2) = _cramer(phantoms, _jet_values(parabolic_jet_of_series(res.normal_series)))
     readings = {k: v for k, v in res.readings.items() if not isinstance(v, dict)}
     return MaurerCartan(res.branch, K1, K2, A, rhs1, rhs2, readings)
 
@@ -219,38 +218,33 @@ def apply_D(i: int, f: Callable[[Mapping[Coord, object]], object], p: ParabolicJ
     return apply_D_pair(f, p, coeffs)[i - 1]
 
 
-def _shifted_jet(F, hx, hy, order):
-    return parabolic_jet_of_series(F.shift(hx, hy), order)
+def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Callable[[ParabolicJet], list]:
+    """[D1 g_1, D2 g_1, D1 g_2, ...] for the components g of f, by the recurrence formula.
 
-
-def _gradient(g: Callable[[ParabolicJet], tuple], p: ParabolicJet, eps: float = 1e-3):
-    """d/dx and d/dy of each component of g, by Richardson-extrapolated central differences.
-
-    g is evaluated at base-point shifts of a surface realizing the jet.
+    f and the result map the normalized jet to scalars.  The jet's non-phantom
+    coordinates of order >= 2 are seeded as ``Sens`` (the others are frame
+    constants), and each partial of g is contracted with
+    D_i I_J = I_{J+e_i} + sum_sigma K_i^sigma phi_sigma^J(I), K from the Cramer
+    systems at the same jet; nested, the outer derivation differentiates K.
     """
-    F = realize_series(p)
-    order = p.order - 1
+    gens = sa3_generators()[:6]
 
-    def at(direction: str, h: float):
-        s = Fraction(h).limit_denominator(10**9)
-        return g(_shifted_jet(F, s, 0, order) if direction == "x" else _shifted_jet(F, 0, s, order))
+    def derived(p: ParabolicJet) -> list:
+        values = _jet_values(p)
+        _, _, K = _cramer(phantoms, values)
+        seeded = {J: v if sum(J) < 2 or J in phantoms else Sens.seed(v, J) for J, v in p.coords.items()}
+        moved: Dict[Coord, list] = {}  # J -> [D1 I_J, D2 I_J]
+        out = []
+        for g in f(ParabolicJet(p.order, seeded)):
+            partials = Sens.lift(g).partials
+            for j, k in partials.keys() - moved.keys():
+                phi = [p_eval(prolong(v, (j, k)), values) for v in gens]
+                shifted = (values[(j + 1, k)], values[(j, k + 1)])
+                moved[(j, k)] = [s + sum(a * b for a, b in zip(Ki, phi)) for s, Ki in zip(shifted, K)]
+            out += [sum(d * moved[J][i] for J, d in partials.items()) for i in (0, 1)]
+        return out
 
-    def central(direction: str, h: float):
-        return [(to_float(a) - to_float(b)) / (2.0 * h) for a, b in zip(at(direction, h), at(direction, -h))]
-
-    def richardson(direction: str):
-        return [(4.0 * r2 - r1) / 3.0 for r1, r2 in zip(central(direction, eps), central(direction, eps / 2.0))]
-
-    return richardson("x"), richardson("y")
-
-
-def _commutator(f, derivations: Callable[[ParabolicJet], InvariantDerivationCoeffs], p: ParabolicJet,
-                coeffs: InvariantDerivationCoeffs) -> float:
-    """[D1, D2] f = D1(D2 f) - D2(D1 f) at the jet, from one difference pass over (D1 f, D2 f)."""
-    (x1, x2), (y1, y2) = _gradient(lambda q: apply_D_pair(f, q, derivations(q)), p)
-    d1d2 = to_float(coeffs.alpha) * x2 + to_float(coeffs.beta) * y2
-    d2d1 = to_float(coeffs.gamma) * x1 + to_float(coeffs.delta) * y1
-    return d1d2 - d2d1
+    return derived
 
 
 # -- identity verification -------------------------------------------------------
@@ -314,27 +308,28 @@ def _recurrences_at_frame(branch: str, p: ParabolicJet, res: NormalFormResult) -
 
 
 def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
-    """[D1, D2] identities via Richardson second derivatives, tol 1e-5."""
-    out: Dict[str, dict] = {}
+    """[D1, D2] identities, tol 1e-5; the commutator nests two recurrence derivations.
+
+    D1 and D2 on the right sides come from :func:`apply_D_pair`.
+    """
+    res = surface_frame(p, tol)
+    phantoms = _branch_phantoms(branch, res)
+    f = invariant_W if branch == "Generic" else invariant_X
+    second = recurrence_derivation(recurrence_derivation(lambda q: (f(q),), phantoms), phantoms)
+    _, d2d1, d1d2, _ = second(parabolic_jet_of_series(res.normal_series))
+    comm = d1d2 - d2d1
     if branch == "Generic":
-        coeffs = invariant_derivatives(p)
         W = to_float(invariant_W(p.filled(4)))
-        comm = _commutator(invariant_W, invariant_derivatives, p, coeffs)
-        out["[D1,D2]W = (4/3) W^2"] = identity_record(comm, 4.0 / 3.0 * W**2, 1e-5)
-        d1w, d2w = apply_D_pair(invariant_W, p, coeffs)
-        out["[D1,D2]W = -D1W + (1/3) W D2W"] = identity_record(comm, -to_float(d1w) + W / 3.0 * to_float(d2w), 1e-5)
-    elif branch == "Cone":
-        # the difference scheme perturbs the jet off the subvariety by the
-        # truncation tail, so the inner branch decisions get a loose tolerance
-        inner_tol = max(tol, 1e-6)
-        coeffs = frame_derivatives(p, tol)
-        comm = _commutator(invariant_X, lambda q: frame_derivatives(q, inner_tol), p, coeffs)
-        d1x, d2x = (to_float(v) for v in apply_D_pair(invariant_X, p, coeffs))
-        # normalize by the differentiated quantity's own scale
-        scale = 1.0 + abs(d2x)
-        out["[D1,D2]X = -D1X"] = identity_record((comm + d1x) / scale, 0.0, 1e-5)
-        out["D1X = 0 (cone)"] = identity_record(d1x / scale, 0.0, 1e-5)
-    return out
+        d1w, d2w = apply_D_pair(invariant_W, p, invariant_derivatives(p))
+        return {
+            "[D1,D2]W = (4/3) W^2": identity_record(comm, 4.0 / 3.0 * W**2, 1e-5),
+            "[D1,D2]W = -D1W + (1/3) W D2W": identity_record(comm, -to_float(d1w) + W / 3.0 * to_float(d2w), 1e-5),
+        }
+    d1x, _ = apply_D_pair(invariant_X, p, _frame_coeffs(res, p))
+    return {
+        "[D1,D2]X = -D1X": identity_record(comm, -d1x, 1e-5),
+        "D1X = 0 (cone)": identity_record(d1x, 0, 1e-5),
+    }
 
 
 # -- curves -----------------------------------------------------------------------

@@ -417,10 +417,12 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     grows, and the degree-d part of G is -[sum_c phi_c G^c]_d / phi_v(0),
     where the sum omits the phi_v(0) G_d term itself.  Only additions,
     products and that one division occur, so exactness is preserved in
-    rational mode.
+    rational mode.  At order 0 there is nothing to solve: G = 0.
     """
     if Phi[(0, 0, 0)] != 0:
         raise ValueError("Phi must vanish at the origin")
+    if Phi.order == 0:
+        return TruncatedSeries2(0, {})
     pv = Phi.dv_at_zero()
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")

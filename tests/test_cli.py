@@ -322,3 +322,43 @@ def test_report_runs_every_registered_suite(monkeypatch, capsys):
     assert code == 0
     assert calls == list(verify.SUITES)
     assert [line.split()[2] for line in out.splitlines()] == [f"{key}:" for key in verify.SUITES]
+
+
+def test_invariants_emits_pick(tmp_path, capsys):
+    path = tmp_path / "elliptic3.json"
+    coeffs = [_entry(2, 0, "1"), _entry(0, 2, "1"), _entry(3, 0, "1/2"), _entry(0, 3, "1/3")]
+    path.write_text(json.dumps(_surface_doc(order=3, coeffs=coeffs)))
+    code, out, _ = run_cli(["invariants", "--surface", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["branch"] == "Elliptic"
+    assert float(doc["Pick"]) == pytest.approx(0.011284722222222222, rel=1e-15)
+
+
+def test_normalize_order_zero_series(tmp_path, capsys):
+    surface = tmp_path / "point.json"
+    surface.write_text(json.dumps(_surface_doc(order=0, coeffs=[_entry(0, 0, "1")])))
+    code, out, _ = run_cli(["normalize", "--surface", str(surface)], capsys)
+    assert code == 0
+    assert json.loads(out)["branch"] == "Flat"
+    curve = tmp_path / "curve0.json"
+    curve.write_text(json.dumps({"vars": 1, "order": 0, "coeffs": [_entry(0, 0, "1")]}))
+    for group in ("gl2", "sl2"):
+        code, _, err = run_cli(["normalize", "--curve", str(curve), "--group", group], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "flat curve: second-order coefficient vanishes"
+
+
+def test_normalize_honours_order_zero(tmp_path, capsys):
+    # elliptic, so the untruncated series is not rank-one; its order-0 truncation is flat
+    path = tmp_path / "elliptic3.json"
+    path.write_text(json.dumps(_surface_doc(order=3, coeffs=[_entry(2, 0, "1"), _entry(0, 2, "1")])))
+    code, _, _ = run_cli(["normalize", "--surface", str(path)], capsys)
+    assert code == 1
+    code, out, _ = run_cli(["normalize", "--surface", str(path), "--order", "0"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["branch"] == "Flat" and doc["normal_coeffs"]["order"] == 0
+    code, out, err = run_cli(["normalize", "--surface", str(path), "--order", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "--order must be >= 0, got -1"

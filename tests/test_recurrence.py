@@ -4,16 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from parajet.invariants import invariant_W
+from parajet import recurrence
+from parajet.invariants import invariant_W, invariant_X
+from parajet.jets import parabolic_jet_of_series
+from parajet.normalize import surface_frame
 from parajet.recurrence import (
+    CONE_PHANTOMS,
+    GENERIC_PHANTOMS,
     apply_D,
+    apply_D_pair,
     frame_derivatives,
     homogeneous_curve_coefficients,
     homogeneous_curve_series,
     homogeneous_tangent_field,
     invariant_derivatives,
+    identity_record,
     mc_closed_form,
     cone_symmetry_fields,
+    recurrence_derivation,
     solve_mc_curve,
     solve_mc_surface,
     surface_tangency_residual,
@@ -138,6 +146,61 @@ def test_commutators():
     assert all(v["pass"] for v in rep.values()), rep
     rep = verify_commutator("Cone", random_cone_branch_jet(rng, 8))
     assert all(v["pass"] for v in rep.values()), rep
+
+
+def _draws(sampler, indices):
+    rng = random.Random(12353)
+    jets = [sampler(rng, 8) for _ in range(max(indices) + 1)]
+    return [jets[i] for i in indices]
+
+
+@pytest.mark.parametrize(
+    "branch, sampler, indices",
+    [("Generic", random_parabolic_jet, (24, 111, 134, 138, 139)), ("Cone", random_cone_branch_jet, (8, 22, 28))],
+)
+def test_commutators_on_draws_where_finite_differences_missed(branch, sampler, indices):
+    # a Richardson-difference commutator missed its 1e-5 bound on these draws
+    # (worst 7.6e-4 generic, 0.25 cone); the recurrence one is exact to rounding
+    for p in _draws(sampler, indices):
+        rep = verify_commutator(branch, p)
+        assert all(r["pass"] and r["residual"] <= 1e-12 for r in rep.values()), rep
+
+
+@pytest.mark.parametrize(
+    "branch, sampler, i, sigma",
+    # K_1 of v4 = u d/dx (printed 2M/W - I51/(2W)); K_2 of v6 = u d/dy (printed 0)
+    [("Generic", random_parabolic_jet, 0, 3), ("Cone", random_cone_branch_jet, 1, 5)],
+)
+def test_commutator_record_fails_on_a_perturbed_correction(monkeypatch, branch, sampler, i, sigma):
+    p = sampler(random.Random(38), 8)
+    assert all(r["pass"] for r in verify_commutator(branch, p).values())
+    good = recurrence._cramer
+
+    def perturbed(phantoms, values):
+        A, rhs, K = good(phantoms, values)
+        K[i] = K[i][:sigma] + [K[i][sigma] + F(1, 1000)] + K[i][sigma + 1 :]
+        return A, rhs, K
+
+    monkeypatch.setattr(recurrence, "_cramer", perturbed)
+    rep = verify_commutator(branch, p)
+    assert not rep[next(iter(rep))]["pass"], rep
+
+
+@pytest.mark.parametrize(
+    "sampler, f, phantoms, operators",
+    [
+        (random_parabolic_jet, invariant_W, GENERIC_PHANTOMS, lambda res, p: invariant_derivatives(p)),
+        (random_cone_branch_jet, invariant_X, CONE_PHANTOMS, lambda res, p: recurrence._frame_coeffs(res, p)),
+    ],
+)
+def test_recurrence_derivation_equals_total_derivatives(sampler, f, phantoms, operators):
+    rng = random.Random(40)
+    for _ in range(3):
+        p = sampler(rng, 8)
+        res = surface_frame(p)
+        got = recurrence_derivation(lambda q: (f(q),), phantoms)(parabolic_jet_of_series(res.normal_series))
+        for a, b in zip(got, apply_D_pair(f, p, operators(res, p))):
+            assert identity_record(a, b, 1e-12)["pass"], (a, b)
 
 
 def test_curve_systems():

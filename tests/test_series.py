@@ -171,6 +171,16 @@ def test_apply_affine_identity():
     assert apply_affine(f, AffineTransform3.identity()) == f
 
 
+def test_apply_affine_on_order_zero_series():
+    # the order-0 truncation keeps no v-term, so there is nothing to solve: G = 0
+    f = TruncatedSeries2(0, {(0, 0): F(1)})
+    assert apply_affine(TruncatedSeries2(0, {}), AffineTransform3.identity()) == TruncatedSeries2(0, {})
+    assert apply_affine(f, AffineTransform3(w=F(1))) == TruncatedSeries2(0, {})
+    c = TruncatedSeries1(0, {0: F(1)})
+    assert apply_affine_curve(TruncatedSeries1(0, {}), CurveTransform2.identity()) == TruncatedSeries1(0, {})
+    assert apply_affine_curve(c, CurveTransform2(f=F(1))) == TruncatedSeries1(0, {})
+
+
 def test_apply_affine_shear_hand_expansion():
     # F = x^2/2 under the inverse substitution x = s, y = t, u = eps*s + v:
     # 0 = -eps*s - v + (s^2)/2, so G = s^2/2 - eps*s exactly.
