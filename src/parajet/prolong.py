@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
 from .scalars import to_float
@@ -256,11 +257,26 @@ def lie_bracket(v: VectorField, w: VectorField, name="") -> VectorField:
     )
 
 
+_PROLONGED: Dict[tuple, Poly] = {}
+
+
 def prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
     """Coefficient of d/du_J of the prolonged field: D_J(phi - xi u10 - eta u01) + ...
 
-    Exact rational polynomial depending on jets of order <= |J| only.
+    Exact rational polynomial depending on jets of order <= |J| only.  It
+    depends on nothing but the field's coefficients and J, so it is computed
+    once per pair and shared: the result is a read-only mapping.  The key is
+    the coefficients, not ``v.name``, which the generator families reuse.
     """
+    key = (tuple(tuple(sorted(c.items())) for c in (v.xi, v.eta, v.phi)), J)
+    q = _PROLONGED.get(key)
+    if q is None:
+        q = _PROLONGED[key] = MappingProxyType(_prolong(v, J))
+    return q
+
+
+def _prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
+    """The prolonged coefficient of :func:`prolong`, computed afresh."""
     j, k = J
     if j + k < 1:
         raise ValueError("prolongation needs |J| >= 1")

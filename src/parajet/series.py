@@ -29,9 +29,16 @@ produces the graphing series of the transformed surface in one graded pass
 per kernel.  :func:`series3_from_bivariate_in_linear` substitutes the two
 linear forms by Horner in the first over cached powers of the second, and
 :func:`solve_implicit` solves the fundamental equation degree by degree from
-cached homogeneous parts of the powers of the graph.  Both kernels work in
-monomial convention inside: factorials are divided out on entry and put
-back on exit, so no binomial weight enters an inner loop.
+cached homogeneous parts of the powers of the graph (Brent & Kung 1978).
+Both kernels work in monomial convention inside, so no binomial weight
+enters an inner loop.  Exact inputs stay on integer numerators from the
+substitution to the solve: the substitution runs on integers over one
+denominator, the fundamental equation is homogeneous so that denominator
+drops out, and the solve reduces each homogeneous part once per degree and
+builds one ``Fraction`` per output coefficient.  Other coefficients run the
+same loops on the scalars, with factorials divided out on entry and put
+back on exit as before, so float and ``Sens`` results are unchanged to the
+bit.
 """
 
 from __future__ import annotations
@@ -315,20 +322,37 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
 
 
 class _Series3:
-    """Internal trivariate truncated series in (s, t, v), factorial convention."""
+    """Internal trivariate truncated series in (s, t, v), factorial convention.
 
-    __slots__ = ("order", "coeffs")
+    An exact series from :func:`series3_from_bivariate_in_linear` keeps its
+    monomial coefficients as integer numerators ``terms`` over one
+    denominator ``den``; ``coeffs`` builds the factorial-convention
+    ``Fraction``s from them when read.  Otherwise ``den`` is None and
+    ``terms`` are the coefficients themselves.
+    """
 
-    def __init__(self, order: int, coeffs: Dict[Tuple[int, int, int], object] | None = None):
+    __slots__ = ("order", "den", "terms")
+
+    def __init__(
+        self, order: int, coeffs: Dict[Tuple[int, int, int], object] | None = None, den: int | None = None
+    ):
         self.order = order
-        self.coeffs = {}
+        self.den = den
+        self.terms = {}
         if coeffs:
             for key, c in coeffs.items():
                 if sum(key) <= order and c != 0:
-                    self.coeffs[key] = c
+                    self.terms[key] = c
+
+    @property
+    def coeffs(self) -> dict:
+        if self.den is None:
+            return self.terms
+        return {key: Fraction(c * _fact3(key), self.den) for key, c in self.terms.items()}
 
     def __getitem__(self, key):
-        return self.coeffs.get(key, 0)
+        c = self.terms.get(key, 0)
+        return c if self.den is None or c == 0 else Fraction(c * _fact3(key), self.den)
 
     def add(self, other: "_Series3") -> "_Series3":
         out = dict(self.coeffs)
@@ -341,7 +365,12 @@ class _Series3:
         return _Series3(min(self.order, other.order), out)
 
     def dv_at_zero(self):
-        return self.coeffs.get((0, 0, 1), 0)
+        return self[(0, 0, 1)]
+
+
+def _fact3(key) -> int:
+    i, j, k = key
+    return math.factorial(i) * math.factorial(j) * math.factorial(k)
 
 
 def _times_linear(P: dict, form) -> dict:
@@ -370,6 +399,11 @@ def series3_from_bivariate_in_linear(
     the powers of L2 are built once and the sum is taken by Horner in L1:
     R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b, for a = order, ..., 0.  Each
     Q_a has degree at most order - a, so no step needs a truncation.
+
+    When f and both linear parts are exact, f is brought to integers over its
+    least common denominator D and L1, L2 over their own, qx and qy; with
+    f_ab scaled by qx^(order-a) qy^(order-b) the same Horner pass runs on
+    integers and yields the monomial numerators over D qx^order qy^order.
     """
     Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
     n = order
@@ -378,12 +412,18 @@ def series3_from_bivariate_in_linear(
         for ab, c in Fc.coeffs.items()
         if ab[0] + ab[1] <= n
     }
+    lx, ly, den = xs[:3], ys[:3], None
+    forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
+    if None not in forms:
+        (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
+        f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
+        lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
     y_pows = [{(0, 0, 0): 1}]
     for _ in range(max((b for _, b in f), default=0)):
-        y_pows.append(_times_linear(y_pows[-1], ys[:3]))
+        y_pows.append(_times_linear(y_pows[-1], ly))
     R: dict = {}
     for a in range(n, -1, -1):
-        R = _times_linear(R, xs[:3])
+        R = _times_linear(R, lx)
         for b in range(n - a + 1):
             fab = f.get((a, b))
             if fab is None:
@@ -392,6 +432,8 @@ def series3_from_bivariate_in_linear(
                 x = fab * c
                 prev = R.get(key)
                 R[key] = x if prev is None else prev + x
+    if den is not None:
+        return _Series3(n, R, den)
     return _Series3(
         n,
         {
@@ -409,15 +451,51 @@ def _times_homogeneous(A: dict, B: dict, out: dict) -> None:
             out[i + j] = x * y if prev is None else prev + x * y
 
 
+def _sum_of_products(init: dict, pairs, exact: bool):
+    """init + sum of A B over pairs of homogeneous parts (den, {power of s: coefficient}).
+
+    Exact parts hold integer numerators: the sum is taken over the lcm of the
+    products' denominators, one multiply-add per term pair on integers, and
+    returned as (that lcm, numerators), unreduced.  Other scalars accumulate
+    pair by pair in the given order, with den 1.
+    """
+    if not exact:
+        out = dict(init)
+        for (_, A), (_, B) in pairs:
+            _times_homogeneous(A, B, out)
+        return 1, out
+    den = math.lcm(*[da * db for (da, A), (db, B) in pairs if A and B])
+    out = {j: x * den for j, x in init.items()}
+    for (da, A), (db, B) in pairs:
+        if A and B:
+            s = den // (da * db)
+            _times_homogeneous(A if s == 1 else {i: x * s for i, x in A.items()}, B, out)
+    return den, out
+
+
+def _reduced(den: int, nums: dict):
+    """(den, nums) over the least common denominator of the fractions nums[j] / den."""
+    g = math.gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {j: x // g for j, x in nums.items()})
+
+
 def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     """The unique G(s,t), G(0,0)=0, with Phi(s,t,G(s,t)) = 0 to truncation order.
 
-    Degree-graded solve in monomial convention.  Write Phi = sum_c phi_c v^c.
-    The homogeneous parts (G^c)_e = sum_i G_i (G^(c-1))_(e-i) are cached as G
-    grows, and the degree-d part of G is -[sum_c phi_c G^c]_d / phi_v(0),
-    where the sum omits the phi_v(0) G_d term itself.  Only additions,
-    products and that one division occur, so exactness is preserved in
-    rational mode.  At order 0 there is nothing to solve: G = 0.
+    Degree-graded solve in monomial convention (Brent & Kung 1978).  Write
+    Phi = sum_c phi_c v^c.  The homogeneous parts
+    (G^c)_e = sum_i G_i (G^(c-1))_(e-i) are cached as G grows, and the
+    degree-d part of G is -[sum_c phi_c G^c]_d / phi_v(0), where the sum
+    omits the phi_v(0) G_d term itself.  Only additions, products and that
+    one division occur, so exactness is preserved in rational mode.
+
+    An exact Phi is solved on integers: the equation is homogeneous in Phi,
+    so its denominator drops out and phi is integral.  Each sum of products
+    above runs on integer numerators over the lcm of its factors'
+    denominators, and each homogeneous part is reduced once per degree, so
+    one ``Fraction`` is built per output coefficient and none per term pair.
+    Float, mixed and ``Sens`` coefficients run the same loops on the scalars
+    in the same order.  At order 0 there is nothing to solve: G = 0.
     """
     if Phi[(0, 0, 0)] != 0:
         raise ValueError("Phi must vanish at the origin")
@@ -427,31 +505,77 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")
     n = Phi.order
+    terms, exact = Phi.terms, Phi.den is not None
+    if not exact:
+        terms = {key: _over(x, _fact3(key)) for key, x in terms.items()}
+        form = _integer_form(terms)
+        if form is not None:
+            terms, exact = form[1], True
+    if exact:
+        pv = terms[(0, 0, 1)]
     # phi[c][e][j]: monomial coefficient of s^j t^(e-j) v^c
     phi: Dict[int, Dict[int, dict]] = {}
-    for (a, b, c), x in Phi.coeffs.items():
+    for (a, b, c), x in terms.items():
         if (a, b, c) != (0, 0, 1):
-            m = math.factorial(a) * math.factorial(b) * math.factorial(c)
-            phi.setdefault(c, {}).setdefault(a + b, {})[a] = _over(x, m)
+            phi.setdefault(c, {}).setdefault(a + b, {})[a] = x
     vmax = max(max(phi, default=0), 1)
-    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1)
-    powers: Dict[int, Dict[int, dict]] = {c: {} for c in range(1, vmax + 1)}
+    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den, coefficients)
+    powers: Dict[int, Dict[int, tuple]] = {c: {} for c in range(1, vmax + 1)}
     out: Dict[Tuple[int, int], object] = {}
     for d in range(1, n + 1):
         for c in range(2, min(d, vmax) + 1):
-            part: dict = {}
-            for i in range(1, d - c + 2):
-                _times_homogeneous(powers[1][i], powers[c - 1].get(d - i, {}), part)
-            powers[c][d] = part
-        residual = dict(phi.get(0, {}).get(d, {}))
-        for c in range(1, vmax + 1):
-            for e, h in phi.get(c, {}).items():
-                if d - e in powers[c]:
-                    _times_homogeneous(h, powers[c][d - e], residual)
-        powers[1][d] = {j: -x / pv for j, x in residual.items() if x != 0}
-        for j, x in powers[1][d].items():
-            out[(j, d - j)] = x * (math.factorial(j) * math.factorial(d - j))
+            pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(1, d - c + 2)]
+            part = _sum_of_products({}, pairs, exact)
+            powers[c][d] = _reduced(*part) if exact else part
+        pairs = [
+            ((1, h), powers[c][d - e])
+            for c in range(1, vmax + 1)
+            for e, h in phi.get(c, {}).items()
+            if d - e in powers[c]
+        ]
+        den, residual = _sum_of_products(phi.get(0, {}).get(d, {}), pairs, exact)
+        if not exact:
+            powers[1][d] = (1, {j: -x / pv for j, x in residual.items() if x != 0})
+            for j, x in powers[1][d][1].items():
+                out[(j, d - j)] = x * (math.factorial(j) * math.factorial(d - j))
+            continue
+        sign = -1 if pv > 0 else 1
+        den, part = powers[1][d] = _reduced(den * abs(pv), {j: sign * x for j, x in residual.items() if x})
+        for j, x in part.items():
+            out[(j, d - j)] = Fraction(x * (math.factorial(j) * math.factorial(d - j)), den)
     return TruncatedSeries2(n, out)
+
+
+def _solve_graph(phi: _Series3, axis: dict, message: str) -> TruncatedSeries2:
+    """The graph v = G(s, t) of phi(s, t, v) = u(s, t, v).
+
+    ``axis`` holds the coefficients of the affine function u at the keys
+    (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  An exact phi and axis are folded
+    into integers over one lcm and the origin is checked on integers; the
+    denominator then drops out.  Otherwise Phi = phi - u is assembled on the
+    scalars; ``message`` is raised when Phi misses the origin.
+    """
+    n = phi.order
+    form = _integer_form(axis) if phi.den is not None else None
+    if form is None:
+        phi = phi.add(_Series3(n, {key: -c for key, c in axis.items()}))
+        c0 = phi[(0, 0, 0)]
+        if c0 != 0:
+            if is_exact(c0) or abs(c0) > 1e-9:
+                raise ValueError(message)
+            phi.coeffs.pop((0, 0, 0), None)
+        return solve_implicit(phi)
+    (da, axis), den = form, phi.den
+    da = da or 1
+    lcm = math.lcm(den, da)
+    terms = {key: c * (lcm // den) for key, c in phi.terms.items()} if lcm != den else dict(phi.terms)
+    for key, c in axis.items():
+        if sum(key) <= n:
+            terms[key] = terms.get(key, 0) - c * (lcm // da)
+    if terms.get((0, 0, 0)):
+        raise ValueError(message)
+    terms.pop((0, 0, 0), None)
+    return solve_implicit(_Series3(n, terms, 1))
 
 
 @dataclass(frozen=True)
@@ -545,24 +669,15 @@ def apply_affine(F: TruncatedSeries2, T: AffineTransform3) -> TruncatedSeries2:
 
     Assembles Phi(s,t,v) = -(p s + q t + r v + w) + F(a s + b t + c v + d, ...)
     and solves it for v = G(s,t).  Requires the image surface to pass through
-    the target origin, i.e. Phi(0,0,0) = 0.
+    the target origin, i.e. Phi(0,0,0) = 0.  Exact F and T run on integer
+    numerators from the substitution through the solve.
     """
     n = F.order
     phi = series3_from_bivariate_in_linear(
         F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), n
     )
-    lin = _Series3(
-        n, {(0, 0, 0): -T.w, (1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r}
-    )
-    phi = phi.add(lin)
-    c0 = phi[(0, 0, 0)]
-    if c0 != 0:
-        if is_exact(c0) or abs(c0) > 1e-9:
-            raise ValueError(
-                "transformed surface misses the target origin; adjust the translation"
-            )
-    phi.coeffs.pop((0, 0, 0), None)
-    return solve_implicit(phi)
+    axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
+    return _solve_graph(phi, axis, "transformed surface misses the target origin; adjust the translation")
 
 
 @dataclass(frozen=True)
@@ -604,13 +719,8 @@ def apply_affine_curve(F: TruncatedSeries1, T: CurveTransform2) -> TruncatedSeri
     # embed as a trivariate series constant in t
     F2 = TruncatedSeries2(n, {(j, 0): c for j, c in Fc.coeffs.items()})
     phi = series3_from_bivariate_in_linear(F2, (T.a, 0, T.b, 0), (0, 0, 0, 0), n)
-    phi = phi.add(_Series3(n, {(0, 0, 0): -T.f, (1, 0, 0): -T.c, (0, 0, 1): -T.d}))
-    c0 = phi[(0, 0, 0)]
-    if c0 != 0:
-        if is_exact(c0) or abs(c0) > 1e-9:
-            raise ValueError("transformed curve misses the target origin")
-        phi.coeffs.pop((0, 0, 0), None)
-    G2 = solve_implicit(phi)
+    axis = {(0, 0, 0): T.f, (1, 0, 0): T.c, (0, 0, 1): T.d}
+    G2 = _solve_graph(phi, axis, "transformed curve misses the target origin")
     return TruncatedSeries1(n, {j: c for (j, k), c in G2.coeffs.items() if k == 0})
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parajet.invariants import (
     M_TABLE,
@@ -170,6 +172,26 @@ def test_invariance_under_unimodular_transforms():
         assert invariant_M(cf) == invariant_M(cg)
         checked += 1
     assert checked == 20
+
+
+@pytest.mark.parametrize("cone", [False, True])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_invariants_are_unchanged_under_exact_near_identity_maps(cone, seed):
+    # W, M on generic jets and X, Y on cone jets, held to the 1e-7 transfer bound of the bench's exact workload
+    rng = random.Random(seed)
+    p = (random_cone_branch_jet if cone else random_parabolic_jet)(rng, 8, exact=True)
+    f = realize_series(p)
+    f = TruncatedSeries2(f.order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
+    T = near_identity_transform(rng)
+    g = apply_affine(f, T)
+    assert T.delta() == 1 and g.is_exact()
+    cf = p.filled(7 if cone else 5)
+    cg_jet = jets_of_series(g)
+    cg = {jk: cg_jet[jk] for jk in cf}
+    for fn in (invariant_X, invariant_Y) if cone else (invariant_W, invariant_M):
+        a, b = to_float(fn(cf)), to_float(fn(cg))
+        assert abs(a - b) <= 1e-7 * (1 + max(abs(a), abs(b))), fn.__name__
 
 
 def test_scaling_homogeneity_exact():

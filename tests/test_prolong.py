@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from parajet.prolong import (
     X,
+    _prolong,
     Y,
     det_poly_matrix,
+    gl2_curve_generators,
     lie_bracket,
     orbit_rank,
     order2_matrix_symbolic,
@@ -271,3 +275,18 @@ def test_filled_jet_rows_equal_pushforward_rows():
                     phi = prolong(g, (j, n - j))
                     num, m = parabolic_pushforward(phi)
                     assert p_eval(phi, values) == p_eval(num, values) / values[(2, 0)] ** m
+
+
+def test_cached_prolongations_equal_fresh_ones_for_every_family():
+    # the families reuse the names v1, v2, ...: every family is prolonged before any is compared
+    families = [sa3_generators(), sl2_curve_generators(), gl2_curve_generators()]
+    Js = [(j, n - j) for n in range(1, 9) for j in range(n + 1)]
+    cached = [[[prolong(g, J) for J in Js] for g in gens] for gens in families]
+    for gens, rows in zip(families, cached):
+        for g, row in zip(gens, rows):
+            for J, phi in zip(Js, row):
+                assert phi == _prolong(g, J), (g.name, J)
+                assert prolong(g, J) is phi
+    assert cached[2][0][0] != cached[0][0][0]  # gl2's v1 = x d/dx is not sa3's v1
+    with pytest.raises(TypeError):
+        cached[0][0][0][()] = Fraction(1)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parajet.normalize as normalize
 from parajet.jets import realize_series
 from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_parabolic_jet
-from parajet.scalars import is_exact
+from parajet.scalars import Sens, is_exact
 from parajet.series import (
     AffineTransform3,
     CurveTransform2,
@@ -628,3 +629,184 @@ def test_bivariate_shift_properties(f, a, b):
     assert f.shift(*a).shift(-a[0], -a[1]) == f
     assert f.shift(*a).shift(*b) == f.shift(a[0] + b[0], a[1] + b[1])
     assert f.shift(*a)[(0, 0)] == f.eval(*a)
+
+
+# -- the traffic of the normalization loops, and the parent's scalar loops -----
+
+
+@pytest.mark.parametrize("order, cone", [(8, False), (8, True), (12, False), (12, True)])
+def test_apply_affine_equals_the_reference_kernel_on_the_loop_traffic(order, cone, monkeypatch):
+    # every (F, T) that normalize_parabolic_surface hands to apply_affine on one float jet
+    calls = []
+
+    def recording(F, T):
+        calls.append((F, T))
+        return apply_affine(F, T)
+
+    monkeypatch.setattr(normalize, "apply_affine", recording)
+    draw = random_cone_branch_jet if cone else random_parabolic_jet
+    f = realize_series(draw(random.Random(600 + order), order))
+    assert normalize.normalize_parabolic_surface(f).branch == ("Cone" if cone else "Generic")
+    # the loops send 1/c3, -f11/f20 and the like on snapped 128- to 256-bit-denominator series
+    assert len(calls) >= 5
+    assert max(c.denominator.bit_length() for F, _ in calls for c in F.coeffs.values()) > 200
+    assert any(e.denominator & (e.denominator - 1) for _, T in calls for e in T.matrix()[0])
+    for F, T in calls:
+        _same_coefficients(apply_affine(F, T), _ref_apply_affine(F, T))
+
+
+def _over(c, m):
+    return c / Fraction(m) if is_exact(c) else c / m
+
+
+def _parent_series3(f, xs, ys, n):
+    """Factorial-convention coefficients of F(L1 + xs0, L2 + ys0): the scalar Horner loops."""
+    fc = f if (xs[3] == 0 and ys[3] == 0) else f.shift(xs[3], ys[3])
+
+    def times_linear(P, form):
+        out = {}
+        for (di, dj, dk), coef in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form):
+            if coef == 0:
+                continue
+            for (i, j, k), c in P.items():
+                key = (i + di, j + dj, k + dk)
+                x = c if coef == 1 else coef * c
+                out[key] = x if key not in out else out[key] + x
+        return out
+
+    mono = {ab: _over(c, math.factorial(ab[0]) * math.factorial(ab[1])) for ab, c in fc.coeffs.items() if sum(ab) <= n}
+    y_pows = [{(0, 0, 0): 1}]
+    for _ in range(max((b for _, b in mono), default=0)):
+        y_pows.append(times_linear(y_pows[-1], ys[:3]))
+    R = {}
+    for a in range(n, -1, -1):
+        R = times_linear(R, xs[:3])
+        for b in range(n - a + 1):
+            if (a, b) in mono:
+                for key, c in y_pows[b].items():
+                    x = mono[(a, b)] * c
+                    R[key] = x if key not in R else R[key] + x
+    out = {(i, j, k): c * (math.factorial(i) * math.factorial(j) * math.factorial(k)) for (i, j, k), c in R.items()}
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _parent_solve(phi, n):
+    """The graded implicit solve on factorial-convention scalars, one multiply-add per term pair."""
+    pv = phi[(0, 0, 1)]
+    parts = {}
+    for (a, b, c), x in phi.items():
+        if (a, b, c) != (0, 0, 1):
+            m = math.factorial(a) * math.factorial(b) * math.factorial(c)
+            parts.setdefault(c, {}).setdefault(a + b, {})[a] = _over(x, m)
+
+    def times(A, B, out):
+        for i, x in A.items():
+            for j, y in B.items():
+                out[i + j] = x * y if i + j not in out else out[i + j] + x * y
+
+    vmax = max(max(parts, default=0), 1)
+    powers = {c: {} for c in range(1, vmax + 1)}
+    out = {}
+    for d in range(1, n + 1):
+        for c in range(2, min(d, vmax) + 1):
+            powers[c][d] = {}
+            for i in range(1, d - c + 2):
+                times(powers[1][i], powers[c - 1].get(d - i, {}), powers[c][d])
+        residual = dict(parts.get(0, {}).get(d, {}))
+        for c in range(1, vmax + 1):
+            for e, h in parts.get(c, {}).items():
+                if d - e in powers[c]:
+                    times(h, powers[c][d - e], residual)
+        powers[1][d] = {j: -x / pv for j, x in residual.items() if x != 0}
+        for j, x in powers[1][d].items():
+            out[(j, d - j)] = x * (math.factorial(j) * math.factorial(d - j))
+    return TruncatedSeries2(n, out)
+
+
+def _parent_graph(f2, xs, ys, axis, n):
+    """Solve F(L1, L2) - axis(s, t, v) = 0 for v = G(s, t), axis as (constant, s, t, v) coefficients."""
+    phi = _parent_series3(f2, xs, ys, n)
+    for key, c in axis.items():
+        if sum(key) <= n and -c != 0:
+            s = phi.get(key, 0) + (-c)
+            if s != 0:
+                phi[key] = s
+            else:
+                phi.pop(key, None)
+    c0 = phi.pop((0, 0, 0), 0)
+    assert c0 == 0 or (not is_exact(c0) and abs(c0) <= 1e-9)
+    return _parent_solve(phi, n) if n > 0 else TruncatedSeries2(0, {})
+
+
+def _parent_apply_affine(f, T):
+    axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
+    return _parent_graph(f, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, f.order)
+
+
+def _parent_apply_affine_curve(f, T):
+    fc = f if T.e == 0 else f.shift(T.e)
+    f2 = TruncatedSeries2(f.order, {(j, 0): c for j, c in fc.coeffs.items()})
+    g = _parent_graph(f2, (T.a, 0, T.b, 0), (0, 0, 0, 0), {(0, 0, 0): T.f, (1, 0, 0): T.c, (0, 0, 1): T.d}, f.order)
+    return TruncatedSeries1(f.order, {j: c for (j, k), c in g.coeffs.items() if k == 0})
+
+
+def _same_scalar(got, ref):
+    """Equal values of equal types: floats to the bit, ``Sens`` values and partials alike."""
+    assert type(got) is type(ref), (got, ref)
+    if isinstance(ref, float):
+        assert got.hex() == ref.hex(), (got, ref)
+    elif isinstance(ref, Sens):
+        _same_scalar(got.value, ref.value)
+        assert got.partials.keys() == ref.partials.keys()
+        for key, r in ref.partials.items():
+            _same_scalar(got.partials[key], r)
+    else:
+        assert got == ref, (got, ref)
+
+
+def _same_series(got, ref):
+    assert type(got) is type(ref) and got.order == ref.order and got.coeffs.keys() == ref.coeffs.keys()
+    for key, r in ref.coeffs.items():
+        _same_scalar(got.coeffs[key], r)
+
+
+def _sens(rng, value):
+    return Sens(value, {"a": rng.uniform(-1, 1), "b": rng.uniform(-1, 1)})
+
+
+FLOAT_ENTRIES = dict(a=1.1, b=-0.2, c=0.15, k=0.05, l=0.9, m=-0.12, p=0.3, q=-0.25, r=1.05)
+CURVE_FLOAT_ENTRIES = dict(a=0.8, b=-0.6, c=0.6, d=1.25)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 12])
+def test_float_and_sens_transforms_are_bit_identical_to_the_parent_loops(n):
+    rng = random.Random(700 + n)
+    values = {jk: rng.uniform(-2, 2) for jk in _keys2(n) if sum(jk) >= 2}
+    f = TruncatedSeries2(n, values)
+    translated = AffineTransform3(**FLOAT_ENTRIES, d=0.125, n=-0.0625, w=f.shift(0.125, -0.0625)[(0, 0)])
+    for T in [AffineTransform3(**FLOAT_ENTRIES), translated, AffineTransform3(m=-0.3, p=0.5)]:
+        _same_series(apply_affine(f, T), _parent_apply_affine(f, T))
+    fs = TruncatedSeries2(n, {jk: _sens(rng, v) for jk, v in values.items()})
+    Ts = AffineTransform3(**{name: _sens(rng, v) for name, v in FLOAT_ENTRIES.items()})
+    for T in [Ts, AffineTransform3(**FLOAT_ENTRIES)]:
+        _same_series(apply_affine(fs, T), _parent_apply_affine(fs, T))
+    g = TruncatedSeries1(n, {j: rng.uniform(-2, 2) for j in range(2, n + 1)})
+    shifted = CurveTransform2(b=0.25, d=1.5, e=0.5, f=g.shift(0.5)[0])
+    for T in [CurveTransform2(**CURVE_FLOAT_ENTRIES), shifted]:
+        _same_series(apply_affine_curve(g, T), _parent_apply_affine_curve(g, T))
+    gs = TruncatedSeries1(n, {j: _sens(rng, c) for j, c in g.coeffs.items()})
+    Tc = CurveTransform2(**{name: _sens(rng, v) for name, v in CURVE_FLOAT_ENTRIES.items()})
+    _same_series(apply_affine_curve(gs, Tc), _parent_apply_affine_curve(gs, Tc))
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRIES))
+def test_an_exact_series_under_one_float_entry_keeps_the_parent_values_and_types(name):
+    f = _centered_exact_jet(random.Random(66), 8)
+    T = AffineTransform3(**{name: FLOAT_ENTRIES[name]})
+    got = apply_affine(f, T)
+    assert not got.is_exact()
+    _same_series(got, _parent_apply_affine(f, T))
+    curve = TruncatedSeries1(8, {j: F(j * j - 7, j + 2) for j in range(2, 9)})
+    for cname, value in CURVE_FLOAT_ENTRIES.items():
+        Tc = CurveTransform2(**{cname: value})
+        _same_series(apply_affine_curve(curve, Tc), _parent_apply_affine_curve(curve, Tc))
