@@ -33,7 +33,6 @@ from .series import (
 from .jets import (
     JetPoint,
     ParabolicJet,
-    parabolic_fill,
     jets_of_series,
     parabolic_jet_of_series,
     realize_series,
@@ -58,9 +57,7 @@ from .normalize import (
     normalize_curve_sl2,
     normalize_curve_gl2,
     normalize_parabolic_surface,
-    invariantize,
     sa2_moving_frame,
-    equivalent_surfaces,
     BranchError,
     AmbiguousBranchError,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "series_to_json",
     "JetPoint",
     "ParabolicJet",
-    "parabolic_fill",
     "jets_of_series",
     "parabolic_jet_of_series",
     "realize_series",
@@ -120,9 +116,7 @@ __all__ = [
     "normalize_curve_sl2",
     "normalize_curve_gl2",
     "normalize_parabolic_surface",
-    "invariantize",
     "sa2_moving_frame",
-    "equivalent_surfaces",
     "BranchError",
     "AmbiguousBranchError",
     "MaurerCartan",

@@ -19,16 +19,19 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .invariants import (
-    _h_monomials,
-    _s_monomials,
-    _w_monomials,
+    aligned_jet,
     decide,
+    h_terms,
     invariant_H,
     invariant_W,
     s_numerator,
+    s_terms,
+    swap_axes,
     w_numerator,
+    w_terms,
 )
-from .jets import hessian_series, jets_of_series, slope_numerator_series, w_numerator_series
+from .jets import DerivativeView, jets_of_series
+from .scalars import to_float
 from .series import AffineTransform3, TruncatedSeries1, TruncatedSeries2, apply_affine, compose2
 
 
@@ -131,8 +134,6 @@ class Classification:
     witnesses: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        from .scalars import to_float
-
         return {
             "point_type": self.point_type,
             "kind": self.developable_kind,
@@ -155,13 +156,11 @@ def _full_products(F: TruncatedSeries2):
     that realizes a family to its order evaluates these exactly: the low part
     vanishes and the high part is the honest truncation tail.
     """
-    G = _padded(F, 4 * F.order)
-    return hessian_series(G), slope_numerator_series(G), w_numerator_series(G)
+    G = DerivativeView(_padded(F, 4 * F.order))
+    return invariant_H(G), s_numerator(G), w_numerator(G)
 
 
 def _low_zero(num: TruncatedSeries2, low_degree: int, tol: float) -> bool:
-    from .scalars import to_float
-
     # monomial-convention magnitudes, measured against a near-low window:
     # these graphs may have small convergence radii, so the far tail grows
     # geometrically and must not set the scale of the zero test
@@ -174,8 +173,6 @@ def _low_zero(num: TruncatedSeries2, low_degree: int, tol: float) -> bool:
 
 
 def _tail_envelope(num: TruncatedSeries2, low_degree: int, pt) -> float:
-    from .scalars import to_float
-
     hx, hy = abs(to_float(pt[0])), abs(to_float(pt[1]))
     total = 0.0
     for (j, k), c in num.coeffs.items():
@@ -185,8 +182,6 @@ def _tail_envelope(num: TruncatedSeries2, low_degree: int, pt) -> float:
 
 
 def _grid_zero(num: TruncatedSeries2, low_degree: int, pt, tol: float, monoms) -> bool:
-    from .scalars import to_float
-
     value = num.eval(pt[0], pt[1])
     scale = max([0.0] + [abs(to_float(m)) for m in monoms])
     return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
@@ -203,7 +198,9 @@ def classify(
     together with agreement on a finite grid of base points; each grid value
     is compared against the truncation-tail envelope of the corresponding
     numerator polynomial, and disagreement between the two criteria reports a
-    mixed type instead of guessing.
+    mixed type instead of guessing.  A parabolic graph whose u_xx is
+    negligible is classified through its :func:`~parajet.invariants.aligned_jet`
+    axis swap, as in the closed forms and the loops.
     """
     if sample_points is None:
         h = Fraction(1, 8)
@@ -219,15 +216,13 @@ def classify(
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
     ]
 
-    from .scalars import to_float
-
     # point type across the grid
     types = []
     for pt, c in grid:
         flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
         if flat_scale <= tol:
             types.append("flat")
-        elif _grid_zero(Hfull, n - 2, pt, tol, _h_monomials(c)):
+        elif _grid_zero(Hfull, n - 2, pt, tol, h_terms(c)):
             types.append("parabolic")
         else:
             types.append("elliptic" if to_float(invariant_H(c)) > 0 else "hyperbolic")
@@ -239,6 +234,10 @@ def classify(
         return Classification(point_type, None, witnesses)
     if n < 4:
         raise ValueError(f"classifying a parabolic point needs a series of order >= 4, got {n}")
+    if aligned_jet(c0, tol) is not c0:
+        # the rank-one direction is the y-axis: classify the swapped graph at the same points
+        swapped = TruncatedSeries2(n, swap_axes(F.coeffs))
+        return classify(swapped, [(-y, x) for x, y in sample_points], tol)
     if not _low_zero(Hfull, n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 
@@ -246,16 +245,16 @@ def classify(
     # zero, every grid value must stay inside the truncation-tail envelope,
     # otherwise the surface is of mixed type
     jet_s_zero = _low_zero(Sfull, n - 3, 1e3 * tol)
-    if jet_s_zero and not all(_grid_zero(Sfull, n - 3, pt, tol, _s_monomials(c)) for pt, c in grid):
+    if jet_s_zero and not all(_grid_zero(Sfull, n - 3, pt, tol, s_terms(c)) for pt, c in grid):
         raise MixedTypeError("slope invariant vanishes as a jet but not across the grid")
     witnesses["S"] = s_numerator(c0) / c0[(2, 0)] ** 2
     if jet_s_zero:
         return Classification(point_type, "cylinder", witnesses)
-    if decide(s_numerator(c0), _s_monomials(c0), tol):
+    if decide(s_numerator(c0), s_terms(c0), tol):
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
     jet_w_zero = _low_zero(Wfull, n - 4, 1e3 * tol)
-    if jet_w_zero and not all(_grid_zero(Wfull, n - 4, pt, tol, _w_monomials(c)) for pt, c in grid):
+    if jet_w_zero and not all(_grid_zero(Wfull, n - 4, pt, tol, w_terms(c)) for pt, c in grid):
         raise MixedTypeError("fourth-order invariant vanishes as a jet but not across the grid")
     try:
         witnesses["W"] = invariant_W(c0)
@@ -263,7 +262,7 @@ def classify(
         pass
     if jet_w_zero:
         return Classification(point_type, "cone", witnesses)
-    if decide(w_numerator(c0), _w_monomials(c0), tol):
+    if decide(w_numerator(c0), w_terms(c0), tol):
         raise MixedTypeError("fourth-order invariant vanishes at the base point but not identically")
     return Classification(point_type, "tangential", witnesses)
 

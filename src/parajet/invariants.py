@@ -5,6 +5,9 @@ sensitivity-carrying scalars, so total and invariant derivatives apply to
 them directly.  Fractional powers follow the real-root conventions of
 :mod:`parajet.scalars`.
 
+The branch of a surface jet is decided in one place, :func:`surface_branch`,
+for the closed forms and the normalization loops alike.
+
 The fifth-order invariant of the generic branch (M) and the seventh-order
 invariant of the cone branch (Y) carry large numerators; their monomial
 tables below were generated from the normalization loops by exact rational
@@ -14,7 +17,9 @@ arithmetic and are cross-checked against the loop pipeline in the tests
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Dict, Mapping, Tuple
 
 from .jets import jets_of_series
@@ -38,12 +43,45 @@ NOT_GRAPH_ALIGNED = (
 )
 
 
+# -- the deciding numerators ----------------------------------------------------
+# Each is written once, as its signed terms: their left-to-right sum is the
+# value and they scale the branch rule's zero test.  On a jets.DerivativeView
+# of a series the same functions give the numerator series.
+
+
+def _total(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def h_terms(c: Mapping[Coord, object]):
+    return (c[(2, 0)] * c[(0, 2)], -(c[(1, 1)] * c[(1, 1)]))
+
+
+def s_terms(c: Mapping[Coord, object]):
+    return (c[(2, 0)] * c[(2, 1)], -(c[(1, 1)] * c[(3, 0)]))
+
+
+def w_terms(c: Mapping[Coord, object]):
+    u20, u11, u21, u30 = c[(2, 0)], c[(1, 1)], c[(2, 1)], c[(3, 0)]
+    return (
+        u20 * u20 * c[(3, 1)],
+        -(u20 * c[(4, 0)] * u11),
+        2 * u30 * u30 * u11,
+        -(2 * u30 * u21 * u20),
+    )
+
+
+def conic_terms(c: Mapping[Coord, object]):
+    u20, u30 = c[(2, 0)], c[(3, 0)]
+    return (9 * u20**2 * c[(5, 0)], -(45 * u20 * u30 * c[(4, 0)]), 40 * u30**3)
+
+
 # -- order 2 and 3 -------------------------------------------------------------
 
 
 def invariant_H(c: Mapping[Coord, object]):
     """Hessian determinant u_xx u_yy - u_xy^2 (relative invariant, weight d^2/L^4)."""
-    return c[(2, 0)] * c[(0, 2)] - c[(1, 1)] * c[(1, 1)]
+    return _total(h_terms(c))
 
 
 def invariant_S(c: Mapping[Coord, object]):
@@ -51,20 +89,18 @@ def invariant_S(c: Mapping[Coord, object]):
     u20 = c[(2, 0)]
     if u20 == 0:
         raise ZeroDivisionError("S needs u_xx != 0")
-    return (u20 * c[(2, 1)] - c[(1, 1)] * c[(3, 0)]) / (u20 * u20)
+    return s_numerator(c) / (u20 * u20)
 
 
 def s_numerator(c: Mapping[Coord, object]):
-    return c[(2, 0)] * c[(2, 1)] - c[(1, 1)] * c[(3, 0)]
+    return _total(s_terms(c))
 
 
 # -- order 4: the branching invariant ------------------------------------------
 
 
 def w_numerator(c: Mapping[Coord, object]):
-    u20, u11, u21, u30 = c[(2, 0)], c[(1, 1)], c[(2, 1)], c[(3, 0)]
-    u31, u40 = c[(3, 1)], c[(4, 0)]
-    return u20 * u20 * u31 - u20 * u40 * u11 + 2 * u30 * u30 * u11 - 2 * u30 * u21 * u20
+    return _total(w_terms(c))
 
 
 def invariant_W(c: Mapping[Coord, object]):
@@ -95,8 +131,7 @@ def invariant_W_cubed(c: Mapping[Coord, object]):
 
 def conic_numerator(c: Mapping[Coord, object]):
     """9 u_xx^2 u_5 - 45 u_xx u_3 u_4 + 40 u_3^3 over the pure x-jets; zero exactly where X is."""
-    u20, u30, u40, u50 = c[(2, 0)], c[(3, 0)], c[(4, 0)], c[(5, 0)]
-    return 9 * u20**2 * u50 - 45 * u20 * u30 * u40 + 40 * u30**3
+    return _total(conic_terms(c))
 
 
 def invariant_X(c: Mapping[Coord, object]):
@@ -486,73 +521,70 @@ def decide(value, monomials, tol: float) -> bool:
     return False
 
 
-def _h_monomials(c):
-    return (c[(2, 0)] * c[(0, 2)], c[(1, 1)] * c[(1, 1)])
+def _vanishes(terms, tol: float) -> bool:
+    return decide(_total(terms), terms, tol)
 
 
-def _s_monomials(c):
-    return (c[(2, 0)] * c[(2, 1)], c[(1, 1)] * c[(3, 0)])
+def swap_axes(coeffs: Mapping[Coord, object]) -> Dict[Coord, object]:
+    """The axis swap x = t, y = -s of jet or series coefficients: F'_(j,k) = (-1)^j F_(k,j)."""
+    return {(k, j): -v if k % 2 else v for (j, k), v in coeffs.items()}
 
 
-def _w_monomials(c):
-    u20, u11, u21, u30 = c[(2, 0)], c[(1, 1)], c[(2, 1)], c[(3, 0)]
-    return (
-        u20 * u20 * c[(3, 1)],
-        u20 * c[(4, 0)] * u11,
-        2 * u30 * u30 * u11,
-        2 * u30 * u21 * u20,
-    )
+_SECOND_ORDER = ((2, 0), (1, 1), (0, 2))
 
 
-def _conic_monomials(c):
-    u20, u30 = c[(2, 0)], c[(3, 0)]
-    return (9 * u20**2 * c[(5, 0)], 45 * u20 * u30 * c[(4, 0)], 40 * u30**3)
+def aligned_jet(c: Mapping[Coord, object], tol: float):
+    """``c``, or its :func:`swap_axes` image when u_xx is negligible beside u_yy (rank-one jets)."""
+    a20, a11, a02 = (abs(to_float(c[jk])) for jk in _SECOND_ORDER)
+    bound = tol * (1.0 + max(a20, a11, a02))
+    if a20 > bound:
+        return c
+    if a02 <= bound:
+        raise BranchError(NOT_GRAPH_ALIGNED)
+    return swap_axes(c)
+
+
+def surface_branch(c: Mapping[Coord, object], tol: float = 1e-9):
+    """``(label, jet)`` of a filled surface jet: the one branch rule of both routes.
+
+    In order: Flat (order < 2 or a negligible second-order part), Elliptic or
+    Hyperbolic off H = 0, the :func:`aligned_jet` swap, Cylinder at order 2 or
+    on S = 0, order-too-low at order 3 or 4, Generic off W = 0, else Cone, or
+    Cone[model] on X = 0 too.  Each zero test is :func:`decide` on the
+    numerator's terms; the returned jet is the aligned one the branch is read on.
+    """
+    order = max(j + k for j, k in c)
+    if order < 2 or max(abs(to_float(c[jk])) for jk in _SECOND_ORDER) <= tol:
+        return "Flat", c
+    h = h_terms(c)
+    if not _vanishes(h, tol):
+        return ("Elliptic" if to_float(_total(h)) > 0 else "Hyperbolic"), c
+    c = aligned_jet(c, tol)
+    if order < 3 or _vanishes(s_terms(c), tol):
+        return "Cylinder", c
+    if order < 5:
+        return "order-too-low", c
+    if not _vanishes(w_terms(c), tol):
+        return "Generic", c
+    return ("Cone[model]" if _vanishes(conic_terms(c), tol) else "Cone"), c
 
 
 def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantReport:
-    """Branch decision and invariant values at a single filled jet.
-
-    Every zero test is :func:`decide` on the numerator of the deciding
-    invariant, exactly as in :func:`parajet.normalize.normalize_parabolic_surface`,
-    and so are the order gates: a jet below order 2 is flat, an order-2 jet
-    is read as the cylinder branch and a jet of order 3 or 4 off it as
-    ``order-too-low``.
-    """
+    """The branch of :func:`surface_branch` and the invariant values defined on it."""
+    branch, aligned = surface_branch(c, tol)
     order = max(j + k for j, k in c)
-    if order < 2:
-        return InvariantReport("Flat", {}, tol, "closed-form")
-    u20, u11, u02 = c[(2, 0)], c[(1, 1)], c[(0, 2)]
-    flat_scale = max(abs(to_float(u20)), abs(to_float(u11)), abs(to_float(u02)))
-    H = invariant_H(c)
-    values: Dict[str, object] = {"H": H}
-    if flat_scale <= tol:
-        return InvariantReport("Flat", values, tol, "closed-form")
-    if not decide(H, _h_monomials(c), tol):
-        kind = "elliptic" if to_float(H) > 0 else "hyperbolic"
+    values: Dict[str, object] = {"H": invariant_H(c)} if order >= 2 else {}
+    if branch in ("Elliptic", "Hyperbolic"):
         if order >= 3:
-            values["Pick"] = pick_invariant(c, kind)
-        return InvariantReport(kind.capitalize(), values, tol, "closed-form")
-    if abs(to_float(u20)) <= tol * (1.0 + flat_scale):
-        if abs(to_float(u02)) <= tol * (1.0 + flat_scale):
-            raise BranchError(NOT_GRAPH_ALIGNED)
-        # the axis swap of the loops, x = t, y = -s: F'_(j,k) = (-1)^j F_(k,j)
-        c = {(j, k): -c[(k, j)] if j % 2 else c[(k, j)] for (j, k) in c}
-    if order < 3:
-        return InvariantReport("Cylinder-branch", values, tol, "closed-form")
-    S = invariant_S(c)
-    values["S"] = S
-    if decide(s_numerator(c), _s_monomials(c), tol):
-        return InvariantReport("Cylinder-branch", values, tol, "closed-form")
-    if order < 5:
-        if order == 4:
-            values["W"] = invariant_W(c)
-        return InvariantReport("order-too-low", values, tol, "closed-form")
-    W = invariant_W(c)
-    values["W"] = W
-    if decide(w_numerator(c), _w_monomials(c), tol):
-        values["X"] = invariant_X(c)
-        if not decide(conic_numerator(c), _conic_monomials(c), tol) and order >= 7:
-            values["Y"] = invariant_Y(c)
-        return InvariantReport("Cone-branch", values, tol, "closed-form")
-    values["M"] = invariant_M(c)
-    return InvariantReport("Generic", values, tol, "closed-form")
+            values["Pick"] = pick_invariant(c, branch.lower())
+    elif branch != "Flat" and order >= 3:
+        values["S"] = invariant_S(aligned)
+        if order >= 4 and branch != "Cylinder":
+            values["W"] = invariant_W(aligned)
+        if branch == "Generic":
+            values["M"] = invariant_M(aligned)
+        elif branch.startswith("Cone"):
+            values["X"] = invariant_X(aligned)
+            if branch == "Cone" and order >= 7:
+                values["Y"] = invariant_Y(aligned)
+    return InvariantReport(branch, values, tol, "closed-form")

@@ -146,14 +146,21 @@ class ParabolicJet:
                 out[(j, k)] = self.coords[(j, k)] if (j, k) in self.coords else self.value((j, k))
         return out
 
-    def to_jetpoint(self, upto: Coord | int) -> JetPoint:
-        n = upto if isinstance(upto, int) else upto[0] + upto[1]
-        return JetPoint(self.x, self.y, n, self.filled(n))
 
-
-def parabolic_fill(p: ParabolicJet, upto: Coord | int) -> JetPoint:
-    """Complete a parabolic jet to a full jet of the requested order."""
-    return p.to_jetpoint(upto)
+def _seed_and_contract(f, coords, point, shifted, too_low: str):
+    """Evaluate f at point(coords seeded as Sens); contract its gradient with shifted(key)."""
+    g = f(point({key: Sens.seed(val, key) for key, val in coords.items()}))
+    if not isinstance(g, Sens):
+        return 0
+    total = 0
+    for key, sens in g.partials.items():
+        if sens == 0:
+            continue
+        s = shifted(key)
+        if s is None:
+            raise KeyError(f"{too_low} of a function touching u_{key}")
+        total = total + sens * s
+    return total
 
 
 def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
@@ -166,36 +173,16 @@ def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
     """
     if direction not in ("x", "y"):
         raise ValueError("direction must be 'x' or 'y'")
-    seeded = {key: Sens.seed(val, key) for key, val in p.coords.items()}
-    g = f(ParabolicJet(p.order, seeded))
-    if not isinstance(g, Sens):
-        return 0
-    total = 0
-    for key, sens in g.partials.items():
-        if sens == 0:
-            continue
+    dj, dk = (1, 0) if direction == "x" else (0, 1)
+
+    def shifted(key):
         j, k = key
-        if direction == "x":
-            shifted = p.coords.get((j + 1, k))
-            if shifted is None:
-                raise KeyError(
-                    f"jet order {p.order} too low for D_x of a function touching u_{{{j},{k}}}"
-                )
-        else:
-            if k == 0:
-                shifted = p.coords.get((j, 1))
-                if shifted is None:
-                    raise KeyError(
-                        f"jet order {p.order} too low for D_y of a function touching u_{{{j},{k}}}"
-                    )
-            else:
-                if j + k + 1 > p.order:
-                    raise KeyError(
-                        f"jet order {p.order} too low for D_y of a function touching u_{{{j},{k}}}"
-                    )
-                shifted = p.value((j, k + 1))
-        total = total + sens * shifted
-    return total
+        return p.value((j + dj, k + dk)) if j + k < p.order else None
+
+    return _seed_and_contract(
+        f, p.coords, lambda seeded: ParabolicJet(p.order, seeded), shifted,
+        f"jet order {p.order} too low for D_{direction}",
+    )
 
 
 def jets_of_series(F: TruncatedSeries2, x=0, y=0) -> JetPoint:
@@ -231,47 +218,19 @@ def realize_series(p: ParabolicJet, order: int | None = None) -> TruncatedSeries
 
 def curve_total_derivative(f: Callable[[Mapping[int, object]], object], jet: Mapping[int, object]):
     """D_x f for a function of curve jet coordinates u_0 .. u_n."""
-    seeded = {i: Sens.seed(v, i) for i, v in jet.items()}
-    g = f(seeded)
-    if not isinstance(g, Sens):
-        return 0
-    total = 0
-    for i, sens in g.partials.items():
-        if sens == 0:
-            continue
-        shifted = jet.get(i + 1)
-        if shifted is None:
-            raise KeyError(f"curve jet order too low for D_x touching u_{i}")
-        total = total + sens * shifted
-    return total
+    return _seed_and_contract(f, jet, dict, lambda i: jet.get(i + 1), "curve jet order too low for D_x")
 
 
-def hessian_series(F: TruncatedSeries2) -> TruncatedSeries2:
-    """The Hessian determinant F_xx F_yy - F_xy^2 as a series."""
-    fxx = F.derivative("x").derivative("x")
-    fyy = F.derivative("y").derivative("y")
-    fxy = F.derivative("x").derivative("y")
-    return fxx * fyy - fxy * fxy
+class DerivativeView(dict):
+    """The lazy mapping (j, k) -> d^j_x d^k_y F of a series, derived in x first, then in y.
 
+    A jet function evaluated on it gives the series of its values; each derivative is taken once.
+    """
 
-def slope_numerator_series(F: TruncatedSeries2) -> TruncatedSeries2:
-    """The slope numerator F_xx F_xxy - F_xy F_xxx as a series."""
-    fxx = F.derivative("x").derivative("x")
-    fxy = F.derivative("x").derivative("y")
-    return fxx * fxx.derivative("y") - fxy * fxx.derivative("x")
+    def __init__(self, F: TruncatedSeries2):
+        super().__init__({(0, 0): F})
 
-
-def w_numerator_series(F: TruncatedSeries2) -> TruncatedSeries2:
-    """The numerator of the fourth-order invariant W as a series."""
-    fxx = F.derivative("x").derivative("x")
-    fxy = F.derivative("x").derivative("y")
-    fxxx = fxx.derivative("x")
-    fxxy = fxx.derivative("y")
-    fxxxx = fxxx.derivative("x")
-    fxxxy = fxxx.derivative("y")
-    return (
-        fxx * fxx * fxxxy
-        - fxx * fxxxx * fxy
-        + (fxxx * fxxx * fxy).scale(2)
-        - (fxxx * fxxy * fxx).scale(2)
-    )
+    def __missing__(self, jk: Coord) -> TruncatedSeries2:
+        j, k = jk
+        self[jk] = self[(j, k - 1)].derivative("y") if k else self[(j - 1, 0)].derivative("x")
+        return self[jk]

@@ -6,41 +6,35 @@ The surviving coefficients of the normal form are the differential invariants
 read at the base point; running the loops on a realized jet therefore serves
 as a brute-force oracle for every closed-form invariant.
 
-Branch tree for surfaces (rank-one Hessian, u_xx != 0):
+Branch tree for surfaces, on the label of
+:func:`parajet.invariants.surface_branch` at the base point (Elliptic and
+Hyperbolic are refused; a negligible u_xx swaps the horizontal axes first):
 
-* S == 0 everywhere: the surface is a curve profile times a line; delegate to
-  the plane-affine curve normalization.
-* S != 0: loops force G20=1, G11=0, G21=1, G30=0, G40=0; the order-4 reading
-  G31 is the invariant W.
-* W != 0: one more shear kills G41; readings M=G50, I51=G51, I60=G60, ...
-* W == 0: reading X=G50; if X != 0 a final shear kills G60 and Y=G70.
+* Cylinder (S == 0): the surface is a curve profile times a line; delegate to
+  the plane-affine curve normalization, which names Cylinder[Plus|Minus|Parabola].
+* otherwise loops force G20=1, G11=0, G21=1, G30=0, G40=0; the order-4 reading
+  G31 is the invariant W, where order-too-low stops.
+* Generic (W != 0): one more shear kills G41; readings M=G50, I51=G51, I60=G60, ...
+* Cone (W == 0): reading X=G50; a final shear kills G60 and Y=G70.
+  Cone[model] (W == X == 0) stops at the reading X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .invariants import (  # the branch errors are re-exported from here
-    NOT_GRAPH_ALIGNED,
     AmbiguousBranchError,
     BranchError,
-    _conic_monomials,
-    _s_monomials,
-    _w_monomials,
-    conic_numerator,
     decide,
+    invariant_H,
     s_numerator,
-    w_numerator,
+    surface_branch,
+    swap_axes,
 )
-from .jets import (
-    ParabolicJet,
-    hessian_series,
-    jets_of_series,
-    realize_series,
-    slope_numerator_series,
-)
+from .jets import DerivativeView, ParabolicJet, jets_of_series, realize_series
 from .scalars import cbrt, cbrt_frac, snap, sqrt_frac, to_float
 from .series import (
     AffineTransform3,
@@ -231,14 +225,14 @@ def sa2_frame_fourth_order(jet: Dict[int, object]):
 # -- surfaces ------------------------------------------------------------------
 
 
-def _series_scale(F: TruncatedSeries2) -> float:
-    return max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()])
+def _nonvanishing(num: TruncatedSeries2, G: TruncatedSeries2, bound: float):
+    """The coefficients of a numerator series of G above bound (1 + max(1, |G_jk|)^2)."""
+    scale = max([1.0] + [abs(to_float(c)) for c in G.coeffs.values()]) ** 2 + 1.0
+    return [(jk, c) for jk, c in num.coeffs.items() if abs(to_float(c)) > bound * scale]
 
 
 def _check_parabolic(F: TruncatedSeries2, tol: float):
-    H = hessian_series(F)
-    scale = _series_scale(F) ** 2 + 1.0
-    bad = [(jk, c) for jk, c in H.coeffs.items() if abs(to_float(c)) > tol * scale]
+    bad = _nonvanishing(invariant_H(DerivativeView(F)), F, tol)
     if bad:
         jk, c = max(bad, key=lambda it: abs(to_float(it[1])))
         raise BranchError(
@@ -248,7 +242,7 @@ def _check_parabolic(F: TruncatedSeries2, tol: float):
 
 
 def _surface_prenormalize(F: TruncatedSeries2, tol: float):
-    """Translations, transvections and an axis swap to reach u_xx != 0."""
+    """Translations and transvections, then the branch rule and its axis swap."""
     steps: List[str] = []
     T = AffineTransform3.identity()
     G = F
@@ -262,20 +256,19 @@ def _surface_prenormalize(F: TruncatedSeries2, tol: float):
         G = apply_affine(G, T1)
         T = T.then(T1)
         steps.append("transvection kills the first-order terms")
-    second = [abs(to_float(G[jk])) for jk in [(2, 0), (1, 1), (0, 2)]]
-    low_scale = max(second)
-    if low_scale <= tol:
-        return G, T, steps, "Flat"
-    if abs(to_float(G[(2, 0)])) <= tol * (1.0 + low_scale):
-        if abs(to_float(G[(0, 2)])) <= tol * (1.0 + low_scale):
-            raise BranchError(NOT_GRAPH_ALIGNED)
+    base = jets_of_series(G).values
+    branch, c = surface_branch(base, tol)
+    if branch == "Flat":
+        return G, T, steps, branch
+    if branch in ("Elliptic", "Hyperbolic"):
+        raise BranchError(f"surface is {branch.lower()} at the base point; the loops need a rank-one Hessian")
+    if c is not base:
         # swap the horizontal axes: x = t', y = -s' keeps the volume form
-        Tsw = AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0))
-        G = apply_affine(G, Tsw)
-        T = T.then(Tsw)
+        G = TruncatedSeries2(G.order, swap_axes(G.coeffs))
+        T = T.then(AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0)))
         steps.append("swap horizontal axes so that u_xx != 0")
     _check_parabolic(G, tol)
-    return G, T, steps, None
+    return G, T, steps, branch
 
 
 def normalize_parabolic_surface(
@@ -286,13 +279,9 @@ def normalize_parabolic_surface(
     Returns the branch label, the normal-form series, the composed transform
     acting on the original series, and the invariant readings.
     """
-    G, T, steps, early = _surface_prenormalize(_lift(F), tol)
-    if early == "Flat":
+    G, T, steps, branch = _surface_prenormalize(_lift(F), tol)
+    if branch == "Flat":
         return NormalFormResult("Flat", G, T, {}, steps + ["flat: zero Hessian"])
-
-    # branch decisions are made on the pre-loop jets with monomial-based
-    # scales, where the zero sets are best conditioned
-    base = jets_of_series(G).values
 
     # loop 1: G20 := 1, G11 := 0
     f20, f11 = G[(2, 0)], G[(1, 1)]
@@ -301,10 +290,8 @@ def normalize_parabolic_surface(
     G = _snapped(apply_affine(G, T1))
     T = T.then(T1)
     steps.append("scale and shear: second-order terms become s^2/2")
-
-    # branch on the slope invariant
-    if F.order < 3 or decide(s_numerator(base), _s_monomials(base), tol):
-        return _cylinder_branch(F, G, T, steps, tol)
+    if branch == "Cylinder":
+        return _cylinder_branch(G, T, steps, tol)
 
     # loop 2: G21 := 1, G30 := 0
     f21, f30 = G[(2, 1)], G[(3, 0)]
@@ -326,11 +313,10 @@ def normalize_parabolic_surface(
     readings: Dict[str, object] = {}
     W = G[(3, 1)] if F.order >= 4 else 0
     readings["W"] = W
-    if F.order < 5:
-        return NormalFormResult("order-too-low", G, T, readings, steps)
-
-    if decide(w_numerator(base), _w_monomials(base), tol):
-        return _cone_branch(G, T, readings, steps, tol, base)
+    if branch == "order-too-low":
+        return NormalFormResult(branch, G, T, readings, steps)
+    if branch != "Generic":
+        return _cone_branch(G, T, readings, steps, tol, branch)
 
     # generic branch, loop 4: G41 := 0
     c = G[(4, 1)] / (2 * W)
@@ -347,16 +333,13 @@ def normalize_parabolic_surface(
     return NormalFormResult("Generic", G, T, readings, steps)
 
 
-def _cylinder_branch(original, G, T, steps, tol) -> NormalFormResult:
+def _cylinder_branch(G, T, steps, tol) -> NormalFormResult:
     """S == 0: the normal form is a curve profile; delegate to the curve loops.
 
     The slope invariant must vanish identically, which is checked on the jet
     coefficients of its numerator to the truncation order.
     """
-    num = slope_numerator_series(G)
-    scale = _series_scale(G) ** 2 + 1.0
-    bad = [c for c in num.coeffs.values() if abs(to_float(c)) > 1e3 * tol * scale]
-    if bad:
+    if _nonvanishing(s_numerator(DerivativeView(G)), G, 1e3 * tol):
         raise BranchError(
             "third-order slope invariant vanishes at the base point but not "
             "identically; mixed-type surfaces are excluded"
@@ -377,7 +360,7 @@ def _cylinder_branch(original, G, T, steps, tol) -> NormalFormResult:
     )
 
 
-def _cone_branch(G, T, readings, steps, tol, base) -> NormalFormResult:
+def _cone_branch(G, T, readings, steps, tol, branch) -> NormalFormResult:
     low = max(
         [1.0]
         + [abs(to_float(c)) for jk, c in G.coeffs.items() if jk[0] + jk[1] <= 5]
@@ -389,7 +372,7 @@ def _cone_branch(G, T, readings, steps, tol, base) -> NormalFormResult:
         )
     X = G[(5, 0)]
     readings["X"] = X
-    if decide(conic_numerator(base), _conic_monomials(base), tol):
+    if branch == "Cone[model]":
         readings["Y"] = None
         return NormalFormResult("Cone[model]", G, T, readings, steps + ["flat-cone model reached"])
     if G.order >= 6:
@@ -419,11 +402,6 @@ def surface_frame(p: ParabolicJet, tol: float = DEFAULT_TOL) -> NormalFormResult
     return res
 
 
-def invariantize(p: ParabolicJet, jk: Tuple[int, int], tol: float = DEFAULT_TOL):
-    """The normal-form reading G_{j,k} of the jet, defining I_{j,k} numerically."""
-    return surface_frame(p, tol).normal_series[jk]
-
-
 def surface_frame_operators(res: NormalFormResult, fx, fy):
     """Coefficients (alpha, beta, gamma, delta) of the invariant derivations.
 
@@ -442,23 +420,3 @@ def surface_frame_operators(res: NormalFormResult, fx, fy):
     gamma = -dys / det
     delta = dxs / det
     return alpha, beta, gamma, delta
-
-
-def equivalent_surfaces(
-    F: TruncatedSeries2, G: TruncatedSeries2, tol: float = DEFAULT_TOL, match_tol: float = 1e-7
-) -> bool:
-    """Equivalence test: normal forms agree on all independent coefficients."""
-    rf = normalize_parabolic_surface(F, tol)
-    rg = normalize_parabolic_surface(G, tol)
-    if rf.branch != rg.branch:
-        return False
-    n = min(rf.normal_series.order, rg.normal_series.order)
-    for j in range(n + 1):
-        for k in (0, 1):
-            if j + k > n:
-                continue
-            a = to_float(rf.normal_series[(j, k)])
-            b = to_float(rg.normal_series[(j, k)])
-            if abs(a - b) > match_tol * (1.0 + max(abs(a), abs(b))):
-                return False
-    return True

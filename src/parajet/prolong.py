@@ -458,15 +458,6 @@ def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
 
 # -- the order-2 and order-4 rank stories -------------------------------------
 
-_ORDER4_COLS = [(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1)]
-
-
-def order4_matrix_symbolic() -> List[List[RationalPoly]]:
-    """Pushed-forward coefficients of v1..v6 on the order-4 jet block."""
-    gens = sa3_generators()[:6]
-    return [[parabolic_pushforward(prolong(v, J)) for J in _ORDER4_COLS] for v in gens]
-
-
 def order2_matrix_symbolic() -> List[List[Poly]]:
     """The 7x7 block (v2, v3, v7, v8, w1, w2, w3) x (x, y, u, u10, u01, u20, u11).
 
@@ -520,7 +511,7 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
         block = [sel[n] for n in names]
         result["det7"] = rank_det_exact(block)[1]
     if order == 4:
-        # the last six columns are exactly _ORDER4_COLS
+        # the last six columns: u20, u11, u30, u21, u40, u31
         sub = [row[5:] for row in rows[:6]]
         result["block_rank"], result["block_det"] = rank_det_exact(sub)
         result["minors"] = {

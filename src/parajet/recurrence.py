@@ -27,6 +27,7 @@ from .invariants import (
     invariant_X,
     invariant_Y,
     s_numerator,
+    w_numerator,
 )
 from .jets import ParabolicJet, curve_total_derivative, parabolic_jet_of_series, total_derivative
 from .normalize import (
@@ -154,7 +155,7 @@ def invariant_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
     u20, u11, u21, u30 = c[(2, 0)], c[(1, 1)], c[(2, 1)], c[(3, 0)]
     u31, u40, u41, u50 = c[(3, 1)], c[(4, 0)], c[(4, 1)], c[(5, 0)]
     s = s_numerator(c)
-    nbar = u11 * u20 * u40 - u20**2 * u31 + 2 * u20 * u21 * u30 - 2 * u11 * u30**2
+    nbar = -w_numerator(c)
     if s == 0 or nbar == 0:
         raise ZeroDivisionError("invariant derivations need the generic-branch domain")
     s23 = cbrt(s) ** 2

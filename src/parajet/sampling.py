@@ -9,12 +9,13 @@ denominator blowups.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from typing import Dict, Tuple
 
 from .invariants import conic_numerator, s_numerator, w_numerator
-from .jets import ParabolicJet, w_numerator_series
+from .jets import DerivativeView, ParabolicJet
 from .series import AffineTransform3, TruncatedSeries2
 
 Coord = Tuple[int, int]
@@ -33,6 +34,13 @@ def rand_rational(rng: random.Random, lo=-2, hi=2, den=16) -> Fraction:
     return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
 
 
+def _coordinate(rng: random.Random, exact: bool) -> Fraction:
+    """A free coordinate in [-2, 2]: a multiple of 1/16 when exact, else a float rounded to a ratio."""
+    if exact:
+        return rand_rational(rng)
+    return Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(10**6)
+
+
 def random_parabolic_jet(
     rng: random.Random,
     order: int,
@@ -42,10 +50,7 @@ def random_parabolic_jet(
     """A random rank-one jet; with a floor on the W numerator when requested."""
     _require_order("random_parabolic_jet", order, 3 if generic_floor is None else 4)
 
-    def val():
-        if exact:
-            return rand_rational(rng)
-        return Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(10**6)
+    val = functools.partial(_coordinate, rng, exact)
 
     while True:
         coords: Dict[Coord, object] = {(0, 0): val()}
@@ -76,10 +81,7 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
     """
     _require_order("random_cone_branch_jet", order, 5)
 
-    def val():
-        if exact:
-            return rand_rational(rng)
-        return Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(10**6)
+    val = functools.partial(_coordinate, rng, exact)
 
     while True:
         coords: Dict[Coord, object] = {(0, 0): val(), (1, 0): val(), (0, 1): val()}
@@ -91,19 +93,12 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
             continue
         if abs(float(s_numerator(coords))) < S_FLOOR:
             continue
-        u20, u11, u21, u30, u40 = (
-            coords[(2, 0)],
-            coords[(1, 1)],
-            coords[(2, 1)],
-            coords[(3, 0)],
-            coords[(4, 0)],
-        )
-        coords[(3, 1)] = (u20 * u40 * u11 - 2 * u30**2 * u11 + 2 * u30 * u21 * u20) / u20**2
-        for m in range(4, order):
+        for m in range(3, order):
             coords[(m, 1)] = 0
             rows = {(j, 0): coords[(j, 0)] for j in range(m + 2)}
             rows.update({(j, 1): coords[(j, 1)] for j in range(m + 1)})
-            coords[(m, 1)] = -w_numerator_series(TruncatedSeries2(m + 1, rows))[(m - 3, 0)] / u20**2
+            W = w_numerator(DerivativeView(TruncatedSeries2(m + 1, rows)))
+            coords[(m, 1)] = -W[(m - 3, 0)] / coords[(2, 0)] ** 2
         p = ParabolicJet(order, coords)
         # keep away from the degenerate fifth-order locus
         if abs(float(conic_numerator(p))) < 0.1:
@@ -117,10 +112,7 @@ def random_curve_jet(
     """Curve jet u_0..u_order with |u_2| floored; optional full-affine floor."""
     _require_order("random_curve_jet", order, 2 if affine_floor is None else 4)
 
-    def val():
-        if exact:
-            return rand_rational(rng)
-        return Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(10**6)
+    val = functools.partial(_coordinate, rng, exact)
 
     while True:
         jet = {i: val() for i in range(order + 1)}

@@ -241,7 +241,13 @@ class TruncatedSeries2:
         return TruncatedSeries2(n, out)
 
     def __sub__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        return self + other.scale(-1)
+        return self + -other
+
+    def __neg__(self) -> "TruncatedSeries2":
+        return self.scale(-1)
+
+    def __rmul__(self, n: int) -> "TruncatedSeries2":
+        return self.scale(n)
 
     def scale(self, s) -> "TruncatedSeries2":
         return TruncatedSeries2(self.order, {jk: s * c for jk, c in self.coeffs.items()})

@@ -1,9 +1,11 @@
 """Builders and readers used only by the tests."""
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from parajet.prolong import Poly, p_vars
+from parajet.normalize import DEFAULT_TOL, normalize_parabolic_surface
+from parajet.prolong import Poly, RationalPoly, p_vars, parabolic_pushforward, prolong, sa3_generators
+from parajet.scalars import to_float
 from parajet.series import TruncatedSeries1, TruncatedSeries2
 
 
@@ -26,3 +28,29 @@ def max_jet_order(a: Poly) -> int:
         if v[0] >= 0:
             m = max(m, v[0] + v[1])
     return m
+
+
+def order4_matrix_symbolic() -> List[List[RationalPoly]]:
+    """Pushed-forward coefficients of v1..v6 on the order-4 jet block."""
+    cols = [(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1)]
+    return [[parabolic_pushforward(prolong(v, J)) for J in cols] for v in sa3_generators()[:6]]
+
+
+def equivalent_surfaces(
+    F: TruncatedSeries2, G: TruncatedSeries2, tol: float = DEFAULT_TOL, match_tol: float = 1e-7
+) -> bool:
+    """Equivalence test: normal forms agree on all independent coefficients."""
+    rf = normalize_parabolic_surface(F, tol)
+    rg = normalize_parabolic_surface(G, tol)
+    if rf.branch != rg.branch:
+        return False
+    n = min(rf.normal_series.order, rg.normal_series.order)
+    for j in range(n + 1):
+        for k in (0, 1):
+            if j + k > n:
+                continue
+            a = to_float(rf.normal_series[(j, k)])
+            b = to_float(rg.normal_series[(j, k)])
+            if abs(a - b) > match_tol * (1.0 + max(abs(a), abs(b))):
+                return False
+    return True

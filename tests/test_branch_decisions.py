@@ -1,4 +1,4 @@
-"""Both invariant routes decide branches with the one rule, invariants.decide."""
+"""Both invariant routes take their branch from the one rule, invariants.surface_branch."""
 
 import json
 import math
@@ -9,7 +9,7 @@ import pytest
 
 from parajet.classify import Cone, Cylinder, realize_graph
 from parajet.cli import main
-from parajet.invariants import AmbiguousBranchError, decide, evaluate_at_jet
+from parajet.invariants import AmbiguousBranchError, BranchError, decide, evaluate_at_jet
 from parajet.jets import ParabolicJet, jets_of_series, realize_series
 from parajet.normalize import normalize_parabolic_surface
 from parajet.sampling import random_cone_branch_jet, random_parabolic_jet
@@ -47,7 +47,8 @@ def gray_x_series():
 
 
 def family(branch: str) -> str:
-    return branch.split("[")[0].replace("-branch", "")
+    """The label without the loops' curve sub-branch of the cylinder."""
+    return "Cylinder" if branch.startswith("Cylinder[") else branch
 
 
 def test_decide_band():
@@ -86,9 +87,18 @@ def test_routes_name_the_same_branch_family():
     for f in _agreement_cases():
         closed = evaluate_at_jet(jets_of_series(f).values).branch
         loops = normalize_parabolic_surface(f).branch
-        assert family(closed) == family(loops), (closed, loops)
-        got.append(family(loops))
-    assert got == ["Generic"] * 3 + ["Cone"] * 4 + ["Cylinder"]
+        assert closed == family(loops), (closed, loops)
+        got.append(closed)
+    assert got == ["Generic"] * 3 + ["Cone"] * 3 + ["Cone[model]", "Cylinder"]
+
+
+def test_near_rank_one_surface_is_elliptic_for_both_routes():
+    # x^2/2 + 1e-7 y^2/2 + 1000 x^5/5!: H = 1e-7 is far outside the zero band,
+    # while the whole Hessian series stays below tol times the series scale
+    f = TruncatedSeries2(5, {(2, 0): F(1), (0, 2): F(1, 10**7), (5, 0): F(1000)})
+    assert evaluate_at_jet(jets_of_series(f).values).branch == "Elliptic"
+    with pytest.raises(BranchError, match="elliptic"):
+        normalize_parabolic_surface(f)
 
 
 def test_cli_invariants_refuses_gray_band(tmp_path, capsys):
@@ -108,7 +118,7 @@ def test_low_order_truncations_agree(tmp_path, capsys, order):
     for f in (generic, cone):
         closed = evaluate_at_jet(jets_of_series(f).values).branch
         loops = normalize_parabolic_surface(f).branch
-        assert family(closed) == family(loops) == want, (closed, loops)
+        assert closed == family(loops) == want, (closed, loops)
         path = tmp_path / "truncated.json"
         path.write_text(json.dumps(series_to_json(f)))
         assert main(["invariants", "--surface", str(path)]) == 0

@@ -13,7 +13,7 @@ from parajet.classify import (
     realize_graph,
     torsion,
 )
-from parajet.invariants import invariant_W_cubed, w_numerator
+from parajet.invariants import invariant_W_cubed, swap_axes, w_numerator
 from parajet.jets import jets_of_series
 from parajet.series import TruncatedSeries1, TruncatedSeries2
 
@@ -107,6 +107,22 @@ def test_classify_roundtrip_families():
                 fam = Tangential(TruncatedSeries1(8, avs), TruncatedSeries1(8, cvs))
             done += 1
             assert classify(realize_graph(fam, 8)).developable_kind == kind
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
+        Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 4: F(1, 5)})),
+        Tangential(TruncatedSeries1(8, {2: F(1), 4: F(1, 3)}), TruncatedSeries1(8, {3: F(1)})),
+    ],
+    ids=lambda fam: fam.kind,
+)
+def test_axis_swapped_families_classify_as_their_kind(fam):
+    g = realize_graph(fam, 8)
+    swapped = TruncatedSeries2(8, swap_axes(g.coeffs))
+    assert swapped[(2, 0)] == 0
+    assert classify(swapped).developable_kind == fam.kind
 
 
 def test_cone_w_numerator_vanishes_exactly():

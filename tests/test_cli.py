@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parajet.cli import main
 
@@ -48,7 +50,7 @@ def test_invariants_cone(cone_file, capsys):
     code, out, _ = run_cli(["invariants", "--surface", cone_file], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["branch"] == "Cone-branch"
+    assert doc["branch"] == "Cone[model]"
     assert doc["W"] == "0"
     assert doc["X"] == "0"
 
@@ -57,7 +59,7 @@ def test_invariants_at_shifted_point(cone_file, capsys):
     code, out, _ = run_cli(["invariants", "--surface", cone_file, "--point", "0,1/8"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["branch"] == "Cone-branch"
+    assert doc["branch"] == "Cone[model]"
 
 
 def test_classify_family(capsys):
@@ -177,7 +179,7 @@ def test_invariants_swaps_axes_when_u_xx_vanishes(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(["invariants", "--surface", str(path)], capsys)
     assert code == 0
-    assert json.loads(out)["branch"] == "Cylinder-branch"
+    assert json.loads(out)["branch"] == "Cylinder"
     code, out, _ = run_cli(["normalize", "--surface", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["branch"].startswith("Cylinder")
@@ -362,3 +364,46 @@ def test_normalize_honours_order_zero(tmp_path, capsys):
     code, out, err = run_cli(["normalize", "--surface", str(path), "--order", "-1"], capsys)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "--order must be >= 0, got -1"
+
+
+def test_classify_swaps_axes_when_u_xx_vanishes(tmp_path, capsys):
+    # the y-profile cylinder u = y^2/2 + y^3/12 at order 4: u_xx = 0 at the base point
+    doc = {
+        "vars": 2,
+        "order": 4,
+        "coeffs": [{"j": 0, "k": 2, "value": "1"}, {"j": 0, "k": 3, "value": "1/2"}],
+    }
+    path = tmp_path / "y_profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["classify", "--surface", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["kind"] == "cylinder"
+
+
+_VALUES = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/3", "3/4", "1/100000", "0.5", "-1.25"])
+
+
+@st.composite
+def series_docs(draw):
+    order = draw(st.integers(0, 6))
+    keys = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
+    if draw(st.booleans()):
+        keys = [(0, k) for k in range(order + 1)]  # a cylinder over the y-axis: u_xx = 0
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    coeffs = {jk: draw(_VALUES) for jk in chosen}
+    if order >= 2 and draw(st.booleans()):
+        coeffs[(2, 0)] = "0"  # u_xx = 0 at the base point, the axis-swap case
+    return {
+        "vars": 2,
+        "order": order,
+        "coeffs": [{"j": j, "k": k, "value": v} for (j, k), v in sorted(coeffs.items())],
+    }
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify", "normalize"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(doc=series_docs())
+def test_cli_surface_commands_never_raise(tmp_path_factory, command, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "series.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--surface", str(path)]) in (0, 1, 2)

@@ -379,7 +379,7 @@ def test_euclid_curvature():
 def test_evaluate_report_branches():
     p = cone_model_jet()
     rep = evaluate_at_jet(p.filled(7))
-    assert rep.branch == "Cone-branch"
+    assert rep.branch == "Cone[model]"
     assert to_float(rep.values["X"]) == 0
     rng = random.Random(41)
     g = random_parabolic_jet(rng, 8)

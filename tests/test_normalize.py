@@ -12,13 +12,12 @@ from parajet.normalize import (
     PIPELINE_BITS,
     AmbiguousBranchError,
     BranchError,
-    equivalent_surfaces,
-    invariantize,
     normalize_curve_gl2,
     normalize_curve_sl2,
     normalize_parabolic_surface,
     sa2_frame_fourth_order,
     sa2_moving_frame,
+    surface_frame,
 )
 from parajet.sampling import (
     near_identity_transform,
@@ -28,6 +27,8 @@ from parajet.sampling import (
 )
 from parajet.scalars import cbrt, to_float
 from parajet.series import TruncatedSeries1, TruncatedSeries2, apply_affine
+
+from helpers import equivalent_surfaces
 
 F = Fraction
 
@@ -130,10 +131,11 @@ def test_normalizing_an_affine_image_gives_the_same_normal_form(cone, seed):
 def test_invariantize_phantoms_and_readings():
     rng = random.Random(15)
     p = random_parabolic_jet(rng, 8)
-    assert abs(to_float(invariantize(p, (2, 1))) - 1) < 1e-12
-    w = invariantize(p, (3, 1))
+    normal = surface_frame(p).normal_series
+    assert abs(to_float(normal[(2, 1)]) - 1) < 1e-12
+    w = normal[(3, 1)]
     assert abs(to_float(w) - to_float(invariant_W(p.filled(4)))) < 1e-8
-    m = invariantize(p, (5, 0))
+    m = normal[(5, 0)]
     assert abs(to_float(m) - to_float(invariant_M(p.filled(5)))) < 1e-8
 
 

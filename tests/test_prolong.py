@@ -12,7 +12,6 @@ from parajet.prolong import (
     lie_bracket,
     orbit_rank,
     order2_matrix_symbolic,
-    order4_matrix_symbolic,
     p_add,
     p_divexact,
     p_eval,
@@ -32,7 +31,7 @@ from parajet.prolong import (
 )
 from parajet.sampling import rand_rational, random_parabolic_jet
 
-from helpers import max_jet_order
+from helpers import max_jet_order, order4_matrix_symbolic
 
 F = Fraction
 
