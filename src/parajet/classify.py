@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .invariants import (
+    BranchError,
     aligned_jet,
     decide,
     h_terms,
@@ -209,9 +210,17 @@ def classify(
     if n < 2:
         raise ValueError(f"classification needs a series of order >= 2, got {n}")
     witnesses: Dict[str, object] = {}
+    c0 = jets_of_series(F).values
+    try:
+        aligned = aligned_jet(c0, tol)
+    except BranchError:
+        aligned = c0  # neither axis is aligned: an error below if the point is parabolic
+    if aligned is not c0:
+        # the rank-one direction is the y-axis: classify the swapped graph at the same points
+        F, c0 = TruncatedSeries2(n, swap_axes(F.coeffs)), aligned
+        sample_points = [(-y, x) for x, y in sample_points]
     Hfull, Sfull, Wfull = _full_products(F)
     # the jet at each grid point, shifted there once; the base point needs no shift
-    c0 = jets_of_series(F).values
     grid = [
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
     ]
@@ -234,10 +243,7 @@ def classify(
         return Classification(point_type, None, witnesses)
     if n < 4:
         raise ValueError(f"classifying a parabolic point needs a series of order >= 4, got {n}")
-    if aligned_jet(c0, tol) is not c0:
-        # the rank-one direction is the y-axis: classify the swapped graph at the same points
-        swapped = TruncatedSeries2(n, swap_axes(F.coeffs))
-        return classify(swapped, [(-y, x) for x, y in sample_points], tol)
+    aligned_jet(c0, tol)  # raises on a jet aligned with neither axis
     if not _low_zero(Hfull, n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 

@@ -23,7 +23,7 @@ import operator
 from typing import Dict, Mapping, Tuple
 
 from .jets import jets_of_series
-from .scalars import cbrt, to_float
+from .scalars import cbrt, scalar_to_string, sqrt, to_float
 from .series import AffineTransform3, TruncatedSeries2, apply_affine
 
 Coord = Tuple[int, int]
@@ -71,9 +71,20 @@ def w_terms(c: Mapping[Coord, object]):
     )
 
 
-def conic_terms(c: Mapping[Coord, object]):
-    u20, u30 = c[(2, 0)], c[(3, 0)]
-    return (9 * u20**2 * c[(5, 0)], -(45 * u20 * u30 * c[(4, 0)]), 40 * u30**3)
+def conic_terms(jet: Mapping[int, object]):
+    """9 u2^2 u5 - 45 u2 u3 u4 + 40 u3^3 of a curve jet; zero exactly on conics."""
+    u2, u3 = jet[2], jet[3]
+    return (9 * u2**2 * jet[5], -(45 * u2 * u3 * jet[4]), 40 * u3**3)
+
+
+def equiaffine_terms(jet: Mapping[int, object]):
+    """3 u2 u4 - 5 u3^2 of a curve jet; zero exactly on parabolas."""
+    return (3 * jet[2] * jet[4], -(5 * jet[3] * jet[3]))
+
+
+def _x_jet(c: Mapping[Coord, object]):
+    """The pure x-jets u_(j,0) of a surface jet, as the curve jet of its x-profile."""
+    return {j: c[(j, 0)] for j in range(2, 6)}
 
 
 # -- order 2 and 3 -------------------------------------------------------------
@@ -131,7 +142,7 @@ def invariant_W_cubed(c: Mapping[Coord, object]):
 
 def conic_numerator(c: Mapping[Coord, object]):
     """9 u_xx^2 u_5 - 45 u_xx u_3 u_4 + 40 u_3^3 over the pure x-jets; zero exactly where X is."""
-    return _total(conic_terms(c))
+    return _total(conic_terms(_x_jet(c)))
 
 
 def invariant_X(c: Mapping[Coord, object]):
@@ -278,32 +289,26 @@ def invariant_Y(c: Mapping[Coord, object]):
 
 def equiaffine_curvature(jet: Mapping[int, object]):
     """P = (1/3)(3 u2 u4 - 5 u3^2)/u2^{8/3}; zero exactly on parabolas."""
-    u2, u3, u4 = jet[2], jet[3], jet[4]
+    u2 = jet[2]
     if u2 == 0:
         raise ZeroDivisionError("curvature needs u2 != 0")
-    r = cbrt(u2)
-    return (3 * u2 * u4 - 5 * u3 * u3) / (3 * r**8)
+    return _total(equiaffine_terms(jet)) / (3 * cbrt(u2) ** 8)
 
 
 def conic_invariant(jet: Mapping[int, object]):
     """C = (1/9)(9 u2^2 u5 - 45 u2 u3 u4 + 40 u3^3)/u2^4; zero exactly on conics."""
-    u2, u3, u4, u5 = jet[2], jet[3], jet[4], jet[5]
+    u2 = jet[2]
     if u2 == 0:
         raise ZeroDivisionError("conic invariant needs u2 != 0")
-    return (9 * u2**2 * u5 - 45 * u2 * u3 * u4 + 40 * u3**3) / (9 * u2**4)
+    return _total(conic_terms(jet)) / (9 * u2**4)
 
 
 def curve_invariant_I5(jet: Mapping[int, object], eps: int):
     """Fifth-order full-affine invariant; eps must match the sign of 3 u2 u4 - 5 u3^2."""
-    from .scalars import sqrt
-
-    u2, u3, u4, u5 = jet[2], jet[3], jet[4], jet[5]
-    disc = eps * (3 * u2 * u4 - 5 * u3 * u3)
+    disc = eps * _total(equiaffine_terms(jet))
     if to_float(disc) <= 0:
         raise ValueError("sign mismatch in the 3/2-power argument")
-    num = 9 * u2**2 * u5 - 45 * u2 * u3 * u4 + 40 * u3**3
-    root = sqrt(disc)
-    return num / (3**0.5 * root**3)
+    return _total(conic_terms(jet)) / (3**0.5 * sqrt(disc) ** 3)
 
 
 def curve_invariant_F6(jet: Mapping[int, object]):
@@ -331,8 +336,6 @@ def curve_invariant_F7(jet: Mapping[int, object]):
 
 def euclid_curvature(jet: Mapping[int, object]):
     """u_xx / (1 + u_x^2)^{3/2}; exact when 1 + u_x^2 is a perfect rational square."""
-    from .scalars import sqrt
-
     u1, u2 = jet[1], jet[2]
     root = sqrt(1 + u1 * u1)
     return u2 / root**3
@@ -415,7 +418,7 @@ def hessian_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:
     cf, cg = _transported_jets(F, T_fwd)
     fx, fy = cf[(1, 0)], cf[(0, 1)]
     delta = T_fwd.delta()
-    lam = _lambda_forward(T_fwd, fx, fy)
+    lam = T_fwd.lam(fx, fy)
     hf = invariant_H(cf.values)
     hg = invariant_H(cg.values)
     return {
@@ -426,10 +429,6 @@ def hessian_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:
         "lhs": hg * lam**4,
         "rhs": delta**2 * hf,
     }
-
-
-def _lambda_forward(T, fx, fy):
-    return (T.a + T.c * fx) * (T.l + T.m * fy) - (T.k + T.m * fx) * (T.b + T.c * fy)
 
 
 def _invert_transform(T):
@@ -458,7 +457,7 @@ def hessian_congruence_check(F: TruncatedSeries2, T_fwd) -> dict:
         for j in range(2):
             lhs[i][j] = sum(A[i][a] * HG[a][b] * A[j][b] for a in range(2) for b in range(2))
     delta = T_fwd.delta()
-    lam = _lambda_forward(T_fwd, fx, fy)
+    lam = T_fwd.lam(fx, fy)
     factor = delta / lam
     rhs = (
         (factor * cf[(2, 0)], factor * cf[(1, 1)]),
@@ -490,8 +489,6 @@ class InvariantReport:
         self.provenance = provenance
 
     def to_dict(self) -> dict:
-        from .scalars import scalar_to_string
-
         out = {"branch": self.branch, "tolerance": self.tol, "provenance": self.provenance}
         for key in ("H", "Pick", "S", "W", "X", "Y", "M"):
             v = self.values.get(key)
@@ -566,7 +563,7 @@ def surface_branch(c: Mapping[Coord, object], tol: float = 1e-9):
         return "order-too-low", c
     if not _vanishes(w_terms(c), tol):
         return "Generic", c
-    return ("Cone[model]" if _vanishes(conic_terms(c), tol) else "Cone"), c
+    return ("Cone[model]" if _vanishes(conic_terms(_x_jet(c)), tol) else "Cone"), c
 
 
 def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantReport:

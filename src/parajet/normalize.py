@@ -4,7 +4,9 @@ Each loop applies one printed simple matrix that constantifies the next batch
 of Taylor coefficients, shrinking the stabilizer subgroup until it is trivial.
 The surviving coefficients of the normal form are the differential invariants
 read at the base point; running the loops on a realized jet therefore serves
-as a brute-force oracle for every closed-form invariant.
+as a brute-force oracle for every closed-form invariant.  One runner applies
+and records every loop, snapping its output from the run's first root on; the
+moving frame, the composite of the recorded loops, is composed when read.
 
 Branch tree for surfaces, on the label of
 :func:`parajet.invariants.surface_branch` at the base point (Elliptic and
@@ -21,6 +23,7 @@ Hyperbolic are refused; a negligible u_xx swaps the horizontal axes first):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List
@@ -47,27 +50,19 @@ from .series import (
 
 # Working precision of the loop pipeline.  Float inputs are lifted losslessly
 # to rationals; the cube and square roots taken by the loops are replaced by
-# dyadic rationals of this many bits, and coefficients are snapped back to the
-# same grid between loops so denominators stay bounded.  The readings are then
-# accurate to ~2^-PIPELINE_BITS relative, far below every stated tolerance.
+# dyadic rationals of this many bits, and from the first root on coefficients
+# are snapped back to the same grid after each loop so denominators stay
+# bounded.  The readings are then accurate to ~2^-PIPELINE_BITS relative, far
+# below every stated tolerance.
 PIPELINE_BITS = 128
 
 
-def _lift(F):
-    """The series (either class) with every coefficient a Fraction."""
-    coeffs = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in F.coeffs.items()}
-    return type(F)(F.order, coeffs)
-
-
-def _snap_val(c):
-    if isinstance(c, Fraction) and c.denominator.bit_length() > 2 * PIPELINE_BITS:
-        return snap(c, PIPELINE_BITS)
-    return c
-
-
 def _snapped(F):
-    """The series (either class) with long-denominator coefficients snapped to the pipeline grid."""
-    return type(F)(F.order, {key: _snap_val(c) for key, c in F.coeffs.items()})
+    """The exact series (either class) with long-denominator coefficients snapped to the pipeline grid."""
+    return type(F)(F.order, {
+        key: snap(c, PIPELINE_BITS) if c.denominator.bit_length() > 2 * PIPELINE_BITS else c
+        for key, c in F.coeffs.items()
+    })
 
 
 DEFAULT_TOL = 1e-9
@@ -77,35 +72,69 @@ DEFAULT_TOL = 1e-9
 class NormalFormResult:
     branch: str
     normal_series: object
-    transform: object
+    loops: List[object]
     readings: Dict[str, object] = field(default_factory=dict)
     steps: List[str] = field(default_factory=list)
 
-    def reading(self, name: str):
-        return self.readings[name]
+    @property
+    def transform(self):
+        """The moving frame acting on the input series: the loop transforms, composed when read."""
+        return functools.reduce(lambda T, Ti: T.then(Ti), self.loops)
+
+
+class _Run:
+    """One normalization: the series, its loop transforms (the identity first) and the step notes.
+
+    Roots are taken only through :meth:`root`; from the first one on, :meth:`loop` snaps.
+    """
+
+    def __init__(self, F):
+        self.curve = isinstance(F, TruncatedSeries1)
+        self.G = type(F)(F.order, {key: Fraction(c) for key, c in F.coeffs.items()})  # exact lift
+        self.loops = [CurveTransform2.identity() if self.curve else AffineTransform3.identity()]
+        self.steps: List[str] = []
+        self.rooted = False
+
+    def root(self, fn, x):
+        """``fn`` (:func:`cbrt_frac` or :func:`sqrt_frac`) of x at the pipeline precision."""
+        self.rooted = True
+        return fn(x, PIPELINE_BITS)
+
+    def loop(self, T, note: str):
+        """Apply and record T; T None means the coefficient is already normal, and the note stands."""
+        if T is not None:
+            G = apply_affine_curve(self.G, T) if self.curve else apply_affine(self.G, T)
+            self.G = _snapped(G) if self.rooted else G
+            self.loops.append(T)
+        self.steps.append(note)
+
+    def result(self, branch: str, readings: Dict[str, object]) -> NormalFormResult:
+        """The run's normal form; a curve's readings start with its coefficients G2, G3, ..."""
+        if self.curve:
+            readings = {**{f"G{i}": self.G[i] for i in range(2, self.G.order + 1)}, **readings}
+        return NormalFormResult(branch, self.G, self.loops, readings, self.steps)
 
 
 # -- curves -------------------------------------------------------------------
 
 
-def _curve_prenormalize(F: TruncatedSeries1, tol: float):
+def _curve_prenormalize(F: TruncatedSeries1, tol: float) -> _Run:
     """Kill F0 (translation) and F1 (shear u -> u - F1 x); require F2 != 0."""
-    steps = []
-    T = CurveTransform2.identity()
-    G = F
-    if G[0] != 0:
-        T0 = CurveTransform2(f=G[0])  # u = v + F0
-        G = apply_affine_curve(G, T0)
-        T = T.then(T0)
-        steps.append("translate graph to the origin")
-    if G[1] != 0:
-        T1 = CurveTransform2(c=G[1])  # u = F1 y + v
-        G = apply_affine_curve(G, T1)
-        T = T.then(T1)
-        steps.append("shear away the first-order term")
-    if decide(G[2], [1.0, *G.coeffs.values()], tol):
+    run = _Run(F)
+    if run.G[0] != 0:
+        run.loop(CurveTransform2(f=run.G[0]), "translate graph to the origin")  # u = v + F0
+    if run.G[1] != 0:
+        run.loop(CurveTransform2(c=run.G[1]), "shear away the first-order term")  # u = F1 y + v
+    if decide(run.G[2], [1.0, *run.G.coeffs.values()], tol):
         raise BranchError("flat curve: second-order coefficient vanishes")
-    return G, T, steps
+    return run
+
+
+def _kill_g3(run: _Run):
+    """Loop 2 of both curve groups: a unipotent shear kills G3."""
+    g3 = run.G[3]
+    T2 = CurveTransform2(a=1, b=-g3 / 3, d=1) if g3 != 0 else None
+    run.loop(T2, "unipotent shear kills the third-order term")
 
 
 def normalize_curve_sl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> NormalFormResult:
@@ -114,21 +143,12 @@ def normalize_curve_sl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     The readings G4, G5, ... are the equi-affine curve invariants; a flat
     second-order term raises a branch error.
     """
-    G, T, steps = _curve_prenormalize(_lift(F), tol)
+    run = _curve_prenormalize(F, tol)
     # loop 1: scale so that G2 = 1 (real cube root keeps this total on F2 < 0)
-    a = 1 / cbrt_frac(G[2], PIPELINE_BITS)
-    T1 = CurveTransform2(a=a, d=1 / a)
-    G = _snapped(apply_affine_curve(G, T1))
-    T = T.then(T1)
-    steps.append("volume-preserving scaling makes the second-order term 1")
-    # loop 2: shear kills G3
-    if F.order >= 3 and G[3] != 0:
-        T2 = CurveTransform2(a=1, b=-G[3] / 3, d=1)
-        G = _snapped(apply_affine_curve(G, T2))
-        T = T.then(T2)
-    steps.append("unipotent shear kills the third-order term")
-    readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
-    return NormalFormResult("sl2-curve", G, T, readings, steps)
+    a = 1 / run.root(cbrt_frac, run.G[2])
+    run.loop(CurveTransform2(a=a, d=1 / a), "volume-preserving scaling makes the second-order term 1")
+    _kill_g3(run)
+    return run.result("sl2-curve", {})
 
 
 def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> NormalFormResult:
@@ -138,39 +158,24 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     Plus or Minus according to its sign, with the reading G5 the first
     absolute invariant.
     """
-    G, T, steps = _curve_prenormalize(_lift(F), tol)
-    if to_float(G[2]) < 0:
+    run = _curve_prenormalize(F, tol)
+    if to_float(run.G[2]) < 0:
         # half-turn pins the residual sign freedom; every reading below is
         # invariant under it, so closed forms and pipeline agree
-        Tturn = CurveTransform2(a=-1, d=-1)
-        G = apply_affine_curve(G, Tturn)
-        T = T.then(Tturn)
-        steps.append("half-turn makes the second-order term positive")
-    scale = max([1.0] + [abs(to_float(c)) for c in G.coeffs.values()])
+        run.loop(CurveTransform2(a=-1, d=-1), "half-turn makes the second-order term positive")
+    scale = max([1.0] + [abs(to_float(c)) for c in run.G.coeffs.values()])
     # loop 1: G2 := 1 with diag(1, F2)
-    T1 = CurveTransform2(a=1, d=G[2])
-    G = apply_affine_curve(G, T1)
-    T = T.then(T1)
-    steps.append("vertical scaling makes the second-order term 1")
-    # loop 2: kill G3
-    if F.order >= 3 and G[3] != 0:
-        T2 = CurveTransform2(a=1, b=-G[3] / 3, d=1)
-        G = apply_affine_curve(G, T2)
-        T = T.then(T2)
-    steps.append("unipotent shear kills the third-order term")
+    run.loop(CurveTransform2(a=1, d=run.G[2]), "vertical scaling makes the second-order term 1")
+    _kill_g3(run)
+    G = run.G
     if F.order < 4 or decide(G[4], (scale,), tol):
-        readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
-        return NormalFormResult("Parabola", G, T, readings, steps)
+        return run.result("Parabola", {})
     # loop 3: G4 := +-1
     eps = 1 if to_float(G[4]) > 0 else -1
     mag = abs(G[4])
-    T3 = CurveTransform2(a=1 / sqrt_frac(mag, PIPELINE_BITS), d=1 / mag)
-    G = _snapped(apply_affine_curve(G, T3))
-    T = T.then(T3)
-    steps.append("dilation normalizes the fourth-order term to +-1")
-    readings = {f"G{i}": G[i] for i in range(2, G.order + 1)}
-    readings["eps"] = eps
-    return NormalFormResult("Plus" if eps > 0 else "Minus", G, T, readings, steps)
+    T3 = CurveTransform2(a=1 / run.root(sqrt_frac, mag), d=1 / mag)
+    run.loop(T3, "dilation normalizes the fourth-order term to +-1")
+    return run.result("Plus" if eps > 0 else "Minus", {"eps": eps})
 
 
 # -- the plane-affine moving frame for curves ---------------------------------
@@ -241,126 +246,101 @@ def _check_parabolic(F: TruncatedSeries2, tol: float):
         )
 
 
-def _surface_prenormalize(F: TruncatedSeries2, tol: float):
-    """Translations and transvections, then the branch rule and its axis swap."""
-    steps: List[str] = []
-    T = AffineTransform3.identity()
-    G = F
-    if G[(0, 0)] != 0:
-        T0 = AffineTransform3(w=G[(0, 0)])
-        G = apply_affine(G, T0)
-        T = T.then(T0)
-        steps.append("translate the graph to the origin")
-    if G[(1, 0)] != 0 or G[(0, 1)] != 0:
-        T1 = AffineTransform3(p=G[(1, 0)], q=G[(0, 1)])
-        G = apply_affine(G, T1)
-        T = T.then(T1)
-        steps.append("transvection kills the first-order terms")
-    base = jets_of_series(G).values
-    branch, c = surface_branch(base, tol)
-    if branch == "Flat":
-        return G, T, steps, branch
-    if branch in ("Elliptic", "Hyperbolic"):
-        raise BranchError(f"surface is {branch.lower()} at the base point; the loops need a rank-one Hessian")
-    if c is not base:
-        # swap the horizontal axes: x = t', y = -s' keeps the volume form
-        G = TruncatedSeries2(G.order, swap_axes(G.coeffs))
-        T = T.then(AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0)))
-        steps.append("swap horizontal axes so that u_xx != 0")
-    _check_parabolic(G, tol)
-    return G, T, steps, branch
-
-
 def normalize_parabolic_surface(
     F: TruncatedSeries2, tol: float = DEFAULT_TOL
 ) -> NormalFormResult:
     """Run the normalization loops on a rank-one graphed surface.
 
-    Returns the branch label, the normal-form series, the composed transform
-    acting on the original series, and the invariant readings.
+    Translations and transvections come first, then the branch rule and its
+    axis swap.  Returns the branch label, the normal-form series, the loop
+    transforms (composed into the transform acting on the original series
+    when read), and the invariant readings.
     """
-    G, T, steps, branch = _surface_prenormalize(_lift(F), tol)
+    run = _Run(F)
+    if run.G[(0, 0)] != 0:
+        run.loop(AffineTransform3(w=run.G[(0, 0)]), "translate the graph to the origin")
+    f10, f01 = run.G[(1, 0)], run.G[(0, 1)]
+    if f10 != 0 or f01 != 0:
+        run.loop(AffineTransform3(p=f10, q=f01), "transvection kills the first-order terms")
+    base = jets_of_series(run.G).values
+    branch, c = surface_branch(base, tol)
     if branch == "Flat":
-        return NormalFormResult("Flat", G, T, {}, steps + ["flat: zero Hessian"])
+        run.steps.append("flat: zero Hessian")
+        return run.result("Flat", {})
+    if branch in ("Elliptic", "Hyperbolic"):
+        raise BranchError(f"surface is {branch.lower()} at the base point; the loops need a rank-one Hessian")
+    if c is not base:
+        # swap the horizontal axes: x = t', y = -s' keeps the volume form; a
+        # relabelling of the coefficients, so it is recorded without a solve
+        run.G = TruncatedSeries2(run.G.order, swap_axes(run.G.coeffs))
+        run.loops.append(AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0)))
+        run.steps.append("swap horizontal axes so that u_xx != 0")
+    _check_parabolic(run.G, tol)
 
     # loop 1: G20 := 1, G11 := 0
-    f20, f11 = G[(2, 0)], G[(1, 1)]
-    c3 = cbrt_frac(f20, PIPELINE_BITS)
+    f20, f11 = run.G[(2, 0)], run.G[(1, 1)]
+    c3 = run.root(cbrt_frac, f20)
     T1 = AffineTransform3(a=1 / c3, b=-f11 / f20, r=c3)
-    G = _snapped(apply_affine(G, T1))
-    T = T.then(T1)
-    steps.append("scale and shear: second-order terms become s^2/2")
+    run.loop(T1, "scale and shear: second-order terms become s^2/2")
     if branch == "Cylinder":
-        return _cylinder_branch(G, T, steps, tol)
+        return _cylinder_branch(run, tol)
 
     # loop 2: G21 := 1, G30 := 0
-    f21, f30 = G[(2, 1)], G[(3, 0)]
-    r3 = cbrt_frac(f21, PIPELINE_BITS)
-    T2 = AffineTransform3(
-        a=r3, k=-f30 / (3 * r3 * r3), l=1 / f21, r=r3 * r3
-    )
-    G = _snapped(apply_affine(G, T2))
-    T = T.then(T2)
-    steps.append("scalings and shear: third-order terms become s^2 t / 2")
+    f21, f30 = run.G[(2, 1)], run.G[(3, 0)]
+    r3 = run.root(cbrt_frac, f21)
+    T2 = AffineTransform3(a=r3, k=-f30 / (3 * r3 * r3), l=1 / f21, r=r3 * r3)
+    run.loop(T2, "scalings and shear: third-order terms become s^2 t / 2")
 
     # loop 3: G40 := 0
-    if F.order >= 4 and G[(4, 0)] != 0:
-        T3 = AffineTransform3(m=-G[(4, 0)] / 6)
-        G = _snapped(apply_affine(G, T3))
-        T = T.then(T3)
-    steps.append("vertical transvection kills the pure fourth-order term")
+    g40 = run.G[(4, 0)]
+    T3 = AffineTransform3(m=-g40 / 6) if g40 != 0 else None
+    run.loop(T3, "vertical transvection kills the pure fourth-order term")
 
-    readings: Dict[str, object] = {}
-    W = G[(3, 1)] if F.order >= 4 else 0
-    readings["W"] = W
+    W = run.G[(3, 1)]
+    readings: Dict[str, object] = {"W": W}
     if branch == "order-too-low":
-        return NormalFormResult(branch, G, T, readings, steps)
+        return run.result(branch, readings)
     if branch != "Generic":
-        return _cone_branch(G, T, readings, steps, tol, branch)
+        return _cone_branch(run, readings, tol, branch)
 
     # generic branch, loop 4: G41 := 0
-    c = G[(4, 1)] / (2 * W)
+    c = run.G[(4, 1)] / (2 * W)
     T4 = AffineTransform3(c=c, k=-c, m=2 * c * W / 3 - c * c / 2)
-    G = _snapped(apply_affine(G, T4))
-    T = T.then(T4)
-    steps.append("residual shear kills the (4,1) coefficient")
+    run.loop(T4, "residual shear kills the (4,1) coefficient")
+    G = run.G
     readings["W"] = G[(3, 1)]
     readings["M"] = G[(5, 0)]
     for j in range(5, G.order + 1):
         readings[f"I{j}0"] = G[(j, 0)]
     for j in range(5, G.order):
         readings[f"I{j}1"] = G[(j, 1)]
-    return NormalFormResult("Generic", G, T, readings, steps)
+    return run.result("Generic", readings)
 
 
-def _cylinder_branch(G, T, steps, tol) -> NormalFormResult:
+def _cylinder_branch(run: _Run, tol) -> NormalFormResult:
     """S == 0: the normal form is a curve profile; delegate to the curve loops.
 
     The slope invariant must vanish identically, which is checked on the jet
-    coefficients of its numerator to the truncation order.
+    coefficients of its numerator to the truncation order.  The profile's
+    moving frame, embedded in space, is the last loop of the run.
     """
+    G = run.G
     if _nonvanishing(s_numerator(DerivativeView(G)), G, 1e3 * tol):
         raise BranchError(
             "third-order slope invariant vanishes at the base point but not "
             "identically; mixed-type surfaces are excluded"
         )
-    profile = G.x_profile()
-    res = normalize_curve_gl2(profile, tol)
-    (ca, cb, cc, cd) = (res.transform.a, res.transform.b, res.transform.c, res.transform.d)
-    det2 = res.transform.det()
-    embed = AffineTransform3(
-        a=ca, c=cb, p=cc, r=cd, l=1 / det2, d=res.transform.e, w=res.transform.f
-    )
-    T = T.then(embed)
-    n = G.order
-    normal = TruncatedSeries2(n, {(j, 0): c for j, c in res.normal_series.coeffs.items()})
+    res = normalize_curve_gl2(G.x_profile(), tol)
+    T = res.transform
+    run.loops.append(AffineTransform3(a=T.a, c=T.b, p=T.c, r=T.d, l=1 / T.det(), d=T.e, w=T.f))
+    run.steps += ["profile curve loops", *res.steps]
+    normal = TruncatedSeries2(G.order, {(j, 0): c for j, c in res.normal_series.coeffs.items()})
     readings = {"curve_" + k: v for k, v in res.readings.items()}
-    return NormalFormResult(
-        f"Cylinder[{res.branch}]", normal, T, readings, steps + ["profile curve loops"] + res.steps
-    )
+    return NormalFormResult(f"Cylinder[{res.branch}]", normal, run.loops, readings, run.steps)
 
 
-def _cone_branch(G, T, readings, steps, tol, branch) -> NormalFormResult:
+def _cone_branch(run: _Run, readings, tol, branch) -> NormalFormResult:
+    G = run.G
     low = max(
         [1.0]
         + [abs(to_float(c)) for jk, c in G.coeffs.items() if jk[0] + jk[1] <= 5]
@@ -374,20 +354,19 @@ def _cone_branch(G, T, readings, steps, tol, branch) -> NormalFormResult:
     readings["X"] = X
     if branch == "Cone[model]":
         readings["Y"] = None
-        return NormalFormResult("Cone[model]", G, T, readings, steps + ["flat-cone model reached"])
+        run.steps.append("flat-cone model reached")
+        return run.result("Cone[model]", readings)
     if G.order >= 6:
         # final shear kills G60 (only possible on X != 0)
         c = G[(6, 0)] / (3 * X)
-        T5 = AffineTransform3(c=c, k=-c, m=-c * c / 2)
-        G = _snapped(apply_affine(G, T5))
-        T = T.then(T5)
-        steps.append("last shear kills the pure sixth-order term")
+        run.loop(AffineTransform3(c=c, k=-c, m=-c * c / 2), "last shear kills the pure sixth-order term")
+        G = run.G
         readings["X"] = G[(5, 0)]
         if G.order >= 7:
             readings["Y"] = G[(7, 0)]
         for j in range(8, G.order + 1):
             readings[f"I{j}0"] = G[(j, 0)]
-    return NormalFormResult("Cone", G, T, readings, steps)
+    return run.result("Cone", readings)
 
 
 def surface_frame(p: ParabolicJet, tol: float = DEFAULT_TOL) -> NormalFormResult:

@@ -45,12 +45,15 @@ from .prolong import (
     U as VAR_U,
     gl2_curve_generators,
     p_eval,
+    poly,
     prolong,
     sa3_generators,
     sl2_curve_generators,
     solve_linear_exact,
+    vf,
 )
 from .scalars import Sens, cbrt, to_float
+from .series import TruncatedSeries1, TruncatedSeries2
 
 Coord = Tuple[int, int]
 
@@ -338,8 +341,6 @@ def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[s
 
 def solve_mc_curve(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> MaurerCartan:
     """Phantom Cramer systems for plane curves under either group."""
-    from .series import TruncatedSeries1
-
     n = max(jet)
     F = TruncatedSeries1(n, dict(jet))
     if group.lower() == "sa2":
@@ -397,16 +398,12 @@ def homogeneous_curve_coefficients(a, sign: int, upto: int) -> Dict[int, object]
 
 def homogeneous_curve_series(a, sign: int, order: int):
     """The graph u = x^2/2 +- x^4/4! + a x^5/5! + ... of the homogeneous model."""
-    from .series import TruncatedSeries1
-
     I = homogeneous_curve_coefficients(a, sign, order)
     return TruncatedSeries1(order, {i: v for i, v in I.items() if i <= order and v != 0})
 
 
 def homogeneous_tangent_field(a, sign: int):
     """The infinitesimal symmetry (+-1 - a x/2 - u/3) d/dx + (+-x - a u) d/du."""
-    from .prolong import poly, p_neg, vf
-
     s = sign
     xi = poly((s, {}), (Fraction(-1, 2) * Fraction(a) if not isinstance(a, float) else -a / 2, {VAR_X: 1}), (Fraction(-1, 3), {VAR_U: 1}))
     eta = poly((s, {VAR_X: 1}), (-Fraction(a) if not isinstance(a, float) else -a, {VAR_U: 1}))
@@ -429,8 +426,6 @@ def _along(polyc: Poly, bases, unit):
 
 def tangency_residual_curve(field, F) -> object:
     """eta(x, F) - F'(x) xi(x, F) as a series in x, to order N - 1."""
-    from .series import TruncatedSeries1
-
     m = F.order - 1
     bases = {VAR_X: TruncatedSeries1(m, {1: Fraction(1)}), VAR_U: TruncatedSeries1(m, F.coeffs)}
     unit = TruncatedSeries1(m, {0: Fraction(1)})
@@ -439,8 +434,6 @@ def tangency_residual_curve(field, F) -> object:
 
 def cone_symmetry_fields():
     """The three tangent symmetries of the flat-cone model and their brackets."""
-    from .prolong import poly, vf
-
     one = poly((1, {}))
     x = poly((1, {VAR_X: 1}))
     y = poly((1, {VAR_Y: 1}))
@@ -454,8 +447,6 @@ def cone_symmetry_fields():
 
 def surface_tangency_residual(field, F):
     """phi - xi F_x - eta F_y along the graph, as a bivariate series."""
-    from .series import TruncatedSeries2
-
     m = F.order - 1
     bases = {
         VAR_X: TruncatedSeries2(m, {(1, 0): Fraction(1)}),
@@ -470,8 +461,6 @@ def surface_tangency_residual(field, F):
 def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> Dict[str, dict]:
     """The printed curve recurrences at one jet, via nested total derivatives."""
     out: Dict[str, dict] = {}
-    from .series import TruncatedSeries1
-
     n = max(jet)
     if group.lower() == "sa2":
         res = normalize_curve_sl2(TruncatedSeries1(n, dict(jet)), tol)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .invariants import conic_numerator, s_numerator, w_numerator
+from .invariants import conic_numerator, equiaffine_terms, s_numerator, w_numerator
 from .jets import DerivativeView, ParabolicJet
 from .series import AffineTransform3, TruncatedSeries2
 
@@ -119,8 +119,7 @@ def random_curve_jet(
         if abs(float(jet[2])) < U20_FLOOR:
             continue
         if affine_floor is not None:
-            disc = 3 * jet[2] * jet[4] - 5 * jet[3] ** 2
-            if abs(float(disc)) < affine_floor:
+            if abs(float(sum(equiaffine_terms(jet)))) < affine_floor:
                 continue
         return jet
 

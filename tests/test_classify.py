@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from parajet.series import TruncatedSeries1, TruncatedSeries2
 from helpers import from_monomials1
 
 F = Fraction
+# the module, which the package's ``classify`` function shadows as an attribute
+classify_module = importlib.import_module("parajet.classify")
 
 
 def test_cone_coefficient_table():
@@ -109,20 +112,40 @@ def test_classify_roundtrip_families():
             assert classify(realize_graph(fam, 8)).developable_kind == kind
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
-        Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 4: F(1, 5)})),
-        Tangential(TruncatedSeries1(8, {2: F(1), 4: F(1, 3)}), TruncatedSeries1(8, {3: F(1)})),
-    ],
-    ids=lambda fam: fam.kind,
-)
+SWAPPED_FAMILIES = [
+    Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
+    Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 4: F(1, 5)})),
+    Tangential(TruncatedSeries1(8, {2: F(1), 4: F(1, 3)}), TruncatedSeries1(8, {3: F(1)})),
+]
+
+
+@pytest.mark.parametrize("fam", SWAPPED_FAMILIES, ids=lambda fam: fam.kind)
 def test_axis_swapped_families_classify_as_their_kind(fam):
     g = realize_graph(fam, 8)
     swapped = TruncatedSeries2(8, swap_axes(g.coeffs))
     assert swapped[(2, 0)] == 0
     assert classify(swapped).developable_kind == fam.kind
+
+
+@pytest.mark.parametrize("fam", SWAPPED_FAMILIES, ids=lambda fam: fam.kind)
+def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
+    # the swap is decided on the base jet, before the padded products and the grid
+    swapped = TruncatedSeries2(8, swap_axes(realize_graph(fam, 8).coeffs))
+    calls = {"_full_products": 0, "shift": 0}
+    products, shift = classify_module._full_products, TruncatedSeries2.shift
+
+    def counted_products(F):
+        calls["_full_products"] += 1
+        return products(F)
+
+    def counted_shift(self, hx, hy):
+        calls["shift"] += 1
+        return shift(self, hx, hy)
+
+    monkeypatch.setattr(classify_module, "_full_products", counted_products)
+    monkeypatch.setattr(TruncatedSeries2, "shift", counted_shift)
+    assert classify(swapped).developable_kind == fam.kind
+    assert calls == {"_full_products": 1, "shift": 4}
 
 
 def test_cone_w_numerator_vanishes_exactly():

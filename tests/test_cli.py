@@ -380,7 +380,14 @@ def test_classify_swaps_axes_when_u_xx_vanishes(tmp_path, capsys):
     assert json.loads(out)["kind"] == "cylinder"
 
 
-_VALUES = st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/3", "3/4", "1/100000", "0.5", "-1.25"])
+_EXACT = ["0", "1", "-1", "2", "1/2", "-1/3", "3/4", "1/100000"]
+# decimals out to the edges of the float range
+_DECIMAL = ["0.0", "0.5", "-1.25", "2.0", "1e-05", "1e300", "-2.5e150", "3e-300"]
+
+
+def _pool(draw):
+    """The coefficient strings of one document: exact, decimal, or mixed (refused with exit 2)."""
+    return draw(st.sampled_from([_EXACT, _DECIMAL, _EXACT + _DECIMAL]))
 
 
 @st.composite
@@ -390,9 +397,10 @@ def series_docs(draw):
     if draw(st.booleans()):
         keys = [(0, k) for k in range(order + 1)]  # a cylinder over the y-axis: u_xx = 0
     chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
-    coeffs = {jk: draw(_VALUES) for jk in chosen}
+    pool = _pool(draw)
+    coeffs = {jk: draw(st.sampled_from(pool)) for jk in chosen}
     if order >= 2 and draw(st.booleans()):
-        coeffs[(2, 0)] = "0"  # u_xx = 0 at the base point, the axis-swap case
+        coeffs[(2, 0)] = pool[0]  # u_xx = 0 at the base point, the axis-swap case
     return {
         "vars": 2,
         "order": order,
@@ -407,3 +415,23 @@ def test_cli_surface_commands_never_raise(tmp_path_factory, command, doc):
     path = tmp_path_factory.mktemp("fuzz") / "series.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--surface", str(path)]) in (0, 1, 2)
+
+
+@st.composite
+def curve_docs(draw):
+    order = draw(st.integers(0, 7))
+    pool = _pool(draw)
+    coeffs = {j: draw(st.sampled_from(pool)) for j in draw(st.lists(st.integers(0, order), unique=True))}
+    if order >= 2 and draw(st.booleans()):
+        coeffs[2] = draw(st.sampled_from(pool[1:]))  # nonzero: past the flat-curve check
+    rows = [{"j": j, "k": 0, "value": v} for j, v in sorted(coeffs.items())]
+    return {"vars": 1, "order": order, "coeffs": rows}
+
+
+@pytest.mark.parametrize("group", ["sl2", "gl2"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(doc=curve_docs())
+def test_cli_curve_normalize_never_raises(tmp_path_factory, group, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "curve.json"
+    path.write_text(json.dumps(doc))
+    assert main(["normalize", "--curve", str(path), "--group", group]) in (0, 1, 2)

@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the syntax tree."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parajet"
@@ -44,20 +45,42 @@ def _references(tree) -> dict:
     return counts
 
 
-def _reference_totals() -> dict:
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _attribute_references(tree) -> dict:
+    """Count, per name, its ``.name`` accesses and the dotted strings ending in it.
+
+    A method is reached only so: as an attribute, or through a dotted name such
+    as the benchmark tracer's ``"ParabolicJet.filled"``.  A local variable or
+    parameter of the same name is not a use.
+    """
+    counts: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            name = node.value.rsplit(".", 1)[1]
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _reference_totals(count=_references) -> dict:
     """Per name, its references across the sources, the tests and the benchmark."""
     root = SRC.parents[1]
     files = [p for d in ("src", "tests", "bench") for p in sorted((root / d).rglob("*.py"))]
     total: dict = {}
     for path in files:
-        for name, n in _references(ast.parse(path.read_text(encoding="utf-8"))).items():
+        for name, n in count(ast.parse(path.read_text(encoding="utf-8"))).items():
             total[name] = total.get(name, 0) + n
     return total
 
 
-def _unreferenced(nodes, total) -> list:
+def _unreferenced(nodes, total, count=_references) -> list:
     """Names among the definitions with no reference outside their own bodies (recursion)."""
-    return [node.name for node in nodes if total.get(node.name, 0) - _references(node).get(node.name, 0) == 0]
+    return [node.name for node in nodes if total.get(node.name, 0) - count(node).get(node.name, 0) == 0]
 
 
 def test_module_level_names_are_referenced():
@@ -71,7 +94,7 @@ def test_module_level_names_are_referenced():
 
 
 def test_methods_are_referenced():
-    total = _reference_totals()
+    total = _reference_totals(_attribute_references)
     unused = []
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -83,5 +106,6 @@ def test_methods_are_referenced():
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (n.name.startswith("__") and n.name.endswith("__"))
             ]
-            unused += [f"{path.name}:{cls.name}.{name}" for name in _unreferenced(methods, total)]
+            names = _unreferenced(methods, total, _attribute_references)
+            unused += [f"{path.name}:{cls.name}.{name}" for name in names]
     assert unused == []

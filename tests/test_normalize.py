@@ -26,7 +26,13 @@ from parajet.sampling import (
     random_parabolic_jet,
 )
 from parajet.scalars import cbrt, to_float
-from parajet.series import TruncatedSeries1, TruncatedSeries2, apply_affine
+from parajet.series import (
+    AffineTransform3,
+    TruncatedSeries1,
+    TruncatedSeries2,
+    apply_affine,
+    apply_affine_curve,
+)
 
 from helpers import equivalent_surfaces
 
@@ -70,16 +76,86 @@ def test_normal_form_matches_generic_shape():
     assert abs(to_float(ns[(3, 2)]) - 6 * to_float(W)) < 1e-10
 
 
+def _assert_round_trip(f, res):
+    """The composed transform carries the input onto the normal form."""
+    g = (apply_affine_curve if isinstance(f, TruncatedSeries1) else apply_affine)(f, res.transform)
+    for key in g.coeffs.keys() | res.normal_series.coeffs.keys():
+        a, b = to_float(g[key]), to_float(res.normal_series[key])
+        assert abs(a - b) <= 1e-9 * (1.0 + max(abs(a), abs(b))), (res.branch, key, a, b)
+
+
 def test_composed_transform_roundtrip():
     rng = random.Random(10)
     for _ in range(3):
-        p = random_parabolic_jet(rng, 8)
-        f = realize_series(p)
-        res = normalize_parabolic_surface(f)
-        g = apply_affine(f, res.transform)
-        for jk in g.coeffs.keys() | res.normal_series.coeffs.keys():
-            a, b = to_float(g[jk]), to_float(res.normal_series[jk])
-            assert abs(a - b) <= 1e-9 * (1.0 + max(abs(a), abs(b))), (jk, a, b)
+        f = realize_series(random_parabolic_jet(rng, 8))
+        _assert_round_trip(f, normalize_parabolic_surface(f))
+
+
+def _profile_cylinder(profile, order=7):
+    """The cylinder over a curve profile, with a slope in y for the transvection loop."""
+    return TruncatedSeries2(order, {**{(j, 0): F(c) for j, c in profile.items()}, (0, 1): F(2)})
+
+
+ROUND_TRIP_SURFACES = [
+    pytest.param("Cone", lambda: realize_series(random_cone_branch_jet(random.Random(16), 8)), id="cone"),
+    pytest.param(
+        "Cone[model]",
+        lambda: apply_affine(cone_model_series(8), near_identity_transform(random.Random(22))),
+        id="cone-model",
+    ),
+    pytest.param(
+        "order-too-low", lambda: realize_series(random_parabolic_jet(random.Random(11), 4)), id="order-too-low"
+    ),
+    pytest.param(
+        "Cylinder[Minus]",
+        lambda: TruncatedSeries2(6, {(0, 0): F(1), (1, 0): F(1, 3), (0, 2): F(1), (0, 3): F(1, 2)}),
+        id="y-profile-swap",
+    ),
+    pytest.param("Cylinder[Plus]", lambda: _profile_cylinder({0: 1, 2: 1, 3: F(1, 2), 4: 1}), id="cylinder-plus"),
+    pytest.param("Cylinder[Minus]", lambda: _profile_cylinder({2: -2, 4: 1}), id="cylinder-minus"),
+    pytest.param("Cylinder[Parabola]", lambda: _profile_cylinder({1: 1, 2: 3}), id="cylinder-parabola"),
+]
+
+ROUND_TRIP_CURVES = [
+    (normalize_curve_sl2, "sl2-curve", {0: 1, 1: 2, 2: F(3, 2), 3: F(1, 2), 4: 3, 5: -1, 6: F(1, 7)}),
+    (normalize_curve_sl2, "sl2-curve", {1: F(1, 3), 2: -3, 3: 1, 4: 2, 5: F(1, 7)}),
+    (normalize_curve_gl2, "Plus", {0: 1, 1: 2, 2: 1, 3: F(1, 2), 4: 3, 5: -1, 6: F(1, 7)}),
+    (normalize_curve_gl2, "Plus", {2: -3, 3: 1, 4: -2, 5: F(1, 7)}),
+    (normalize_curve_gl2, "Minus", {1: -1, 2: 1, 3: 1, 4: -2, 5: F(1, 3)}),
+    (normalize_curve_gl2, "Minus", {2: -3, 3: 1, 4: 2, 5: F(1, 7)}),
+    (normalize_curve_gl2, "Parabola", {0: 2, 2: 1, 3: 1, 4: F(5, 3)}),
+    (normalize_curve_gl2, "Parabola", {1: 1, 2: -2, 3: 1, 4: F(-5, 6)}),
+]
+
+
+@pytest.mark.parametrize("branch, make", ROUND_TRIP_SURFACES)
+def test_transform_round_trip_on_every_surface_branch(branch, make):
+    f = make()
+    res = normalize_parabolic_surface(f)
+    assert res.branch == branch
+    assert ("swap horizontal axes so that u_xx != 0" in res.steps) == (f[(2, 0)] == 0)
+    _assert_round_trip(f, res)
+
+
+@pytest.mark.parametrize("normalize, branch, jet", ROUND_TRIP_CURVES)
+def test_transform_round_trip_on_every_curve_branch(normalize, branch, jet):
+    f = TruncatedSeries1(max(jet) + 1, {i: F(c) for i, c in jet.items()})
+    res = normalize(f)
+    assert res.branch == branch
+    _assert_round_trip(f, res)
+    # and on a float jet, the pipeline's usual input
+    g = TruncatedSeries1(f.order, {i: float(c) for i, c in f.coeffs.items()})
+    _assert_round_trip(g, normalize(g))
+
+
+def test_transform_is_composed_only_when_read(monkeypatch):
+    calls = []
+    then = AffineTransform3.then
+    monkeypatch.setattr(AffineTransform3, "then", lambda T, other: calls.append(other) or then(T, other))
+    res = normalize_parabolic_surface(realize_series(random_parabolic_jet(random.Random(10), 8)))
+    assert res.branch == "Generic" and calls == []
+    res.transform
+    assert calls == res.loops[1:]
 
 
 def test_loop_idempotence():
@@ -124,7 +200,7 @@ def test_normalizing_an_affine_image_gives_the_same_normal_form(cone, seed):
     res_g = normalize_parabolic_surface(apply_affine(f, T))
     assert res_g.branch == res_f.branch == ("Cone" if cone else "Generic")
     for name in ("X", "Y") if cone else ("W", "M"):
-        a, b = to_float(res_f.reading(name)), to_float(res_g.reading(name))
+        a, b = to_float(res_f.readings[name]), to_float(res_g.readings[name])
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (name, a, b)
 
 
