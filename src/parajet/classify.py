@@ -150,15 +150,15 @@ def _padded(F: TruncatedSeries2, order: int) -> TruncatedSeries2:
     return TruncatedSeries2(order, dict(F.coeffs))
 
 
-def _full_products(F: TruncatedSeries2):
-    """The Hessian, slope and fourth-order numerators as full polynomials.
+def _full_products(F: TruncatedSeries2) -> DerivativeView:
+    """The derivatives of F padded to order 4n, for the numerators as full polynomials.
 
     Padding before multiplying keeps every cross term, so a truncated series
-    that realizes a family to its order evaluates these exactly: the low part
-    vanishes and the high part is the honest truncation tail.
+    that realizes a family to its order evaluates the Hessian, slope and
+    fourth-order numerators exactly: the low part vanishes and the high part
+    is the honest truncation tail.
     """
-    G = DerivativeView(_padded(F, 4 * F.order))
-    return invariant_H(G), s_numerator(G), w_numerator(G)
+    return DerivativeView(_padded(F, 4 * F.order))
 
 
 def _low_zero(num: TruncatedSeries2, low_degree: int, tol: float) -> bool:
@@ -219,7 +219,8 @@ def classify(
         # the rank-one direction is the y-axis: classify the swapped graph at the same points
         F, c0 = TruncatedSeries2(n, swap_axes(F.coeffs)), aligned
         sample_points = [(-y, x) for x, y in sample_points]
-    Hfull, Sfull, Wfull = _full_products(F)
+    G = _full_products(F)
+    Hfull = invariant_H(G)
     # the jet at each grid point, shifted there once; the base point needs no shift
     grid = [
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
@@ -250,6 +251,7 @@ def classify(
     # slope invariant: the jet criterion decides (analyticity); when it says
     # zero, every grid value must stay inside the truncation-tail envelope,
     # otherwise the surface is of mixed type
+    Sfull = s_numerator(G)
     jet_s_zero = _low_zero(Sfull, n - 3, 1e3 * tol)
     if jet_s_zero and not all(_grid_zero(Sfull, n - 3, pt, tol, s_terms(c)) for pt, c in grid):
         raise MixedTypeError("slope invariant vanishes as a jet but not across the grid")
@@ -259,6 +261,7 @@ def classify(
     if decide(s_numerator(c0), s_terms(c0), tol):
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
+    Wfull = w_numerator(G)
     jet_w_zero = _low_zero(Wfull, n - 4, 1e3 * tol)
     if jet_w_zero and not all(_grid_zero(Wfull, n - 4, pt, tol, w_terms(c)) for pt, c in grid):
         raise MixedTypeError("fourth-order invariant vanishes as a jet but not across the grid")

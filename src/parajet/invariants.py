@@ -482,14 +482,13 @@ def slope_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:
 class InvariantReport:
     """Branch label plus the invariant values defined on that branch."""
 
-    def __init__(self, branch: str, values: Dict[str, object], tol: float, provenance: str):
+    def __init__(self, branch: str, values: Dict[str, object], tol: float):
         self.branch = branch
         self.values = values
         self.tol = tol
-        self.provenance = provenance
 
     def to_dict(self) -> dict:
-        out = {"branch": self.branch, "tolerance": self.tol, "provenance": self.provenance}
+        out = {"branch": self.branch, "tolerance": self.tol, "provenance": "closed-form"}
         for key in ("H", "Pick", "S", "W", "X", "Y", "M"):
             v = self.values.get(key)
             out[key] = None if v is None else scalar_to_string(v)
@@ -584,4 +583,4 @@ def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantRe
             values["X"] = invariant_X(aligned)
             if branch == "Cone" and order >= 7:
                 values["Y"] = invariant_Y(aligned)
-    return InvariantReport(branch, values, tol, "closed-form")
+    return InvariantReport(branch, values, tol)

@@ -1,11 +1,12 @@
 """Jet coordinates of graphed surfaces, rank-one-Hessian jets, total derivatives.
 
 A :class:`ParabolicJet` holds the independent coordinates of a rank-one jet:
-the base point, u, the pure x-jets ``u_{j,0}`` and the mixed jets ``u_{j,1}``.
-Every ``u_{j,k}`` with ``k >= 2`` is a rational function of these whose
-denominator is a power of ``u_{2,0}``; the values are generated by a
-triangular solve of the rank-one relation ``F_xx F_yy = F_xy^2`` column by
-column in y, never from hard-coded formulas.
+u, the pure x-jets ``u_{j,0}`` and the mixed jets ``u_{j,1}``.  Every
+``u_{j,k}`` with ``k >= 2`` is a rational function of these whose denominator
+is a power of ``u_{2,0}``.  It is read off one coefficient of the rank-one
+relation ``F_xx F_yy = F_xy^2`` (:func:`_rank_one_entry`), degree by degree
+with k ascending inside each degree, and only up to the highest degree asked
+for so far; no formula is hard-coded.
 
 Total derivatives of scalar functions of a jet are computed exactly by
 forward sensitivity propagation (:class:`~parajet.scalars.Sens`) and then
@@ -15,23 +16,22 @@ the dependent-jet substitutions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+from math import comb
+from typing import Callable, Dict, Mapping, Tuple
 
 from .scalars import Sens
-from .series import TruncatedSeries1, TruncatedSeries2, _binom
+from .series import TruncatedSeries2
 
 Coord = Tuple[int, int]
 JetFunction = Callable[[Mapping[Coord, object]], object]
 
 
 class JetPoint:
-    """A full jet: base (x, y) and u_{j,k} for all j + k <= order."""
+    """A full jet at the expansion point: u_{j,k} for all j + k <= order."""
 
-    __slots__ = ("x", "y", "order", "values")
+    __slots__ = ("order", "values")
 
-    def __init__(self, x, y, order: int, values: Dict[Coord, object]):
-        self.x = x
-        self.y = y
+    def __init__(self, order: int, values: Dict[Coord, object]):
         self.order = order
         self.values = dict(values)
         for j in range(order + 1):
@@ -42,64 +42,35 @@ class JetPoint:
         return self.values[jk]
 
 
-def _div_unit(P: TruncatedSeries1, Q: TruncatedSeries1) -> TruncatedSeries1:
-    """P / Q for a unit Q (Q(0) != 0), exact in rational mode, no order loss."""
-    n = min(P.order, Q.order)
-    q0 = Q[0]
-    out: Dict[int, object] = {}
-    for d in range(n + 1):
-        acc = P[d]
-        for i in range(1, d + 1):
-            if Q[i] != 0 and out.get(d - i, 0) != 0:
-                acc = acc - _binom(d, i) * Q[i] * out[d - i]
-        if acc != 0:
-            out[d] = acc / q0
-    return TruncatedSeries1(n, out)
+def _rank_one_entry(u: Mapping[Coord, object], j: int, k: int):
+    """u_{j,k}, k >= 2, from the (j, k - 2) coefficient of F_xx F_yy - F_xy^2 = 0.
 
-
-def _columns_from_coords(coords: Mapping[Coord, object], order: int) -> List[TruncatedSeries1]:
-    """Column series T_k(x) with F = sum_k T_k(x) y^k / k! on the rank-one locus.
-
-    T_0, T_1 come from the independent coordinates; T_k for k >= 2 solves
-    F_yy = F_xy^2 / F_xx degree by degree in y, which is triangular because
-    the y^(k-2) coefficient of the right side involves only T_0 .. T_{k-1}.
+    By Leibniz that coefficient is the sum over a <= j, b <= k - 2 of
+    C(j, a) C(k - 2, b) (u_{a+2,b} u_{j-a,k-b} - u_{a+1,b+1} u_{j-a+1,k-b-1}).
+    Only the (0, 0) term u_{2,0} u_{j,k} holds the unknown; every other factor
+    has lower degree, or the same degree and a lower k.  A zero sum gives the
+    integer 0 in every scalar mode, never a signed float zero.
     """
-    n = order
-    T: List[TruncatedSeries1] = [
-        TruncatedSeries1(n, {j: coords[(j, 0)] for j in range(n + 1) if coords.get((j, 0), 0) != 0}),
-        TruncatedSeries1(
-            max(n - 1, 0), {j: coords[(j, 1)] for j in range(n) if coords.get((j, 1), 0) != 0}
-        ),
-    ]
-    for k in range(2, n + 1):
-        m = k - 2
-        xo = n - k
-        # (F_xy^2)_m and (F_xx . F_yy)_m in the factorial y-convention
-        rhs = TruncatedSeries1(xo, {})
-        for i in range(m + 1):
-            Bi = T[i + 1].derivative()
-            Bj = T[m - i + 1].derivative()
-            rhs = rhs + (Bi * Bj).scale(_binom(m, i))
-        known = TruncatedSeries1(xo, {})
-        for i in range(1, m + 1):
-            Ai = T[i].derivative().derivative()
-            known = known + (Ai * T[m - i + 2]).scale(_binom(m, i))
-        A0 = T[0].derivative().derivative()
-        T.append(_div_unit(rhs - known, A0))
-    return T
+    rest = 0
+    for a in range(j + 1):
+        for b in range(k - 1):
+            t = u[(a + 1, b + 1)] * u[(j - a + 1, k - b - 1)]
+            if a or b:
+                t = t - u[(a + 2, b)] * u[(j - a, k - b)]
+            rest = rest + comb(j, a) * comb(k - 2, b) * t
+    return rest / u[(2, 0)] if rest != 0 else 0
 
 
 class ParabolicJet:
     """Independent coordinates of a rank-one-Hessian jet of given order.
 
     Coordinates: u, u_{j,0} for 1 <= j <= order and u_{j,1} for
-    0 <= j <= order - 1; that is 3 + 2*order numbers together with the base
-    point.  Requires u_{2,0} != 0.
+    0 <= j <= order - 1; that is 3 + 2*order numbers.  Requires u_{2,0} != 0.
     """
 
-    __slots__ = ("x", "y", "order", "coords", "_cols")
+    __slots__ = ("order", "coords", "_values", "_degree")
 
-    def __init__(self, order: int, coords: Dict[Coord, object], x=0, y=0):
+    def __init__(self, order: int, coords: Dict[Coord, object]):
         if order < 2:
             raise ValueError("parabolic jets start at order 2")
         expected = {(0, 0)}
@@ -113,38 +84,36 @@ class ParabolicJet:
             raise ValueError(f"not independent parabolic coordinates: {sorted(extra)}")
         if coords[(2, 0)] == 0:
             raise ValueError("u_{2,0} must be nonzero on the parabolic domain")
-        self.x = x
-        self.y = y
         self.order = order
         self.coords = dict(coords)
-        self._cols: List[TruncatedSeries1] | None = None
+        self._values = dict(coords)  # the coordinates and every dependent entry filled so far
+        self._degree = 1  # dependent entries are filled through this degree
 
-    def _columns(self) -> List[TruncatedSeries1]:
-        if self._cols is None:
-            self._cols = _columns_from_coords(self.coords, self.order)
-        return self._cols
+    def _fill(self, upto: int) -> None:
+        u = self._values
+        for d in range(self._degree + 1, upto + 1):
+            for k in range(2, d + 1):
+                u[(d - k, k)] = _rank_one_entry(u, d - k, k)
+        self._degree = max(self._degree, upto)
 
     def __getitem__(self, jk: Coord):
         return self.value(jk)
 
     def value(self, jk: Coord):
-        """u_{j,k}; dependent coordinates (k >= 2) are generated on demand."""
-        if jk in self.coords:
-            return self.coords[jk]
-        j, k = jk
-        if k <= 1 or j + k > self.order:
-            raise KeyError(f"coordinate {jk} exceeds jet order {self.order}")
-        return self._columns()[k][j]
+        """u_{j,k}; dependent coordinates (k >= 2) are filled on demand."""
+        if jk not in self._values:
+            j, k = jk
+            if k <= 1 or j + k > self.order:
+                raise KeyError(f"coordinate {jk} exceeds jet order {self.order}")
+            self._fill(j + k)
+        return self._values[jk]
 
     def filled(self, upto: int) -> Dict[Coord, object]:
         """All u_{j,k} with j + k <= upto as a plain mapping."""
         if upto > self.order:
             raise KeyError(f"requested order {upto} exceeds jet order {self.order}")
-        out: Dict[Coord, object] = {}
-        for j in range(upto + 1):
-            for k in range(upto + 1 - j):
-                out[(j, k)] = self.coords[(j, k)] if (j, k) in self.coords else self.value((j, k))
-        return out
+        self._fill(upto)
+        return {(j, k): self._values[(j, k)] for j in range(upto + 1) for k in range(upto + 1 - j)}
 
 
 def _seed_and_contract(f, coords, point, shifted, too_low: str):
@@ -185,9 +154,9 @@ def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
     )
 
 
-def jets_of_series(F: TruncatedSeries2, x=0, y=0) -> JetPoint:
+def jets_of_series(F: TruncatedSeries2) -> JetPoint:
     """The jet at the expansion point: u_{j,k} := F_{j,k} (factorial convention)."""
-    return JetPoint(x, y, F.order, dict(F.coeffs))
+    return JetPoint(F.order, dict(F.coeffs))
 
 
 def parabolic_jet_of_series(F: TruncatedSeries2, order: int | None = None) -> ParabolicJet:

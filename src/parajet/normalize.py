@@ -369,13 +369,13 @@ def _cone_branch(run: _Run, readings, tol, branch) -> NormalFormResult:
     return run.result("Cone", readings)
 
 
-def surface_frame(p: ParabolicJet, tol: float = DEFAULT_TOL) -> NormalFormResult:
+def surface_frame(p: ParabolicJet) -> NormalFormResult:
     """The normal form of the realized jet on a branch that carries a moving frame.
 
     Raises :class:`BranchError` on every other branch (flat, cylinder,
     order-too-low).
     """
-    res = normalize_parabolic_surface(realize_series(p), tol)
+    res = normalize_parabolic_surface(realize_series(p))
     if res.branch not in ("Generic", "Cone", "Cone[model]"):
         raise BranchError(f"no surface moving frame on branch {res.branch}")
     return res

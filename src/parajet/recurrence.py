@@ -99,7 +99,7 @@ def _branch_phantoms(branch: str, res: NormalFormResult):
     return GENERIC_PHANTOMS if branch == "Generic" else CONE_PHANTOMS
 
 
-def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerCartan:
+def solve_mc_surface(branch: str, p: ParabolicJet) -> MaurerCartan:
     """Solve the two phantom Cramer systems numerically at the jet.
 
     The matrix rows are generated from the prolongation machinery and
@@ -107,7 +107,7 @@ def solve_mc_surface(branch: str, p: ParabolicJet, tol: float = 1e-9) -> MaurerC
     """
     if branch not in ("Generic", "Cone"):
         raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
-    return _solve_mc_at_frame(branch, surface_frame(p, tol))
+    return _solve_mc_at_frame(branch, surface_frame(p))
 
 
 def _solve_mc_at_frame(branch: str, res: NormalFormResult) -> MaurerCartan:
@@ -189,13 +189,13 @@ def invariant_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
     return InvariantDerivationCoeffs(alpha, beta, gamma, delta)
 
 
-def frame_derivatives(p: ParabolicJet, tol: float = 1e-9) -> InvariantDerivationCoeffs:
+def frame_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
     """Operator coefficients from the composed moving-frame transform.
 
     Works on both surface branches, which settles the cone branch where no
     closed form is printed.
     """
-    return _frame_coeffs(surface_frame(p, tol), p)
+    return _frame_coeffs(surface_frame(p), p)
 
 
 def _frame_coeffs(res: NormalFormResult, p: ParabolicJet) -> InvariantDerivationCoeffs:
@@ -261,11 +261,11 @@ def identity_record(lhs, rhs, tolerance: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "residual": resid, "pass": resid <= tolerance}
 
 
-def verify_recurrences(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
+def verify_recurrences(branch: str, p: ParabolicJet) -> Dict[str, dict]:
     """Residuals of the printed recurrence identities at one jet."""
     if branch not in ("Generic", "Cone"):
         raise ValueError(branch)
-    return _recurrences_at_frame(branch, p, surface_frame(p, tol))
+    return _recurrences_at_frame(branch, p, surface_frame(p))
 
 
 def _recurrences_at_frame(branch: str, p: ParabolicJet, res: NormalFormResult) -> Dict[str, dict]:
@@ -311,12 +311,12 @@ def _recurrences_at_frame(branch: str, p: ParabolicJet, res: NormalFormResult) -
     return out
 
 
-def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[str, dict]:
+def verify_commutator(branch: str, p: ParabolicJet) -> Dict[str, dict]:
     """[D1, D2] identities, tol 1e-5; the commutator nests two recurrence derivations.
 
     D1 and D2 on the right sides come from :func:`apply_D_pair`.
     """
-    res = surface_frame(p, tol)
+    res = surface_frame(p)
     phantoms = _branch_phantoms(branch, res)
     f = invariant_W if branch == "Generic" else invariant_X
     second = recurrence_derivation(recurrence_derivation(lambda q: (f(q),), phantoms), phantoms)
@@ -339,17 +339,17 @@ def verify_commutator(branch: str, p: ParabolicJet, tol: float = 1e-9) -> Dict[s
 # -- curves -----------------------------------------------------------------------
 
 
-def solve_mc_curve(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> MaurerCartan:
+def solve_mc_curve(group: str, jet: Mapping[int, object]) -> MaurerCartan:
     """Phantom Cramer systems for plane curves under either group."""
     n = max(jet)
     F = TruncatedSeries1(n, dict(jet))
     if group.lower() == "sa2":
         gens = sl2_curve_generators()
-        res = normalize_curve_sl2(F, tol)
+        res = normalize_curve_sl2(F)
         phantom_orders = (1, 2, 3)
     elif group.lower() == "gl2":
         gens = gl2_curve_generators()
-        res = normalize_curve_gl2(F, tol)
+        res = normalize_curve_gl2(F)
         if res.branch == "Parabola":
             raise BranchError("parabola branch has no Cramer system")
         phantom_orders = (1, 2, 3, 4)
@@ -458,12 +458,12 @@ def surface_tangency_residual(field, F):
     return phi - F.derivative("x") * xi - F.derivative("y") * eta
 
 
-def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float = 1e-9) -> Dict[str, dict]:
+def verify_curve_recurrences(group: str, jet: Mapping[int, object]) -> Dict[str, dict]:
     """The printed curve recurrences at one jet, via nested total derivatives."""
     out: Dict[str, dict] = {}
     n = max(jet)
     if group.lower() == "sa2":
-        res = normalize_curve_sl2(TruncatedSeries1(n, dict(jet)), tol)
+        res = normalize_curve_sl2(TruncatedSeries1(n, dict(jet)))
 
         def DX(f):
             def g(c):
@@ -487,7 +487,7 @@ def verify_curve_recurrences(group: str, jet: Mapping[int, object], tol: float =
                 to_float(d3P(jet)) + 17.0 * to_float(dP(jet)) * to_float(P(jet)), I7, 1e-6
             )
     elif group.lower() == "gl2":
-        res = normalize_curve_gl2(TruncatedSeries1(n, dict(jet)), tol)
+        res = normalize_curve_gl2(TruncatedSeries1(n, dict(jet)))
         if res.branch == "Parabola":
             raise BranchError("parabola branch has no affine recurrences")
         eps = res.readings["eps"]

@@ -36,20 +36,8 @@ def _isqrt_exact(n: int):
     return r if r * r == n else None
 
 
-def _icbrt_floor(n: int) -> int:
-    """Floor of the integer cube root of n >= 0 (pure-integer Newton)."""
-    if n == 0:
-        return 0
-    x = 1 << (n.bit_length() // 3 + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def _icbrt_exact(n: int):
-    r = _icbrt_floor(n)
+    r = _inewton_root(n, 3)
     return r if r * r * r == n else None
 
 

@@ -50,18 +50,6 @@ from typing import Dict, Tuple
 
 from .scalars import is_exact, scalar_from_string, scalar_to_string
 
-_BINOM_CACHE: dict = {}
-
-
-def _binom(n: int, k: int) -> int:
-    key = (n, k)
-    v = _BINOM_CACHE.get(key)
-    if v is None:
-        v = math.comb(n, k)
-        _BINOM_CACHE[key] = v
-    return v
-
-
 def _integer_form(coeffs: dict):
     """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact."""
     kinds = {type(c) for c in coeffs.values()}
@@ -85,7 +73,7 @@ def _product(A: dict, B: dict, n: int) -> dict:
             if e > room:
                 continue
             jk = (a + c, b + d)
-            out[jk] = out.get(jk, 0) + _binom(jk[0], a) * _binom(jk[1], b) * u * v
+            out[jk] = out.get(jk, 0) + math.comb(jk[0], a) * math.comb(jk[1], b) * u * v
     if ia is None or ib is None or da is db is None:
         return out
     den = (da or 1) * (db or 1)

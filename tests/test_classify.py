@@ -148,6 +148,23 @@ def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
     assert calls == {"_full_products": 1, "shift": 4}
 
 
+def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
+    # the slope and fourth-order numerators are built only once the point is parabolic
+    rng = random.Random(3)
+    coeffs = {(j, k): F(rng.randint(-9, 9), 100) for j in range(9) for k in range(9 - j)}
+    coeffs.update({(2, 0): F(1), (1, 1): F(0), (0, 2): F(1)})
+    calls = []
+    mul = TruncatedSeries2.__mul__
+
+    def counted_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries2, "__mul__", counted_mul)
+    assert classify(TruncatedSeries2(8, coeffs)).point_type == "elliptic"
+    assert len(calls) == 2
+
+
 def test_cone_w_numerator_vanishes_exactly():
     rng = random.Random(45)
     for _ in range(10):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import parajet.jets as jets_module
 from parajet.invariants import invariant_H
 from parajet.jets import (
     DerivativeView,
@@ -14,6 +15,9 @@ from parajet.jets import (
     realize_series,
     total_derivative,
 )
+from parajet.prolong import p_eval, rank_one_substitution
+from parajet.sampling import random_cone_branch_jet
+from parajet.sampling import random_parabolic_jet as sampled_generic_jet
 from parajet.series import TruncatedSeries2
 
 F = Fraction
@@ -71,6 +75,37 @@ def test_fill_printed_low_order_relations():
             + 4 * u11**3 * u31 / u20**3
             - 3 * u11**4 * u40 / u20**4
         )
+
+
+@pytest.mark.parametrize("order", [6, 7, 8])
+def test_fill_equals_symbolic_rank_one_substitution(order):
+    # every dependent entry against the rational expression built by total differentiation
+    rng = random.Random(order)
+    for p in (sampled_generic_jet(rng, order, exact=True), random_cone_branch_jet(rng, order, exact=True)):
+        for (j, k), v in p.filled(order).items():
+            if k >= 2:
+                num, m = rank_one_substitution(j, k)
+                assert v == p_eval(num, p.coords) / p.coords[(2, 0)] ** m, (j, k)
+
+
+def test_fill_extends_degree_by_degree(monkeypatch):
+    coords = random_parabolic_jet(random.Random(12), 12).coords
+    calls = []
+    entry = jets_module._rank_one_entry
+
+    def counted_entry(u, j, k):
+        calls.append((j, k))
+        return entry(u, j, k)
+
+    monkeypatch.setattr(jets_module, "_rank_one_entry", counted_entry)
+    p = ParabolicJet(12, coords)
+    low = p.filled(3)
+    assert sorted(calls) == [(0, 2), (0, 3), (1, 2)]
+    full = p.filled(12)
+    assert len(calls) == len(set(calls)) == 3 + 63
+    assert p.filled(12) == full and len(calls) == 66  # nothing is filled twice
+    assert full == ParabolicJet(12, coords).filled(12)
+    assert low == {jk: v for jk, v in full.items() if sum(jk) <= 3}
 
 
 def test_fill_vanishing_mixed_jet_kills_column():
