@@ -67,7 +67,6 @@ from .recurrence import (
     solve_mc_curve,
     invariant_derivatives,
     frame_derivatives,
-    apply_D,
     verify_recurrences,
     verify_curve_recurrences,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "solve_mc_curve",
     "invariant_derivatives",
     "frame_derivatives",
-    "apply_D",
     "verify_recurrences",
     "verify_curve_recurrences",
     "Classification",

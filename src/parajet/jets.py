@@ -8,16 +8,16 @@ relation ``F_xx F_yy = F_xy^2`` (:func:`_rank_one_entry`), degree by degree
 with k ascending inside each degree, and only up to the highest degree asked
 for so far; no formula is hard-coded.
 
-Total derivatives of scalar functions of a jet are computed exactly by
-forward sensitivity propagation (:class:`~parajet.scalars.Sens`) and then
-contracted against the coordinate shifts, so ``D_y`` automatically picks up
-the dependent-jet substitutions.
+Every derivative of a scalar function of a jet is one chain rule: one
+evaluation on the :func:`seeded` jet, whose partials :func:`chain_rule`
+contracts with how each coordinate moves.  For D_x and D_y, u_J moves to
+(u_{J+e_x}, u_{J+e_y}), so ``D_y`` picks up the dependent-jet substitutions.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
 from .scalars import Sens
 from .series import TruncatedSeries2
@@ -116,42 +116,40 @@ class ParabolicJet:
         return {(j, k): self._values[(j, k)] for j in range(upto + 1) for k in range(upto + 1 - j)}
 
 
-def _seed_and_contract(f, coords, point, shifted, too_low: str):
-    """Evaluate f at point(coords seeded as Sens); contract its gradient with shifted(key)."""
-    g = f(point({key: Sens.seed(val, key) for key, val in coords.items()}))
-    if not isinstance(g, Sens):
-        return 0
-    total = 0
-    for key, sens in g.partials.items():
-        if sens == 0:
+def seeded(p, frozen=()):
+    """The jet p with every coordinate outside ``frozen`` seeded as a ``Sens`` under its own key.
+
+    p is a :class:`ParabolicJet` or a curve jet {i: u_i}; the result is of the same kind.
+    """
+    if isinstance(p, ParabolicJet):
+        return ParabolicJet(p.order, seeded(p.coords, frozen))
+    return {key: v if key in frozen else Sens.seed(v, key) for key, v in p.items()}
+
+
+def chain_rule(g, moved: Callable[[Hashable], Sequence], width: int) -> list:
+    """[sum_J dg/du_J * moved(J)[i] for i < width]: the partials of g contracted with moved.
+
+    A left fold over the nonzero partials of g, in their order; moved(J) is
+    asked only for those.  A g that is no ``Sens`` gives the zero vector.
+    """
+    total = [0] * width
+    for key, d in Sens.lift(g).partials.items():
+        if d == 0:
             continue
-        s = shifted(key)
-        if s is None:
-            raise KeyError(f"{too_low} of a function touching u_{key}")
-        total = total + sens * s
+        total = [t + d * m for t, m in zip(total, moved(key), strict=True)]
     return total
 
 
-def total_derivative(f: JetFunction, direction: str, p: ParabolicJet):
-    """D_x f or D_y f at a parabolic jet, exact via sensitivity propagation.
+def total_derivative(f: JetFunction, p: ParabolicJet) -> list:
+    """[D_x f, D_y f] at a parabolic jet from one evaluation of f on the seeded jet.
 
     ``f`` receives a mapping from (j, k) to scalar and may read any dependent
     coordinate; the jet must carry one order more than f consumes, because
     the gradient is contracted against the shifted coordinates (with the
-    rank-one substitutions supplying the shifts of the u_{j,1}).
+    rank-one substitutions supplying the shifts of the u_{j,1}).  A partial
+    at the top order raises ``KeyError``.
     """
-    if direction not in ("x", "y"):
-        raise ValueError("direction must be 'x' or 'y'")
-    dj, dk = (1, 0) if direction == "x" else (0, 1)
-
-    def shifted(key):
-        j, k = key
-        return p.value((j + dj, k + dk)) if j + k < p.order else None
-
-    return _seed_and_contract(
-        f, p.coords, lambda seeded: ParabolicJet(p.order, seeded), shifted,
-        f"jet order {p.order} too low for D_{direction}",
-    )
+    return chain_rule(f(seeded(p)), lambda J: (p.value((J[0] + 1, J[1])), p.value((J[0], J[1] + 1))), 2)
 
 
 def jets_of_series(F: TruncatedSeries2) -> JetPoint:
@@ -187,7 +185,7 @@ def realize_series(p: ParabolicJet, order: int | None = None) -> TruncatedSeries
 
 def curve_total_derivative(f: Callable[[Mapping[int, object]], object], jet: Mapping[int, object]):
     """D_x f for a function of curve jet coordinates u_0 .. u_n."""
-    return _seed_and_contract(f, jet, dict, lambda i: jet.get(i + 1), "curve jet order too low for D_x")
+    return chain_rule(f(seeded(jet)), lambda i: (jet[i + 1],), 1)[0]
 
 
 class DerivativeView(dict):

@@ -380,22 +380,3 @@ def surface_frame(p: ParabolicJet) -> NormalFormResult:
         raise BranchError(f"no surface moving frame on branch {res.branch}")
     return res
 
-
-def surface_frame_operators(res: NormalFormResult, fx, fy):
-    """Coefficients (alpha, beta, gamma, delta) of the invariant derivations.
-
-    From the composed moving-frame transform: with (s, t) the first two
-    forward components restricted to the graph, the operators are
-    (D1; D2) = M^{-1} (D_x; D_y) for M = [[Dx s, Dx t], [Dy s, Dy t]].
-    """
-    A = res.transform.inverse_matrix()
-    dxs = A[0][0] + A[0][2] * fx
-    dys = A[0][1] + A[0][2] * fy
-    dxt = A[1][0] + A[1][2] * fx
-    dyt = A[1][1] + A[1][2] * fy
-    det = dxs * dyt - dxt * dys
-    alpha = dyt / det
-    beta = -dxt / det
-    gamma = -dys / det
-    delta = dxs / det
-    return alpha, beta, gamma, delta

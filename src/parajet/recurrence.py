@@ -15,6 +15,7 @@ sum_sigma K_i^sigma phi_sigma^J(I) on ``Sens``-seeded normal forms, exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Tuple
@@ -29,14 +30,13 @@ from .invariants import (
     s_numerator,
     w_numerator,
 )
-from .jets import ParabolicJet, curve_total_derivative, parabolic_jet_of_series, total_derivative
+from .jets import ParabolicJet, chain_rule, curve_total_derivative, parabolic_jet_of_series, seeded, total_derivative
 from .normalize import (
     BranchError,
     NormalFormResult,
     normalize_curve_gl2,
     normalize_curve_sl2,
     surface_frame,
-    surface_frame_operators,
 )
 from .prolong import (
     Poly,
@@ -52,7 +52,7 @@ from .prolong import (
     solve_linear_exact,
     vf,
 )
-from .scalars import Sens, cbrt, to_float
+from .scalars import cbrt, to_float
 from .series import TruncatedSeries1, TruncatedSeries2
 
 Coord = Tuple[int, int]
@@ -199,35 +199,36 @@ def frame_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
 
 
 def _frame_coeffs(res: NormalFormResult, p: ParabolicJet) -> InvariantDerivationCoeffs:
-    return InvariantDerivationCoeffs(
-        *surface_frame_operators(res, p.coords[(1, 0)], p.coords[(0, 1)])
-    )
+    """(D1; D2) = M^{-1} (D_x; D_y) for M = [[Dx s, Dx t], [Dy s, Dy t]].
+
+    (s, t) are the first two forward components of the composed moving-frame
+    transform, restricted to the graph.
+    """
+    A = res.transform.inverse_matrix()
+    fx, fy = p.coords[(1, 0)], p.coords[(0, 1)]
+    dxs = A[0][0] + A[0][2] * fx
+    dys = A[0][1] + A[0][2] * fy
+    dxt = A[1][0] + A[1][2] * fx
+    dyt = A[1][1] + A[1][2] * fy
+    det = dxs * dyt - dxt * dys
+    return InvariantDerivationCoeffs(dyt / det, -dxt / det, -dys / det, dxs / det)
 
 
 def apply_D_pair(f: Callable[[Mapping[Coord, object]], object], p: ParabolicJet,
                  coeffs: InvariantDerivationCoeffs | None = None):
-    """(D1 f, D2 f) at the jet from one pair of total derivatives."""
+    """(D1 f, D2 f) at the jet from one pair of total derivatives, one evaluation of f."""
     if coeffs is None:
         coeffs = invariant_derivatives(p)
-    dx = total_derivative(f, "x", p)
-    dy = total_derivative(f, "y", p)
+    dx, dy = total_derivative(f, p)
     return coeffs.alpha * dx + coeffs.beta * dy, coeffs.gamma * dx + coeffs.delta * dy
-
-
-def apply_D(i: int, f: Callable[[Mapping[Coord, object]], object], p: ParabolicJet,
-            coeffs: InvariantDerivationCoeffs | None = None):
-    """D_i f at the jet: a linear combination of the total derivatives."""
-    if i not in (1, 2):
-        raise ValueError("i must be 1 or 2")
-    return apply_D_pair(f, p, coeffs)[i - 1]
 
 
 def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Callable[[ParabolicJet], list]:
     """[D1 g_1, D2 g_1, D1 g_2, ...] for the components g of f, by the recurrence formula.
 
-    f and the result map the normalized jet to scalars.  The jet's non-phantom
-    coordinates of order >= 2 are seeded as ``Sens`` (the others are frame
-    constants), and each partial of g is contracted with
+    f and the result map the normalized jet to scalars.  The phantoms and the
+    coordinates of order < 2 are frame constants; the chain rule contracts the
+    partials of g in the other coordinates with
     D_i I_J = I_{J+e_i} + sum_sigma K_i^sigma phi_sigma^J(I), K from the Cramer
     systems at the same jet; nested, the outer derivation differentiates K.
     """
@@ -236,17 +237,16 @@ def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Calla
     def derived(p: ParabolicJet) -> list:
         values = _jet_values(p)
         _, _, K = _cramer(phantoms, values)
-        seeded = {J: v if sum(J) < 2 or J in phantoms else Sens.seed(v, J) for J, v in p.coords.items()}
-        moved: Dict[Coord, list] = {}  # J -> [D1 I_J, D2 I_J]
-        out = []
-        for g in f(ParabolicJet(p.order, seeded)):
-            partials = Sens.lift(g).partials
-            for j, k in partials.keys() - moved.keys():
-                phi = [p_eval(prolong(v, (j, k)), values) for v in gens]
-                shifted = (values[(j + 1, k)], values[(j, k + 1)])
-                moved[(j, k)] = [s + sum(a * b for a, b in zip(Ki, phi)) for s, Ki in zip(shifted, K)]
-            out += [sum(d * moved[J][i] for J, d in partials.items()) for i in (0, 1)]
-        return out
+        @functools.cache
+        def moved(J: Coord) -> list:
+            """[D1 I_J, D2 I_J]."""
+            j, k = J
+            phi = [p_eval(prolong(v, J), values) for v in gens]
+            shifted = (values[(j + 1, k)], values[(j, k + 1)])
+            return [s + sum(a * b for a, b in zip(Ki, phi)) for s, Ki in zip(shifted, K)]
+
+        frozen = {J for J in p.coords if sum(J) < 2}.union(phantoms)
+        return [d for g in f(seeded(p, frozen)) for d in chain_rule(g, moved, 2)]
 
     return derived
 

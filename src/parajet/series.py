@@ -135,9 +135,6 @@ class TruncatedSeries1:
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs.values())
 
-    def copy(self) -> "TruncatedSeries1":
-        return TruncatedSeries1(self.order, dict(self.coeffs))
-
     def __add__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
         n = min(self.order, other.order)
         out = {}
@@ -214,9 +211,6 @@ class TruncatedSeries2:
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs.values())
-
-    def copy(self) -> "TruncatedSeries2":
-        return TruncatedSeries2(self.order, dict(self.coeffs))
 
     def __add__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
         n = min(self.order, other.order)

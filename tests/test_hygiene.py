@@ -53,11 +53,20 @@ def _attribute_references(tree) -> dict:
 
     A method is reached only so: as an attribute, or through a dotted name such
     as the benchmark tracer's ``"ParabolicJet.filled"``.  A local variable or
-    parameter of the same name is not a use.
+    parameter of the same name is not a use, nor is an attribute of a module
+    the file imports (``functools.partial``, ``shutil.copy``).
     """
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
     counts: dict = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                continue
             name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
             name = node.value.rsplit(".", 1)[1]

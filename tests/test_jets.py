@@ -143,8 +143,7 @@ def test_fill_determinant_relation_and_derivatives_vanish():
 
         vals = {jk: p[jk] for jk in [(2, 0), (0, 2), (1, 1)]}
         assert vals[(2, 0)] * vals[(0, 2)] - vals[(1, 1)] ** 2 == 0
-        assert total_derivative(hess, "x", p) == 0
-        assert total_derivative(hess, "y", p) == 0
+        assert total_derivative(hess, p) == [0, 0]
 
 
 def test_jets_of_series_basic():
@@ -208,7 +207,7 @@ def test_total_derivative_chain_rule():
     def f(c):
         return c[(2, 0)] * c[(2, 0)]
 
-    assert total_derivative(f, "x", p) == 2 * p[(2, 0)] * p[(3, 0)]
+    assert total_derivative(f, p)[0] == 2 * p[(2, 0)] * p[(3, 0)]
 
 
 def test_total_derivative_insufficient_order():
@@ -219,7 +218,14 @@ def test_total_derivative_insufficient_order():
         return c[(3, 0)] * c[(2, 1)]
 
     with pytest.raises(KeyError):
-        total_derivative(f, "x", p)
+        total_derivative(f, p)
+
+
+def test_total_derivative_of_a_constant_and_past_the_top_order():
+    p = random_parabolic_jet(random.Random(4), 3)
+    assert total_derivative(lambda c: F(7), p) == [0, 0]
+    with pytest.raises(KeyError):
+        total_derivative(lambda c: c[(0, 3)], p)
 
 
 def test_total_derivatives_commute():
@@ -261,8 +267,8 @@ def test_total_derivatives_commute():
                 + g.partial(("inner", (2, 1))) * c[(2, 2)]
             )
 
-        lhs = total_derivative(dy_of_f, "x", p)
-        rhs = total_derivative(dx_of_f, "y", p)
+        lhs = total_derivative(dy_of_f, p)[0]
+        rhs = total_derivative(dx_of_f, p)[1]
         from parajet.scalars import to_float
 
         a, b = to_float(lhs), to_float(rhs)
@@ -330,8 +336,8 @@ def test_total_derivative_of_S_matches_series_shift():
         p = random_parabolic_jet(rng, 6, exact=True)
         f = realize_series(p)
         eps = F(1, 100000)
-        for direction in ("x", "y"):
-            got = to_float(total_derivative(invariant_S, direction, p))
+        for direction, d in zip(("x", "y"), total_derivative(invariant_S, p)):
+            got = to_float(d)
             if direction == "x":
                 jp = parabolic_jet_of_series(f.shift(eps, 0), 5)
                 jm = parabolic_jet_of_series(f.shift(-eps, 0), 5)

@@ -11,7 +11,6 @@ from parajet.normalize import surface_frame
 from parajet.recurrence import (
     CONE_PHANTOMS,
     GENERIC_PHANTOMS,
-    apply_D,
     apply_D_pair,
     frame_derivatives,
     homogeneous_curve_coefficients,
@@ -120,7 +119,7 @@ def test_d2w_equals_2w():
     for _ in range(5):
         p = random_parabolic_jet(rng, 6)
         w = to_float(invariant_W(p.filled(4)))
-        got = to_float(apply_D(2, invariant_W, p))
+        got = to_float(apply_D_pair(invariant_W, p)[1])
         assert abs(got - 2 * w) <= 1e-7 * (1 + abs(w))
 
 
@@ -128,8 +127,23 @@ def test_d1w_identity():
     rng = random.Random(36)
     p = random_parabolic_jet(rng, 6)
     w = to_float(invariant_W(p.filled(4)))
-    got = to_float(apply_D(1, invariant_W, p))
+    got = to_float(apply_D_pair(invariant_W, p)[0])
     assert abs(got + 2.0 / 3.0 * w * w) <= 1e-7 * (1 + w * w)
+
+
+def test_apply_d_pair_evaluates_f_once():
+    p = random_parabolic_jet(random.Random(37), 6)
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return invariant_W(c)
+
+    d1, d2 = apply_D_pair(spy, p)
+    assert len(calls) == 1
+    w = to_float(invariant_W(p.filled(4)))
+    assert identity_record(d2, 2 * w, 1e-7)["pass"]
+    assert identity_record(d1, -2.0 / 3.0 * w * w, 1e-7)["pass"]
 
 
 def test_recurrence_reports_pass():
@@ -292,8 +306,7 @@ def test_generation_property_one_depth():
         coeffs = invariant_derivatives(p)
         W = to_float(invariant_W(p.filled(4)))
         M = to_float(invariant_M(p.filled(5)))
-        d1m = to_float(apply_D(1, invariant_M, p, coeffs))
-        d2m = to_float(apply_D(2, invariant_M, p, coeffs))
+        d1m, d2m = (to_float(d) for d in apply_D_pair(invariant_M, p, coeffs))
         i51 = d2m + M - 80.0 / 9.0 * W**3
         i60 = d1m + 14.0 * M * W - 10.0 / 3.0 * i51 * W
         res = normalize_parabolic_surface(realize_series(p))

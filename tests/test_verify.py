@@ -8,6 +8,8 @@ import pytest
 
 from parajet import normalize, recurrence, verify
 from parajet.invariants import invariant_W
+from parajet.prolong import X, poly, sa3_generators, vf
+from parajet.sampling import random_parabolic_jet
 from parajet.recurrence import InvariantDerivationCoeffs
 from parajet.scalars import to_float
 
@@ -103,3 +105,12 @@ def test_run_suite_rejects_unknown_suites_and_empty_samples():
         verify.run_suite("oracle", branch="cone")
     with pytest.raises(ValueError):
         verify.run_suite("oracle", samples=0)
+
+
+def test_generators_tangent_compares_every_generator(monkeypatch):
+    """A twelfth field that is no symmetry, u -> u + t x^2, breaks the tangency record."""
+    p = random_parabolic_jet(random.Random(106), 5, exact=True, generic_floor=None)
+    assert verify._generators_tangent(p)
+    bad = vf("bad", phi=poly((1, {X: 2})))
+    monkeypatch.setattr(verify, "sa3_generators", lambda: sa3_generators() + [bad])
+    assert not verify._generators_tangent(p)
