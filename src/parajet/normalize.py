@@ -5,8 +5,12 @@ of Taylor coefficients, shrinking the stabilizer subgroup until it is trivial.
 The surviving coefficients of the normal form are the differential invariants
 read at the base point; running the loops on a realized jet therefore serves
 as a brute-force oracle for every closed-form invariant.  One runner applies
-and records every loop, snapping its output from the run's first root on; the
-moving frame, the composite of the recorded loops, is composed when read.
+and records every loop; the moving frame, the composite of the recorded
+loops, is composed when read.  Loops are exact up to the run's first root and
+snapped to the 2^-PIPELINE_BITS grid after it.  From the first inexact root
+on they run in certified fixed point, each output coefficient within
+2^-PIPELINE_BITS of the exact image of the loop's input under its recorded
+transform (see :mod:`parajet.series`).
 
 Branch tree for surfaces, on the label of
 :func:`parajet.invariants.surface_branch` at the base point (Elliptic and
@@ -32,6 +36,7 @@ from .invariants import (  # the branch errors are re-exported from here
     AmbiguousBranchError,
     BranchError,
     decide,
+    h_terms,
     invariant_H,
     s_numerator,
     surface_branch,
@@ -50,10 +55,10 @@ from .series import (
 
 # Working precision of the loop pipeline.  Float inputs are lifted losslessly
 # to rationals; the cube and square roots taken by the loops are replaced by
-# dyadic rationals of this many bits, and from the first root on coefficients
-# are snapped back to the same grid after each loop so denominators stay
-# bounded.  The readings are then accurate to ~2^-PIPELINE_BITS relative, far
-# below every stated tolerance.
+# rationals within 2^-PIPELINE_BITS relative, and from the first root on every
+# loop's output lies on (or is snapped to) the 2^-PIPELINE_BITS grid so
+# denominators stay bounded.  The readings are then accurate to
+# ~2^-PIPELINE_BITS relative, far below every stated tolerance.
 PIPELINE_BITS = 128
 
 
@@ -85,7 +90,8 @@ class NormalFormResult:
 class _Run:
     """One normalization: the series, its loop transforms (the identity first) and the step notes.
 
-    Roots are taken only through :meth:`root`; from the first one on, :meth:`loop` snaps.
+    Roots are taken only through :meth:`root`.  From the first one on, :meth:`loop`
+    snaps; from the first inexact one on, its loops run in certified fixed point.
     """
 
     def __init__(self, F):
@@ -93,17 +99,20 @@ class _Run:
         self.G = type(F)(F.order, {key: Fraction(c) for key, c in F.coeffs.items()})  # exact lift
         self.loops = [CurveTransform2.identity() if self.curve else AffineTransform3.identity()]
         self.steps: List[str] = []
-        self.rooted = False
+        self.rooted = self.approximated = False
 
     def root(self, fn, x):
         """``fn`` (:func:`cbrt_frac` or :func:`sqrt_frac`) of x at the pipeline precision."""
+        r = fn(x, PIPELINE_BITS)
         self.rooted = True
-        return fn(x, PIPELINE_BITS)
+        self.approximated |= r ** (3 if fn is cbrt_frac else 2) != x
+        return r
 
     def loop(self, T, note: str):
         """Apply and record T; T None means the coefficient is already normal, and the note stands."""
         if T is not None:
-            G = apply_affine_curve(self.G, T) if self.curve else apply_affine(self.G, T)
+            grid = PIPELINE_BITS if self.approximated else None
+            G = apply_affine_curve(self.G, T, grid) if self.curve else apply_affine(self.G, T, grid)
             self.G = _snapped(G) if self.rooted else G
             self.loops.append(T)
         self.steps.append(note)
@@ -237,6 +246,20 @@ def _nonvanishing(num: TruncatedSeries2, G: TruncatedSeries2, bound: float):
 
 
 def _check_parabolic(F: TruncatedSeries2, tol: float):
+    """Refuse F unless its Hessian-determinant series vanishes to tol (1 + max(1, |F_jk|)^2).
+
+    In floats, each coefficient is within 2 (m + 6) 2^-53 times the same products on absolute values
+    (m <= (order + 1)^2 terms, each rounded a few times), plus an underflow allowance, of the exact one.
+    Only where that does not clear the threshold is the series built exactly to decide and word the error.
+    """
+    n, scale = F.order, max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()]) ** 2 + 1.0
+    floats = {jk: float(c) for jk, c in F.coeffs.items()}
+    value = invariant_H(DerivativeView(TruncatedSeries2(n, floats)))
+    p, q = h_terms(DerivativeView(TruncatedSeries2(n, {jk: abs(c) for jk, c in floats.items()})))
+    slack, floor = 2 * ((n + 1) ** 2 + 6) * 2.0**-53, 4.0**n * 2.0**-1000 * scale
+    limit = tol * scale * (1 - 2.0**-50)
+    if floor <= limit and all(abs(value[jk]) + slack * a + floor <= limit for jk, a in (p - q).coeffs.items()):
+        return
     bad = _nonvanishing(invariant_H(DerivativeView(F)), F, tol)
     if bad:
         jk, c = max(bad, key=lambda it: abs(to_float(it[1])))

@@ -39,6 +39,22 @@ builds one ``Fraction`` per output coefficient.  Other coefficients run the
 same loops on the scalars, with factorials divided out on entry and put
 back on exit as before, so float and ``Sens`` results are unchanged to the
 bit.
+
+Precision rule of the normalization loops: a loop whose run has taken an
+inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  Its
+exact F and T are rounded away from zero to integers X standing for X / 2^B,
+B = g + ``FIXED_GUARD`` (within one ulp, and zero only where the exact value
+is), and the same substitution and solve run on them, shifting right by B
+after each step's products.  Every intermediate polynomial or homogeneous
+part carries one integer error radius r in ulps of 2^-B, bounding every
+coefficient's distance from the exact one.  A product (XY) >> B adds ((|X| + rX) rY + (|Y| + rY) rX) >> B,
+plus 2 (one ulp for rounding the bound, one for the shift); sums of products
+add the per-pair bounds and shift once.  Dividing a residual R by the
+v-derivative P, with |P| > rP certified, adds
+(rR |P| + |R| rP) 2^B / ((|P| - rP) |P|), plus 1.  Each output coefficient
+G_jk = j! k! g_jk is certified when r j! k! <= 2^(B - g - 2): it is then
+within 2^-(g+2) of the exact image before and 2^-g after rounding it to the
+grid.  Where the certificate fails, the exact kernel runs instead.
 """
 
 from __future__ import annotations
@@ -49,6 +65,21 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .scalars import is_exact, scalar_from_string, scalar_to_string
+
+FIXED_GUARD = 256  # fixed-point fraction bits beyond the output grid
+
+
+def _fixed(x, bits: int, m: int = 1) -> int:
+    """Exact x / m in ulps of 2^-bits, rounded away from zero: within one ulp, and 0 only for x = 0."""
+    p, q = x.as_integer_ratio()
+    v = -((-abs(p) << bits) // (q * m))
+    return v if p >= 0 else -v
+
+
+def _err(X: int, rX: int, Y: int, rY: int) -> int:
+    """Bound on |xy - XY| at scale 2^2B for |X|, |Y| bounds on the magnitudes and rX, rY the radii."""
+    return (X + rX) * rY + (Y + rY) * rX
+
 
 def _integer_form(coeffs: dict):
     """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact."""
@@ -316,20 +347,20 @@ class _Series3:
     monomial coefficients as integer numerators ``terms`` over one
     denominator ``den``; ``coeffs`` builds the factorial-convention
     ``Fraction``s from them when read.  Otherwise ``den`` is None and
-    ``terms`` are the coefficients themselves.
+    ``terms`` are the coefficients themselves.  A fixed-point series has den
+    2^B, an error ``radius`` in ulps of 2^-B and its zero terms (a lacking key is zero).
     """
 
-    __slots__ = ("order", "den", "terms")
+    __slots__ = ("order", "den", "terms", "radius")
 
-    def __init__(
-        self, order: int, coeffs: Dict[Tuple[int, int, int], object] | None = None, den: int | None = None
-    ):
+    def __init__(self, order: int, coeffs: dict | None = None, den: int | None = None, radius: int | None = None):
         self.order = order
         self.den = den
+        self.radius = radius
         self.terms = {}
         if coeffs:
             for key, c in coeffs.items():
-                if sum(key) <= order and c != 0:
+                if sum(key) <= order and (c != 0 or radius is not None):
                     self.terms[key] = c
 
     @property
@@ -351,9 +382,6 @@ class _Series3:
             elif key in out:
                 del out[key]
         return _Series3(min(self.order, other.order), out)
-
-    def dv_at_zero(self):
-        return self[(0, 0, 1)]
 
 
 def _fact3(key) -> int:
@@ -377,7 +405,7 @@ def _times_linear(P: dict, form) -> dict:
 
 
 def series3_from_bivariate_in_linear(
-    F: TruncatedSeries2, xs, ys, order: int
+    F: TruncatedSeries2, xs, ys, order: int, fixed: int | None = None
 ) -> _Series3:
     """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0.
 
@@ -392,25 +420,39 @@ def series3_from_bivariate_in_linear(
     least common denominator D and L1, L2 over their own, qx and qy; with
     f_ab scaled by qx^(order-a) qy^(order-b) the same Horner pass runs on
     integers and yields the monomial numerators over D qx^order qy^order.
+    With ``fixed`` = B (exact input, no constant parts) it runs on fixed-point
+    integers instead, shifting each power and Horner step back by B once, and
+    returns them over 2^B with their error radius (module docstring).
     """
     Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
-    n = order
-    f = {
-        ab: _over(c, math.factorial(ab[0]) * math.factorial(ab[1]))
-        for ab, c in Fc.coeffs.items()
-        if ab[0] + ab[1] <= n
-    }
+    n, B = order, fixed or 0
+    fact = [math.factorial(i) for i in range(n + 1)]
     lx, ly, den = xs[:3], ys[:3], None
-    forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
-    if None not in forms:
-        (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
-        f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
-        lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
-    y_pows = [{(0, 0, 0): 1}]
+    if fixed:
+        f = {(a, b): _fixed(c, B, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
+        lx, ly = [_fixed(c, B) for c in lx], [_fixed(c, B) for c in ly]
+    else:
+        f = {(a, b): _over(c, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
+        forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
+        if None not in forms:
+            (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
+            f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
+            lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
+    # y_pows[b] = L2^b with its magnitude and radius; f and the forms have radius 1
+    y_pows, mags, radii = [{(0, 0, 0): 1 << B}], [1 << B], [0]
     for _ in range(max((b for _, b in f), default=0)):
-        y_pows.append(_times_linear(y_pows[-1], ly))
-    R: dict = {}
+        P = _times_linear(y_pows[-1], ly)
+        if fixed:
+            radii.append((sum(_err(abs(c), 1, mags[-1], radii[-1]) for c in ly if c) >> B) + 2)
+            P = {key: c >> B for key, c in P.items()}
+            mags.append(max(map(abs, P.values()), default=0))
+        y_pows.append(P)
+    R, r = {}, 0
     for a in range(n, -1, -1):
+        if fixed:
+            mr = max(map(abs, R.values()), default=0)
+            err = sum(_err(abs(c), 1, mr, r) for c in lx if c)
+            err += max((_err(abs(f[a, b]), 1, mags[b], radii[b]) for b in range(n - a + 1) if (a, b) in f), default=0)
         R = _times_linear(R, lx)
         for b in range(n - a + 1):
             fab = f.get((a, b))
@@ -420,15 +462,13 @@ def series3_from_bivariate_in_linear(
                 x = fab * c
                 prev = R.get(key)
                 R[key] = x if prev is None else prev + x
+        if fixed:
+            R, r = {key: c >> B for key, c in R.items()}, (err >> B) + 2
+    if fixed:
+        return _Series3(n, R, 1 << B, r)
     if den is not None:
         return _Series3(n, R, den)
-    return _Series3(
-        n,
-        {
-            (i, j, k): c * (math.factorial(i) * math.factorial(j) * math.factorial(k))
-            for (i, j, k), c in R.items()
-        },
-    )
+    return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()})
 
 
 def _times_homogeneous(A: dict, B: dict, out: dict) -> None:
@@ -461,13 +501,25 @@ def _sum_of_products(init: dict, pairs, exact: bool):
     return den, out
 
 
+def _fixed_sum(r0: int, init: dict, pairs, bits: int, m: int):
+    """(radius, init + sum of A B) on fixed-point parts (radius, {power of s: X}), shifted once.
+
+    Each pair adds sA rB + sB rA + m rA rB at scale 2^2B: s sums magnitudes, m >= pairs per coefficient.
+    """
+    out, err = {j: x << bits for j, x in init.items()}, r0 << bits
+    for (ra, A), (rb, B) in pairs:
+        _times_homogeneous(A, B, out)
+        err += sum(map(abs, A.values())) * rb + sum(map(abs, B.values())) * ra + m * ra * rb
+    return (err >> bits) + 2, {j: x >> bits for j, x in out.items()}
+
+
 def _reduced(den: int, nums: dict):
     """(den, nums) over the least common denominator of the fractions nums[j] / den."""
     g = math.gcd(den, *nums.values())
     return (den, nums) if g == 1 else (den // g, {j: x // g for j, x in nums.items()})
 
 
-def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
+def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 | None:
     """The unique G(s,t), G(0,0)=0, with Phi(s,t,G(s,t)) = 0 to truncation order.
 
     Degree-graded solve in monomial convention (Brent & Kung 1978).  Write
@@ -484,17 +536,23 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     one ``Fraction`` is built per output coefficient and none per term pair.
     Float, mixed and ``Sens`` coefficients run the same loops on the scalars
     in the same order.  At order 0 there is nothing to solve: G = 0.
+
+    A fixed-point Phi runs the same loops on its integers, each part with its
+    radius, and returns G rounded to the 2^-grid grid, or None where
+    phi_v(0) or an output is not certified (module docstring).
     """
     if Phi[(0, 0, 0)] != 0:
         raise ValueError("Phi must vanish at the origin")
     if Phi.order == 0:
         return TruncatedSeries2(0, {})
-    pv = Phi.dv_at_zero()
+    n, terms, rphi, B = Phi.order, Phi.terms, Phi.radius, (Phi.den or 1).bit_length() - 1
+    pv = Phi[(0, 0, 1)] if rphi is None else terms.get((0, 0, 1), 0)
+    if rphi is not None and abs(pv) <= rphi:
+        return None
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")
-    n = Phi.order
-    terms, exact = Phi.terms, Phi.den is not None
-    if not exact:
+    exact = Phi.den is not None and rphi is None
+    if Phi.den is None:
         terms = {key: _over(x, _fact3(key)) for key, x in terms.items()}
         form = _integer_form(terms)
         if form is not None:
@@ -507,21 +565,31 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
         if (a, b, c) != (0, 0, 1):
             phi.setdefault(c, {}).setdefault(a + b, {})[a] = x
     vmax = max(max(phi, default=0), 1)
-    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den, coefficients)
+    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den or radius, coefficients)
     powers: Dict[int, Dict[int, tuple]] = {c: {} for c in range(1, vmax + 1)}
     out: Dict[Tuple[int, int], object] = {}
     for d in range(1, n + 1):
         for c in range(2, min(d, vmax) + 1):
             pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(1, d - c + 2)]
-            part = _sum_of_products({}, pairs, exact)
+            part = _sum_of_products({}, pairs, exact) if rphi is None else _fixed_sum(0, {}, pairs, B, n + 1)
             powers[c][d] = _reduced(*part) if exact else part
         pairs = [
-            ((1, h), powers[c][d - e])
+            ((1 if rphi is None else rphi, h), powers[c][d - e])
             for c in range(1, vmax + 1)
             for e, h in phi.get(c, {}).items()
             if d - e in powers[c]
         ]
-        den, residual = _sum_of_products(phi.get(0, {}).get(d, {}), pairs, exact)
+        init = phi.get(0, {}).get(d, {})
+        if rphi is not None:
+            r, residual = _fixed_sum(rphi, init, pairs, B, n + 1)
+            apv = abs(pv)
+            r = -(-((r * apv + max(map(abs, residual.values()), default=0) * rphi) << B) // ((apv - rphi) * apv)) + 1
+            powers[1][d] = (r, {j: (-x << B) // pv for j, x in residual.items()})
+            for j, x in powers[1][d][1].items():
+                fac = math.factorial(j) * math.factorial(d - j)
+                out[(j, d - j)] = (x * fac, r * fac)
+            continue
+        den, residual = _sum_of_products(init, pairs, exact)
         if not exact:
             powers[1][d] = (1, {j: -x / pv for j, x in residual.items() if x != 0})
             for j, x in powers[1][d][1].items():
@@ -531,19 +599,38 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
         den, part = powers[1][d] = _reduced(den * abs(pv), {j: sign * x for j, x in residual.items() if x})
         for j, x in part.items():
             out[(j, d - j)] = Fraction(x * (math.factorial(j) * math.factorial(d - j)), den)
-    return TruncatedSeries2(n, out)
+    if rphi is None:
+        return TruncatedSeries2(n, out)
+    if any(r > 1 << (B - grid - 2) for _, r in out.values()):
+        return None
+    half = B - grid - 1  # round half up to the grid
+    return TruncatedSeries2(n, {jk: Fraction(((x >> half) + 1) >> 1, 1 << grid) for jk, (x, _) in out.items()})
 
 
-def _solve_graph(phi: _Series3, axis: dict, message: str) -> TruncatedSeries2:
-    """The graph v = G(s, t) of phi(s, t, v) = u(s, t, v).
+def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: int | None = None):
+    """The graph v = G(s, t) of F(L1, L2) = u(s, t, v), L1, L2 the linear forms xs, ys.
 
     ``axis`` holds the coefficients of the affine function u at the keys
-    (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  An exact phi and axis are folded
-    into integers over one lcm and the origin is checked on integers; the
-    denominator then drops out.  Otherwise Phi = phi - u is assembled on the
-    scalars; ``message`` is raised when Phi misses the origin.
+    (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  With ``grid`` the kernels run in
+    fixed point and G comes back on the 2^-grid grid; where its certificate
+    fails they run exactly.  An exact phi and axis are folded into integers
+    over one lcm and the origin is checked on integers; the denominator then
+    drops out.  Otherwise Phi = phi - u is assembled on the scalars;
+    ``message`` is raised when Phi misses the origin.
     """
-    n = phi.order
+    n = F.order
+    if grid is not None:
+        phi = series3_from_bivariate_in_linear(F, xs, ys, n, grid + FIXED_GUARD)
+        terms = dict(phi.terms)
+        for key, c in axis.items():
+            if c:
+                terms[key] = terms.get(key, 0) - _fixed(c, grid + FIXED_GUARD)
+        if terms.pop((0, 0, 0), 0):
+            raise ValueError(message)
+        G = solve_implicit(_Series3(n, terms, phi.den, phi.radius + 1), grid)
+        if G is not None:
+            return G
+    phi = series3_from_bivariate_in_linear(F, xs, ys, n)
     form = _integer_form(axis) if phi.den is not None else None
     if form is None:
         phi = phi.add(_Series3(n, {key: -c for key, c in axis.items()}))
@@ -652,20 +739,28 @@ class AffineTransform3:
         return AffineTransform3()
 
 
-def apply_affine(F: TruncatedSeries2, T: AffineTransform3) -> TruncatedSeries2:
+def apply_affine(F: TruncatedSeries2, T: AffineTransform3, grid: int | None = None) -> TruncatedSeries2:
     """Graphing series of the transformed surface {u = F} under T (inverse form).
 
     Assembles Phi(s,t,v) = -(p s + q t + r v + w) + F(a s + b t + c v + d, ...)
     and solves it for v = G(s,t).  Requires the image surface to pass through
     the target origin, i.e. Phi(0,0,0) = 0.  Exact F and T run on integer
-    numerators from the substitution through the solve.
+    numerators from the substitution through the solve, or edit the affine
+    part, G = F - (p s + q t + w), when T's linear part is the identity.
+    With ``grid`` (exact F and T, no translation) G comes back on the 2^-grid
+    grid within 2^-grid of the exact image (module docstring).
     """
-    n = F.order
-    phi = series3_from_bivariate_in_linear(
-        F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), n
-    )
+    message = "transformed surface misses the target origin; adjust the translation"
+    rest = (T.a, T.b, T.c, T.k, T.l, T.m, T.r, T.d, T.n)
+    if rest == (1, 0, 0, 0, 1, 0, 1, 0, 0) and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
+        if F[(0, 0)] != T.w:
+            raise ValueError(message)
+        edit = {(1, 0): T.p, (0, 1): T.q}
+        keys = (F.coeffs.keys() | edit.keys()) - {(0, 0)}
+        return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit.get(jk, 0)) for jk in keys})
+    assert grid is None or not (T.d or T.n or T.w), "no fixed-point loop translates"
     axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
-    return _solve_graph(phi, axis, "transformed surface misses the target origin; adjust the translation")
+    return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, message, grid)
 
 
 @dataclass(frozen=True)
@@ -700,15 +795,15 @@ class CurveTransform2:
         return CurveTransform2()
 
 
-def apply_affine_curve(F: TruncatedSeries1, T: CurveTransform2) -> TruncatedSeries1:
-    """Curve analogue: solve 0 = -(c y + d v + f) + F(a y + b v + e) for v = G(y)."""
+def apply_affine_curve(F: TruncatedSeries1, T: CurveTransform2, grid: int | None = None) -> TruncatedSeries1:
+    """Curve analogue: solve 0 = -(c y + d v + f) + F(a y + b v + e) for v = G(y); ``grid`` as there."""
+    assert grid is None or not (T.e or T.f), "no fixed-point loop translates"
     n = F.order
     Fc = F if T.e == 0 else F.shift(T.e)
     # embed as a trivariate series constant in t
     F2 = TruncatedSeries2(n, {(j, 0): c for j, c in Fc.coeffs.items()})
-    phi = series3_from_bivariate_in_linear(F2, (T.a, 0, T.b, 0), (0, 0, 0, 0), n)
     axis = {(0, 0, 0): T.f, (1, 0, 0): T.c, (0, 0, 1): T.d}
-    G2 = _solve_graph(phi, axis, "transformed curve misses the target origin")
+    G2 = _solve_graph(F2, (T.a, 0, T.b, 0), (0, 0, 0, 0), axis, "transformed curve misses the target origin", grid)
     return TruncatedSeries1(n, {j: c for (j, k), c in G2.coeffs.items() if k == 0})
 
 

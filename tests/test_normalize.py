@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parajet.invariants import invariant_M, invariant_W, invariant_X
-from parajet.jets import realize_series
+from parajet.classify import Cone, classify, realize_graph
+from parajet.invariants import invariant_H, invariant_M, invariant_W, invariant_X
+from parajet.jets import DerivativeView, realize_series
 from parajet.normalize import (
     PIPELINE_BITS,
     AmbiguousBranchError,
     BranchError,
+    _check_parabolic,
     normalize_curve_gl2,
     normalize_curve_sl2,
     normalize_parabolic_surface,
@@ -25,13 +30,14 @@ from parajet.sampling import (
     random_curve_jet,
     random_parabolic_jet,
 )
-from parajet.scalars import cbrt, to_float
+from parajet.scalars import cbrt, scalar_to_string, to_float
 from parajet.series import (
     AffineTransform3,
     TruncatedSeries1,
     TruncatedSeries2,
     apply_affine,
     apply_affine_curve,
+    series_to_json,
 )
 
 from helpers import equivalent_surfaces
@@ -385,3 +391,81 @@ def test_sl2_normal_form_bit_size_stays_bounded():
         for c in res.normal_series.coeffs.values():
             worst = max(worst, c.numerator.bit_length(), c.denominator.bit_length())
     assert worst <= 2 * PIPELINE_BITS + 8
+
+
+# -- the precision rule leaves exact runs, the CI documents and exact traffic as they were --
+
+
+def _result_doc(res):
+    readings = {k: None if v is None else scalar_to_string(v) for k, v in res.readings.items()}
+    transform = [scalar_to_string(x) for x in dataclasses.astuple(res.transform)]
+    return [res.branch, series_to_json(res.normal_series), readings, transform, res.steps]
+
+
+def _exact_traffic():
+    # the `exact` benchmark's kernels: exact apply_affine under near-identity maps, cone realization
+    rng = random.Random(15)
+    docs = []
+    for draw in (random_parabolic_jet, random_cone_branch_jet):
+        f = realize_series(draw(rng, 8, exact=True))
+        f = TruncatedSeries2(8, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
+        docs.append(series_to_json(apply_affine(f, near_identity_transform(rng))))
+    g = realize_graph(Cone(TruncatedSeries1(8, {2: F(1), 3: F(-1, 3), 4: F(1, 5)})), 8)
+    return [*docs, series_to_json(g), classify(g).developable_kind]
+
+
+CI_CURVE = TruncatedSeries1(6, dict(enumerate(map(F, ["0", "1", "2", "1/2", "3", "-1", "1/7"]))))
+
+
+# sha256 prefixes of the same documents computed by the exact-then-snap loops this rule replaced
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        pytest.param(lambda: _result_doc(normalize_parabolic_surface(cone_model_series())), "8de1d71cbc9deff0", id="cone-model"),
+        pytest.param(
+            lambda: _result_doc(normalize_parabolic_surface(TruncatedSeries2(4, {(0, 2): F(1), (0, 3): F(1, 2)}))),
+            "2305fe742dca122b",
+            id="ci-y-profile",
+        ),
+        pytest.param(lambda: _result_doc(normalize_curve_gl2(CI_CURVE)), "29309231d0fc048d", id="ci-gl2-curve"),
+        pytest.param(
+            lambda: _result_doc(normalize_curve_sl2(TruncatedSeries1(6, {2: F(1)}))), "e56871a075a04f1b", id="parabola-tail"
+        ),
+        pytest.param(_exact_traffic, "35dcdd2021bc181c", id="exact-traffic"),
+    ],
+)
+def test_exact_runs_ci_documents_and_exact_traffic_are_unchanged(make, digest):
+    assert hashlib.sha256(json.dumps(make()).encode()).hexdigest()[:16] == digest
+
+
+def _exact_hessian_verdict(F, tol):
+    """The message of the exact rule: every Hessian-determinant coefficient within tol (1 + max(1, |F_jk|)^2)."""
+    scale = max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()]) ** 2 + 1.0
+    bad = [(jk, c) for jk, c in invariant_H(DerivativeView(F)).coeffs.items() if abs(to_float(c)) > tol * scale]
+    if bad:
+        jk, c = max(bad, key=lambda it: abs(to_float(it[1])))
+        return f"Hessian determinant coefficient {jk} = {to_float(c):.3e}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_float_hessian_check_decides_and_words_as_the_exact_series(seed):
+    rng = random.Random(900 + seed)
+    base = realize_series(random_parabolic_jet(rng, 8))
+    base = TruncatedSeries2(8, {jk: F(c) for jk, c in base.coeffs.items()})
+    tol = 1e-9
+    scale = max([1.0] + [abs(to_float(c)) for c in base.coeffs.values()]) ** 2 + 1.0
+    verdicts = []
+    # moving u_04 by delta moves the (0, 2) Hessian coefficient by u_20 delta: straddle the threshold
+    for factor in [0, F(1, 2), 1 - F(1, 10**15), 1, 1 + F(1, 10**15), 2, 10**6]:
+        delta = F(tol * scale) * factor / base[(2, 0)]
+        f = TruncatedSeries2(8, {**base.coeffs, (0, 4): base[(0, 4)] + delta})
+        want = _exact_hessian_verdict(f, tol)
+        verdicts.append(want)
+        if want is None:
+            _check_parabolic(f, tol)
+        else:
+            with pytest.raises(BranchError) as err:
+                _check_parabolic(f, tol)
+            assert str(err.value).endswith(want)
+    assert None in verdicts and any(verdicts)

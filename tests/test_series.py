@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import parajet.normalize as normalize
+import parajet.series as series
 from parajet.jets import realize_series
-from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_parabolic_jet
+from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_curve_jet, random_parabolic_jet
 from parajet.scalars import Sens, is_exact
 from parajet.series import (
     AffineTransform3,
@@ -394,6 +395,15 @@ def test_apply_affine_equals_the_reference_kernel_under_a_horizontal_translation
     assert apply_affine(f, T) == _ref_apply_affine(f, T)
 
 
+def test_identity_part_edits_equal_the_reference_kernel():
+    f = _centered_exact_jet(random.Random(67), 8)
+    f = TruncatedSeries2(8, {**f.coeffs, (0, 0): F(2, 3)})
+    for T in [AffineTransform3(w=F(2, 3)), AffineTransform3(p=F(1, 4), q=F(-5, 6), w=F(2, 3))]:
+        _same_coefficients(apply_affine(f, T), _ref_apply_affine(f, T))
+    with pytest.raises(ValueError, match="misses the target origin"):
+        apply_affine(f, AffineTransform3(w=F(1, 3)))
+
+
 def test_apply_affine_curve_equals_the_reference_kernel():
     rng = random.Random(63)
     f = TruncatedSeries1(10, {j: F(rng.randint(-40, 40), rng.randint(1, 9)) for j in range(1, 11)})
@@ -634,25 +644,94 @@ def test_bivariate_shift_properties(f, a, b):
 # -- the traffic of the normalization loops, and the parent's scalar loops -----
 
 
+GRID_ULP = Fraction(1, 1 << normalize.PIPELINE_BITS)
+
+
+def _on_grid_near(got, ref):
+    """got lies on the pipeline grid, coefficient by coefficient within one grid step of ref."""
+    assert got.order == ref.order
+    for key in got.coeffs.keys() | ref.coeffs.keys():
+        assert (1 << normalize.PIPELINE_BITS) % Fraction(got[key]).denominator == 0, key
+        assert abs(got[key] - ref[key]) <= GRID_ULP, (key, float(got[key] - ref[key]))
+
+
 @pytest.mark.parametrize("order, cone", [(8, False), (8, True), (12, False), (12, True)])
 def test_apply_affine_equals_the_reference_kernel_on_the_loop_traffic(order, cone, monkeypatch):
-    # every (F, T) that normalize_parabolic_surface hands to apply_affine on one float jet
+    # every (F, T, grid) that normalize_parabolic_surface hands to apply_affine on one float jet
     calls = []
 
-    def recording(F, T):
-        calls.append((F, T))
-        return apply_affine(F, T)
+    def recording(F, T, grid=None):
+        calls.append((F, T, grid))
+        return apply_affine(F, T, grid)
 
     monkeypatch.setattr(normalize, "apply_affine", recording)
     draw = random_cone_branch_jet if cone else random_parabolic_jet
     f = realize_series(draw(random.Random(600 + order), order))
     assert normalize.normalize_parabolic_surface(f).branch == ("Cone" if cone else "Generic")
-    # the loops send 1/c3, -f11/f20 and the like on snapped 128- to 256-bit-denominator series
-    assert len(calls) >= 5
-    assert max(c.denominator.bit_length() for F, _ in calls for c in F.coeffs.values()) > 200
-    assert any(e.denominator & (e.denominator - 1) for _, T in calls for e in T.matrix()[0])
-    for F, T in calls:
+    # translation and transvection run exactly; from the first (inexact) cube root on, every loop
+    # asks for the grid and sends 1/c3, -f11/f20 and the like
+    exact = [(F, T) for F, T, grid in calls if grid is None]
+    rooted = [(F, T) for F, T, grid in calls if grid is not None]
+    assert len(exact) >= 1 and len(rooted) >= 4
+    assert {grid for *_, grid in calls} == {None, normalize.PIPELINE_BITS}
+    assert [grid for *_, grid in calls] == sorted((grid for *_, grid in calls), key=lambda g: g is not None)
+    assert any(e.denominator & (e.denominator - 1) for _, T in rooted for e in T.matrix()[0])
+    for F, T in exact:
         _same_coefficients(apply_affine(F, T), _ref_apply_affine(F, T))
+    for F, T in rooted:
+        _on_grid_near(apply_affine(F, T, normalize.PIPELINE_BITS), _ref_apply_affine(F, T))
+
+
+def test_a_failed_certificate_falls_back_to_the_exact_kernel_and_the_snap(monkeypatch):
+    rng = random.Random(610)
+    surfaces = [realize_series(random_parabolic_jet(rng, 8)), realize_series(random_cone_branch_jet(rng, 8))]
+    curve = TruncatedSeries1(8, dict(random_curve_jet(rng, 8)))
+
+    def runs():
+        return [*(normalize.normalize_parabolic_surface(f) for f in surfaces), normalize.normalize_curve_sl2(curve)]
+
+    # the parent's rule: every loop exact, snapped from the first root on
+    with monkeypatch.context() as m:
+        m.setattr(normalize, "apply_affine", lambda F, T, grid=None: apply_affine(F, T))
+        m.setattr(normalize, "apply_affine_curve", lambda F, T, grid=None: apply_affine_curve(F, T))
+        refs = runs()
+    attempts = []
+    solve = series.solve_implicit
+
+    def spy(Phi, grid=None):
+        G = solve(Phi, grid)
+        if grid is not None:
+            attempts.append(G)
+        return G
+
+    # two guard bits certify no output, so every fixed-point attempt must fall back
+    monkeypatch.setattr(series, "FIXED_GUARD", 2)
+    monkeypatch.setattr(series, "solve_implicit", spy)
+    for got, ref in zip(runs(), refs):
+        _same_series(got.normal_series, ref.normal_series)
+        assert got.readings == ref.readings and got.transform == ref.transform and got.steps == ref.steps
+    # generic loops 1-4, cone loops 1-3 and its last shear, the curve's shear
+    assert len(attempts) >= 9 and all(G is None for G in attempts)
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([8, 40, 128]), st.data())
+def test_grid_outputs_lie_within_one_grid_step_of_the_exact_image(n, grid, data):
+    f = TruncatedSeries2(n, {jk: data.draw(SMALL) for jk in _keys2(n) if sum(jk) >= 1})
+    T = AffineTransform3(**{name: data.draw(SMALL) for name in "abcklmpqr"})
+    assume(abs(T.c * f[(1, 0)] + T.m * f[(0, 1)] - T.r) >= F(1, 4))  # the v-derivative of Phi
+    g = TruncatedSeries1(n, {j: data.draw(SMALL) for j in range(1, n + 1)})
+    Tc = CurveTransform2(**{name: data.draw(SMALL) for name in "abcd"})
+    assume(abs(Tc.b * g[1] - Tc.d) >= F(1, 4))
+    pairs = [(apply_affine(f, T, grid), apply_affine(f, T)), (apply_affine_curve(g, Tc, grid), apply_affine_curve(g, Tc))]
+    for got, ref in pairs:
+        assert got.order == ref.order
+        for key in got.coeffs.keys() | ref.coeffs.keys():
+            assert (1 << grid) % Fraction(got[key]).denominator == 0, key
+            assert abs(got[key] - ref[key]) <= Fraction(1, 1 << grid), key
 
 
 def _over(c, m):
