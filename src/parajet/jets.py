@@ -6,7 +6,8 @@ u, the pure x-jets ``u_{j,0}`` and the mixed jets ``u_{j,1}``.  Every
 is a power of ``u_{2,0}``.  It is read off one coefficient of the rank-one
 relation ``F_xx F_yy = F_xy^2`` (:func:`_rank_one_entry`), degree by degree
 with k ascending inside each degree, and only up to the highest degree asked
-for so far; no formula is hard-coded.
+for so far; no formula is hard-coded.  Int and Fraction jets sum each entry on
+integers over one common denominator; float and ``Sens`` jets in their own arithmetic.
 
 Every derivative of a scalar function of a jet is one chain rule: one
 evaluation on the :func:`seeded` jet, whose partials :func:`chain_rule`
@@ -16,7 +17,8 @@ contracts with how each coordinate moves.  For D_x and D_y, u_J moves to
 
 from __future__ import annotations
 
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 from typing import Callable, Dict, Hashable, Mapping, Sequence, Tuple
 
 from .scalars import Sens
@@ -50,7 +52,30 @@ def _rank_one_entry(u: Mapping[Coord, object], j: int, k: int):
     Only the (0, 0) term u_{2,0} u_{j,k} holds the unknown; every other factor
     has lower degree, or the same degree and a lower k.  A zero sum gives the
     integer 0 in every scalar mode, never a signed float zero.
+
+    Over ints and Fractions, R / L accumulates the sum on integers, with a gcd
+    only where L must grow; a float or ``Sens`` factor takes the generic sum.
     """
+    if isinstance(u[(2, 0)], (int, Fraction)):
+        try:
+            R, L = 0, 1
+            for a in range(j + 1):
+                for b in range(k - 1):
+                    c = comb(j, a) * comb(k - 2, b)
+                    products = [(c, u[(a + 1, b + 1)], u[(j - a + 1, k - b - 1)])]
+                    if a or b:
+                        products.append((-c, u[(a + 2, b)], u[(j - a, k - b)]))
+                    for c, x, y in products:
+                        n, d = c * x.numerator * y.numerator, x.denominator * y.denominator
+                        if n:
+                            s, r = divmod(L, d)
+                            if r:
+                                g = gcd(L, d)
+                                R, L, s = R * (d // g), L // g * d, L // g
+                            R += n * s
+            return Fraction(R * u[(2, 0)].denominator, L * u[(2, 0)].numerator) if R else 0
+        except AttributeError:  # a float or Sens factor among rational ones
+            pass
     rest = 0
     for a in range(j + 1):
         for b in range(k - 1):

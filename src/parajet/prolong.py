@@ -219,6 +219,11 @@ def sa3_generators() -> List[VectorField]:
     ]
 
 
+def jet_generators() -> List[VectorField]:
+    """v1..v6, the generators that move jet coordinates of order >= 2; reads ``sa3_generators`` per call."""
+    return sa3_generators()[:6]
+
+
 def sl2_curve_generators() -> List[VectorField]:
     x, u = poly((1, {X: 1})), poly((1, {U: 1}))
     return [
@@ -396,7 +401,7 @@ def tangency_quotients() -> List[Poly]:
         poly((1, {(1, 1): 2})),
     )
     out = []
-    for v in sa3_generators()[:6]:
+    for v in jet_generators():
         applied: Poly = {}
         for J in [(2, 0), (1, 1), (0, 2)]:
             dH = p_diff(H, J)

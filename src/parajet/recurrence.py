@@ -44,10 +44,10 @@ from .prolong import (
     Y as VAR_Y,
     U as VAR_U,
     gl2_curve_generators,
+    jet_generators,
     p_eval,
     poly,
     prolong,
-    sa3_generators,
     sl2_curve_generators,
     solve_linear_exact,
     vf,
@@ -82,7 +82,7 @@ def _jet_values(p: ParabolicJet):
 
 def _phantom_rows(phantoms, values):
     """Prolonged generator coefficients at the filled jet, one row per phantom."""
-    gens = sa3_generators()[:6]
+    gens = jet_generators()
     return [[p_eval(prolong(g, jk), values) for g in gens] for jk in phantoms]
 
 
@@ -232,7 +232,7 @@ def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Calla
     D_i I_J = I_{J+e_i} + sum_sigma K_i^sigma phi_sigma^J(I), K from the Cramer
     systems at the same jet; nested, the outer derivation differentiates K.
     """
-    gens = sa3_generators()[:6]
+    gens = jet_generators()
 
     def derived(p: ParabolicJet) -> list:
         values = _jet_values(p)
@@ -243,7 +243,7 @@ def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Calla
             j, k = J
             phi = [p_eval(prolong(v, J), values) for v in gens]
             shifted = (values[(j + 1, k)], values[(j, k + 1)])
-            return [s + sum(a * b for a, b in zip(Ki, phi)) for s, Ki in zip(shifted, K)]
+            return [s + sum(a * b for a, b in zip(Ki, phi, strict=True)) for s, Ki in zip(shifted, K, strict=True)]
 
         frozen = {J for J in p.coords if sum(J) < 2}.union(phantoms)
         return [d for g in f(seeded(p, frozen)) for d in chain_rule(g, moved, 2)]

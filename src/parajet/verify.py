@@ -203,7 +203,7 @@ def _surface_sample(branch: str, rng: random.Random) -> Dict[str, dict]:
     mc = _solve_mc_at_frame(branch, res)
     K1c, K2c = mc_closed_form(branch, **{k: to_float(mc.readings[k]) for k in names})
     rep[f"Cramer solution equals closed-form K ({branch.lower()})"] = _max_record(
-        zip(mc.K1 + mc.K2, K1c + K2c), 1e-10
+        zip(mc.K1 + mc.K2, K1c + K2c, strict=True), 1e-10
     )
     return rep
 
@@ -213,7 +213,7 @@ def _curve_sa2_sample(rng: random.Random) -> Dict[str, dict]:
     rep = verify_curve_recurrences("sa2", jet)
     mc = solve_mc_curve("sa2", jet)
     expect = (0.0, to_float(mc.readings["G4"]) / 3.0, -1.0)
-    rep["R = (0, P/3, -1)"] = _max_record(zip(mc.K1, expect), 1e-6)
+    rep["R = (0, P/3, -1)"] = _max_record(zip(mc.K1, expect, strict=True), 1e-6)
     return rep
 
 
@@ -224,7 +224,7 @@ def _curve_gl2_sample(rng: random.Random) -> Dict[str, dict]:
     eps = mc.readings["eps"]
     I5 = to_float(mc.readings["G5"])
     expect = (eps * I5 / 2.0, eps * I5, eps / 3.0, -1.0)
-    rep["R = (+-I5/2, +-I5, +-1/3, -1)"] = _max_record(zip(mc.K1, expect), 1e-6)
+    rep["R = (+-I5/2, +-I5, +-1/3, -1)"] = _max_record(zip(mc.K1, expect, strict=True), 1e-6)
     return rep
 
 

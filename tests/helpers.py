@@ -4,7 +4,7 @@ import math
 from typing import Dict, List, Tuple
 
 from parajet.normalize import DEFAULT_TOL, normalize_parabolic_surface
-from parajet.prolong import Poly, RationalPoly, p_vars, parabolic_pushforward, prolong, sa3_generators
+from parajet.prolong import Poly, RationalPoly, jet_generators, p_vars, parabolic_pushforward, prolong
 from parajet.scalars import to_float
 from parajet.series import TruncatedSeries1, TruncatedSeries2
 
@@ -33,7 +33,7 @@ def max_jet_order(a: Poly) -> int:
 def order4_matrix_symbolic() -> List[List[RationalPoly]]:
     """Pushed-forward coefficients of v1..v6 on the order-4 jet block."""
     cols = [(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1)]
-    return [[parabolic_pushforward(prolong(v, J)) for J in cols] for v in sa3_generators()[:6]]
+    return [[parabolic_pushforward(prolong(v, J)) for J in cols] for v in jet_generators()]
 
 
 def equivalent_surfaces(

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parajet.jets as jets_module
 from parajet.invariants import invariant_H
@@ -86,6 +88,32 @@ def test_fill_equals_symbolic_rank_one_substitution(order):
             if k >= 2:
                 num, m = rank_one_substitution(j, k)
                 assert v == p_eval(num, p.coords) / p.coords[(2, 0)] ** m, (j, k)
+
+
+def test_fill_of_an_integer_jet_is_exact():
+    coords = {(0, 0): 0, (1, 0): 0, (2, 0): 2, (3, 0): 1, (0, 1): 0, (1, 1): 1, (2, 1): 3}
+    p = ParabolicJet(3, coords)
+    assert type(p[(0, 2)]) is Fraction and p[(0, 2)] == F(1, 2)
+    assert all(type(v) is Fraction for (j, k), v in p.filled(3).items() if k >= 2)
+
+
+_RATIONAL = st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=10**6))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(4, 10), st.booleans(), st.data())
+def test_rational_fill_equals_the_symbolic_substitution_exactly(order, flat, data):
+    """ints and Fractions mixed, with and without a vanishing u_{1,1}: exact Fractions or the integer 0."""
+    keys = [(j, 0) for j in range(order + 1)] + [(j, 1) for j in range(order)]
+    coords = {jk: data.draw(_RATIONAL) for jk in keys}
+    coords[(2, 0)] = data.draw(_RATIONAL.filter(bool))
+    if flat:
+        coords[(1, 1)] = data.draw(st.sampled_from([0, F(0)]))
+    for (j, k), v in ParabolicJet(order, coords).filled(order).items():
+        if k >= 2:
+            num, m = rank_one_substitution(j, k)
+            assert v == F(p_eval(num, coords)) / F(coords[(2, 0)]) ** m, (j, k)
+            assert type(v) is (int if v == 0 else Fraction), (j, k, v)
 
 
 def test_fill_extends_degree_by_degree(monkeypatch):

@@ -6,8 +6,9 @@ import pytest
 
 from parajet import recurrence
 from parajet.invariants import invariant_W, invariant_X
-from parajet.jets import parabolic_jet_of_series
+from parajet.jets import ParabolicJet, parabolic_jet_of_series
 from parajet.normalize import surface_frame
+from parajet.prolong import X, jet_generators, poly, vf
 from parajet.recurrence import (
     CONE_PHANTOMS,
     GENERIC_PHANTOMS,
@@ -102,6 +103,20 @@ def test_invariant_derivation_determinant_identity():
         expect = c[(2, 0)] / cbrt(s) ** 2
         got = coeffs.determinant()
         assert abs(to_float(got) - to_float(expect)) <= 1e-10 * (1 + abs(to_float(expect)))
+
+
+def _order5_jet(u21, u31):
+    """u20 = u11 = u30 = u40 = 1, so S = u21 - 1 and W = u31 + 1 - 2 u21."""
+    coords = {(0, 0): 0, (1, 0): 0, (2, 0): 1, (3, 0): 1, (4, 0): 1, (5, 0): 0}
+    coords.update({(0, 1): 0, (1, 1): 1, (2, 1): u21, (3, 1): u31, (4, 1): 0})
+    return ParabolicJet(5, coords)
+
+
+def test_invariant_derivations_refuse_the_vanishing_domain_numerators():
+    invariant_derivatives(_order5_jet(2, 0))  # S = 1 and W = -3 lie in the domain
+    for u21, u31 in ((1, 0), (2, 3)):  # S = 0 with W = -1, then W = 0 with S = 1
+        with pytest.raises(ZeroDivisionError, match="generic-branch domain"):
+            invariant_derivatives(_order5_jet(u21, u31))
 
 
 def test_closed_form_derivations_match_moving_frame():
@@ -215,6 +230,17 @@ def test_recurrence_derivation_equals_total_derivatives(sampler, f, phantoms, op
         got = recurrence_derivation(lambda q: (f(q),), phantoms)(parabolic_jet_of_series(res.normal_series))
         for a, b in zip(got, apply_D_pair(f, p, operators(res, p))):
             assert identity_record(a, b, 1e-12)["pass"], (a, b)
+
+
+def test_recurrence_derivation_refuses_an_unmatched_generator(monkeypatch):
+    """A seventh field in the derivation's generator list has no frame coefficient: it raises, not drops."""
+    q = parabolic_jet_of_series(surface_frame(random_parabolic_jet(random.Random(41), 8)).normal_series)
+    seventh = vf("bad", phi=poly((1, {X: 2})))
+    monkeypatch.setattr(recurrence, "jet_generators", lambda: jet_generators() + [seventh])
+    derived = recurrence_derivation(lambda r: (invariant_W(r),), GENERIC_PHANTOMS)
+    monkeypatch.undo()  # the Cramer systems solved at call time see the six generators
+    with pytest.raises(ValueError, match="zip"):
+        derived(q)
 
 
 def test_curve_systems():
