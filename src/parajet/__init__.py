@@ -79,7 +79,6 @@ from .classify import (
     MixedTypeError,
     classify,
     realize_graph,
-    torsion,
 )
 
 __all__ = [
@@ -133,7 +132,6 @@ __all__ = [
     "MixedTypeError",
     "classify",
     "realize_graph",
-    "torsion",
 ]
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ jet-coefficient criterion at the base point, and reports its witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +32,7 @@ from .invariants import (
 )
 from .jets import DerivativeView, jets_of_series
 from .scalars import to_float
-from .series import AffineTransform3, TruncatedSeries1, TruncatedSeries2, apply_affine, compose2
+from .series import AffineTransform3, Poly2, TruncatedSeries1, TruncatedSeries2, apply_affine, compose2
 
 
 @dataclass(frozen=True)
@@ -146,43 +145,25 @@ class MixedTypeError(ValueError):
     pass
 
 
-def _padded(F: TruncatedSeries2, order: int) -> TruncatedSeries2:
-    return TruncatedSeries2(order, dict(F.coeffs))
+def _low_zero(num: Poly2, low_degree: int, tol: float) -> bool:
+    # monomial magnitudes, measured against a near-low window: these graphs
+    # may have small convergence radii, so the far tail grows geometrically
+    # and must not set the scale of the zero test
+    mags = num.magnitudes()
+    scale = max([1.0] + [v for (j, k), v in mags.items() if j + k <= low_degree + 2])
+    return all(v <= tol * scale for (j, k), v in mags.items() if j + k <= low_degree)
 
 
-def _full_products(F: TruncatedSeries2) -> DerivativeView:
-    """The derivatives of F padded to order 4n, for the numerators as full polynomials.
-
-    Padding before multiplying keeps every cross term, so a truncated series
-    that realizes a family to its order evaluates the Hessian, slope and
-    fourth-order numerators exactly: the low part vanishes and the high part
-    is the honest truncation tail.
-    """
-    return DerivativeView(_padded(F, 4 * F.order))
-
-
-def _low_zero(num: TruncatedSeries2, low_degree: int, tol: float) -> bool:
-    # monomial-convention magnitudes, measured against a near-low window:
-    # these graphs may have small convergence radii, so the far tail grows
-    # geometrically and must not set the scale of the zero test
-    coeffs = [
-        ((j, k), abs(to_float(c)) / (math.factorial(j) * math.factorial(k)))
-        for (j, k), c in num.coeffs.items()
-    ]
-    scale = max([1.0] + [v for jk, v in coeffs if jk[0] + jk[1] <= low_degree + 2])
-    return all(v <= tol * scale for jk, v in coeffs if jk[0] + jk[1] <= low_degree)
-
-
-def _tail_envelope(num: TruncatedSeries2, low_degree: int, pt) -> float:
+def _tail_envelope(num: Poly2, low_degree: int, pt) -> float:
     hx, hy = abs(to_float(pt[0])), abs(to_float(pt[1]))
     total = 0.0
-    for (j, k), c in num.coeffs.items():
+    for (j, k), v in num.magnitudes().items():
         if j + k > low_degree:
-            total += abs(to_float(c)) * hx**j * hy**k / (math.factorial(j) * math.factorial(k))
+            total += v * hx**j * hy**k
     return total
 
 
-def _grid_zero(num: TruncatedSeries2, low_degree: int, pt, tol: float, monoms) -> bool:
+def _grid_zero(num: Poly2, low_degree: int, pt, tol: float, monoms) -> bool:
     value = num.eval(pt[0], pt[1])
     scale = max([0.0] + [abs(to_float(m)) for m in monoms])
     return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
@@ -219,7 +200,9 @@ def classify(
         # the rank-one direction is the y-axis: classify the swapped graph at the same points
         F, c0 = TruncatedSeries2(n, swap_axes(F.coeffs)), aligned
         sample_points = [(-y, x) for x, y in sample_points]
-    G = _full_products(F)
+    # the numerators as full polynomials: a truncated series that realizes a
+    # family to its order gives a vanishing low part and the honest tail
+    G = DerivativeView(Poly2.from_series(F))
     Hfull = invariant_H(G)
     # the jet at each grid point, shifted there once; the base point needs no shift
     grid = [
@@ -274,26 +257,3 @@ def classify(
     if decide(w_numerator(c0), w_terms(c0), tol):
         raise MixedTypeError("fourth-order invariant vanishes at the base point but not identically")
     return Classification(point_type, "tangential", witnesses)
-
-
-def torsion(alpha: Tuple[TruncatedSeries1, TruncatedSeries1, TruncatedSeries1], t0=0):
-    """The printed torsion expression for curves (a(t), -1 + t, c(t)).
-
-    tau = (1 + a'^2 + c'^2) / (a''^2 + c''^2)^2 * (c'' a''' - a'' c''');
-    its zero set flags cuspidal edges of the tangent surface.  (The classical
-    normalization divides by |alpha' x alpha''|^2 instead; the zero sets
-    agree, and only the zero set is used here.)
-    """
-    a, y, c = alpha
-    if y[1] == 0:
-        raise ValueError("expected a curve graphed over its second coordinate")
-    ap, cp = a.derivative(), c.derivative()
-    app, cpp = ap.derivative(), cp.derivative()
-    appp, cppp = app.derivative(), cpp.derivative()
-    av, cv = ap.eval(t0), cp.eval(t0)
-    a2, c2 = app.eval(t0), cpp.eval(t0)
-    a3, c3 = appp.eval(t0), cppp.eval(t0)
-    denom = (a2 * a2 + c2 * c2) ** 2
-    if denom == 0:
-        raise ZeroDivisionError("degenerate second derivatives")
-    return (1 + av * av + cv * cv) / denom * (c2 * a3 - a2 * c3)

@@ -446,6 +446,8 @@ def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
 def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
     """Solve a square system over Fractions, floats or ``Sens`` (pivots chosen by value)."""
     n = len(b)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError(f"expected {n} rows of {n} entries for {n} right-hand sides")
     m = [list(a[i]) + [b[i]] for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(to_float(m[r][col])))

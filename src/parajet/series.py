@@ -22,6 +22,17 @@ with term i scaled by q^(n-i), so the steps run on integers with p and one
 y-column in x, then each x-row in y.  Exact evaluation likewise sums integer
 numerators and divides once.
 
+Compositions and the numerator polynomials of ``classify`` run on
+:class:`Poly2`, not on series products: a bivariate polynomial in monomial
+convention whose exact coefficients are integer numerators over one
+denominator.  Its products multiply the denominators, sums align them by
+their lcm, derivatives scale numerators by integers, and one ``Fraction`` is
+built per coefficient only when a factorial-convention series is read back.
+:func:`compose2` takes the powers of Y once and sums by Horner in X.  A
+:class:`~parajet.jets.DerivativeView` of one gives the Hessian, slope and
+fourth-order numerators as full polynomials, which evaluate exactly at a
+rational point.  Other coefficients run the same loops without a denominator.
+
 The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
 coordinates as functions of target coordinates), and :func:`apply_affine`
@@ -64,7 +75,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .scalars import is_exact, scalar_from_string, scalar_to_string
+from .scalars import is_exact, scalar_from_string, scalar_to_string, to_float
 
 FIXED_GUARD = 256  # fixed-point fraction bits beyond the output grid
 
@@ -315,29 +326,135 @@ def _over(c, m: int):
     return c / Fraction(m) if is_exact(c) else c / m
 
 
-def one2(order: int) -> TruncatedSeries2:
-    return TruncatedSeries2(order, {(0, 0): Fraction(1)})
+class Poly2:
+    """A bivariate polynomial sum p_jk x^j y^k / den in monomial convention.
+
+    An exact polynomial holds integer numerators ``terms`` over one positive
+    integer ``den``.  Any other coefficients are held as themselves with
+    ``den`` None, and run the same loops; an operation on one exact and one
+    other operand reads the exact one as ``Fraction``s first.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self, terms: dict, den: int | None = None):
+        self.terms = terms
+        self.den = den
+
+    @classmethod
+    def from_series(cls, F: TruncatedSeries2) -> "Poly2":
+        fact = [math.factorial(i) for i in range(F.order + 1)]
+        mono = {(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in F.coeffs.items()}
+        form = _integer_form(mono)
+        return cls(mono) if form is None else cls(form[1], form[0] or 1)
+
+    def to_series(self, order: int) -> TruncatedSeries2:
+        """The factorial-convention series, one ``Fraction`` per exact coefficient."""
+        fact, den = [math.factorial(i) for i in range(order + 1)], self.den
+        return TruncatedSeries2(order, {
+            (j, k): v * (fact[j] * fact[k]) if den is None else Fraction(v * fact[j] * fact[k], den)
+            for (j, k), v in self.terms.items()
+        })
+
+    def generic(self) -> dict:
+        """The coefficients themselves, as ``Fraction``s where exact."""
+        if self.den is None:
+            return self.terms
+        return {key: Fraction(v, self.den) for key, v in self.terms.items()}
+
+    def _operands(self, other: "Poly2"):
+        if self.den is None or other.den is None:
+            return self.generic(), other.generic(), None, None
+        return self.terms, other.terms, self.den, other.den
+
+    def times(self, other: "Poly2", order: int | None = None) -> "Poly2":
+        """The product, truncated above total degree ``order`` if given."""
+        A, B, da, db = self._operands(other)
+        rows = sorted(((c + d, c, d, v) for (c, d), v in B.items()), key=lambda row: row[0])
+        limit = math.inf if order is None else order
+        out: dict = {}
+        for (a, b), u in A.items():
+            room = limit - a - b
+            for e, c, d, v in rows:
+                if e > room:
+                    break
+                key = (a + c, b + d)
+                out[key] = out.get(key, 0) + u * v
+        return Poly2({key: v for key, v in out.items() if v}, None if da is None else da * db)
+
+    def __mul__(self, other: "Poly2") -> "Poly2":
+        return self.times(other)
+
+    def __add__(self, other: "Poly2") -> "Poly2":
+        A, B, da, db = self._operands(other)
+        den = None if da is None else math.lcm(da, db)
+        sa, sb = (1, 1) if den is None else (den // da, den // db)
+        out = {key: v * sa for key, v in A.items()}
+        for key, v in B.items():
+            out[key] = out.get(key, 0) + v * sb
+        return Poly2({key: v for key, v in out.items() if v}, den)
+
+    def __rmul__(self, s) -> "Poly2":
+        """s times the polynomial; s is an integer when the polynomial is exact."""
+        return Poly2({key: s * v for key, v in self.terms.items()}, self.den)
+
+    def __neg__(self) -> "Poly2":
+        return -1 * self
+
+    def derivative(self, direction: str) -> "Poly2":
+        if direction == "x":
+            return Poly2({(j - 1, k): j * v for (j, k), v in self.terms.items() if j}, self.den)
+        if direction == "y":
+            return Poly2({(j, k - 1): k * v for (j, k), v in self.terms.items() if k}, self.den)
+        raise ValueError("direction must be 'x' or 'y'")
+
+    def eval(self, x, y):
+        """The value at (x, y): exact at a rational point, summed on integer numerators."""
+        if self.den is None or not (is_exact(x) and is_exact(y)):
+            total = 0
+            for (j, k), v in self.generic().items():
+                total = total + v * x**j * y**k
+            return total
+        (px, qx), (py, qy) = x.as_integer_ratio(), y.as_integer_ratio()
+        nx, ny = max((j for j, _ in self.terms), default=0), max((k for _, k in self.terms), default=0)
+        xs = [px**j * qx ** (nx - j) for j in range(nx + 1)]
+        ys = [py**k * qy ** (ny - k) for k in range(ny + 1)]
+        total = sum(v * xs[j] * ys[k] for (j, k), v in self.terms.items())
+        return Fraction(total, self.den * qx**nx * qy**ny)
+
+    def magnitudes(self) -> dict:
+        """|p_jk / den| as floats."""
+        if self.den is None:
+            return {key: abs(to_float(v)) for key, v in self.terms.items()}
+        return {key: abs(v) / self.den for key, v in self.terms.items()}
 
 
 def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> TruncatedSeries2:
-    """Coefficients of F(X(s,t), Y(s,t)) for substitutions vanishing at the origin."""
+    """Coefficients of F(X(s,t), Y(s,t)) for substitutions vanishing at the origin.
+
+    With F = sum f_ab x^a y^b in monomial convention, the powers of Y are
+    taken once and the sum by Horner in X: R <- Q_a + X R with
+    Q_a = sum_b f_ab Y^b, for a = n, ..., 0.  Exact input runs on integer
+    numerators, with f's denominator put back once at the end.
+    """
     if X[(0, 0)] != 0 or Y[(0, 0)] != 0:
         raise ValueError("substitution series must have zero constant term")
     n = min(F.order, X.order, Y.order)
-    # Work in monomial convention: F = sum f_{a,b} x^a y^b, then accumulate
-    # f_{a,b} X^a Y^b with cached powers.
-    xpows = [one2(n)]
-    ypows = [one2(n)]
-    for _ in range(n):
-        xpows.append(xpows[-1] * TruncatedSeries2(n, dict(X.coeffs)))
-        ypows.append(ypows[-1] * TruncatedSeries2(n, dict(Y.coeffs)))
-    out = TruncatedSeries2(n, {})
-    for (a, b), Fc in F.coeffs.items():
-        if a + b > n:
-            continue
-        f = _over(Fc, math.factorial(a) * math.factorial(b))
-        out = out + (xpows[a] * ypows[b]).scale(f)
-    return out
+    polys = [Poly2.from_series(S) for S in (F, X, Y)]
+    if any(P.den is None for P in polys):
+        polys = [Poly2(P.generic()) for P in polys]
+    f, x, y = polys
+    one = Poly2({(0, 0): 1}, None if y.den is None else 1)
+    ypows = [one]
+    for _ in range(max((b for a, b in f.terms if a + b <= n), default=0)):
+        ypows.append(ypows[-1].times(y, n))
+    R = Poly2({}, one.den)
+    for a in range(n, -1, -1):
+        R = R.times(x, n)
+        for b in range(n - a + 1):
+            if (a, b) in f.terms:
+                R = R + f.terms[(a, b)] * ypows[b]
+    return Poly2(R.terms, None if f.den is None else R.den * f.den).to_series(n)
 
 
 class _Series3:

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 from fractions import Fraction
@@ -12,17 +11,14 @@ from parajet.classify import (
     Tangential,
     classify,
     realize_graph,
-    torsion,
 )
 from parajet.invariants import invariant_W_cubed, swap_axes, w_numerator
 from parajet.jets import jets_of_series
-from parajet.series import TruncatedSeries1, TruncatedSeries2
+from parajet.series import Poly2, TruncatedSeries1, TruncatedSeries2
 
 from helpers import from_monomials1
 
 F = Fraction
-# the module, which the package's ``classify`` function shadows as an attribute
-classify_module = importlib.import_module("parajet.classify")
 
 
 def test_cone_coefficient_table():
@@ -129,23 +125,23 @@ def test_axis_swapped_families_classify_as_their_kind(fam):
 
 @pytest.mark.parametrize("fam", SWAPPED_FAMILIES, ids=lambda fam: fam.kind)
 def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
-    # the swap is decided on the base jet, before the padded products and the grid
+    # the swap is decided on the base jet, before the numerator polynomials and the grid
     swapped = TruncatedSeries2(8, swap_axes(realize_graph(fam, 8).coeffs))
-    calls = {"_full_products": 0, "shift": 0}
-    products, shift = classify_module._full_products, TruncatedSeries2.shift
+    calls = {"from_series": 0, "shift": 0}
+    from_series, shift = Poly2.from_series, TruncatedSeries2.shift
 
-    def counted_products(F):
-        calls["_full_products"] += 1
-        return products(F)
+    def counted_from_series(F):
+        calls["from_series"] += 1
+        return from_series(F)
 
     def counted_shift(self, hx, hy):
         calls["shift"] += 1
         return shift(self, hx, hy)
 
-    monkeypatch.setattr(classify_module, "_full_products", counted_products)
+    monkeypatch.setattr(Poly2, "from_series", counted_from_series)
     monkeypatch.setattr(TruncatedSeries2, "shift", counted_shift)
     assert classify(swapped).developable_kind == fam.kind
-    assert calls == {"_full_products": 1, "shift": 4}
+    assert calls == {"from_series": 1, "shift": 4}
 
 
 def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
@@ -154,13 +150,13 @@ def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
     coeffs = {(j, k): F(rng.randint(-9, 9), 100) for j in range(9) for k in range(9 - j)}
     coeffs.update({(2, 0): F(1), (1, 1): F(0), (0, 2): F(1)})
     calls = []
-    mul = TruncatedSeries2.__mul__
+    times = Poly2.times
 
-    def counted_mul(self, other):
+    def counted_times(self, other, order=None):
         calls.append(1)
-        return mul(self, other)
+        return times(self, other, order)
 
-    monkeypatch.setattr(TruncatedSeries2, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly2, "times", counted_times)
     assert classify(TruncatedSeries2(8, coeffs)).point_type == "elliptic"
     assert len(calls) == 2
 
@@ -193,19 +189,6 @@ def test_degenerate_families_rejected():
         Cone(TruncatedSeries1(4, {1: F(1), 2: F(1)}))
     with pytest.raises(ValueError):
         Tangential(TruncatedSeries1(4, {3: F(1)}), TruncatedSeries1(4, {2: F(1)}))
-
-
-def test_torsion_values():
-    a = TruncatedSeries1(5, {2: F(-1)})
-    y = TruncatedSeries1(5, {0: F(-1), 1: F(1)})
-    c3 = TruncatedSeries1(5, {3: F(1)})
-    assert torsion((a, y, c3), 0) == 1
-    c4 = TruncatedSeries1(5, {4: F(1)})
-    assert torsion((a, y, c4), 0) == 0
-    planar = TruncatedSeries1(5, {})
-    assert torsion((a, y, planar), 0) == 0
-    with pytest.raises(ZeroDivisionError):
-        torsion((TruncatedSeries1(5, {}), y, TruncatedSeries1(5, {})), 0)
 
 
 def test_mixed_type_reported():

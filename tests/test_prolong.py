@@ -260,6 +260,18 @@ def test_rank_exact_and_solve():
     assert sol == [F(1), F(2)]
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[[1, 0, 5], [0, 1, 7]], [[1, 0], [0, 1], [1, 1]], [[1, 0]]],
+    ids=["extra column", "extra row", "missing row"],
+)
+def test_solve_linear_exact_rejects_a_non_square_system(a):
+    from parajet.prolong import solve_linear_exact
+
+    with pytest.raises(ValueError):
+        solve_linear_exact(a, [2, 3])
+
+
 def test_filled_jet_rows_equal_pushforward_rows():
     # the numeric routes evaluate prolonged generators at the filled jet; the
     # symbolic push-forward to the rank-one locus is their reference

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,12 +11,14 @@ from hypothesis import strategies as st
 
 import parajet.normalize as normalize
 import parajet.series as series
-from parajet.jets import realize_series
+from parajet.invariants import h_terms, invariant_H, s_numerator, s_terms, w_numerator, w_terms
+from parajet.jets import DerivativeView, realize_series
 from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_curve_jet, random_parabolic_jet
 from parajet.scalars import Sens, is_exact
 from parajet.series import (
     AffineTransform3,
     CurveTransform2,
+    Poly2,
     TruncatedSeries1,
     TruncatedSeries2,
     _Series3,
@@ -27,7 +31,7 @@ from parajet.series import (
     solve_implicit,
 )
 
-from helpers import from_monomials1, from_monomials2
+from helpers import from_monomials1, from_monomials2, reference_compose2
 
 F = Fraction
 
@@ -889,3 +893,48 @@ def test_an_exact_series_under_one_float_entry_keeps_the_parent_values_and_types
     for cname, value in CURVE_FLOAT_ENTRIES.items():
         Tc = CurveTransform2(**{cname: value})
         _same_series(apply_affine_curve(curve, Tc), _parent_apply_affine_curve(curve, Tc))
+
+
+# -- the bivariate polynomial kernel against the series it replaced in compose2 and classify
+
+
+def _kernel_series(data, n, exact, zero_origin=False):
+    # float magnitudes stay above 1e-3, so that no product of the numerators nears the subnormal range
+    value = SMALL if exact else st.one_of(st.floats(1e-3, 3), st.floats(-3, -1e-3))
+    keys = [jk for jk in _keys2(n) if not (zero_origin and jk == (0, 0))]
+    return TruncatedSeries2(n, {jk: data.draw(st.one_of(st.just(0), value)) for jk in keys})
+
+
+def _agree(got: TruncatedSeries2, want: TruncatedSeries2, exact: bool, bound=None) -> None:
+    """Equal as ``Fraction``s when exact; else within 1e-12 of the summed term magnitudes ``bound``."""
+    if exact:
+        assert got.coeffs == want.coeffs
+        assert all(type(c) is Fraction for c in [*got.coeffs.values(), *want.coeffs.values()])
+        return
+    for jk in got.coeffs.keys() | want.coeffs.keys():
+        assert abs(got[jk] - want[jk]) <= 1e-12 * bound[jk], (jk, got[jk], want[jk])
+
+
+def _absolute(F: TruncatedSeries2, order: int) -> TruncatedSeries2:
+    return TruncatedSeries2(order, {jk: abs(c) for jk, c in F.coeffs.items()})
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), exact=st.booleans(), data=st.data())
+def test_numerator_polynomials_equal_the_padded_series_products(n, exact, data):
+    F = _kernel_series(data, n, exact)
+    kernel = DerivativeView(Poly2.from_series(F))
+    padded = DerivativeView(TruncatedSeries2(4 * n, F.coeffs))
+    absolute = DerivativeView(_absolute(F, 4 * n))
+    for numerator, terms in ((invariant_H, h_terms), (s_numerator, s_terms), (w_numerator, w_terms)):
+        bound = functools.reduce(operator.add, (_absolute(t, t.order) for t in terms(absolute)))
+        _agree(numerator(kernel).to_series(4 * n), numerator(padded), exact, bound)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), exact=st.booleans(), data=st.data())
+def test_compose2_equals_the_reference_composition(n, exact, data):
+    F = _kernel_series(data, n, exact)
+    X, Y = (_kernel_series(data, data.draw(st.integers(n, n + 2)), exact, zero_origin=True) for _ in range(2))
+    bound = reference_compose2(*(_absolute(S, S.order) for S in (F, X, Y)))
+    _agree(compose2(F, X, Y), reference_compose2(F, X, Y), exact, bound)
