@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from .classify import Cone, Cylinder, MixedTypeError, Tangential, classify, realize_graph
 from .invariants import evaluate_at_jet
 from .jets import jets_of_series
 from .normalize import (
+    DEFAULT_TOL,
     BranchError,
     normalize_curve_gl2,
     normalize_curve_sl2,
@@ -24,7 +26,6 @@ from .normalize import (
 from .scalars import scalar_from_string, scalar_to_string
 from .series import (
     TruncatedSeries1,
-    TruncatedSeries2,
     series_from_json,
     series_to_json,
 )
@@ -39,6 +40,17 @@ def _emit(doc, code: int = 0) -> int:
 def _fail(msg: str, code: int = 2) -> int:
     print(json.dumps({"error": msg}, indent=2, sort_keys=True), file=sys.stderr)
     return code
+
+
+def _tolerance(text: str) -> float:
+    """The --tol type: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _load_series_arg(path: str):
@@ -135,12 +147,9 @@ def cmd_normalize(args) -> int:
     if args.order is not None:
         if args.order < 0:
             return _fail(f"--order must be >= 0, got {args.order}")
-        if isinstance(F, TruncatedSeries1):
-            F = TruncatedSeries1(args.order, {i: c for i, c in F.coeffs.items() if i <= args.order})
-        else:
-            F = TruncatedSeries2(
-                args.order, {jk: c for jk, c in F.coeffs.items() if jk[0] + jk[1] <= args.order}
-            )
+        if args.order > F.order:
+            return _fail(f"--order {args.order} exceeds the input's order {F.order}; it can only truncate")
+        F = type(F)(args.order, F.coeffs)
     try:
         if args.curve:
             if not isinstance(F, TruncatedSeries1):
@@ -204,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="evaluate the invariant report of a surface")
     p_inv.add_argument("--surface", required=True, help="series JSON path")
     p_inv.add_argument("--point", help="base point 'x,y' (rational or decimal strings)")
-    p_inv.add_argument("--tol", type=float, default=1e-9)
+    p_inv.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_cls = sub.add_parser("classify", help="classify a developable surface or family")
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--a", help="JSON list for the first curve component")
     p_cls.add_argument("--c", help="JSON list for the third curve component")
     p_cls.add_argument("--order", type=int, default=8)
-    p_cls.add_argument("--tol", type=float, default=1e-9)
+    p_cls.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_cls.set_defaults(fn=cmd_classify)
 
     p_nrm = sub.add_parser("normalize", help="run the normalization loops")
@@ -223,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--surface", help="bivariate series JSON path")
     grp.add_argument("--curve", help="univariate series JSON path")
     p_nrm.add_argument("--group", choices=["sl2", "gl2"], default="gl2", help="curve group")
-    p_nrm.add_argument("--order", type=int, help="truncate the input to this order first")
-    p_nrm.add_argument("--tol", type=float, default=1e-9)
+    p_nrm.add_argument("--order", type=int, help="truncate the input to this order (at most its own) first")
+    p_nrm.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_nrm.set_defaults(fn=cmd_normalize)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")

@@ -28,7 +28,7 @@ Hyperbolic are refused; a negligible u_xx swaps the horizontal axes first):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List
 
@@ -345,7 +345,8 @@ def _cylinder_branch(run: _Run, tol) -> NormalFormResult:
 
     The slope invariant must vanish identically, which is checked on the jet
     coefficients of its numerator to the truncation order.  The profile's
-    moving frame, embedded in space, is the last loop of the run.
+    moving frame, embedded in space and scaled by 1/det in y to keep the
+    volume, is the last loop of the run.
     """
     G = run.G
     if _nonvanishing(s_numerator(DerivativeView(G)), G, 1e3 * tol):
@@ -355,11 +356,10 @@ def _cylinder_branch(run: _Run, tol) -> NormalFormResult:
         )
     res = normalize_curve_gl2(G.x_profile(), tol)
     T = res.transform
-    run.loops.append(AffineTransform3(a=T.a, c=T.b, p=T.c, r=T.d, l=1 / T.det(), d=T.e, w=T.f))
+    run.loops.append(replace(T.embedded(), l=1 / T.det()))
     run.steps += ["profile curve loops", *res.steps]
-    normal = TruncatedSeries2(G.order, {(j, 0): c for j, c in res.normal_series.coeffs.items()})
     readings = {"curve_" + k: v for k, v in res.readings.items()}
-    return NormalFormResult(f"Cylinder[{res.branch}]", normal, run.loops, readings, run.steps)
+    return NormalFormResult(f"Cylinder[{res.branch}]", res.normal_series.y_free(), run.loops, readings, run.steps)
 
 
 def _cone_branch(run: _Run, readings, tol, branch) -> NormalFormResult:

@@ -399,7 +399,7 @@ def homogeneous_curve_coefficients(a, sign: int, upto: int) -> Dict[int, object]
 def homogeneous_curve_series(a, sign: int, order: int):
     """The graph u = x^2/2 +- x^4/4! + a x^5/5! + ... of the homogeneous model."""
     I = homogeneous_curve_coefficients(a, sign, order)
-    return TruncatedSeries1(order, {i: v for i, v in I.items() if i <= order and v != 0})
+    return TruncatedSeries1(order, I)
 
 
 def homogeneous_tangent_field(a, sign: int):
@@ -422,14 +422,6 @@ def _along(polyc: Poly, bases, unit):
                 term = term * bases[var]
         out = out + term
     return out
-
-
-def tangency_residual_curve(field, F) -> object:
-    """eta(x, F) - F'(x) xi(x, F) as a series in x, to order N - 1."""
-    m = F.order - 1
-    bases = {VAR_X: TruncatedSeries1(m, {1: Fraction(1)}), VAR_U: TruncatedSeries1(m, F.coeffs)}
-    unit = TruncatedSeries1(m, {0: Fraction(1)})
-    return _along(field.phi, bases, unit) - F.derivative() * _along(field.xi, bases, unit)
 
 
 def cone_symmetry_fields():
@@ -456,6 +448,11 @@ def surface_tangency_residual(field, F):
     unit = TruncatedSeries2(m, {(0, 0): Fraction(1)})
     xi, eta, phi = (_along(c, bases, unit) for c in (field.xi, field.eta, field.phi))
     return phi - F.derivative("x") * xi - F.derivative("y") * eta
+
+
+def tangency_residual_curve(field, F) -> TruncatedSeries1:
+    """eta(x, F) - F'(x) xi(x, F) as a series in x, to order N - 1: the residual of the y-free graph."""
+    return surface_tangency_residual(field, F.y_free()).x_profile()
 
 
 def verify_curve_recurrences(group: str, jet: Mapping[int, object]) -> Dict[str, dict]:

@@ -126,14 +126,11 @@ def random_curve_jet(
         return jet
 
 
-def near_identity_transform(
-    rng: random.Random, spread: Fraction = Fraction(1, 20), special: bool = True
-) -> AffineTransform3:
-    """A random rational transform near the identity; exactly unimodular if special."""
+def near_identity_transform(rng: random.Random, special: bool = True) -> AffineTransform3:
+    """A random rational transform within 1/20 of the identity, entry by entry; exactly unimodular if special."""
 
     def eps():
-        d = 40
-        return Fraction(rng.randint(-int(spread * d * 2), int(spread * d * 2)), d * 2)
+        return Fraction(rng.randint(-4, 4), 80)
 
     a, b, c = 1 + eps(), eps(), eps()
     k, l, m = eps(), 1 + eps(), eps()

@@ -7,11 +7,14 @@ point.  Coefficients are exact ``Fraction``s or ``float``s; a series never
 mixes the two kinds on construction from JSON, and arithmetic propagates
 float-ness the way IEEE does.
 
-Both series classes multiply through one kernel, :func:`_product`: exact
-factors are convolved as integer numerators over their least common
-denominators, with one ``Fraction`` per output coefficient and no gcd per
-term pair; other coefficients run through the same loop in the same order,
-so float products are unchanged to the bit.
+Both series classes share one body, :class:`_Series`: the degree filter on
+construction, indexing, equality, sums, differences and scalar multiples, so
+a univariate series behaves as the y-free slice of a bivariate one.  Both
+multiply through one kernel, :func:`_product`: exact factors are convolved as
+integer numerators over their least common denominators, with one
+``Fraction`` per output coefficient and no gcd per term pair; other
+coefficients run through the same loop in the same order, so float products
+are unchanged to the bit.
 
 Both re-expand at a new base point through one column kernel,
 :func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
@@ -19,8 +22,8 @@ monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997).  For exact
 h = p/q the column is brought to integers over its least common denominator
 with term i scaled by q^(n-i), so the steps run on integers with p and one
 ``Fraction`` is built per output.  A bivariate shift is separable: each
-y-column in x, then each x-row in y.  Exact evaluation likewise sums integer
-numerators and divides once.
+y-column in x, then each x-row in y.  Exact values at a point are read off
+:class:`Poly2`, below.
 
 Compositions and the numerator polynomials of ``classify`` run on
 :class:`Poly2`, not on series products: a bivariate polynomial in monomial
@@ -149,48 +152,56 @@ def _shift_columns(coeffs: dict, n: int, h) -> dict:
     return {(k, j): c for k, col in cols.items() for j, c in _taylor_shift(col, n - k, h).items()}
 
 
-class TruncatedSeries1:
-    """Univariate truncated series, value sum_i F_i x^i / i!."""
+class _Series:
+    """What both series classes share: the degree filter, the linear operations and the repr.
+
+    A subclass names the total degree of its keys and its own products, derivatives and shifts.
+    """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Dict[int, object] | None = None):
+    def __init__(self, order: int, coeffs: dict | None = None):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                if i <= order and c != 0:
-                    self.coeffs[i] = c
+        degree = self._degree
+        self.coeffs = {key: c for key, c in (coeffs or {}).items() if degree(key) <= order and c != 0}
 
-    def __getitem__(self, i: int):
-        return self.coeffs.get(i, 0)
+    def __getitem__(self, key):
+        return self.coeffs.get(key, 0)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries1)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return type(other) is type(self) and self.order == other.order and self.coeffs == other.coeffs
 
     def is_exact(self) -> bool:
         return all(is_exact(c) for c in self.coeffs.values())
 
-    def __add__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
+    def __add__(self, other):
         n = min(self.order, other.order)
-        out = {}
-        for i in range(n + 1):
-            c = self[i] + other[i]
-            if c != 0:
-                out[i] = c
-        return TruncatedSeries1(n, out)
+        return type(self)(n, {key: self[key] + other[key] for key in set(self.coeffs) | set(other.coeffs)})
 
-    def __sub__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
-        return self + other.scale(-1)
+    def __sub__(self, other):
+        return self + -other
 
-    def scale(self, s) -> "TruncatedSeries1":
-        return TruncatedSeries1(self.order, {i: s * c for i, c in self.coeffs.items()})
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __rmul__(self, n: int):
+        return self.scale(n)
+
+    def scale(self, s):
+        return type(self)(self.order, {key: s * c for key, c in self.coeffs.items()})
+
+    def __repr__(self):
+        terms = ", ".join(f"{key}: {c}" for key, c in sorted(self.coeffs.items()))
+        return f"{type(self).__name__}(order={self.order}, {{{terms}}})"
+
+
+class TruncatedSeries1(_Series):
+    """Univariate truncated series, value sum_i F_i x^i / i!, keyed by i."""
+
+    __slots__ = ()
+    _degree = staticmethod(int)  # key i has degree i
 
     def __mul__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
         n = min(self.order, other.order)
@@ -200,112 +211,36 @@ class TruncatedSeries1:
         return TruncatedSeries1(n, {j: c for (j, _), c in out.items()})
 
     def derivative(self) -> "TruncatedSeries1":
-        """d/dx, order drops by one."""
-        if self.order == 0:
-            return TruncatedSeries1(0, {})
-        return TruncatedSeries1(self.order - 1, {i - 1: c for i, c in self.coeffs.items() if i >= 1})
-
-    def eval(self, x):
-        """Evaluate the truncated polynomial at x."""
-        total = 0
-        fact = 1
-        for i in range(self.order + 1):
-            if i > 0:
-                fact *= i
-            c = self.coeffs.get(i)
-            if c is not None:
-                total = total + _over(c * x**i, fact)
-        return total
+        """d/dx, order drops by one (an order-0 series has derivative 0)."""
+        return TruncatedSeries1(max(self.order - 1, 0), {i - 1: c for i, c in self.coeffs.items() if i >= 1})
 
     def shift(self, h) -> "TruncatedSeries1":
         """Re-expand at x = h: G(x') := F(h + x'); exact on the truncation."""
         return TruncatedSeries1(self.order, _taylor_shift(self.coeffs, self.order, h))
 
-    def __repr__(self):
-        terms = ", ".join(f"{i}: {c}" for i, c in sorted(self.coeffs.items()))
-        return f"TruncatedSeries1(order={self.order}, {{{terms}}})"
+    def y_free(self) -> "TruncatedSeries2":
+        """The graph u = F(x) over the (x, y)-plane: the bivariate series constant in y."""
+        return TruncatedSeries2(self.order, {(j, 0): c for j, c in self.coeffs.items()})
 
 
-class TruncatedSeries2:
-    """Bivariate truncated series, value sum F_{j,k} x^j y^k / (j! k!)."""
+class TruncatedSeries2(_Series):
+    """Bivariate truncated series, value sum F_{j,k} x^j y^k / (j! k!), keyed by (j, k)."""
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Dict[Tuple[int, int], object] | None = None):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for (j, k), c in coeffs.items():
-                if j + k <= order and c != 0:
-                    self.coeffs[(j, k)] = c
-
-    def __getitem__(self, jk: Tuple[int, int]):
-        return self.coeffs.get(jk, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries2)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def is_exact(self) -> bool:
-        return all(is_exact(c) for c in self.coeffs.values())
-
-    def __add__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        n = min(self.order, other.order)
-        out: Dict[Tuple[int, int], object] = {}
-        for jk in set(self.coeffs) | set(other.coeffs):
-            if jk[0] + jk[1] <= n:
-                c = self[jk] + other[jk]
-                if c != 0:
-                    out[jk] = c
-        return TruncatedSeries2(n, out)
-
-    def __sub__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
-        return self + -other
-
-    def __neg__(self) -> "TruncatedSeries2":
-        return self.scale(-1)
-
-    def __rmul__(self, n: int) -> "TruncatedSeries2":
-        return self.scale(n)
-
-    def scale(self, s) -> "TruncatedSeries2":
-        return TruncatedSeries2(self.order, {jk: s * c for jk, c in self.coeffs.items()})
+    __slots__ = ()
+    _degree = staticmethod(sum)  # key (j, k) has degree j + k
 
     def __mul__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
         n = min(self.order, other.order)
         return TruncatedSeries2(n, _product(self.coeffs, other.coeffs, n))
 
     def derivative(self, direction: str) -> "TruncatedSeries2":
-        if self.order == 0:
-            return TruncatedSeries2(0, {})
+        """d/dx or d/dy, order drops by one (an order-0 series has derivative 0)."""
+        n = max(self.order - 1, 0)
         if direction == "x":
-            return TruncatedSeries2(
-                self.order - 1, {(j - 1, k): c for (j, k), c in self.coeffs.items() if j >= 1}
-            )
+            return TruncatedSeries2(n, {(j - 1, k): c for (j, k), c in self.coeffs.items() if j >= 1})
         if direction == "y":
-            return TruncatedSeries2(
-                self.order - 1, {(j, k - 1): c for (j, k), c in self.coeffs.items() if k >= 1}
-            )
+            return TruncatedSeries2(n, {(j, k - 1): c for (j, k), c in self.coeffs.items() if k >= 1})
         raise ValueError("direction must be 'x' or 'y'")
-
-    def eval(self, x, y):
-        form = None
-        if is_exact(x) and is_exact(y):
-            fact = [math.factorial(i) for i in range(self.order + 1)]
-            form = _integer_form({(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in self.coeffs.items()})
-        if form is None:
-            total = 0
-            for (j, k), c in self.coeffs.items():
-                total = total + c * x**j * y**k / (math.factorial(j) * math.factorial(k))
-            return total
-        (d, nums), (px, qx), (py, qy), n = form, x.as_integer_ratio(), y.as_integer_ratio(), self.order
-        total = sum(v * px**j * qx ** (n - j) * py**k * qy ** (n - k) for (j, k), v in nums.items())
-        return Fraction(total, (d or 1) * (qx * qy) ** n)
 
     def shift(self, hx, hy) -> "TruncatedSeries2":
         """Re-expand at (hx, hy); exact on the truncation: each y-column in x, then each x-row in y."""
@@ -315,10 +250,6 @@ class TruncatedSeries2:
     def x_profile(self) -> TruncatedSeries1:
         """The section y = 0 as a univariate series."""
         return TruncatedSeries1(self.order, {j: c for (j, k), c in self.coeffs.items() if k == 0})
-
-    def __repr__(self):
-        terms = ", ".join(f"{jk}: {c}" for jk, c in sorted(self.coeffs.items()))
-        return f"TruncatedSeries2(order={self.order}, {{{terms}}})"
 
 
 def _over(c, m: int):
@@ -724,7 +655,10 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     return TruncatedSeries2(n, {jk: Fraction(((x >> half) + 1) >> 1, 1 << grid) for jk, (x, _) in out.items()})
 
 
-def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: int | None = None):
+_MISSES_ORIGIN = "transformed graph misses the target origin; adjust the translation"
+
+
+def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = None):
     """The graph v = G(s, t) of F(L1, L2) = u(s, t, v), L1, L2 the linear forms xs, ys.
 
     ``axis`` holds the coefficients of the affine function u at the keys
@@ -732,8 +666,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: in
     fixed point and G comes back on the 2^-grid grid; where its certificate
     fails they run exactly.  An exact phi and axis are folded into integers
     over one lcm and the origin is checked on integers; the denominator then
-    drops out.  Otherwise Phi = phi - u is assembled on the scalars;
-    ``message`` is raised when Phi misses the origin.
+    drops out.  Otherwise Phi = phi - u is assembled on the scalars.
     """
     n = F.order
     if grid is not None:
@@ -743,7 +676,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: in
             if c:
                 terms[key] = terms.get(key, 0) - _fixed(c, grid + FIXED_GUARD)
         if terms.pop((0, 0, 0), 0):
-            raise ValueError(message)
+            raise ValueError(_MISSES_ORIGIN)
         G = solve_implicit(_Series3(n, terms, phi.den, phi.radius + 1), grid)
         if G is not None:
             return G
@@ -754,7 +687,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: in
         c0 = phi[(0, 0, 0)]
         if c0 != 0:
             if is_exact(c0) or abs(c0) > 1e-9:
-                raise ValueError(message)
+                raise ValueError(_MISSES_ORIGIN)
             phi.coeffs.pop((0, 0, 0), None)
         return solve_implicit(phi)
     (da, axis), den = form, phi.den
@@ -765,7 +698,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, message: str, grid: in
         if sum(key) <= n:
             terms[key] = terms.get(key, 0) - c * (lcm // da)
     if terms.get((0, 0, 0)):
-        raise ValueError(message)
+        raise ValueError(_MISSES_ORIGIN)
     terms.pop((0, 0, 0), None)
     return solve_implicit(_Series3(n, terms, 1))
 
@@ -867,17 +800,17 @@ def apply_affine(F: TruncatedSeries2, T: AffineTransform3, grid: int | None = No
     With ``grid`` (exact F and T, no translation) G comes back on the 2^-grid
     grid within 2^-grid of the exact image (module docstring).
     """
-    message = "transformed surface misses the target origin; adjust the translation"
     rest = (T.a, T.b, T.c, T.k, T.l, T.m, T.r, T.d, T.n)
-    if rest == (1, 0, 0, 0, 1, 0, 1, 0, 0) and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
+    identity_part = grid is None and rest == (1, 0, 0, 0, 1, 0, 1, 0, 0)
+    if identity_part and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
         if F[(0, 0)] != T.w:
-            raise ValueError(message)
+            raise ValueError(_MISSES_ORIGIN)
         edit = {(1, 0): T.p, (0, 1): T.q}
         keys = (F.coeffs.keys() | edit.keys()) - {(0, 0)}
         return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit.get(jk, 0)) for jk in keys})
     assert grid is None or not (T.d or T.n or T.w), "no fixed-point loop translates"
     axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
-    return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, message, grid)
+    return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, grid)
 
 
 @dataclass(frozen=True)
@@ -907,21 +840,18 @@ class CurveTransform2:
         det = self.det()
         return ((self.d / det, -self.b / det), (-self.c / det, self.a / det))
 
+    def embedded(self) -> AffineTransform3:
+        """The same map on (x, y, u), the identity in y: x = a s + b v + e, y = t, u = c s + d v + f."""
+        return AffineTransform3(a=self.a, c=self.b, d=self.e, p=self.c, r=self.d, w=self.f)
+
     @staticmethod
     def identity() -> "CurveTransform2":
         return CurveTransform2()
 
 
 def apply_affine_curve(F: TruncatedSeries1, T: CurveTransform2, grid: int | None = None) -> TruncatedSeries1:
-    """Curve analogue: solve 0 = -(c y + d v + f) + F(a y + b v + e) for v = G(y); ``grid`` as there."""
-    assert grid is None or not (T.e or T.f), "no fixed-point loop translates"
-    n = F.order
-    Fc = F if T.e == 0 else F.shift(T.e)
-    # embed as a trivariate series constant in t
-    F2 = TruncatedSeries2(n, {(j, 0): c for j, c in Fc.coeffs.items()})
-    axis = {(0, 0, 0): T.f, (1, 0, 0): T.c, (0, 0, 1): T.d}
-    G2 = _solve_graph(F2, (T.a, 0, T.b, 0), (0, 0, 0, 0), axis, "transformed curve misses the target origin", grid)
-    return TruncatedSeries1(n, {j: c for (j, k), c in G2.coeffs.items() if k == 0})
+    """Curve analogue: the profile of the y-free graph u = F(x) under T's embedding; ``grid`` as there."""
+    return apply_affine(F.y_free(), T.embedded(), grid).x_profile()
 
 
 # -- JSON interchange --------------------------------------------------------

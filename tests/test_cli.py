@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parajet.cli import main
+from parajet.cli import build_parser, main
+from parajet.normalize import DEFAULT_TOL
 
 F = Fraction
 
@@ -435,3 +436,32 @@ def test_cli_curve_normalize_never_raises(tmp_path_factory, group, doc):
     path = tmp_path_factory.mktemp("fuzz") / "curve.json"
     path.write_text(json.dumps(doc))
     assert main(["normalize", "--curve", str(path), "--group", group]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify", "normalize"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "abc"])
+def test_tolerance_must_be_finite_and_non_negative(cone_file, capsys, command, tol):
+    code, out, err = run_cli([command, "--surface", cone_file, f"--tol={tol}"], capsys)
+    assert code == 2 and out == ""
+    assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify", "normalize"])
+def test_zero_tolerance_stays_valid_and_the_default_is_the_loops_default(cone_file, capsys, command):
+    code, out, _ = run_cli([command, "--surface", cone_file, "--tol", "0"], capsys)
+    assert code == 0 and json.loads(out)
+    assert build_parser().parse_args([command, "--surface", cone_file]).tol == DEFAULT_TOL
+
+
+def test_normalize_order_above_the_input_order_names_both_orders(tmp_path, cone_file, capsys):
+    # an order-3 curve: --order 6 would report G4 = G5 = G6 = 0 for coefficients nobody gave
+    path = tmp_path / "curve3.json"
+    path.write_text(json.dumps({"vars": 1, "order": 3, "coeffs": [_entry(2, 0, "1"), _entry(3, 0, "1/2")]}))
+    code, out, err = run_cli(["normalize", "--curve", str(path), "--group", "sl2", "--order", "6"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "--order 6 exceeds the input's order 3; it can only truncate"
+    code, out, err = run_cli(["normalize", "--surface", cone_file, "--order", "9"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "--order 9 exceeds the input's order 8; it can only truncate"
+    code, out, _ = run_cli(["normalize", "--curve", str(path), "--group", "sl2", "--order", "3"], capsys)
+    assert code == 0 and json.loads(out)["normal_coeffs"]["order"] == 3

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parajet.normalize as normalize
+import parajet.series as series
 from parajet.classify import Cone, classify, realize_graph
 from parajet.invariants import invariant_H, invariant_M, invariant_W, invariant_X
 from parajet.jets import DerivativeView, realize_series
@@ -33,6 +35,7 @@ from parajet.sampling import (
 from parajet.scalars import cbrt, scalar_to_string, to_float
 from parajet.series import (
     AffineTransform3,
+    CurveTransform2,
     TruncatedSeries1,
     TruncatedSeries2,
     apply_affine,
@@ -469,3 +472,28 @@ def test_the_float_hessian_check_decides_and_words_as_the_exact_series(seed):
                 _check_parabolic(f, tol)
             assert str(err.value).endswith(want)
     assert None in verdicts and any(verdicts)
+
+
+def test_curve_translate_and_shear_loops_edit_the_series_without_a_solve(monkeypatch):
+    # with F0 and F1 nonzero, both first loops are identity-part edits of the y-free graph
+    substitutions, loops = [], []
+    kernel, apply = series.series3_from_bivariate_in_linear, normalize.apply_affine_curve
+
+    def counting(*args, **kwargs):
+        substitutions.append(args)
+        return kernel(*args, **kwargs)
+
+    def recording(F, T, grid=None):
+        before = len(substitutions)
+        G = apply(F, T, grid)
+        loops.append((T, len(substitutions) - before))
+        return G
+
+    monkeypatch.setattr(series, "series3_from_bivariate_in_linear", counting)
+    monkeypatch.setattr(normalize, "apply_affine_curve", recording)
+    curve = TruncatedSeries1(6, dict(enumerate(map(F, ["1/3", "2", "3", "1/2", "-1", "1/7", "5"]))))
+    res = normalize_curve_gl2(curve)
+    assert res.steps[:2] == ["translate graph to the origin", "shear away the first-order term"]
+    assert [T for T, _ in loops[:2]] == [CurveTransform2(f=F(1, 3)), CurveTransform2(c=F(2))]
+    assert [calls for _, calls in loops[:2]] == [0, 0]
+    assert all(calls >= 1 for _, calls in loops[2:]) and len(loops) > 2
