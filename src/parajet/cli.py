@@ -4,7 +4,8 @@ Subcommands: invariants, classify, normalize, verify, report.  All numeric
 output is rendered as rational strings where exact and as 17-significant-digit
 decimal strings otherwise, with stable key order, so identical seeds and
 inputs give byte-identical documents.  Exit codes: 0 success, 1 verification
-failure, 2 input or usage error.
+failure, 2 input or usage error, each reported as a JSON document
+``{"error": ...}`` on stderr.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ def _emit(doc, code: int = 0) -> int:
 def _fail(msg: str, code: int = 2) -> int:
     print(json.dumps({"error": msg}, indent=2, sort_keys=True), file=sys.stderr)
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are JSON error documents too, with exit code 2."""
+
+    def error(self, message: str):
+        self.exit(_fail(f"{self.prog}: {message}"))
 
 
 def _tolerance(text: str) -> float:
@@ -207,7 +215,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="parajet", description=__doc__)
+    ap = _Parser(prog="parajet", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="evaluate the invariant report of a surface")

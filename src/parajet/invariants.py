@@ -12,7 +12,12 @@ The fifth-order invariant of the generic branch (M) and the seventh-order
 invariant of the cone branch (Y) carry large numerators; their monomial
 tables below were generated from the normalization loops by exact rational
 arithmetic and are cross-checked against the loop pipeline in the tests
-(the generic numerator has exactly 57 monomials).
+(the generic numerator has exactly 57 monomials).  One kernel,
+:func:`_table_numerator`, sums them.  Exact jets are summed on integer
+numerators over one denominator, with each variable's powers taken once;
+``Sens`` jets with exact values get their partials from the gradient of the
+table, summed the same way; every other scalar runs the term-by-term sum in
+its own arithmetic.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 from .jets import jets_of_series
-from .scalars import cbrt, scalar_to_string, sqrt, to_float
+from .scalars import Sens, cbrt, is_exact, scalar_to_string, sqrt, to_float
 from .series import AffineTransform3, TruncatedSeries2, apply_affine
 
 Coord = Tuple[int, int]
@@ -215,9 +221,87 @@ M_TABLE = (
 _M_VARS = ((2, 0), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (5, 0))
 
 
+@functools.cache
+def _table_plan(table):
+    """What the integer path of :func:`_table_numerator` needs of a homogeneous table.
+
+    Monomials refer to their powers by index into one flat list holding
+    v_i^0 .. v_i^top_i for each variable in turn.  Per variable i: the table of
+    dP/dv_i (exponent e_i - 1, coefficient times e_i) and the variables whose
+    Fraction type makes that derivative a Fraction in the generic loop (its
+    companions in some monomial, and i itself at an exponent of two or more).
+    ``first`` lists the variables in the order the generic loop first meets them.
+    """
+    (degree,) = {sum(exps) for _, exps in table}
+    nvars = len(table[0][1])
+    tops = [max(exps[i] for _, exps in table) for i in range(nvars)]
+    offsets = [sum(tops[:i]) + i for i in range(nvars)]
+
+    def indexed(coef, exps):
+        return coef, tuple(offsets[i] + e for i, e in enumerate(exps) if e)
+
+    grads, companions, first = [], [], []
+    for i in range(nvars):
+        rows = [(coef * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:]) for coef, exps in table if exps[i]]
+        grads.append([indexed(coef, exps) for coef, exps in rows])
+        companions.append(tuple(j for j in range(nvars) if any(exps[j] for _, exps in rows)))
+    for _, exps in table:
+        first.extend(i for i, e in enumerate(exps) if e and i not in first)
+    mono = [indexed(coef, exps) for coef, exps in table]
+    return degree, tops, mono, grads, companions, first
+
+
+def _integer_sum(mono, powers) -> int:
+    total = 0
+    for term, idx in mono:
+        for k in idx:
+            term *= powers[k]
+        total += term
+    return total
+
+
 def _table_numerator(table, variables, c: Mapping[Coord, object]):
-    """Sum of the monomials coef * prod v^e of a numerator table at the jet."""
+    """Sum of the monomials coef * prod v^e of a numerator table at the jet.
+
+    On ints and Fractions the variables become integer numerators over their
+    lcm D, and the homogeneous sum of degree d is one ``Fraction(total, D^d)``
+    (an int on an all-int jet).  On ``Sens`` with exact values and partials,
+    exact plain scalars being constants, the value and each dP/dv_i are summed
+    the same way and the partials are sum_i dP/dv_i * v_i.partials, keyed in
+    the order the generic loop creates them.  Every other jet (floats, float or
+    nested ``Sens``, mixed float and exact) runs the generic loop.  Either way
+    the result equals the generic loop's in value and type.
+    """
     vals = [c[v] for v in variables]
+    plain = [v.value if type(v) is Sens else v for v in vals]
+    if all(is_exact(x) for x in plain) and all(
+        is_exact(d) for v in vals if type(v) is Sens for d in v.partials.values()
+    ):
+        degree, tops, mono, grads, companions, first = _table_plan(table)
+        den = math.lcm(*[x.denominator for x in plain])
+        powers = []
+        for x, top in zip(plain, tops):
+            n, p = x.numerator * (den // x.denominator), 1
+            for _ in range(top + 1):
+                powers.append(p)
+                p *= n
+
+        def scaled(total, d, terms):
+            if any(type(plain[j]) is Fraction for j in terms):
+                return Fraction(total, den**d)
+            return total // den**d
+
+        value = scaled(_integer_sum(mono, powers), degree, first)
+        if all(type(v) is not Sens for v in vals):
+            return value
+        partials = {}
+        for i in first:
+            if type(vals[i]) is Sens:
+                g = scaled(_integer_sum(grads[i], powers), degree - 1, companions[i])
+                for key, d in vals[i].partials.items():
+                    t = g * d
+                    partials[key] = partials[key] + t if key in partials else t
+        return Sens(value, partials)
     total = 0
     for coef, exps in table:
         term = coef

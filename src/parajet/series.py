@@ -155,7 +155,8 @@ def _shift_columns(coeffs: dict, n: int, h) -> dict:
 class _Series:
     """What both series classes share: the degree filter, the linear operations and the repr.
 
-    A subclass names the total degree of its keys and its own products, derivatives and shifts.
+    A subclass says whether its keys are pairs (j, k) of degree j + k or ints i
+    of degree i, and names its own products, derivatives and shifts.
     """
 
     __slots__ = ("order", "coeffs")
@@ -164,8 +165,18 @@ class _Series:
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = order
-        degree = self._degree
-        self.coeffs = {key: c for key, c in (coeffs or {}).items() if degree(key) <= order and c != 0}
+        self.coeffs = kept = {}
+        if not coeffs:
+            return
+        if self._bivariate:
+            for key, c in coeffs.items():
+                j, k = key
+                if j + k <= order and c != 0:
+                    kept[key] = c
+        else:
+            for i, c in coeffs.items():
+                if i <= order and c != 0:
+                    kept[i] = c
 
     def __getitem__(self, key):
         return self.coeffs.get(key, 0)
@@ -201,7 +212,7 @@ class TruncatedSeries1(_Series):
     """Univariate truncated series, value sum_i F_i x^i / i!, keyed by i."""
 
     __slots__ = ()
-    _degree = staticmethod(int)  # key i has degree i
+    _bivariate = False
 
     def __mul__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
         n = min(self.order, other.order)
@@ -227,7 +238,7 @@ class TruncatedSeries2(_Series):
     """Bivariate truncated series, value sum F_{j,k} x^j y^k / (j! k!), keyed by (j, k)."""
 
     __slots__ = ()
-    _degree = staticmethod(sum)  # key (j, k) has degree j + k
+    _bivariate = True
 
     def __mul__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
         n = min(self.order, other.order)

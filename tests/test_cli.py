@@ -465,3 +465,33 @@ def test_normalize_order_above_the_input_order_names_both_orders(tmp_path, cone_
     assert json.loads(err)["error"] == "--order 9 exceeds the input's order 8; it can only truncate"
     code, out, _ = run_cli(["normalize", "--curve", str(path), "--group", "sl2", "--order", "3"], capsys)
     assert code == 0 and json.loads(out)["normal_coeffs"]["order"] == 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["normalize", "--surface", "CONE", "--tol", "nan"], "parajet normalize: argument --tol: must be a finite number"),
+        (["normalize", "--surface", "CONE", "--group", "bogus"], "parajet normalize: argument --group: invalid choice"),
+        (["classify", "--surface", "CONE", "--order", "x"], "parajet classify: argument --order: invalid int value: 'x'"),
+        (["bogus", "--surface", "CONE"], "parajet: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["tol-nan", "group-bogus", "order-x", "unknown-command"],
+)
+def test_usage_errors_are_json_error_documents(cone_file, capsys, args, message):
+    code, out, err = run_cli([cone_file if a == "CONE" else a for a in args], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(message)
+
+
+def test_parser_error_prints_the_json_error_document_and_exits_2(capsys):
+    # argparse calls error() for every usage error above, subparsers included
+    with pytest.raises(SystemExit) as exc:
+        build_parser().error("boom")
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "parajet: boom"}
+
+
+def test_help_stays_plain_text(capsys):
+    code, out, err = run_cli(["normalize", "--help"], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: parajet normalize")

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parajet.invariants import (
+    _M_VARS,
+    _Y_VARS,
     M_TABLE,
+    Y_TABLE,
+    _table_numerator,
     conic_invariant,
     curve_invariant_F6,
     curve_invariant_F7,
@@ -25,16 +29,17 @@ from parajet.invariants import (
     invariant_Y,
     pick_invariant,
     slope_transfer_check,
+    swap_axes,
     w_numerator,
 )
-from parajet.jets import ParabolicJet, jets_of_series, realize_series
+from parajet.jets import ParabolicJet, jets_of_series, realize_series, seeded
 from parajet.normalize import normalize_parabolic_surface
 from parajet.sampling import (
     near_identity_transform,
     random_cone_branch_jet,
     random_parabolic_jet,
 )
-from parajet.scalars import to_float
+from parajet.scalars import Sens, to_float
 from parajet.series import TruncatedSeries2, apply_affine
 
 from helpers import from_monomials2
@@ -398,3 +403,76 @@ def test_curve_I5_sign_mismatch_raises():
     assert abs(to_float(val) - to_float(F(9, 2)) / (3**0.5 * 3**1.5)) < 1e-12
     with pytest.raises(ValueError):
         curve_invariant_I5(jet, -1)
+
+
+def _reference_numerator(table, variables, c):
+    """The table summed left to right in the scalars' own arithmetic."""
+    vals = [c[v] for v in variables]
+    total = 0
+    for coef, exps in table:
+        term = coef
+        for v, e in zip(vals, exps):
+            if e == 1:
+                term = term * v
+            elif e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
+def _assert_same(got, want):
+    """Same type and value; floats to the bit; Sens: same key order and the same nonzero partials."""
+    assert type(got) is type(want)
+    if isinstance(want, Sens):
+        _assert_same(got.value, want.value)
+        assert list(got.partials) == list(want.partials)
+        for key, d in want.partials.items():
+            if d != 0 or got.partials[key] != 0:
+                _assert_same(got.partials[key], d)
+    elif isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+def _one_fraction_seeded(c, odd):
+    """Ints but for one half-integer; dY/du70 stays an int unless that coordinate shares a monomial with u70."""
+    return seeded({jk: F(2 * round(4 * v) + 1, 2) if jk == odd else round(4 * v) for jk, v in c.items()})
+
+
+_JET_KINDS = {
+    "int": lambda p, c, rng: {jk: round(4 * v) for jk, v in c.items()},
+    "fraction": lambda p, c, rng: c,
+    "mixed": lambda p, c, rng: {jk: round(4 * v) if rng.random() < 0.5 else v for jk, v in c.items()},
+    "seeded": lambda p, c, rng: seeded(p),
+    "frozen": lambda p, c, rng: seeded(p, frozen={jk for jk in p.coords if rng.random() < 0.4}),
+    "swapped-seeded": lambda p, c, rng: swap_axes(seeded(p).filled(7)),
+    "mixed-seeded": lambda p, c, rng: seeded({jk: round(4 * v) if rng.random() < 0.5 else v for jk, v in c.items()}),
+    "one-fraction-seeded": lambda p, c, rng: _one_fraction_seeded(c, (rng.randint(2, 7), 0)),
+    "float": lambda p, c, rng: {jk: float(v) for jk, v in c.items()},
+    "float-seeded": lambda p, c, rng: seeded({jk: float(v) for jk, v in c.items()}),
+    "one-float": lambda p, c, rng: {**c, (jk := (rng.randint(2, 5), 0)): float(c[jk])},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JET_KINDS))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cone=st.booleans(), exact=st.booleans())
+def test_table_numerators_equal_the_left_to_right_sum(kind, seed, cone, exact):
+    # the integer path (exact jets and exact Sens) and the generic loop (the rest) against the reference
+    rng = random.Random(seed)
+    p = (random_cone_branch_jet if cone else random_parabolic_jet)(rng, 8, exact=exact)
+    c = _JET_KINDS[kind](p, p.filled(7), rng)
+    for table, variables in ((M_TABLE, _M_VARS), (Y_TABLE, _Y_VARS)):
+        _assert_same(_table_numerator(table, variables, c), _reference_numerator(table, variables, c))
+
+
+@pytest.mark.parametrize("table, variables", [(M_TABLE, _M_VARS), (Y_TABLE, _Y_VARS)], ids=["M", "Y"])
+def test_perturbing_one_table_coefficient_moves_the_integer_sum_by_its_monomial(table, variables):
+    c = random_parabolic_jet(random.Random(5), 8, exact=True).filled(7)
+    base = _table_numerator(table, variables, c)
+    for i, (coef, exps) in enumerate(table):
+        perturbed = table[:i] + ((coef + 1, exps),) + table[i + 1:]
+        monomial = math.prod(c[v] ** e for v, e in zip(variables, exps))
+        assert monomial != 0
+        assert _table_numerator(perturbed, variables, c) - base == monomial
