@@ -13,6 +13,7 @@ jet-coefficient criterion at the base point, and reports its witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -31,7 +32,7 @@ from .invariants import (
     w_terms,
 )
 from .jets import DerivativeView, jets_of_series
-from .scalars import to_float
+from .scalars import is_exact, to_float
 from .series import AffineTransform3, Poly2, TruncatedSeries1, TruncatedSeries2, apply_affine, compose2
 
 
@@ -169,6 +170,14 @@ def _grid_zero(num: Poly2, low_degree: int, pt, tol: float, monoms) -> bool:
     return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
 
 
+def _require_finite(F: TruncatedSeries2, grid) -> None:
+    """Refuse a float series or grid jet past the float range: no zero test can judge inf or nan."""
+    for where, values in [("series", F.coeffs), *((f"jet at ({x}, {y})", c) for (x, y), c in grid)]:
+        for jk, v in values.items():
+            if not is_exact(v) and not math.isfinite(to_float(v)):
+                raise OverflowError(f"{where} coefficient {jk} is {to_float(v)}")
+
+
 def classify(
     F: TruncatedSeries2,
     sample_points: Optional[List[Tuple[object, object]]] = None,
@@ -180,7 +189,8 @@ def classify(
     together with agreement on a finite grid of base points; each grid value
     is compared against the truncation-tail envelope of the corresponding
     numerator polynomial, and disagreement between the two criteria reports a
-    mixed type instead of guessing.  A parabolic graph whose u_xx is
+    mixed type instead of guessing.  A float series or grid jet that is not
+    finite raises :class:`OverflowError`.  A parabolic graph whose u_xx is
     negligible is classified through its :func:`~parajet.invariants.aligned_jet`
     axis swap, as in the closed forms and the loops.
     """
@@ -208,6 +218,7 @@ def classify(
     grid = [
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
     ]
+    _require_finite(F, grid)
 
     # point type across the grid
     types = []

@@ -389,7 +389,7 @@ def homogeneous_curve_coefficients(a, sign: int, upto: int) -> Dict[int, object]
             values[(i, 0)] = v
         values[(k + 1, 0)] = 0  # the xi u_{k+1} term cancels in the closed formula
         total = 0
-        for g, r in zip(gens, R):
+        for g, r in zip(gens, R, strict=True):
             phi = prolong(g, (k, 0))
             total = total + p_eval(phi, values) * r
         I[k + 1] = -total

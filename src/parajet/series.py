@@ -9,14 +9,15 @@ float-ness the way IEEE does.
 
 Both series classes share one body, :class:`_Series`: the degree filter on
 construction, indexing, equality, sums, differences and scalar multiples, so
-a univariate series behaves as the y-free slice of a bivariate one.  Both
-multiply through one kernel, :func:`_product`: exact factors are convolved as
-integer numerators over their least common denominators, with one
-``Fraction`` per output coefficient and no gcd per term pair; other
-coefficients run through the same loop in the same order, so float products
-are unchanged to the bit.
+a univariate series behaves as the y-free slice of a bivariate one.  It
+multiplies and re-expands as that slice, ``(f.y_free() * g.y_free()).x_profile()``
+and ``f.y_free().shift(h, 0).x_profile()``.  Products run through one kernel,
+:func:`_product`: exact factors are convolved as integer numerators over
+their least common denominators, with one ``Fraction`` per output
+coefficient and no gcd per term pair; other coefficients run through the
+same loop in the same order, so float products are unchanged to the bit.
 
-Both re-expand at a new base point through one column kernel,
+Shifts re-expand at a new base point through one column kernel,
 :func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
 monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997).  For exact
 h = p/q the column is brought to integers over its least common denominator
@@ -52,7 +53,10 @@ drops out, and the solve reduces each homogeneous part once per degree and
 builds one ``Fraction`` per output coefficient.  Other coefficients run the
 same loops on the scalars, with factorials divided out on entry and put
 back on exit as before, so float and ``Sens`` results are unchanged to the
-bit.
+bit.  The trivariate series between the two kernels, :class:`_Series3`, is a
+plain record: integer numerators over one denominator when exact or fixed
+point, factorial-convention scalars otherwise.  Phi = phi - u is assembled
+once for every regime; each only brings the affine part u to phi's terms.
 
 Precision rule of the normalization loops: a loop whose run has taken an
 inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  Its
@@ -214,20 +218,9 @@ class TruncatedSeries1(_Series):
     __slots__ = ()
     _bivariate = False
 
-    def __mul__(self, other: "TruncatedSeries1") -> "TruncatedSeries1":
-        n = min(self.order, other.order)
-        out = _product(
-            {(i, 0): c for i, c in self.coeffs.items()}, {(i, 0): c for i, c in other.coeffs.items()}, n
-        )
-        return TruncatedSeries1(n, {j: c for (j, _), c in out.items()})
-
     def derivative(self) -> "TruncatedSeries1":
         """d/dx, order drops by one (an order-0 series has derivative 0)."""
         return TruncatedSeries1(max(self.order - 1, 0), {i - 1: c for i, c in self.coeffs.items() if i >= 1})
-
-    def shift(self, h) -> "TruncatedSeries1":
-        """Re-expand at x = h: G(x') := F(h + x'); exact on the truncation."""
-        return TruncatedSeries1(self.order, _taylor_shift(self.coeffs, self.order, h))
 
     def y_free(self) -> "TruncatedSeries2":
         """The graph u = F(x) over the (x, y)-plane: the bivariate series constant in y."""
@@ -400,52 +393,22 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
 
 
 class _Series3:
-    """Internal trivariate truncated series in (s, t, v), factorial convention.
+    """Internal trivariate truncated series in (s, t, v): a plain record.
 
-    An exact series from :func:`series3_from_bivariate_in_linear` keeps its
-    monomial coefficients as integer numerators ``terms`` over one
-    denominator ``den``; ``coeffs`` builds the factorial-convention
-    ``Fraction``s from them when read.  Otherwise ``den`` is None and
-    ``terms`` are the coefficients themselves.  A fixed-point series has den
-    2^B, an error ``radius`` in ulps of 2^-B and its zero terms (a lacking key is zero).
+    ``terms`` maps (i, j, k) to a coefficient.  Exact and fixed-point series
+    hold monomial coefficients as integer numerators over one denominator
+    ``den``; a fixed-point one has den 2^B, an error ``radius`` in ulps of
+    2^-B and keeps its zero terms (a lacking key is zero).  Otherwise ``den``
+    is None and ``terms`` are factorial-convention scalars.
     """
 
-    __slots__ = ("order", "den", "terms", "radius")
+    __slots__ = ("order", "terms", "den", "radius")
 
-    def __init__(self, order: int, coeffs: dict | None = None, den: int | None = None, radius: int | None = None):
-        self.order = order
-        self.den = den
-        self.radius = radius
-        self.terms = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if sum(key) <= order and (c != 0 or radius is not None):
-                    self.terms[key] = c
-
-    @property
-    def coeffs(self) -> dict:
-        if self.den is None:
-            return self.terms
-        return {key: Fraction(c * _fact3(key), self.den) for key, c in self.terms.items()}
-
-    def __getitem__(self, key):
-        c = self.terms.get(key, 0)
-        return c if self.den is None or c == 0 else Fraction(c * _fact3(key), self.den)
-
-    def add(self, other: "_Series3") -> "_Series3":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c
-            if s != 0:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return _Series3(min(self.order, other.order), out)
-
-
-def _fact3(key) -> int:
-    i, j, k = key
-    return math.factorial(i) * math.factorial(j) * math.factorial(k)
+    def __init__(self, order: int, terms: dict | None = None, den: int | None = None, radius: int | None = None):
+        self.order, self.den, self.radius = order, den, radius
+        self.terms = {
+            key: c for key, c in (terms or {}).items() if sum(key) <= order and (c != 0 or radius is not None)
+        }
 
 
 def _times_linear(P: dict, form) -> dict:
@@ -588,36 +551,33 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     omits the phi_v(0) G_d term itself.  Only additions, products and that
     one division occur, so exactness is preserved in rational mode.
 
-    An exact Phi is solved on integers: the equation is homogeneous in Phi,
-    so its denominator drops out and phi is integral.  Each sum of products
-    above runs on integer numerators over the lcm of its factors'
-    denominators, and each homogeneous part is reduced once per degree, so
-    one ``Fraction`` is built per output coefficient and none per term pair.
-    Float, mixed and ``Sens`` coefficients run the same loops on the scalars
-    in the same order.  At order 0 there is nothing to solve: G = 0.
+    An exact Phi holds integer numerators over ``den`` and is solved on them:
+    the equation is homogeneous in Phi, so the denominator drops out.  Each
+    sum of products above runs on integer numerators over the lcm of its
+    factors' denominators, and each homogeneous part is reduced once per
+    degree, so one ``Fraction`` is built per output coefficient and none per
+    term pair.  Factorial-convention scalars (float, ``Fraction``, mixed or
+    ``Sens``) run the same loops in the same order.  At order 0 there is
+    nothing to solve: G = 0.
 
     A fixed-point Phi runs the same loops on its integers, each part with its
     radius, and returns G rounded to the 2^-grid grid, or None where
     phi_v(0) or an output is not certified (module docstring).
     """
-    if Phi[(0, 0, 0)] != 0:
-        raise ValueError("Phi must vanish at the origin")
-    if Phi.order == 0:
-        return TruncatedSeries2(0, {})
     n, terms, rphi, B = Phi.order, Phi.terms, Phi.radius, (Phi.den or 1).bit_length() - 1
-    pv = Phi[(0, 0, 1)] if rphi is None else terms.get((0, 0, 1), 0)
+    if terms.get((0, 0, 0), 0) != 0:
+        raise ValueError("Phi must vanish at the origin")
+    if n == 0:
+        return TruncatedSeries2(0, {})
+    pv = terms.get((0, 0, 1), 0)
     if rphi is not None and abs(pv) <= rphi:
         return None
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")
     exact = Phi.den is not None and rphi is None
+    fact = [math.factorial(i) for i in range(n + 1)]
     if Phi.den is None:
-        terms = {key: _over(x, _fact3(key)) for key, x in terms.items()}
-        form = _integer_form(terms)
-        if form is not None:
-            terms, exact = form[1], True
-    if exact:
-        pv = terms[(0, 0, 1)]
+        terms = {(a, b, c): _over(x, fact[a] * fact[b] * fact[c]) for (a, b, c), x in terms.items()}
     # phi[c][e][j]: monomial coefficient of s^j t^(e-j) v^c
     phi: Dict[int, Dict[int, dict]] = {}
     for (a, b, c), x in terms.items():
@@ -645,19 +605,19 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
             r = -(-((r * apv + max(map(abs, residual.values()), default=0) * rphi) << B) // ((apv - rphi) * apv)) + 1
             powers[1][d] = (r, {j: (-x << B) // pv for j, x in residual.items()})
             for j, x in powers[1][d][1].items():
-                fac = math.factorial(j) * math.factorial(d - j)
+                fac = fact[j] * fact[d - j]
                 out[(j, d - j)] = (x * fac, r * fac)
             continue
         den, residual = _sum_of_products(init, pairs, exact)
         if not exact:
             powers[1][d] = (1, {j: -x / pv for j, x in residual.items() if x != 0})
             for j, x in powers[1][d][1].items():
-                out[(j, d - j)] = x * (math.factorial(j) * math.factorial(d - j))
+                out[(j, d - j)] = x * (fact[j] * fact[d - j])
             continue
         sign = -1 if pv > 0 else 1
         den, part = powers[1][d] = _reduced(den * abs(pv), {j: sign * x for j, x in residual.items() if x})
         for j, x in part.items():
-            out[(j, d - j)] = Fraction(x * (math.factorial(j) * math.factorial(d - j)), den)
+            out[(j, d - j)] = Fraction(x * (fact[j] * fact[d - j]), den)
     if rphi is None:
         return TruncatedSeries2(n, out)
     if any(r > 1 << (B - grid - 2) for _, r in out.values()):
@@ -673,45 +633,39 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = Non
     """The graph v = G(s, t) of F(L1, L2) = u(s, t, v), L1, L2 the linear forms xs, ys.
 
     ``axis`` holds the coefficients of the affine function u at the keys
-    (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  With ``grid`` the kernels run in
-    fixed point and G comes back on the 2^-grid grid; where its certificate
-    fails they run exactly.  An exact phi and axis are folded into integers
-    over one lcm and the origin is checked on integers; the denominator then
-    drops out.  Otherwise Phi = phi - u is assembled on the scalars.
+    (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  Phi = phi - u is assembled once;
+    each regime only brings u to phi's terms.  With ``grid`` phi is in fixed
+    point, u is rounded onto its grid and G comes back on the 2^-grid grid;
+    where its certificate fails the exact kernel runs.  An exact phi and u are
+    brought over one lcm, which then drops out.  Otherwise u is subtracted as
+    it is from the factorial-convention scalars, an exact phi read as
+    ``Fraction``s first.
     """
-    n = F.order
-    if grid is not None:
-        phi = series3_from_bivariate_in_linear(F, xs, ys, n, grid + FIXED_GUARD)
-        terms = dict(phi.terms)
-        for key, c in axis.items():
-            if c:
-                terms[key] = terms.get(key, 0) - _fixed(c, grid + FIXED_GUARD)
-        if terms.pop((0, 0, 0), 0):
-            raise ValueError(_MISSES_ORIGIN)
-        G = solve_implicit(_Series3(n, terms, phi.den, phi.radius + 1), grid)
-        if G is not None:
-            return G
-    phi = series3_from_bivariate_in_linear(F, xs, ys, n)
-    form = _integer_form(axis) if phi.den is not None else None
-    if form is None:
-        phi = phi.add(_Series3(n, {key: -c for key, c in axis.items()}))
-        c0 = phi[(0, 0, 0)]
-        if c0 != 0:
-            if is_exact(c0) or abs(c0) > 1e-9:
-                raise ValueError(_MISSES_ORIGIN)
-            phi.coeffs.pop((0, 0, 0), None)
-        return solve_implicit(phi)
-    (da, axis), den = form, phi.den
-    da = da or 1
-    lcm = math.lcm(den, da)
-    terms = {key: c * (lcm // den) for key, c in phi.terms.items()} if lcm != den else dict(phi.terms)
-    for key, c in axis.items():
-        if sum(key) <= n:
-            terms[key] = terms.get(key, 0) - c * (lcm // da)
-    if terms.get((0, 0, 0)):
+    n, B = F.order, None if grid is None else grid + FIXED_GUARD
+    phi = series3_from_bivariate_in_linear(F, xs, ys, n, B)
+    terms, den, radius = dict(phi.terms), phi.den, phi.radius
+    form = _integer_form(axis) if den is not None and radius is None else None
+    if radius is not None:
+        u, radius = {key: _fixed(c, B) for key, c in axis.items()}, radius + 1
+    elif form is not None:
+        da = form[0] or 1
+        lcm = math.lcm(den, da)
+        if lcm != den:
+            terms = {key: c * (lcm // den) for key, c in phi.terms.items()}
+        u, den = {key: c * (lcm // da) for key, c in form[1].items()}, 1
+    else:
+        if den is not None:
+            fact = [math.factorial(i) for i in range(n + 1)]
+            terms = {(i, j, k): Fraction(c * (fact[i] * fact[j] * fact[k]), den) for (i, j, k), c in terms.items()}
+        u, den = axis, None
+    for key, c in u.items():
+        if c != 0:
+            terms[key] = terms.get(key, 0) - c
+    c0 = terms.pop((0, 0, 0), 0)
+    if c0 != 0 and (is_exact(c0) or abs(c0) > 1e-9):
         raise ValueError(_MISSES_ORIGIN)
-    terms.pop((0, 0, 0), None)
-    return solve_implicit(_Series3(n, terms, 1))
+    G = solve_implicit(_Series3(n, terms, den, radius), grid)
+    return G if G is not None else _solve_graph(F, xs, ys, axis)
 
 
 @dataclass(frozen=True)

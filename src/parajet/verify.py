@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List
 
 from .classify import Cone, Cylinder, Tangential, classify, realize_graph
 from .invariants import (
+    _centered,
     conic_invariant,
     curve_invariant_F6,
     curve_invariant_F7,
@@ -268,11 +269,6 @@ def suite_oracle(seed: int = 0, samples: int = 100) -> List[dict]:
     return merge_reports(reports)
 
 
-def _centered(p: ParabolicJet) -> TruncatedSeries2:
-    f = realize_series(p)
-    return TruncatedSeries2(f.order, {jk: c for jk, c in f.coeffs.items() if jk != (0, 0)})
-
-
 def _transported(p: ParabolicJet, f: TruncatedSeries2, T, filled: int):
     """The filled jet of p and the same coordinates of its image under T."""
     cf = p.filled(filled)
@@ -286,7 +282,7 @@ def suite_transfer(seed: int = 0, samples: int = 20) -> List[dict]:
     done = 0
     while done < samples:
         p = random_parabolic_jet(rng, 8, exact=True)
-        f = _centered(p)
+        f = _centered(realize_series(p))
         T = near_identity_transform(rng)
         hout = hessian_transfer_check(f, T)
         cout = hessian_congruence_check(f, T)
@@ -307,7 +303,7 @@ def suite_transfer(seed: int = 0, samples: int = 20) -> List[dict]:
         reports.append(rep)
     for _ in range(samples):
         p = random_cone_branch_jet(rng, 8, exact=True)
-        f = _centered(p)
+        f = _centered(realize_series(p))
         cf, cg = _transported(p, f, near_identity_transform(rng), 7)
         reports.append(
             {

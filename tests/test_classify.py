@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,26 @@ def test_degenerate_families_rejected():
         Cone(TruncatedSeries1(4, {1: F(1), 2: F(1)}))
     with pytest.raises(ValueError):
         Tangential(TruncatedSeries1(4, {3: F(1)}), TruncatedSeries1(4, {2: F(1)}))
+
+
+@pytest.mark.parametrize(
+    "F, where",
+    [
+        # the realized cone graph holds inf at (3, 1)-(3, 3)
+        pytest.param(
+            realize_graph(Cone(TruncatedSeries1(6, {2: 1e308, 3: 1e308})), 6), "series coefficient (3, 1) is inf", id="series"
+        ),
+        # a finite series whose shift to the first grid point leaves the float range
+        pytest.param(
+            TruncatedSeries2(4, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0, (3, 0): 1.7e308, (4, 0): 1.7e308}),
+            "jet at (1/8, 0)",
+            id="grid-jet",
+        ),
+    ],
+)
+def test_non_finite_series_or_grid_jets_raise_overflow(F, where):
+    with pytest.raises(OverflowError, match=re.escape(where)):
+        classify(F)
 
 
 def test_mixed_type_reported():

@@ -305,6 +305,14 @@ def test_float_overflow_exits_2(tmp_path, capsys, command):
     assert "overflowed" in json.loads(err)["error"]
 
 
+def test_classify_refuses_a_family_that_overflows_the_float_range(capsys):
+    # the realized cone graph holds inf at (3, 1)-(3, 3); no point type may be read off it
+    code, out, err = run_cli(["classify", "--family", "cone", "--directrix", "[0, 0, 1e308, 1e308]", "--order", "6"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "float arithmetic overflowed" in json.loads(err)["error"]
+
+
 def test_verify_has_no_tolerance_option(capsys):
     code, out, _ = run_cli(["verify", "--suite", "oracle", "--tol", "1"], capsys)
     assert code == 2

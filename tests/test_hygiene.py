@@ -118,3 +118,17 @@ def test_methods_are_referenced():
             names = _unreferenced(methods, total, _attribute_references)
             unused += [f"{path.name}:{cls.name}.{name}" for name in names]
     assert unused == []
+
+
+def test_contractions_in_jets_recurrence_and_verify_are_strict():
+    # a zip that silently drops the tail of the longer operand hides a missing generator or record
+    loose = [
+        f"{name}:{node.lineno}"
+        for name in ("jets.py", "recurrence.py", "verify.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+        and not any(k.arg == "strict" and isinstance(k.value, ast.Constant) and k.value.value is True for k in node.keywords)
+    ]
+    assert loose == []

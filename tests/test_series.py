@@ -46,10 +46,20 @@ def brute_mul_monomials(a, b, order):
     return out
 
 
+def _mul1(f, g):
+    """The univariate product, read off the y-free slice of the bivariate product."""
+    return (f.y_free() * g.y_free()).x_profile()
+
+
+def _shift1(f, h):
+    """The univariate re-expansion at h, read off the y-free slice of the bivariate shift."""
+    return f.y_free().shift(h, 0).x_profile()
+
+
 def test_mul_difference_of_squares():
     one_plus = from_monomials1(2, {0: F(1), 1: F(1)})
     one_minus = from_monomials1(2, {0: F(1), 1: F(-1)})
-    prod = one_plus * one_minus
+    prod = _mul1(one_plus, one_minus)
     assert prod[0] == 1
     assert prod[1] == 0
     assert prod[2] == -2  # factorial convention: x^2 coefficient -1 -> F_2 = -2
@@ -58,13 +68,13 @@ def test_mul_difference_of_squares():
 def test_mul_annihilator():
     f = TruncatedSeries1(3, {1: F(2), 3: F(5)})
     zero = TruncatedSeries1(3, {})
-    assert (f * zero).coeffs == {}
+    assert _mul1(f, zero).coeffs == {}
 
 
 def test_exp_square_doubles_rates():
     # (sum x^i/i!)^2 truncated at 4 has F_i = 2^i; oracle: raw convolution.
     e = TruncatedSeries1(4, {i: F(1) for i in range(5)})
-    sq = e * e
+    sq = _mul1(e, e)
     for i in range(5):
         assert sq[i] == 2**i
     monos = {(i, 0): F(1, math.factorial(i)) for i in range(5)}
@@ -161,8 +171,7 @@ def test_solve_implicit_roundtrip_graph_to_phi():
                 continue
             coeffs[(j, k)] = F(rng.randint(-3, 3), 2)
     f = TruncatedSeries2(n, coeffs)
-    phi = _Series3(n, {(j, k, 0): c for (j, k), c in f.coeffs.items()})
-    phi = phi.add(_Series3(n, {(0, 0, 1): F(-1)}))
+    phi = _Series3(n, {**{(j, k, 0): c for (j, k), c in f.coeffs.items()}, (0, 0, 1): F(-1)})
     assert solve_implicit(phi) == f
 
 
@@ -265,7 +274,7 @@ def test_series_json_rejects_mixed_modes():
 def test_shift_reexpansion_exact():
     f = TruncatedSeries1(4, {2: F(1), 3: F(2), 4: F(-1)})
     h = F(1, 3)
-    g = f.shift(h)
+    g = _shift1(f, h)
     # jets of the shifted series equal derivatives of the polynomial at h
     x = F(7, 11)
     assert _ref_eval2(g.y_free(), x, 0) == _ref_eval2(f.y_free(), h + x, 0)
@@ -279,16 +288,32 @@ def test_series3_recenter_matches_substitution():
         direct = _ref_eval2(f, F(1, 2) + s_val, F(1, 4) + t_val)
         expanded = sum(
             c * s_val**a * t_val**b / (math.factorial(a) * math.factorial(b))
-            for (a, b, cc), c in phi.coeffs.items()
+            for (a, b, cc), c in _factorial_view(phi).items()
             if cc == 0
-        ) + phi[(0, 0, 0)] * 0
+        ) + _factorial_view(phi).get((0, 0, 0), 0) * 0
         assert expanded == direct
 
 
 # -- exact reference: the substitute-and-re-solve kernel ---------------------
-# Factorial convention throughout: the linear substitution multiplies out the
-# powers of both linear forms, and the implicit solve re-substitutes the whole
-# graph, rebuilding every power of G, once per degree.
+# Factorial convention throughout, on plain dicts keyed by (i, j, k): the linear
+# substitution multiplies out the powers of both linear forms, and the implicit
+# solve re-substitutes the whole graph, rebuilding every power of G, once per degree.
+
+
+def _factorial_view(phi: _Series3) -> dict:
+    """The factorial-convention coefficients of a trivariate series; numerators over ``den`` as Fractions."""
+    if phi.den is None:
+        return dict(phi.terms)
+    return {key: F(c * math.prod(map(math.factorial, key)), phi.den) for key, c in phi.terms.items()}
+
+
+def _plus(a: dict, b: dict, n: int) -> dict:
+    """The sum of two factorial-convention coefficient dicts, truncated at degree n, zeros dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        if sum(key) <= n:
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def _ref_mul3(u, v, n):
@@ -315,18 +340,18 @@ def _ref_linear_substitution(f, xs, ys, n):
         if a + b <= n:
             for key, x in _ref_mul3(pows[0][a], pows[1][b], n).items():
                 out[key] = out.get(key, 0) + c / (math.factorial(a) * math.factorial(b)) * x
-    return _Series3(n, out)
+    return {key: c for key, c in out.items() if c != 0}
 
 
-def _ref_solve_implicit(phi):
-    n, pv = phi.order, phi[(0, 0, 1)]
+def _ref_solve_implicit(phi, n):
+    pv = phi[(0, 0, 1)]
     g = TruncatedSeries2(n, {})
     for d in range(1, n + 1):
         gpows = [TruncatedSeries2(n, {(0, 0): F(1)})]
         for _ in range(d):
             gpows.append(gpows[-1] * g)
         residual = {}
-        for (a, b, c), x in phi.coeffs.items():
+        for (a, b, c), x in phi.items():
             if c > d:
                 continue  # G^c starts at degree c
             for (j, k), y in gpows[c].coeffs.items():
@@ -339,9 +364,9 @@ def _ref_solve_implicit(phi):
 
 def _ref_apply_affine(f, T):
     phi = _ref_linear_substitution(f, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), f.order)
-    phi = phi.add(_Series3(f.order, {(0, 0, 0): -T.w, (1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r}))
-    assert phi[(0, 0, 0)] == 0
-    return _ref_solve_implicit(phi)
+    phi = _plus(phi, {(0, 0, 0): -T.w, (1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r}, f.order)
+    assert phi.get((0, 0, 0), 0) == 0
+    return _ref_solve_implicit(phi, f.order)
 
 
 def _ref_apply_affine_curve(f, T):
@@ -376,9 +401,10 @@ def test_apply_affine_equals_the_reference_kernel_under_near_identity_maps(order
     xs, ys = (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n)
     phi = series3_from_bivariate_in_linear(f, xs, ys, order)
     ref_phi = _ref_linear_substitution(f, xs, ys, order)
-    assert phi.coeffs == ref_phi.coeffs
-    lin = _Series3(order, {(1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r})
-    assert solve_implicit(phi.add(lin)) == _ref_solve_implicit(ref_phi.add(lin))
+    assert _factorial_view(phi) == ref_phi
+    lin = {(1, 0, 0): -T.p, (0, 1, 0): -T.q, (0, 0, 1): -T.r}
+    Phi = _Series3(order, _plus(_factorial_view(phi), lin, order))
+    assert solve_implicit(Phi) == _ref_solve_implicit(_plus(ref_phi, lin, order), order)
     g = apply_affine(f, T)
     assert g == _ref_apply_affine(f, T)
     assert g.is_exact()
@@ -395,7 +421,7 @@ def test_apply_affine_equals_the_reference_kernel_under_a_horizontal_translation
     d, n = F(1, 5), F(-2, 7)
     T = AffineTransform3(a=F(9, 10), b=F(1, 4), c=F(-1, 8), m=F(1, 3), d=d, n=n, w=f.shift(d, n)[(0, 0)])
     xs, ys = (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n)
-    assert series3_from_bivariate_in_linear(f, xs, ys, 8).coeffs == _ref_linear_substitution(f, xs, ys, 8).coeffs
+    assert _factorial_view(series3_from_bivariate_in_linear(f, xs, ys, 8)) == _ref_linear_substitution(f, xs, ys, 8)
     assert apply_affine(f, T) == _ref_apply_affine(f, T)
 
 
@@ -414,7 +440,7 @@ def test_apply_affine_curve_equals_the_reference_kernel():
     for T in [
         CurveTransform2(a=F(4, 5), b=F(-3, 5), c=F(3, 5), d=F(4, 5)),
         CurveTransform2(a=F(7, 6), b=F(1, 9), c=F(-2, 3), d=F(5, 4)),
-        CurveTransform2(b=F(1, 3), d=F(2, 3), e=F(1, 2), f=f.shift(F(1, 2))[0]),
+        CurveTransform2(b=F(1, 3), d=F(2, 3), e=F(1, 2), f=_shift1(f, F(1, 2))[0]),
     ]:
         assert apply_affine_curve(f, T) == _ref_apply_affine_curve(f, T)
 
@@ -502,7 +528,7 @@ def test_products_equal_the_reference_loops_on_exact_and_mixed_series(kinds):
     rng = random.Random(70)
     for n, m in [(0, 0), (3, 5), (8, 8), (12, 10)]:
         f1, g1 = (TruncatedSeries1(o, _random_coeffs(rng, _keys1(o), kind)) for o, kind in zip((n, m), kinds))
-        _same_coefficients(f1 * g1, _ref_mul1(f1, g1))
+        _same_coefficients(_mul1(f1, g1), _ref_mul1(f1, g1))
         f2, g2 = (TruncatedSeries2(o, _random_coeffs(rng, _keys2(o), kind)) for o, kind in zip((n, m), kinds))
         _same_coefficients(f2 * g2, _ref_mul2(f2, g2))
 
@@ -511,7 +537,7 @@ def test_products_equal_the_reference_loops_on_exact_and_mixed_series(kinds):
 def test_products_of_float_series_are_bit_identical_to_the_reference_loops(n):
     rng = random.Random(71 + n)
     f1, g1 = (TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "float")) for _ in range(2))
-    _same_coefficients(f1 * g1, _ref_mul1(f1, g1))
+    _same_coefficients(_mul1(f1, g1), _ref_mul1(f1, g1))
     f2, g2 = (TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "float")) for _ in range(2))
     _same_coefficients(f2 * g2, _ref_mul2(f2, g2))
 
@@ -522,7 +548,7 @@ def test_jet_products_equal_the_reference_loops():
     g = realize_series(random_cone_branch_jet(rng, 10))
     for u, v in [(f, g), (f.derivative("x"), f.derivative("y")), (g, g)]:
         _same_coefficients(u * v, _ref_mul2(u, v))
-        _same_coefficients(u.x_profile() * v.x_profile(), _ref_mul1(u.x_profile(), v.x_profile()))
+        _same_coefficients(_mul1(u.x_profile(), v.x_profile()), _ref_mul1(u.x_profile(), v.x_profile()))
 
 
 def _series_strategy(exact, bivariate=st.booleans(), max_order=6):
@@ -589,7 +615,7 @@ def test_shifts_equal_the_reference_loops_on_exact_series(n):
     f1 = TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "exact"))
     f2 = TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "exact"))
     for i, h in enumerate(SHIFTS):
-        _same_coefficients(f1.shift(h), _ref_shift1(f1, h))
+        _same_coefficients(_shift1(f1, h), _ref_shift1(f1, h))
         for hx, hy in [(h, 0), (0, h), (h, SHIFTS[i - 1])]:
             _same_coefficients(f2.shift(hx, hy), _ref_shift2(f2, hx, hy))
 
@@ -607,7 +633,7 @@ def test_float_shifts_agree_with_the_reference_loops(n):
             assert abs(got[key] - ref[key]) <= 1e-12 * scale, key
 
     for h in (float(h) for h in SHIFTS[1:]):
-        close(f1.shift(h), _ref_shift1(f1, h))
+        close(_shift1(f1, h), _ref_shift1(f1, h))
         close(f2.shift(h, -h / 3), _ref_shift2(f2, h, -h / 3))
 
 
@@ -615,8 +641,8 @@ def test_shifts_of_integer_coefficients_at_integer_points_stay_exact():
     f2 = TruncatedSeries2(3, {(2, 0): 2})
     assert f2.shift(1, 0).coeffs == {(0, 0): 1, (1, 0): 2, (2, 0): 2}
     assert f2.shift(1, 0).is_exact() and f2.shift(0, -2).is_exact()
-    assert TruncatedSeries1(3, {2: 2}).shift(0).is_exact()
-    assert TruncatedSeries1(3, {2: 2}).shift(-1).coeffs == {0: 1, 1: -2, 2: 2}
+    assert _shift1(TruncatedSeries1(3, {2: 2}), 0).is_exact()
+    assert _shift1(TruncatedSeries1(3, {2: 2}), -1).coeffs == {0: 1, 1: -2, 2: 2}
 
 
 _POINTS = st.fractions(min_value=-3, max_value=3, max_denominator=30)
@@ -625,9 +651,9 @@ _POINTS = st.fractions(min_value=-3, max_value=3, max_denominator=30)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(f=_series_strategy(True, st.just(False), 10), a=_POINTS, b=_POINTS)
 def test_univariate_shift_properties(f, a, b):
-    assert f.shift(a).shift(-a) == f
-    assert f.shift(a).shift(b) == f.shift(a + b)
-    assert f.shift(a)[0] == _ref_eval2(f.y_free(), a, 0)
+    assert _shift1(_shift1(f, a), -a) == f
+    assert _shift1(_shift1(f, a), b) == _shift1(f, a + b)
+    assert _shift1(f, a)[0] == _ref_eval2(f.y_free(), a, 0)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -830,7 +856,7 @@ def _parent_apply_affine(f, T):
 
 
 def _parent_apply_affine_curve(f, T):
-    fc = f if T.e == 0 else f.shift(T.e)
+    fc = f if T.e == 0 else _shift1(f, T.e)
     f2 = TruncatedSeries2(f.order, {(j, 0): c for j, c in fc.coeffs.items()})
     g = _parent_graph(f2, (T.a, 0, T.b, 0), (0, 0, 0, 0), {(0, 0, 0): T.f, (1, 0, 0): T.c, (0, 0, 1): T.d}, f.order)
     return TruncatedSeries1(f.order, {j: c for (j, k), c in g.coeffs.items() if k == 0})
@@ -877,7 +903,7 @@ def test_float_and_sens_transforms_are_bit_identical_to_the_parent_loops(n):
     for T in [Ts, AffineTransform3(**FLOAT_ENTRIES)]:
         _same_series(apply_affine(fs, T), _parent_apply_affine(fs, T))
     g = TruncatedSeries1(n, {j: rng.uniform(-2, 2) for j in range(2, n + 1)})
-    shifted = CurveTransform2(b=0.25, d=1.5, e=0.5, f=g.shift(0.5)[0])
+    shifted = CurveTransform2(b=0.25, d=1.5, e=0.5, f=_shift1(g, 0.5)[0])
     for T in [CurveTransform2(**CURVE_FLOAT_ENTRIES), shifted]:
         _same_series(apply_affine_curve(g, T), _parent_apply_affine_curve(g, T))
     gs = TruncatedSeries1(n, {j: _sens(rng, c) for j, c in g.coeffs.items()})
@@ -896,6 +922,37 @@ def test_an_exact_series_under_one_float_entry_keeps_the_parent_values_and_types
     for cname, value in CURVE_FLOAT_ENTRIES.items():
         Tc = CurveTransform2(**{cname: value})
         _same_series(apply_affine_curve(curve, Tc), _parent_apply_affine_curve(curve, Tc))
+
+
+TINY = F(1, 10**12)
+SHEAR = dict(a=F(7, 5), b=F(1, 4), m=F(-1, 3), r=F(3, 2), p=F(1, 3))
+
+
+@pytest.mark.parametrize(
+    "constant, entries, grid",
+    [
+        pytest.param(TINY, {}, normalize.PIPELINE_BITS, id="fixed-point-misses"),
+        pytest.param(TINY, {}, None, id="exact-lcm-misses"),
+        pytest.param(TINY, {"k": 0.0}, None, id="exact-scalars-under-a-float-zero-miss"),
+        pytest.param(1e-3, None, None, id="float-misses"),
+        pytest.param(1e-12, None, None, id="float-residue-dropped"),
+        pytest.param(F(1, 1000), {"p": 0.3}, None, id="mixed-misses"),
+        pytest.param(F(0), {"p": 0.3}, None, id="mixed-solves"),
+    ],
+)
+def test_phi_is_checked_once_at_the_origin_in_every_regime(constant, entries, grid):
+    # Phi(0, 0, 0) is the series' constant term: any exact one misses, a float one only above 1e-9
+    f = _centered_exact_jet(random.Random(69), 8)
+    T = AffineTransform3(**{**SHEAR, **(entries or {})})
+    if entries is None:
+        f = TruncatedSeries2(8, {jk: float(c) for jk, c in f.coeffs.items()})
+        T = AffineTransform3(**{name: float(v) for name, v in SHEAR.items()})
+    f = TruncatedSeries2(8, {**f.coeffs, (0, 0): constant})
+    if is_exact(constant) and constant != 0 or abs(constant) > 1e-9:
+        with pytest.raises(ValueError, match="misses the target origin"):
+            apply_affine(f, T, grid)
+    else:
+        _same_series(apply_affine(f, T, grid), _parent_apply_affine(f, T))
 
 
 # -- the bivariate polynomial kernel against the series it replaced in compose2 and classify
