@@ -193,6 +193,14 @@ def classify(
     finite raises :class:`OverflowError`.  A parabolic graph whose u_xx is
     negligible is classified through its :func:`~parajet.invariants.aligned_jet`
     axis swap, as in the closed forms and the loops.
+
+    Only the orders these tests read are built, so every result is that of
+    the full computation.  The grid jets go to total degree 4, the most the
+    H, S and W terms read.  The jet criterion reads the S and W numerators to
+    degree low + 2 (n - 1 and n - 2), so they are multiplied that far, on a
+    capped :class:`Poly2`; the full product is built only where the jet
+    criterion says zero, for the grid test, which reads its tail.  The
+    Hessian polynomial is full.
     """
     if sample_points is None:
         h = Fraction(1, 8)
@@ -210,13 +218,14 @@ def classify(
         # the rank-one direction is the y-axis: classify the swapped graph at the same points
         F, c0 = TruncatedSeries2(n, swap_axes(F.coeffs)), aligned
         sample_points = [(-y, x) for x, y in sample_points]
-    # the numerators as full polynomials: a truncated series that realizes a
+    # the numerators as polynomials: a truncated series that realizes a
     # family to its order gives a vanishing low part and the honest tail
-    G = DerivativeView(Poly2.from_series(F))
+    P = Poly2.from_series(F)
+    G = DerivativeView(P)
     Hfull = invariant_H(G)
-    # the jet at each grid point, shifted there once; the base point needs no shift
+    # the jet at each grid point to degree 4, shifted there once; the base point needs no shift
     grid = [
-        (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt)).values) for pt in sample_points
+        (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt, upto=4)).values) for pt in sample_points
     ]
     _require_finite(F, grid)
 
@@ -242,23 +251,25 @@ def classify(
     if not _low_zero(Hfull, n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 
-    # slope invariant: the jet criterion decides (analyticity); when it says
-    # zero, every grid value must stay inside the truncation-tail envelope,
-    # otherwise the surface is of mixed type
-    Sfull = s_numerator(G)
-    jet_s_zero = _low_zero(Sfull, n - 3, 1e3 * tol)
-    if jet_s_zero and not all(_grid_zero(Sfull, n - 3, pt, tol, s_terms(c)) for pt, c in grid):
-        raise MixedTypeError("slope invariant vanishes as a jet but not across the grid")
+    def vanishes(numerator, terms, low: int, name: str) -> bool:
+        # the jet criterion decides (analyticity); when it says zero, every
+        # grid value must stay inside the truncation-tail envelope, otherwise
+        # the surface is of mixed type
+        if not _low_zero(numerator(DerivativeView(Poly2(P.terms, P.den, cap=low + 2))), low, 1e3 * tol):
+            return False
+        full = numerator(G)
+        if not all(_grid_zero(full, low, pt, tol, terms(c)) for pt, c in grid):
+            raise MixedTypeError(f"{name} vanishes as a jet but not across the grid")
+        return True
+
+    jet_s_zero = vanishes(s_numerator, s_terms, n - 3, "slope invariant")
     witnesses["S"] = s_numerator(c0) / c0[(2, 0)] ** 2
     if jet_s_zero:
         return Classification(point_type, "cylinder", witnesses)
     if decide(s_numerator(c0), s_terms(c0), tol):
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
-    Wfull = w_numerator(G)
-    jet_w_zero = _low_zero(Wfull, n - 4, 1e3 * tol)
-    if jet_w_zero and not all(_grid_zero(Wfull, n - 4, pt, tol, w_terms(c)) for pt, c in grid):
-        raise MixedTypeError("fourth-order invariant vanishes as a jet but not across the grid")
+    jet_w_zero = vanishes(w_numerator, w_terms, n - 4, "fourth-order invariant")
     try:
         witnesses["W"] = invariant_W(c0)
     except ZeroDivisionError:

@@ -487,11 +487,17 @@ def _transported_jets(F: TruncatedSeries2, T_fwd):
     """Jets at the origin of the centered graph and of its image under the forward map.
 
     The inverse of ``T_fwd`` acts on the series; centering changes none of the
-    quantities the transfer laws compare.
+    quantities the transfer laws compare.  The laws read the image jet to
+    order 3 only.  Without a horizontal translation the inverse acts on F
+    truncated there: the graded solve's part of degree d reads F only to
+    degree d, so the image jet is the full-order one, to the bit on floats.
+    A horizontal translation re-centers F and mixes every order into each,
+    so F is then taken at full order.
     """
     F = _centered(F)
-    G = apply_affine(F, _invert_transform(T_fwd))
-    return jets_of_series(F), jets_of_series(G)
+    T = _invert_transform(T_fwd)
+    low = F if T.d != 0 or T.n != 0 else TruncatedSeries2(min(F.order, 3), F.coeffs)
+    return jets_of_series(F), jets_of_series(apply_affine(low, T))
 
 
 def hessian_transfer_check(F: TruncatedSeries2, T_fwd) -> dict:

@@ -20,11 +20,13 @@ same loop in the same order, so float products are unchanged to the bit.
 Shifts re-expand at a new base point through one column kernel,
 :func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
 monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997).  For exact
-h = p/q the column is brought to integers over its least common denominator
-with term i scaled by q^(n-i), so the steps run on integers with p and one
-``Fraction`` is built per output.  A bivariate shift is separable: each
-y-column in x, then each x-row in y.  Exact values at a point are read off
-:class:`Poly2`, below.
+h = p/q the column is brought to integers over one denominator d n! q^n,
+term i scaled by (n!/i!) q^(n-i), so the steps run on integers with p, no
+``Fraction`` is divided on entry and one is built per output.  A bivariate
+shift is separable: each y-column in x, then each x-row in y.  Pass i is the
+last to change coefficient i, so a shift asked for total degree <= m stops
+each column after m + 1 passes and shifts only the rows of x-degree <= m.
+Exact values at a point are read off :class:`Poly2`, below.
 
 Compositions and the numerator polynomials of ``classify`` run on
 :class:`Poly2`, not on series products: a bivariate polynomial in monomial
@@ -100,8 +102,14 @@ def _err(X: int, rX: int, Y: int, rY: int) -> int:
 
 
 def _integer_form(coeffs: dict):
-    """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact."""
+    """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact.
+
+    A zero of any type, such as a float 0.0 entry of a transform, counts as the exact 0.
+    """
     kinds = {type(c) for c in coeffs.values()}
+    if not kinds <= {int, Fraction} and 0 in coeffs.values():
+        coeffs = {key: c if c != 0 else 0 for key, c in coeffs.items()}
+        kinds = {type(c) for c in coeffs.values()}
     if not kinds <= {int, Fraction}:
         return None
     d = math.lcm(*[c.denominator for c in coeffs.values()])
@@ -129,31 +137,41 @@ def _product(A: dict, B: dict, n: int) -> dict:
     return {jk: Fraction(v, den) for jk, v in out.items() if v}
 
 
-def _taylor_shift(col: dict, n: int, h) -> dict:
-    """Coefficients i <= n of the univariate factorial-convention series col re-expanded at h."""
+def _taylor_shift(col: dict, n: int, h, upto: int) -> dict:
+    """Coefficients i <= min(n, upto) of the univariate factorial-convention series col re-expanded at h.
+
+    Horner pass i is the last to change coefficient i, so the first upto + 1
+    passes give those coefficients as the full run does, to the bit.  An
+    exact column over h = p/q runs on the integers c_i d (n!/i!) q^(n-i), d
+    the lcm of its denominators, over d n! q^n.
+    """
     if h == 0:
-        return dict(col)
+        return {i: c for i, c in col.items() if i <= upto}
     fact = [math.factorial(i) for i in range(n + 1)]
-    form = _integer_form({i: _over(c, fact[i]) for i, c in col.items()}) if is_exact(h) else None
+    form = _integer_form(col) if is_exact(h) else None
     if form is None:
         g, q, den = [_over(col.get(i, 0), fact[i]) for i in range(n + 1)], 1, None
     else:
         (d, nums), (h, q) = form, h.as_integer_ratio()
-        g, den = [nums.get(i, 0) * q ** (n - i) for i in range(n + 1)], (d or 1) * q**n
-    for i in range(n):
+        g = [nums.get(i, 0) * (fact[n] // fact[i]) * q ** (n - i) for i in range(n + 1)]
+        den = (d or 1) * fact[n] * q**n
+    for i in range(min(n, upto + 1)):
         for j in range(n - 1, i - 1, -1):
             g[j] += h * g[j + 1]
+    del g[upto + 1:]
     if den is None:
         return {j: v * fact[j] for j, v in enumerate(g) if v != 0}
     return {j: Fraction(v * q**j * fact[j], den) for j, v in enumerate(g) if v}
 
 
-def _shift_columns(coeffs: dict, n: int, h) -> dict:
-    """Shift each column (j, k), k fixed, of a bivariate series in j by h; keys come back as (k, j)."""
+def _shift_columns(coeffs: dict, n: int, h, upto) -> dict:
+    """Shift each column (j, k), k fixed, of a bivariate series in j by h, to j <= upto(k); keys come back as (k, j)."""
     cols: Dict[int, dict] = {}
     for (j, k), c in coeffs.items():
         cols.setdefault(k, {})[j] = c
-    return {(k, j): c for k, col in cols.items() for j, c in _taylor_shift(col, n - k, h).items()}
+    return {
+        (k, j): c for k, col in cols.items() if upto(k) >= 0 for j, c in _taylor_shift(col, n - k, h, upto(k)).items()
+    }
 
 
 class _Series:
@@ -246,10 +264,18 @@ class TruncatedSeries2(_Series):
             return TruncatedSeries2(n, {(j, k - 1): c for (j, k), c in self.coeffs.items() if k >= 1})
         raise ValueError("direction must be 'x' or 'y'")
 
-    def shift(self, hx, hy) -> "TruncatedSeries2":
-        """Re-expand at (hx, hy); exact on the truncation: each y-column in x, then each x-row in y."""
+    def shift(self, hx, hy, upto: int | None = None) -> "TruncatedSeries2":
+        """Re-expand at (hx, hy); exact on the truncation: each y-column in x, then each x-row in y.
+
+        With ``upto`` only total degree <= upto is built, as a series of that
+        order: the x-pass stops each column at x-degree upto, the y-pass runs
+        on the rows of x-degree j <= upto and stops at y-degree upto - j.
+        Each kept coefficient is the full shift's, to the bit.
+        """
         n = self.order
-        return TruncatedSeries2(n, _shift_columns(_shift_columns(self.coeffs, n, hx), n, hy))
+        m = n if upto is None else min(n, upto)
+        rows = _shift_columns(self.coeffs, n, hx, lambda k: m)
+        return TruncatedSeries2(m, _shift_columns(rows, n, hy, lambda j: m - j))
 
     def x_profile(self) -> TruncatedSeries1:
         """The section y = 0 as a univariate series."""
@@ -268,13 +294,20 @@ class Poly2:
     integer ``den``.  Any other coefficients are held as themselves with
     ``den`` None, and run the same loops; an operation on one exact and one
     other operand reads the exact one as ``Fraction``s first.
+
+    With a ``cap`` its products stop at that total degree, and its sums,
+    multiples and derivatives keep the cap.  A numerator evaluated on the
+    :class:`~parajet.jets.DerivativeView` of a capped polynomial is the
+    full one's part of degree <= cap, term for term and in the same order
+    of operations, so float terms keep their bits.
     """
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "den", "cap")
 
-    def __init__(self, terms: dict, den: int | None = None):
+    def __init__(self, terms: dict, den: int | None = None, cap: int | None = None):
         self.terms = terms
         self.den = den
+        self.cap = cap
 
     @classmethod
     def from_series(cls, F: TruncatedSeries2) -> "Poly2":
@@ -303,9 +336,10 @@ class Poly2:
         return self.terms, other.terms, self.den, other.den
 
     def times(self, other: "Poly2", order: int | None = None) -> "Poly2":
-        """The product, truncated above total degree ``order`` if given."""
+        """The product, truncated above total degree ``order`` if given, else above the cap."""
         A, B, da, db = self._operands(other)
         rows = sorted(((c + d, c, d, v) for (c, d), v in B.items()), key=lambda row: row[0])
+        order = self.cap if order is None else order
         limit = math.inf if order is None else order
         out: dict = {}
         for (a, b), u in A.items():
@@ -315,7 +349,7 @@ class Poly2:
                     break
                 key = (a + c, b + d)
                 out[key] = out.get(key, 0) + u * v
-        return Poly2({key: v for key, v in out.items() if v}, None if da is None else da * db)
+        return Poly2({key: v for key, v in out.items() if v}, None if da is None else da * db, self.cap)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         return self.times(other)
@@ -327,20 +361,20 @@ class Poly2:
         out = {key: v * sa for key, v in A.items()}
         for key, v in B.items():
             out[key] = out.get(key, 0) + v * sb
-        return Poly2({key: v for key, v in out.items() if v}, den)
+        return Poly2({key: v for key, v in out.items() if v}, den, self.cap)
 
     def __rmul__(self, s) -> "Poly2":
         """s times the polynomial; s is an integer when the polynomial is exact."""
-        return Poly2({key: s * v for key, v in self.terms.items()}, self.den)
+        return Poly2({key: s * v for key, v in self.terms.items()}, self.den, self.cap)
 
     def __neg__(self) -> "Poly2":
         return -1 * self
 
     def derivative(self, direction: str) -> "Poly2":
         if direction == "x":
-            return Poly2({(j - 1, k): j * v for (j, k), v in self.terms.items() if j}, self.den)
+            return Poly2({(j - 1, k): j * v for (j, k), v in self.terms.items() if j}, self.den, self.cap)
         if direction == "y":
-            return Poly2({(j, k - 1): k * v for (j, k), v in self.terms.items() if k}, self.den)
+            return Poly2({(j, k - 1): k * v for (j, k), v in self.terms.items() if k}, self.den, self.cap)
         raise ValueError("direction must be 'x' or 'y'")
 
     def eval(self, x, y):

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parajet.classify import (
     Cone,
@@ -13,8 +15,8 @@ from parajet.classify import (
     classify,
     realize_graph,
 )
-from parajet.invariants import invariant_W_cubed, swap_axes, w_numerator
-from parajet.jets import jets_of_series
+from parajet.invariants import invariant_W_cubed, s_numerator, swap_axes, w_numerator
+from parajet.jets import DerivativeView, ParabolicJet, jets_of_series, realize_series
 from parajet.series import Poly2, TruncatedSeries1, TruncatedSeries2
 
 from helpers import from_monomials1
@@ -135,9 +137,9 @@ def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
         calls["from_series"] += 1
         return from_series(F)
 
-    def counted_shift(self, hx, hy):
+    def counted_shift(self, hx, hy, **kw):
         calls["shift"] += 1
-        return shift(self, hx, hy)
+        return shift(self, hx, hy, **kw)
 
     monkeypatch.setattr(Poly2, "from_series", counted_from_series)
     monkeypatch.setattr(TruncatedSeries2, "shift", counted_shift)
@@ -217,6 +219,82 @@ def test_mixed_type_reported():
     f = TruncatedSeries2(6, {(2, 0): F(1), (2, 2): F(4)})
     with pytest.raises(MixedTypeError):
         classify(f)
+
+
+def _rank_one_graph(n, **coords):
+    """The graph realizing the rank-one jet with u_20 = 1 and the given u_jk (named "ujk"), all else 0."""
+    jet = {(0, 0): 0, **{(j, 0): 0 for j in range(1, n + 1)}, **{(j, 1): 0 for j in range(n)}, (2, 0): 1}
+    jet.update({(int(name[1]), int(name[2])): v for name, v in coords.items()})
+    return realize_series(ParabolicJet(n, jet))
+
+
+TINY = F(1, 10**7)  # inside the jet criterion's window of 1e3 tol, a hundred times the grid test's tol
+
+
+@pytest.mark.parametrize(
+    "graph, points, message",
+    [
+        # H = x - y^2 vanishes at a grid of the base point alone, but not as a jet
+        pytest.param(
+            TruncatedSeries2(4, {(2, 0): F(1), (1, 2): F(1)}),
+            [(0, 0)],
+            "Hessian vanishes on the grid but not as a jet",
+            id="h-grid",
+        ),
+        # S = u20 u21 = 1e-7 at the origin: a jet zero, but the grid value there has no tail to hide in
+        pytest.param(
+            _rank_one_graph(4, u21=TINY), None, "slope invariant vanishes as a jet but not across the grid", id="s-grid"
+        ),
+        # S(0) = 0 but S_x = u20 u31 = 1
+        pytest.param(
+            _rank_one_graph(4, u31=1),
+            None,
+            "slope invariant vanishes at the base point but not identically",
+            id="s-base",
+        ),
+        # S(0) = 1; W = u20^2 u31 = 1e-7 at the origin
+        pytest.param(
+            _rank_one_graph(4, u21=1, u31=TINY),
+            None,
+            "fourth-order invariant vanishes as a jet but not across the grid",
+            id="w-grid",
+        ),
+        # S(0) = 1, W(0) = 0 but W_x = u20^2 u41 = 1
+        pytest.param(
+            _rank_one_graph(5, u21=1, u41=1),
+            None,
+            "fourth-order invariant vanishes at the base point but not identically",
+            id="w-base",
+        ),
+    ],
+)
+def test_the_jet_and_grid_criteria_report_their_disagreements(graph, points, message):
+    with pytest.raises(MixedTypeError, match=f"^{message}$"):
+        classify(graph, sample_points=points)
+
+
+_KERNEL_VALUES = {
+    True: st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    # magnitudes above 1e-3, so that no product nears the subnormal range
+    False: st.one_of(st.floats(1e-3, 3), st.floats(-3, -1e-3)),
+}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(4, 10), exact=st.booleans(), data=st.data())
+def test_capped_numerators_are_the_low_part_of_the_full_ones(n, exact, data):
+    values = _KERNEL_VALUES[exact]
+    keys = [(j, k) for j in range(n + 1) for k in range(n + 1 - j)]
+    F2 = TruncatedSeries2(n, {jk: data.draw(st.one_of(st.just(0), values)) for jk in keys})
+    P = Poly2.from_series(F2)
+    for numerator, cap in ((s_numerator, n - 1), (w_numerator, n - 2)):
+        full, capped = numerator(DerivativeView(P)), numerator(DerivativeView(Poly2(P.terms, P.den, cap)))
+        assert capped.den == full.den
+        low = {jk: v for jk, v in full.terms.items() if sum(jk) <= cap}
+        assert capped.terms.keys() == low.keys()
+        for jk, v in low.items():
+            assert type(capped.terms[jk]) is type(v)
+            assert capped.terms[jk].hex() == v.hex() if isinstance(v, float) else capped.terms[jk] == v, jk
 
 
 def test_cone_fifth_invariant_is_the_monge_expression():
@@ -353,9 +431,9 @@ def test_classify_shifts_once_per_non_origin_point(monkeypatch):
     shifts = []
     plain = TruncatedSeries2.shift
 
-    def counted(self, hx, hy):
+    def counted(self, hx, hy, **kw):
         shifts.append((hx, hy))
-        return plain(self, hx, hy)
+        return plain(self, hx, hy, **kw)
 
     monkeypatch.setattr(TruncatedSeries2, "shift", counted)
     fams = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parajet.invariants as invariants
 from parajet.invariants import (
     _M_VARS,
     _Y_VARS,
@@ -40,7 +41,7 @@ from parajet.sampling import (
     random_parabolic_jet,
 )
 from parajet.scalars import Sens, to_float
-from parajet.series import TruncatedSeries2, apply_affine
+from parajet.series import AffineTransform3, TruncatedSeries2, apply_affine
 
 from helpers import from_monomials2
 
@@ -247,6 +248,45 @@ def test_slope_transfer_law():
         T = near_identity_transform(rng)
         out = slope_transfer_check(f, T)
         assert abs(out["lhs"] - out["rhs"]) <= 1e-9 * (1 + abs(out["lhs"]))
+
+
+def _same_values(got, want):
+    """Equal nested tuples and dicts of scalars: the same type, and equal float bits."""
+    if isinstance(want, (tuple, dict)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for key in want if isinstance(want, dict) else range(len(want)):
+            _same_values(got[key], want[key])
+        return
+    assert type(got) is type(want), (got, want)
+    assert got.hex() == want.hex() if isinstance(want, float) else got == want, (got, want)
+
+
+def test_transfer_checks_equal_the_full_order_computation(monkeypatch):
+    # the image is built to order 3 without a horizontal translation; the checks read no more of it
+    rng = random.Random(31)
+    cases = []
+    for exact in (True, False):
+        for order in (4, 7):
+            f = realize_series(random_parabolic_jet(rng, order, exact=exact, generic_floor=None))
+            cases += [(f, near_identity_transform(rng)), (f, near_identity_transform(rng, special=False))]
+    # a forward map sending the graph point over (1/8, -1/16) to the origin: a horizontal translation
+    f = realize_series(random_parabolic_jet(rng, 6, exact=True, generic_floor=None))
+    T = near_identity_transform(rng)
+    x0, y0 = F(1, 8), F(-1, 16)
+    p0 = (x0, y0, f.shift(x0, y0)[(0, 0)] - f[(0, 0)])
+    t = [-sum(row[i] * p0[i] for i in range(3)) for row in T.matrix()]
+    cases.append((f, AffineTransform3(**{name: getattr(T, name) for name in "abcklmpqr"}, d=t[0], n=t[1], w=t[2])))
+    checks = (hessian_transfer_check, hessian_congruence_check, slope_transfer_check)
+    got = [[check(f, T) for check in checks] for f, T in cases]
+
+    def full_order(F2, T_fwd):
+        F2 = invariants._centered(F2)
+        return jets_of_series(F2), jets_of_series(apply_affine(F2, invariants._invert_transform(T_fwd)))
+
+    monkeypatch.setattr(invariants, "_transported_jets", full_order)
+    for (f, T), outs in zip(cases, got, strict=True):
+        for check, out in zip(checks, outs, strict=True):
+            _same_values(out, check(f, T))
 
 
 def test_identity_transform_fixes_everything():

@@ -645,6 +645,21 @@ def test_shifts_of_integer_coefficients_at_integer_points_stay_exact():
     assert _shift1(TruncatedSeries1(3, {2: 2}), -1).coeffs == {0: 1, 1: -2, 2: 2}
 
 
+@pytest.mark.parametrize("kind", ["exact", "int", "float", "mixed"])
+def test_a_shift_up_to_a_degree_keeps_the_full_shifts_coefficients(kind):
+    # the Horner passes stop once the kept coefficients are final: bit for bit, as exact and float values
+    rng = random.Random(95)
+    for n in (0, 3, 8, 12):
+        f2 = TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), kind))
+        points = SHIFTS + [0.125, -0.375]
+        for i, h in enumerate(points):
+            for hx, hy in [(h, 0), (0, h), (h, points[i - 1])]:
+                full = f2.shift(hx, hy)
+                for upto in (0, 1, 4, n - 1, n + 2):
+                    m = max(0, min(n, upto))
+                    _same_coefficients(f2.shift(hx, hy, upto=m), TruncatedSeries2(m, full.coeffs))
+
+
 _POINTS = st.fractions(min_value=-3, max_value=3, max_denominator=30)
 
 
@@ -953,6 +968,19 @@ def test_phi_is_checked_once_at_the_origin_in_every_regime(constant, entries, gr
             apply_affine(f, T, grid)
     else:
         _same_series(apply_affine(f, T, grid), _parent_apply_affine(f, T))
+
+
+def test_a_float_zero_transform_entry_keeps_the_integer_kernel():
+    # a zero counts as exact whatever its type, so the substitution runs on integer numerators
+    f = _centered_exact_jet(random.Random(67), 8)
+    for zeros in ({"k": 0.0}, {"k": 0.0, "p": 0.0, "q": -0.0}):
+        T = AffineTransform3(**{**SHEAR, **zeros})
+        T0 = AffineTransform3(**{**SHEAR, **{name: F(0) for name in zeros}})
+        phi = series3_from_bivariate_in_linear(f, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), 8)
+        assert phi.den is not None and phi.radius is None
+        got = apply_affine(f, T)
+        assert got == apply_affine(f, T0)
+        assert all(type(c) is Fraction for c in got.coeffs.values())
 
 
 # -- the bivariate polynomial kernel against the series it replaced in compose2 and classify
