@@ -270,10 +270,7 @@ def classify(
         raise MixedTypeError("slope invariant vanishes at the base point but not identically")
 
     jet_w_zero = vanishes(w_numerator, w_terms, n - 4, "fourth-order invariant")
-    try:
-        witnesses["W"] = invariant_W(c0)
-    except ZeroDivisionError:
-        pass
+    witnesses["W"] = invariant_W(c0)
     if jet_w_zero:
         return Classification(point_type, "cone", witnesses)
     if decide(w_numerator(c0), w_terms(c0), tol):

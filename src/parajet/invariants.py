@@ -280,7 +280,7 @@ def _table_numerator(table, variables, c: Mapping[Coord, object]):
         degree, tops, mono, grads, companions, first = _table_plan(table)
         den = math.lcm(*[x.denominator for x in plain])
         powers = []
-        for x, top in zip(plain, tops):
+        for x, top in zip(plain, tops, strict=True):
             n, p = x.numerator * (den // x.denominator), 1
             for _ in range(top + 1):
                 powers.append(p)
@@ -305,7 +305,7 @@ def _table_numerator(table, variables, c: Mapping[Coord, object]):
     total = 0
     for coef, exps in table:
         term = coef
-        for v, e in zip(vals, exps):
+        for v, e in zip(vals, exps, strict=True):
             if e == 1:
                 term = term * v
             elif e:

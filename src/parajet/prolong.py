@@ -11,6 +11,10 @@ A prolonged coefficient is computed from the generator by total
 differentiation; push-forward to the rank-one jet locus substitutes every
 ``u_{j,k}`` with ``k >= 2`` by its rational expression, giving a
 (polynomial, power-of-u20) pair.
+
+Exact polynomial division is by monomials only: by u20 when a rank-one
+substitution is reduced, and by u20 u02 when a tangency quotient v(H)/H is
+read off the terms of v(H) linear in u02.
 """
 
 from __future__ import annotations
@@ -156,34 +160,16 @@ def p_total_derivative(a: Poly, direction: str) -> Poly:
 
 
 def p_divexact(num: Poly, den: Poly) -> Poly:
-    """Exact multivariate division; raises if the remainder is nonzero."""
-
-    def key(m: Monomial):
-        return (sum(e for _, e in m), m)
-
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_den = max(den, key=key)
+    """Exact division by a monomial; raises ``ArithmeticError`` if a term is not divisible."""
+    if len(den) != 1:
+        raise ValueError("exact division is by a monomial only")
+    ((dm, dc),) = den.items()
     quot: Poly = {}
-    rem = dict(num)
-    while rem:
-        lead_rem = max(rem, key=key)
-        dd, dr = dict(lead_den), dict(lead_rem)
-        q: Dict[Var, int] = {}
-        ok = True
-        for v, e in dr.items():
-            q[v] = e - dd.get(v, 0)
-        for v, e in dd.items():
-            if v not in dr:
-                ok = False
-        if ok:
-            ok = all(e >= 0 for e in q.values())
-        if not ok:
+    for m, c in num.items():
+        q = _mono_mul(m, tuple((v, -e) for v, e in dm))
+        if any(e < 0 for _, e in q):
             raise ArithmeticError("polynomial division leaves a remainder")
-        qm = tuple(sorted((v, e) for v, e in q.items() if e))
-        qc = rem[lead_rem] / den[lead_den]
-        quot[qm] = quot.get(qm, Fraction(0)) + qc
-        rem = p_sub(rem, p_mul({qm: qc}, den))
+        quot[tuple((v, e) for v, e in q if e)] = c / dc
     return quot
 
 
@@ -304,14 +290,14 @@ def _prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
 # -- symbolic rank-one substitutions -----------------------------------------
 
 RationalPoly = Tuple[Poly, int]  # numerator and the exponent of the u20 denominator
+U20: Poly = poly((1, {(2, 0): 1}))
 
 
 def _rp_add(a: RationalPoly, b: RationalPoly) -> RationalPoly:
     (na, ma), (nb, mb) = a, b
     m = max(ma, mb)
-    u20 = poly((1, {(2, 0): 1}))
-    na2 = p_mul(na, p_pow(u20, m - ma)) if m > ma else na
-    nb2 = p_mul(nb, p_pow(u20, m - mb)) if m > mb else nb
+    na2 = p_mul(na, p_pow(U20, m - ma)) if m > ma else na
+    nb2 = p_mul(nb, p_pow(U20, m - mb)) if m > mb else nb
     return _rp_normalize((p_add(na2, nb2), m))
 
 
@@ -321,10 +307,9 @@ def _rp_mul(a: RationalPoly, b: RationalPoly) -> RationalPoly:
 
 def _rp_normalize(a: RationalPoly) -> RationalPoly:
     num, m = a
-    u20 = poly((1, {(2, 0): 1}))
     while m > 0:
         try:
-            num = p_divexact(num, u20)
+            num = p_divexact(num, U20)
             m -= 1
         except ArithmeticError:
             break
@@ -394,20 +379,21 @@ def parabolic_pushforward(phi: Poly) -> RationalPoly:
 def tangency_quotients() -> List[Poly]:
     """v_sigma(H)/H for the six non-trivial generators, H the Hessian determinant.
 
-    Exact polynomial quotients; a division remainder signals a bug.
+    Each quotient q contains no u02, so the terms of v(H) linear in u02 are
+    q u20 u02: q is read off them by one monomial division and checked by
+    multiplying back.  A quotient that does not divide signals a bug.
     """
-    H = p_sub(
-        p_mul(poly((1, {(2, 0): 1})), poly((1, {(0, 2): 1}))),
-        poly((1, {(1, 1): 2})),
-    )
+    u20_u02 = poly((1, {(2, 0): 1, (0, 2): 1}))
+    H = p_sub(u20_u02, poly((1, {(1, 1): 2})))
     out = []
     for v in jet_generators():
         applied: Poly = {}
         for J in [(2, 0), (1, 1), (0, 2)]:
-            dH = p_diff(H, J)
-            if dH:
-                applied = p_add(applied, p_mul(prolong(v, J), dH))
-        out.append(p_divexact(applied, H) if applied else {})
+            applied = p_add(applied, p_mul(prolong(v, J), p_diff(H, J)))
+        q = p_divexact({m: c for m, c in applied.items() if dict(m).get((0, 2)) == 1}, u20_u02)
+        if p_mul(q, H) != applied:
+            raise ArithmeticError(f"v(H) is not a multiple of H for {v.name}")
+        out.append(q)
     return out
 
 
@@ -514,8 +500,7 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
 
     if order == 2:
         names = ["v2", "v3", "v7", "v8", "w1", "w2", "w3"]
-        sel = {g.name: r for g, r in zip(gens, rows)}
-        block = [sel[n] for n in names]
+        block = [r for g, r in zip(gens, rows, strict=True) if g.name in names]
         result["det7"] = rank_det_exact(block)[1]
     if order == 4:
         # the last six columns: u20, u11, u30, u21, u40, u31

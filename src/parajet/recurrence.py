@@ -8,6 +8,11 @@ derivation operators D1 = alpha Dx + beta Dy and D2 = gamma Dx + delta Dy are
 available both in closed form (generic branch) and operationally from the
 composed moving-frame transform (either branch).
 
+One phantom system serves every frame: the surface systems of both branches
+(shifted along e_x and e_y, also inside the recurrence derivations), the
+plane-curve systems of SA(2) and A(2) (along e_x) and the rows from which the
+homogeneous curve models are generated.
+
 All identity checks are numeric at sampled jets with stated tolerances.
 Commutators nest two recurrence derivations D_i I_J = I_{J+e_i} +
 sum_sigma K_i^sigma phi_sigma^J(I) on ``Sens``-seeded normal forms, exact.
@@ -72,31 +77,39 @@ class MaurerCartan:
     readings: Dict[str, object]
 
 
-def _jet_values(p: ParabolicJet):
-    """Invariantization data: all values of the normalized jet, at the origin."""
-    values = p.filled(p.order)
-    values[VAR_X] = 0
-    values[VAR_Y] = 0
-    return values
+def _frame_point(coords: Mapping[Coord, object]) -> Dict[object, object]:
+    """Where the prolonged generators are invariantized: x = y = 0 and the normal-form coordinates."""
+    return {VAR_X: 0, VAR_Y: 0, **coords}
 
 
-def _phantom_rows(phantoms, values):
-    """Prolonged generator coefficients at the filled jet, one row per phantom."""
-    gens = jet_generators()
-    return [[p_eval(prolong(g, jk), values) for g in gens] for jk in phantoms]
+def _phantom_system(gens, phantoms, values, shifts):
+    """Rows A, right sides and solutions of the phantom Cramer systems A K_i = -(I_{J+e_i})_J.
 
-
-def _cramer(phantoms, values):
-    """Rows A, right sides and solutions of the phantom Cramer systems A K_i = -(I_{J+e_i})_J."""
-    A = _phantom_rows(phantoms, values)
-    rhs = [[-values[(j + 1, k)] for (j, k) in phantoms], [-values[(j, k + 1)] for (j, k) in phantoms]]
+    Row J holds the prolonged generators at ``values``; one system per shift e_i.
+    """
+    A = [[p_eval(prolong(g, J), values) for g in gens] for J in phantoms]
+    rhs = [[-values[(j + dj, k + dk)] for (j, k) in phantoms] for dj, dk in shifts]
     return A, rhs, [solve_linear_exact(A, b) for b in rhs]
 
 
+def _cramer(phantoms, values):
+    """The surface systems: the six jet generators, shifted along e_x and e_y."""
+    return _phantom_system(jet_generators(), phantoms, values, ((1, 0), (0, 1)))
+
+
+def _surface_phantoms(branch: str):
+    """The phantom coordinates of a surface branch; the one check of its name."""
+    if branch not in ("Generic", "Cone"):
+        raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
+    return GENERIC_PHANTOMS if branch == "Generic" else CONE_PHANTOMS
+
+
 def _branch_phantoms(branch: str, res: NormalFormResult):
+    """:func:`_surface_phantoms`, refusing a normal form ``res`` off the branch."""
+    phantoms = _surface_phantoms(branch)
     if res.branch != branch:
         raise BranchError(f"jet is not in the {branch.lower()} branch")
-    return GENERIC_PHANTOMS if branch == "Generic" else CONE_PHANTOMS
+    return phantoms
 
 
 def solve_mc_surface(branch: str, p: ParabolicJet) -> MaurerCartan:
@@ -105,21 +118,22 @@ def solve_mc_surface(branch: str, p: ParabolicJet) -> MaurerCartan:
     The matrix rows are generated from the prolongation machinery and
     invariantized at the normalized jet; they are never hand-copied.
     """
-    if branch not in ("Generic", "Cone"):
-        raise ValueError(f"unknown surface branch {branch!r}; choose 'Generic' or 'Cone'")
+    _surface_phantoms(branch)
     return _solve_mc_at_frame(branch, surface_frame(p))
 
 
 def _solve_mc_at_frame(branch: str, res: NormalFormResult) -> MaurerCartan:
     """:func:`solve_mc_surface` from the jet's normal form."""
     phantoms = _branch_phantoms(branch, res)
-    A, (rhs1, rhs2), (K1, K2) = _cramer(phantoms, _jet_values(parabolic_jet_of_series(res.normal_series)))
+    q = parabolic_jet_of_series(res.normal_series)
+    A, (rhs1, rhs2), (K1, K2) = _cramer(phantoms, _frame_point(q.filled(q.order)))
     readings = {k: v for k, v in res.readings.items() if not isinstance(v, dict)}
     return MaurerCartan(res.branch, K1, K2, A, rhs1, rhs2, readings)
 
 
 def mc_closed_form(branch: str, W=None, M=None, I51=None, X=None, Y=None):
     """The printed Maurer-Cartan solutions for both surface branches."""
+    _surface_phantoms(branch)
     if branch == "Generic":
         K1 = [
             -W / 3,
@@ -131,11 +145,9 @@ def mc_closed_form(branch: str, W=None, M=None, I51=None, X=None, Y=None):
         ]
         K2 = [0, 1, 0, -W, Fraction(4, 3) * W, -Fraction(8, 9) * W * W]
         return K1, K2
-    if branch == "Cone":
-        K1 = [0, 0, 1, -Y / (3 * X), Y / (3 * X), X / 6]
-        K2 = [0, 1, 0, 0, 0, 0]
-        return K1, K2
-    raise ValueError(branch)
+    K1 = [0, 0, 1, -Y / (3 * X), Y / (3 * X), X / 6]
+    K2 = [0, 1, 0, 0, 0, 0]
+    return K1, K2
 
 
 # -- invariant derivations ------------------------------------------------------
@@ -235,7 +247,7 @@ def recurrence_derivation(f: Callable[[ParabolicJet], tuple], phantoms) -> Calla
     gens = jet_generators()
 
     def derived(p: ParabolicJet) -> list:
-        values = _jet_values(p)
+        values = _frame_point(p.filled(p.order))
         _, _, K = _cramer(phantoms, values)
         @functools.cache
         def moved(J: Coord) -> list:
@@ -263,8 +275,7 @@ def identity_record(lhs, rhs, tolerance: float) -> dict:
 
 def verify_recurrences(branch: str, p: ParabolicJet) -> Dict[str, dict]:
     """Residuals of the printed recurrence identities at one jet."""
-    if branch not in ("Generic", "Cone"):
-        raise ValueError(branch)
+    _surface_phantoms(branch)
     return _recurrences_at_frame(branch, p, surface_frame(p))
 
 
@@ -339,29 +350,28 @@ def verify_commutator(branch: str, p: ParabolicJet) -> Dict[str, dict]:
 # -- curves -----------------------------------------------------------------------
 
 
-def solve_mc_curve(group: str, jet: Mapping[int, object]) -> MaurerCartan:
-    """Phantom Cramer systems for plane curves under either group."""
-    n = max(jet)
-    F = TruncatedSeries1(n, dict(jet))
+def _curve_frame(group: str, jet: Mapping[int, object]):
+    """Normal form, generators and phantom coordinates of a curve jet under SA(2) or A(2).
+
+    The one dispatch on the group name ('sa2' or 'gl2', any case); the
+    full-affine parabola branch carries no moving frame and is refused.
+    """
+    F = TruncatedSeries1(max(jet), dict(jet))
     if group.lower() == "sa2":
-        gens = sl2_curve_generators()
-        res = normalize_curve_sl2(F)
-        phantom_orders = (1, 2, 3)
-    elif group.lower() == "gl2":
-        gens = gl2_curve_generators()
-        res = normalize_curve_gl2(F)
-        if res.branch == "Parabola":
-            raise BranchError("parabola branch has no Cramer system")
-        phantom_orders = (1, 2, 3, 4)
-    else:
-        raise ValueError(group)
-    values = {VAR_X: 0, VAR_U: 0}
-    for i in range(1, res.normal_series.order + 1):
-        values[(i, 0)] = res.normal_series[i]
-    values[(0, 0)] = 0
-    A = [[p_eval(prolong(g, (k, 0)), values) for g in gens] for k in phantom_orders]
-    rhs = [-values[(k + 1, 0)] for k in phantom_orders]
-    R = solve_linear_exact(A, rhs)
+        return normalize_curve_sl2(F), sl2_curve_generators(), ((1, 0), (2, 0), (3, 0))
+    if group.lower() != "gl2":
+        raise ValueError(f"unknown curve group {group!r}; choose 'sa2' or 'gl2'")
+    res = normalize_curve_gl2(F)
+    if res.branch == "Parabola":
+        raise BranchError("parabola branch has no affine moving frame")
+    return res, gl2_curve_generators(), ((1, 0), (2, 0), (3, 0), (4, 0))
+
+
+def solve_mc_curve(group: str, jet: Mapping[int, object]) -> MaurerCartan:
+    """The phantom Cramer system for plane curves under either group: one shift, along e_x."""
+    res, gens, phantoms = _curve_frame(group, jet)
+    values = _frame_point({(i, 0): res.normal_series[i] for i in range(res.normal_series.order + 1)})
+    A, (rhs,), (R,) = _phantom_system(gens, phantoms, values, ((1, 0),))
     return MaurerCartan(group, R, [], A, rhs, [], dict(res.readings))
 
 
@@ -384,14 +394,12 @@ def homogeneous_curve_coefficients(a, sign: int, upto: int) -> Dict[int, object]
     R = [sign * a / 2, sign * a, Fraction(sign, 3), -1]
     gens = gl2_curve_generators()
     for k in range(5, upto):
-        values = {VAR_X: 0, VAR_U: 0, (0, 0): 0}
-        for i, v in I.items():
-            values[(i, 0)] = v
-        values[(k + 1, 0)] = 0  # the xi u_{k+1} term cancels in the closed formula
+        # the xi u_{k+1} term cancels in the closed formula
+        values = _frame_point({(i, 0): v for i, v in I.items()} | {(k + 1, 0): 0})
+        (row,), _, _ = _phantom_system(gens, ((k, 0),), values, ())
         total = 0
-        for g, r in zip(gens, R, strict=True):
-            phi = prolong(g, (k, 0))
-            total = total + p_eval(phi, values) * r
+        for phi, r in zip(row, R, strict=True):
+            total = total + phi * r
         I[k + 1] = -total
     return I
 
@@ -404,9 +412,8 @@ def homogeneous_curve_series(a, sign: int, order: int):
 
 def homogeneous_tangent_field(a, sign: int):
     """The infinitesimal symmetry (+-1 - a x/2 - u/3) d/dx + (+-x - a u) d/du."""
-    s = sign
-    xi = poly((s, {}), (Fraction(-1, 2) * Fraction(a) if not isinstance(a, float) else -a / 2, {VAR_X: 1}), (Fraction(-1, 3), {VAR_U: 1}))
-    eta = poly((s, {VAR_X: 1}), (-Fraction(a) if not isinstance(a, float) else -a, {VAR_U: 1}))
+    xi = poly((sign, {}), (-Fraction(a) / 2, {VAR_X: 1}), (Fraction(-1, 3), {VAR_U: 1}))
+    eta = poly((sign, {VAR_X: 1}), (-Fraction(a), {VAR_U: 1}))
     return vf("L", xi=xi, eta=None, phi=eta)
 
 
@@ -426,9 +433,7 @@ def _along(polyc: Poly, bases, unit):
 
 def cone_symmetry_fields():
     """The three tangent symmetries of the flat-cone model and their brackets."""
-    one = poly((1, {}))
     x = poly((1, {VAR_X: 1}))
-    y = poly((1, {VAR_Y: 1}))
     u = poly((1, {VAR_U: 1}))
     one_minus_y = poly((1, {}), (-1, {VAR_Y: 1}))
     e1 = vf("e1", xi={m: -c for m, c in u.items()}, eta=x)
@@ -457,36 +462,29 @@ def tangency_residual_curve(field, F) -> TruncatedSeries1:
 
 def verify_curve_recurrences(group: str, jet: Mapping[int, object]) -> Dict[str, dict]:
     """The printed curve recurrences at one jet, via nested total derivatives."""
+    res, _, _ = _curve_frame(group, jet)
     out: Dict[str, dict] = {}
-    n = max(jet)
     if group.lower() == "sa2":
-        res = normalize_curve_sl2(TruncatedSeries1(n, dict(jet)))
 
-        def DX(f):
-            def g(c):
-                return curve_total_derivative(f, c) / cbrt(c[2])
-
-            return g
+        def DX(f, c):
+            return curve_total_derivative(f, c) / cbrt(c[2])
 
         P = equiaffine_curvature
         I5 = res.readings["G5"]
         I6 = res.readings["G6"]
         I7 = res.readings.get("G7")
-        dP = DX(P)
+        dP = functools.partial(DX, P)
         out["I5 = DxP"] = identity_record(dP(jet), I5, 1e-6)
-        d2P = DX(dP)
+        d2P = functools.partial(DX, dP)
         out["I6 = Dx^2 P + 5 P^2"] = identity_record(
             to_float(d2P(jet)) + 5 * to_float(P(jet)) ** 2, I6, 1e-6
         )
-        if I7 is not None and n >= 7:
-            d3P = DX(d2P)
+        if I7 is not None and max(jet) >= 7:
+            d3P = functools.partial(DX, d2P)
             out["I7 = Dx^3 P + 17 DxP P"] = identity_record(
                 to_float(d3P(jet)) + 17.0 * to_float(dP(jet)) * to_float(P(jet)), I7, 1e-6
             )
-    elif group.lower() == "gl2":
-        res = normalize_curve_gl2(TruncatedSeries1(n, dict(jet)))
-        if res.branch == "Parabola":
-            raise BranchError("parabola branch has no affine recurrences")
+    else:
         eps = res.readings["eps"]
         # the invariant-derivation multiplier of the full-affine moving frame
         (af, bf), _ = res.transform.forward_matrix()
@@ -501,6 +499,4 @@ def verify_curve_recurrences(group: str, jet: Mapping[int, object]) -> Dict[str,
         out["I6 = DxI5 +- (3/2) I5^2 + 5"] = identity_record(
             d5 + eps * 1.5 * I5v**2 + 5.0, I6v, 1e-6
         )
-    else:
-        raise ValueError(group)
     return out

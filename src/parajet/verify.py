@@ -209,31 +209,26 @@ def _surface_sample(branch: str, rng: random.Random) -> Dict[str, dict]:
     return rep
 
 
-def _curve_sa2_sample(rng: random.Random) -> Dict[str, dict]:
-    jet = random_curve_jet(rng, 8)
-    rep = verify_curve_recurrences("sa2", jet)
-    mc = solve_mc_curve("sa2", jet)
-    expect = (0.0, to_float(mc.readings["G4"]) / 3.0, -1.0)
-    rep["R = (0, P/3, -1)"] = _max_record(zip(mc.K1, expect, strict=True), 1e-6)
-    return rep
-
-
-def _curve_gl2_sample(rng: random.Random) -> Dict[str, dict]:
-    jet = random_curve_jet(rng, 8, affine_floor=0.3)
-    rep = verify_curve_recurrences("gl2", jet)
-    mc = solve_mc_curve("gl2", jet)
-    eps = mc.readings["eps"]
-    I5 = to_float(mc.readings["G5"])
-    expect = (eps * I5 / 2.0, eps * I5, eps / 3.0, -1.0)
-    rep["R = (+-I5/2, +-I5, +-1/3, -1)"] = _max_record(zip(mc.K1, expect, strict=True), 1e-6)
+def _curve_sample(group: str, rng: random.Random) -> Dict[str, dict]:
+    """The recurrences at one drawn curve jet, plus its Cramer solution against the printed R."""
+    jet = random_curve_jet(rng, 8, affine_floor=0.3 if group == "gl2" else None)
+    rep = verify_curve_recurrences(group, jet)
+    mc = solve_mc_curve(group, jet)
+    if group == "sa2":
+        name, expect = "R = (0, P/3, -1)", (0.0, to_float(mc.readings["G4"]) / 3.0, -1.0)
+    else:
+        eps = mc.readings["eps"]
+        I5 = to_float(mc.readings["G5"])
+        name, expect = "R = (+-I5/2, +-I5, +-1/3, -1)", (eps * I5 / 2.0, eps * I5, eps / 3.0, -1.0)
+    rep[name] = _max_record(zip(mc.K1, expect, strict=True), 1e-6)
     return rep
 
 
 _RECURRENCE_SAMPLES = {
     "generic": partial(_surface_sample, "Generic"),
     "cone": partial(_surface_sample, "Cone"),
-    "curve-sa2": _curve_sa2_sample,
-    "curve-gl2": _curve_gl2_sample,
+    "curve-sa2": partial(_curve_sample, "sa2"),
+    "curve-gl2": partial(_curve_sample, "gl2"),
 }
 
 

@@ -17,6 +17,7 @@ from parajet.classify import (
 )
 from parajet.invariants import invariant_W_cubed, s_numerator, swap_axes, w_numerator
 from parajet.jets import DerivativeView, ParabolicJet, jets_of_series, realize_series
+from parajet.scalars import scalar_from_string, to_float
 from parajet.series import Poly2, TruncatedSeries1, TruncatedSeries2
 
 from helpers import from_monomials1
@@ -459,3 +460,33 @@ def test_classify_needs_order_2_and_order_4_when_parabolic():
         with pytest.raises(ValueError, match=f"order >= 4, got {n}"):
             classify(realize_graph(Cone(TruncatedSeries1(n, {2: F(1)})), n))
     assert classify(TruncatedSeries2(2, {(2, 0): F(1), (0, 2): F(1)})).point_type == "elliptic"
+
+
+def _coefficient_list(values):
+    """A coefficient list parsed as ``parajet classify`` parses one: fractions stay exact, decimals are floats."""
+    return TruncatedSeries1(len(values) - 1, {i: scalar_from_string(str(v)) for i, v in enumerate(values)})
+
+
+@pytest.mark.parametrize(
+    "family, exact, decimal",
+    [
+        (Cone, [[0, 0, "1/2", "-1/3", "1/5"]], [[0, 0, 0.5, -0.3333333333333333, 0.2]]),
+        (Cylinder, [[0, 0, "1/2", "-1/3", "1/5"]], [[0, 0, 0.5, -0.3333333333333333, 0.2]]),
+        (
+            Tangential,
+            [[0, 0, 1, "1/2", "1/4"], [0, 0, "1/2", 1, "-3/4"]],
+            [[0, 0, 1, 0.5, 0.25], [0, 0, 0.5, 1, -0.75]],
+        ),
+    ],
+    ids=["cone", "cylinder", "tangential"],
+)
+def test_decimal_families_classify_as_their_fraction_twins(family, exact, decimal):
+    # the decimal families of the CI console step, at order 8: the float arithmetic of
+    # the numerator polynomials gives the fraction twin's kind and its witnesses to 1e-12
+    twin = classify(realize_graph(family(*map(_coefficient_list, exact)), 8))
+    got = classify(realize_graph(family(*map(_coefficient_list, decimal)), 8))
+    assert got.developable_kind == twin.developable_kind == family.kind
+    assert isinstance(got.witnesses["S"], float) and set(got.witnesses) == set(twin.witnesses)
+    for name, w in twin.witnesses.items():
+        a, b = to_float(got.witnesses[name]), to_float(w)
+        assert abs(a - b) <= 1e-12 * abs(b), (name, a, b)

@@ -124,7 +124,7 @@ def test_contractions_in_jets_recurrence_and_verify_are_strict():
     # a zip that silently drops the tail of the longer operand hides a missing generator or record
     loose = [
         f"{name}:{node.lineno}"
-        for name in ("jets.py", "recurrence.py", "verify.py")
+        for name in ("invariants.py", "jets.py", "prolong.py", "recurrence.py", "verify.py")
         for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

@@ -13,7 +13,7 @@ import parajet.normalize as normalize
 import parajet.series as series
 from parajet.classify import Cone, classify, realize_graph
 from parajet.invariants import invariant_H, invariant_M, invariant_W, invariant_X
-from parajet.jets import DerivativeView, realize_series
+from parajet.jets import DerivativeView, ParabolicJet, realize_series
 from parajet.normalize import (
     PIPELINE_BITS,
     AmbiguousBranchError,
@@ -211,6 +211,14 @@ def test_normalizing_an_affine_image_gives_the_same_normal_form(cone, seed):
     for name in ("X", "Y") if cone else ("W", "M"):
         a, b = to_float(res_f.readings[name]), to_float(res_g.readings[name])
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (name, a, b)
+
+
+def test_surface_frame_refuses_a_cylinder():
+    # u = x^2/2 + x^3/12: S = 0, so the normal form is a curve profile with no surface frame
+    coords = {(j, k): 0 for j in range(5) for k in (0, 1) if j + k <= 4}
+    p = ParabolicJet(4, {**coords, (2, 0): 1, (3, 0): Fraction(1, 2)})
+    with pytest.raises(BranchError, match="no surface moving frame on branch Cylinder"):
+        surface_frame(p)
 
 
 def test_invariantize_phantoms_and_readings():

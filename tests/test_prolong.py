@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import parajet.prolong as prolong_module
 from parajet.prolong import (
     X,
     _prolong,
@@ -28,6 +29,7 @@ from parajet.prolong import (
     sa3_generators,
     sl2_curve_generators,
     tangency_quotients,
+    vf,
 )
 from parajet.sampling import rand_rational, random_parabolic_jet
 
@@ -112,6 +114,22 @@ def test_tangency_quotients_printed():
         {},
         poly((-4, {(0, 1): 1})),
     ]
+
+
+def test_divexact_divides_by_a_monomial_only():
+    six = poly((6, {(2, 0): 2, (1, 1): 1}), (-4, {(2, 0): 1}))
+    assert p_divexact(six, poly((2, {(2, 0): 1}))) == poly((3, {(2, 0): 1, (1, 1): 1}), (-2, {}))
+    with pytest.raises(ValueError, match="monomial"):
+        p_divexact(six, poly((1, {(2, 0): 1}), (1, {(1, 1): 1})))
+
+
+def test_tangency_quotients_refuse_a_field_that_moves_off_the_parabolic_locus(monkeypatch):
+    """y^2 d/du gives v(H) = 2 u20, not a multiple of H: the criterion 6 record cannot pass such a field."""
+    y2 = vf("bad", phi=poly((1, {Y: 2})))
+    good = prolong_module.jet_generators
+    monkeypatch.setattr(prolong_module, "jet_generators", lambda: good() + [y2])
+    with pytest.raises(ArithmeticError, match="bad"):
+        tangency_quotients()
 
 
 def test_order2_symbolic_determinant():

@@ -7,7 +7,7 @@ import pytest
 from parajet import recurrence
 from parajet.invariants import invariant_W, invariant_X
 from parajet.jets import ParabolicJet, parabolic_jet_of_series
-from parajet.normalize import surface_frame
+from parajet.normalize import BranchError, surface_frame
 from parajet.prolong import X, jet_generators, poly, vf
 from parajet.recurrence import (
     CONE_PHANTOMS,
@@ -376,3 +376,38 @@ def test_gl2_curve_recurrences_normalize_once(monkeypatch):
     rep = verify_curve_recurrences("gl2", jet)
     assert all(v["pass"] for v in rep.values())
     assert len(calls) == 1
+
+
+def test_solve_mc_surface_refuses_a_jet_off_the_named_branch():
+    with pytest.raises(BranchError, match="not in the generic branch"):
+        solve_mc_surface("Generic", random_cone_branch_jet(random.Random(32), 8))
+
+
+# solve_mc_surface: test_solve_mc_surface_rejects_unknown_branch
+_SURFACE_ENTRY_POINTS = {
+    "verify_recurrences": verify_recurrences,
+    "verify_commutator": verify_commutator,
+    "mc_closed_form": lambda branch, p: mc_closed_form(branch, W=1, M=0, I51=0, X=1, Y=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SURFACE_ENTRY_POINTS))
+def test_other_surface_entry_points_share_the_branch_name_check(entry):
+    p = random_parabolic_jet(random.Random(33), 8)
+    with pytest.raises(ValueError, match="unknown surface branch 'generic'"):
+        _SURFACE_ENTRY_POINTS[entry]("generic", p)
+
+
+@pytest.mark.parametrize("entry", [solve_mc_curve, verify_curve_recurrences], ids=lambda f: f.__name__)
+def test_curve_entry_points_refuse_an_unknown_group_and_the_parabola(entry):
+    parabola = {i: F(0) for i in range(9)}
+    parabola[2] = F(1)
+    with pytest.raises(ValueError, match="unknown curve group 'sl2'"):
+        entry("sl2", parabola)
+    with pytest.raises(BranchError, match="parabola branch"):
+        entry("gl2", parabola)
+
+
+def test_homogeneous_models_need_a_sign():
+    with pytest.raises(ValueError, match="sign must be"):
+        homogeneous_curve_coefficients(F(1), 0, 8)
