@@ -229,7 +229,7 @@ def gl2_curve_generators() -> List[VectorField]:
     ]
 
 
-def lie_bracket(v: VectorField, w: VectorField, name="") -> VectorField:
+def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w] componentwise on (x, y, u) coefficients."""
 
     def apply(field: VectorField, target: dict) -> dict:
@@ -244,7 +244,7 @@ def lie_bracket(v: VectorField, w: VectorField, name="") -> VectorField:
         p_sub(apply(v, w.xi), apply(w, v.xi)),
         p_sub(apply(v, w.eta), apply(w, v.eta)),
         p_sub(apply(v, w.phi), apply(w, v.phi)),
-        name or f"[{v.name},{w.name}]",
+        f"[{v.name},{w.name}]",
     )
 
 

@@ -280,7 +280,8 @@ def verify_recurrences(branch: str, p: ParabolicJet) -> Dict[str, dict]:
 
 
 def _recurrences_at_frame(branch: str, p: ParabolicJet, res: NormalFormResult) -> Dict[str, dict]:
-    """:func:`verify_recurrences` from the jet's normal form ``res``."""
+    """:func:`verify_recurrences` from the jet's normal form ``res``, which must lie on the branch."""
+    _branch_phantoms(branch, res)
     out: Dict[str, dict] = {}
     if branch == "Generic":
         coeffs = invariant_derivatives(p)

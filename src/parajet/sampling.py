@@ -30,8 +30,9 @@ def _require_order(sampler: str, order: int, least: int) -> None:
         raise ValueError(f"{sampler} needs order >= {least}, got {order}")
 
 
-def rand_rational(rng: random.Random, lo=-2, hi=2, den=16) -> Fraction:
-    return Fraction(rng.randint(int(lo * den), int(hi * den)), den)
+def rand_rational(rng: random.Random) -> Fraction:
+    """A multiple of 1/16 in [-2, 2]."""
+    return Fraction(rng.randint(-32, 32), 16)
 
 
 def _coordinate(rng: random.Random, exact: bool) -> Fraction:
@@ -108,13 +109,11 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
         return p
 
 
-def random_curve_jet(
-    rng: random.Random, order: int, exact: bool = False, affine_floor: float | None = None
-) -> Dict[int, object]:
-    """Curve jet u_0..u_order with |u_2| floored; optional full-affine floor."""
+def random_curve_jet(rng: random.Random, order: int, affine_floor: float | None = None) -> Dict[int, object]:
+    """Curve jet u_0..u_order of float draws with |u_2| floored; optional full-affine floor."""
     _require_order("random_curve_jet", order, 2 if affine_floor is None else 4)
 
-    val = functools.partial(_coordinate, rng, exact)
+    val = functools.partial(_coordinate, rng, False)
 
     while True:
         jet = {i: val() for i in range(order + 1)}

@@ -148,9 +148,6 @@ class Sens:
     def lift(x) -> "Sens":
         return x if isinstance(x, Sens) else Sens(x, {})
 
-    def partial(self, key: Hashable):
-        return self.partials.get(key, 0)
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

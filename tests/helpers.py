@@ -1,43 +1,11 @@
 """Builders and readers used only by the tests."""
 
-import math
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List
 
 from parajet.normalize import DEFAULT_TOL, normalize_parabolic_surface
 from parajet.prolong import Poly, RationalPoly, jet_generators, p_vars, parabolic_pushforward, prolong
-from parajet.scalars import is_exact, to_float
-from parajet.series import TruncatedSeries1, TruncatedSeries2
-
-
-def from_monomials2(order: int, monos: Dict[Tuple[int, int], object]) -> TruncatedSeries2:
-    """Build from plain monomial coefficients c_{j,k} x^j y^k."""
-    return TruncatedSeries2(
-        order,
-        {jk: c * math.factorial(jk[0]) * math.factorial(jk[1]) for jk, c in monos.items()},
-    )
-
-
-def from_monomials1(order: int, monos: Dict[int, object]) -> TruncatedSeries1:
-    return TruncatedSeries1(order, {i: c * math.factorial(i) for i, c in monos.items()})
-
-
-def reference_compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> TruncatedSeries2:
-    """F(X, Y) by series products: cached powers of X and Y, one product and one sum per monomial of F."""
-    if X[(0, 0)] != 0 or Y[(0, 0)] != 0:
-        raise ValueError("substitution series must have zero constant term")
-    n = min(F.order, X.order, Y.order)
-    one = TruncatedSeries2(n, {(0, 0): Fraction(1)})
-    xpows, ypows = [one], [one]
-    for _ in range(n):
-        xpows.append(xpows[-1] * TruncatedSeries2(n, dict(X.coeffs)))
-        ypows.append(ypows[-1] * TruncatedSeries2(n, dict(Y.coeffs)))
-    out = TruncatedSeries2(n, {})
-    for (a, b), c in F.coeffs.items():
-        if a + b <= n:
-            m = math.factorial(a) * math.factorial(b)
-            out = out + (xpows[a] * ypows[b]).scale(c / Fraction(m) if is_exact(c) else c / m)
-    return out
+from parajet.scalars import to_float
+from parajet.series import TruncatedSeries2
 
 
 def max_jet_order(a: Poly) -> int:

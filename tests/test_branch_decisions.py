@@ -1,7 +1,6 @@
 """Both invariant routes take their branch from the one rule, invariants.surface_branch."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -14,6 +13,8 @@ from parajet.jets import ParabolicJet, jets_of_series, realize_series
 from parajet.normalize import normalize_parabolic_surface
 from parajet.sampling import random_cone_branch_jet, random_parabolic_jet
 from parajet.series import TruncatedSeries1, TruncatedSeries2, series_to_json
+
+from reference import cone_model
 
 F = Fraction
 TOL = 1e-9
@@ -77,7 +78,7 @@ def _agreement_cases():
     rng = random.Random(71)
     cases = [realize_series(random_parabolic_jet(rng, 6)) for _ in range(3)]
     cases += [realize_series(random_cone_branch_jet(rng, 7)) for _ in range(3)]
-    cases.append(TruncatedSeries2(8, {(2, k): F(math.factorial(k)) for k in range(7)}))
+    cases.append(cone_model(8))
     cases.append(realize_graph(Cylinder(TruncatedSeries1(6, {2: F(1), 3: F(1, 2), 4: F(-1, 3)})), 6))
     return cases
 
@@ -113,7 +114,7 @@ def test_cli_invariants_refuses_gray_band(tmp_path, capsys):
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_low_order_truncations_agree(tmp_path, capsys, order):
     generic = realize_series(random_parabolic_jet(random.Random(71), 6), order)
-    cone = TruncatedSeries2(order, {(2, k): F(math.factorial(k)) for k in range(order - 1)})
+    cone = cone_model(order)
     want = "Cylinder" if order == 2 else "order-too-low"
     for f in (generic, cone):
         closed = evaluate_at_jet(jets_of_series(f).values).branch

@@ -18,9 +18,10 @@ from parajet.classify import (
 from parajet.invariants import invariant_W_cubed, s_numerator, swap_axes, w_numerator
 from parajet.jets import DerivativeView, ParabolicJet, jets_of_series, realize_series
 from parajet.scalars import scalar_from_string, to_float
-from parajet.series import Poly2, TruncatedSeries1, TruncatedSeries2
+from parajet.series import AffineTransform3, Poly2, TruncatedSeries1, TruncatedSeries2
 
-from helpers import from_monomials1
+import reference
+from reference import from_monomials1
 
 F = Fraction
 
@@ -38,7 +39,7 @@ def test_cone_coefficient_table():
 
 def test_cone_model_from_quadratic_directrix():
     g = realize_graph(Cone(TruncatedSeries1(8, {2: F(1)})), 8)
-    assert g == TruncatedSeries2(8, {(2, k): F(math.factorial(k)) for k in range(7)})
+    assert g == reference.cone_model(8)
 
 
 def test_tangential_coefficient_table():
@@ -291,11 +292,7 @@ def test_capped_numerators_are_the_low_part_of_the_full_ones(n, exact, data):
     for numerator, cap in ((s_numerator, n - 1), (w_numerator, n - 2)):
         full, capped = numerator(DerivativeView(P)), numerator(DerivativeView(Poly2(P.terms, P.den, cap)))
         assert capped.den == full.den
-        low = {jk: v for jk, v in full.terms.items() if sum(jk) <= cap}
-        assert capped.terms.keys() == low.keys()
-        for jk, v in low.items():
-            assert type(capped.terms[jk]) is type(v)
-            assert capped.terms[jk].hex() == v.hex() if isinstance(v, float) else capped.terms[jk] == v, jk
+        reference.assert_same(capped.terms, {jk: v for jk, v in full.terms.items() if sum(jk) <= cap})
 
 
 def test_cone_fifth_invariant_is_the_monge_expression():
@@ -321,65 +318,26 @@ def test_cone_fifth_invariant_is_the_monge_expression():
         assert abs(to_float(res.readings["X"]) - to_float(monge)) <= 1e-9 * (1 + abs(to_float(monge)))
 
 
-# -- the graph realization against the graded inversion it replaced -----------
+# -- the graph realization against the reference substitute-and-solve and composition --
 
 
-def _reference_solve_graph(x2, y2, u2):
-    """F with F(x(t,v), y(t,v)) = u(t,v) by graded inversion of the linear part.
+def _graph_by_reference(fam, n):
+    """F with F(x, y) = u: t over (x, y) by the reference apply_affine on the swapped axes of x(t, v), then u(t, v).
 
-    The former realization: per degree, the residual u - F(x, y) is pushed
-    through the inverse linear map, with two full compositions per degree.
+    Cone: x = t - t v, y = v, u = c - c v.  Tangent surface: x = a + a' + a' w, y = t + w, u = c + c' + c' w.
     """
-    from parajet.series import compose2
-
-    n = u2.order
-    a11, a12 = x2[(1, 0)], x2[(0, 1)]
-    a21, a22 = y2[(1, 0)], y2[(0, 1)]
-    det = a11 * a22 - a12 * a21
-    inv = (
-        TruncatedSeries2(n, {(1, 0): a22 / det, (0, 1): -a12 / det}),
-        TruncatedSeries2(n, {(1, 0): -a21 / det, (0, 1): a11 / det}),
-    )
-    G = TruncatedSeries2(n, {})
-    for d in range(1, n + 1):
-        resid = u2 - compose2(G, x2, y2)
-        layer = TruncatedSeries2(n, {jk: c for jk, c in resid.coeffs.items() if jk[0] + jk[1] == d})
-        if not layer.coeffs:
-            continue
-        corr = compose2(layer, inv[0], inv[1])
-        merged = dict(G.coeffs)
-        for jk, c in corr.coeffs.items():
-            if jk[0] + jk[1] == d and c != 0:
-                merged[jk] = merged.get(jk, 0) + c
-        G = TruncatedSeries2(n, merged)
-    return G
-
-
-def _reference_graph(fam, n):
-    """The former cone and tangential parametrizations, solved by the reference."""
-
-    def embed(s1, col):
-        return {(j, col): cv for j, cv in s1.coeffs.items() if j + col <= n}
-
-    def summed(parts):
-        out = {}
-        for src, col in parts:
-            for jk, cv in embed(src, col).items():
-                out[jk] = out.get(jk, 0) + cv
-        return TruncatedSeries2(n, out)
-
     if isinstance(fam, Cone):
-        c = fam.directrix
-        x2 = TruncatedSeries2(n, {(1, 0): F(1), (1, 1): F(-1)})
-        y2 = TruncatedSeries2(n, {(0, 1): F(1)})
-        cu = embed(c, 0)
-        cu.update({jk: -cv for jk, cv in embed(c, 1).items()})
-        return _reference_solve_graph(x2, y2, TruncatedSeries2(n, cu))
-    ap, cp = fam.a.derivative(), fam.c.derivative()
-    x2 = summed(((fam.a, 0), (ap, 0), (ap, 1)))
-    y2 = TruncatedSeries2(n, {(1, 0): F(1), (0, 1): F(1)})
-    u2 = summed(((fam.c, 0), (cp, 0), (cp, 1)))
-    return _reference_solve_graph(x2, y2, u2)
+        c = reference.monomial(fam.directrix.y_free())
+        x, k1, k2 = {(1, 0): F(1), (1, 1): F(-1)}, F(0), F(1)
+        u = reference.add(c, {(j, 1): -cv for (j, _), cv in c.items()})
+    else:
+        a, c, ap, cp = (reference.monomial(s.y_free()) for s in (fam.a, fam.c, fam.a.derivative(), fam.c.derivative()))
+        x, k1, k2 = reference.add(reference.add(a, ap), {(j, 1): v for (j, _), v in ap.items()}), F(1), F(1)
+        u = reference.add(reference.add(c, cp), {(j, 1): v for (j, _), v in cp.items()})
+    swap = AffineTransform3(a=0, c=1, l=1 / k2, m=-k1 / k2, p=1, r=0)
+    t = reference.monomial(reference.apply_affine(reference.from_monomials2(n, x), swap))
+    v = reference.add({(0, 1): 1 / k2}, {key: -k1 / k2 * cv for key, cv in t.items()})
+    return reference.from_monomials2(n, reference.compose(u, [t, v], n))
 
 
 def _seeded_families(order, exact=True):
@@ -408,15 +366,13 @@ def _seeded_families(order, exact=True):
 @pytest.mark.parametrize("order", range(2, 11))
 def test_realize_graph_equals_graded_inversion_exactly(order):
     for fam in _seeded_families(order):
-        got, ref = realize_graph(fam, order), _reference_graph(fam, order)
-        assert got == ref
-        assert all(type(got[jk]) is type(c) for jk, c in ref.coeffs.items())
+        reference.assert_same(realize_graph(fam, order), _graph_by_reference(fam, order))
 
 
 @pytest.mark.parametrize("order", range(2, 11))
 def test_realize_graph_float_families_match_graded_inversion(order):
     for fam in _seeded_families(order, exact=False):
-        got, ref = realize_graph(fam, order), _reference_graph(fam, order)
+        got, ref = realize_graph(fam, order), _graph_by_reference(fam, order)
         scale = max(abs(c) for c in ref.coeffs.values())
         assert all(isinstance(c, float) for c in got.coeffs.values())
         for jk in set(got.coeffs) | set(ref.coeffs):

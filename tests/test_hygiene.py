@@ -1,8 +1,16 @@
 """Source hygiene checks that need only the syntax tree."""
 
 import ast
+import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
+
+import parajet.jets as jets
+import parajet.series as series
+from parajet.series import AffineTransform3, CurveTransform2, Poly2, TruncatedSeries1, TruncatedSeries2, _Series3
+
+import reference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parajet"
 
@@ -132,3 +140,43 @@ def test_contractions_in_jets_recurrence_and_verify_are_strict():
         and not any(k.arg == "strict" and isinstance(k.value, ast.Constant) and k.value.value is True for k in node.keywords)
     ]
     assert loose == []
+
+
+def test_references_run_on_no_parajet_kernel(monkeypatch):
+    # each kernel gets a raising body through its code object, so every name bound to it raises
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reference ran a parajet kernel")
+
+    series_kernels = ("compose2", "apply_affine", "apply_affine_curve", "solve_implicit", "series3_from_bivariate_in_linear")
+    kernels = [TruncatedSeries2.__mul__, TruncatedSeries2.shift, Poly2.times, jets._rank_one_entry]
+    kernels += [getattr(series, name) for name in series_kernels]
+    for kernel in kernels:
+        monkeypatch.setattr(kernel, "__code__", refuse.__code__)
+    F = Fraction
+    f = reference.from_monomials2(3, {(2, 0): F(1), (1, 1): F(-1, 2), (0, 3): F(1, 3)})
+    mono = reference.monomial(f)
+    x, y = {(1, 0): F(1), (0, 1): F(1)}, {(0, 1): F(1), (2, 0): F(1, 2)}
+    calls = {
+        "over": lambda: reference.over(F(1), 3),
+        "add": lambda: reference.add(mono, x),
+        "monomial": lambda: reference.monomial(_Series3(2, {(1, 0, 0): 2, (0, 0, 1): -3}, 6)),
+        "factorial": lambda: reference.factorial(mono),
+        "from_monomials1": lambda: reference.from_monomials1(3, {2: F(1, 2)}),
+        "from_monomials2": lambda: reference.from_monomials2(3, mono),
+        "mul": lambda: (reference.mul(mono, x, 3), reference.mul(f.coeffs, f.coeffs, 3, leibniz=True)),
+        "shift": lambda: reference.shift(mono, (F(1, 2), F(-1, 3))),
+        "evaluate": lambda: reference.evaluate(mono, (F(1, 2), 1)),
+        "compose": lambda: reference.compose(mono, [x, y], 3),
+        "linear_substitution": lambda: reference.linear_substitution(mono, (1, 0, F(1, 2), 0), (0, 1, 0, F(1, 4)), 3),
+        "solve": lambda: reference.solve({(0, 0, 1): F(-1), (2, 0, 0): F(1), (0, 0, 2): F(1)}, 3),
+        "apply_affine": lambda: reference.apply_affine(f, AffineTransform3(b=F(1, 3), r=F(2))),
+        "apply_affine_curve": lambda: reference.apply_affine_curve(TruncatedSeries1(3, {2: F(1)}), CurveTransform2(c=F(1, 3))),
+        "rank_one_fill": lambda: reference.rank_one_fill(reference.cone_model_jet(4).coords, 4),
+        "assert_same": lambda: reference.assert_same(f, reference.from_monomials2(3, mono)),
+        "cone_model": lambda: reference.cone_model(4),
+        "cone_model_jet": lambda: reference.cone_model_jet(4),
+    }
+    public = {name for name, fn in inspect.getmembers(reference, inspect.isfunction) if fn.__module__ == "reference" and not name.startswith("_")}
+    assert set(calls) == public
+    for call in calls.values():
+        call()

@@ -40,23 +40,12 @@ from parajet.sampling import (
     random_cone_branch_jet,
     random_parabolic_jet,
 )
-from parajet.scalars import Sens, to_float
+from parajet.scalars import to_float
 from parajet.series import AffineTransform3, TruncatedSeries2, apply_affine
 
-from helpers import from_monomials2
+from reference import assert_same, cone_model_jet, from_monomials2
 
 F = Fraction
-
-
-def cone_model_jet(order=8):
-    coords = {(0, 0): F(0), (1, 0): F(0), (0, 1): F(0), (1, 1): F(0)}
-    for j in range(2, order + 1):
-        coords[(j, 0)] = F(0)
-    coords[(2, 0)] = F(1)
-    for j in range(2, order):
-        coords[(j, 1)] = F(0)
-    coords[(2, 1)] = F(1)
-    return ParabolicJet(order, coords)
 
 
 def test_H_and_S_on_cone_model():
@@ -250,17 +239,6 @@ def test_slope_transfer_law():
         assert abs(out["lhs"] - out["rhs"]) <= 1e-9 * (1 + abs(out["lhs"]))
 
 
-def _same_values(got, want):
-    """Equal nested tuples and dicts of scalars: the same type, and equal float bits."""
-    if isinstance(want, (tuple, dict)):
-        assert type(got) is type(want) and len(got) == len(want)
-        for key in want if isinstance(want, dict) else range(len(want)):
-            _same_values(got[key], want[key])
-        return
-    assert type(got) is type(want), (got, want)
-    assert got.hex() == want.hex() if isinstance(want, float) else got == want, (got, want)
-
-
 def test_transfer_checks_equal_the_full_order_computation(monkeypatch):
     # the image is built to order 3 without a horizontal translation; the checks read no more of it
     rng = random.Random(31)
@@ -286,7 +264,7 @@ def test_transfer_checks_equal_the_full_order_computation(monkeypatch):
     monkeypatch.setattr(invariants, "_transported_jets", full_order)
     for (f, T), outs in zip(cases, got, strict=True):
         for check, out in zip(checks, outs, strict=True):
-            _same_values(out, check(f, T))
+            assert_same(out, check(f, T))
 
 
 def test_identity_transform_fixes_everything():
@@ -460,21 +438,6 @@ def _reference_numerator(table, variables, c):
     return total
 
 
-def _assert_same(got, want):
-    """Same type and value; floats to the bit; Sens: same key order and the same nonzero partials."""
-    assert type(got) is type(want)
-    if isinstance(want, Sens):
-        _assert_same(got.value, want.value)
-        assert list(got.partials) == list(want.partials)
-        for key, d in want.partials.items():
-            if d != 0 or got.partials[key] != 0:
-                _assert_same(got.partials[key], d)
-    elif isinstance(want, float):
-        assert got.hex() == want.hex()
-    else:
-        assert got == want
-
-
 def _one_fraction_seeded(c, odd):
     """Ints but for one half-integer; dY/du70 stays an int unless that coordinate shares a monomial with u70."""
     return seeded({jk: F(2 * round(4 * v) + 1, 2) if jk == odd else round(4 * v) for jk, v in c.items()})
@@ -504,7 +467,8 @@ def test_table_numerators_equal_the_left_to_right_sum(kind, seed, cone, exact):
     p = (random_cone_branch_jet if cone else random_parabolic_jet)(rng, 8, exact=exact)
     c = _JET_KINDS[kind](p, p.filled(7), rng)
     for table, variables in ((M_TABLE, _M_VARS), (Y_TABLE, _Y_VARS)):
-        _assert_same(_table_numerator(table, variables, c), _reference_numerator(table, variables, c))
+        got, want = _table_numerator(table, variables, c), _reference_numerator(table, variables, c)
+        assert_same(got, want, partial_order=True, zero_partials=False)
 
 
 @pytest.mark.parametrize("table, variables", [(M_TABLE, _M_VARS), (Y_TABLE, _Y_VARS)], ids=["M", "Y"])

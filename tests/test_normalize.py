@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -44,16 +43,13 @@ from parajet.series import (
 )
 
 from helpers import equivalent_surfaces
+from reference import cone_model, from_monomials1
 
 F = Fraction
 
 
-def cone_model_series(order=8):
-    return TruncatedSeries2(order, {(2, k): F(math.factorial(k)) for k in range(order - 1)})
-
-
 def test_cone_model_is_its_own_normal_form():
-    f = cone_model_series()
+    f = cone_model()
     res = normalize_parabolic_surface(f)
     assert res.branch == "Cone[model]"
     assert res.normal_series == f
@@ -109,7 +105,7 @@ ROUND_TRIP_SURFACES = [
     pytest.param("Cone", lambda: realize_series(random_cone_branch_jet(random.Random(16), 8)), id="cone"),
     pytest.param(
         "Cone[model]",
-        lambda: apply_affine(cone_model_series(8), near_identity_transform(random.Random(22))),
+        lambda: apply_affine(cone_model(8), near_identity_transform(random.Random(22))),
         id="cone-model",
     ),
     pytest.param(
@@ -324,7 +320,7 @@ def test_gl2_conic_fixture():
     mono = {}
     for p_, c in terms.items():
         mono[2 * p_] = mono.get(2 * p_, F(0)) + (-3) * c * F(-1, 3) ** p_
-    f = TruncatedSeries1(8, {k: v * math.factorial(k) for k, v in mono.items()})
+    f = from_monomials1(8, mono)
     assert f[2] == 1 and f[3] == 0 and f[4] == 1 and f[5] == 0
     res = normalize_curve_gl2(f)
     assert res.branch == "Plus"
@@ -366,7 +362,7 @@ def test_sa2_frame_trivial_jet():
 def test_flat_cone_model_equivalence():
     # a unimodular image of the flat-cone model normalizes back to the model
     rng = random.Random(22)
-    f = cone_model_series(8)
+    f = cone_model(8)
     T = near_identity_transform(rng)
     g = apply_affine(f, T)
     res = normalize_parabolic_surface(g)
@@ -432,7 +428,7 @@ CI_CURVE = TruncatedSeries1(6, dict(enumerate(map(F, ["0", "1", "2", "1/2", "3",
 @pytest.mark.parametrize(
     "make, digest",
     [
-        pytest.param(lambda: _result_doc(normalize_parabolic_surface(cone_model_series())), "8de1d71cbc9deff0", id="cone-model"),
+        pytest.param(lambda: _result_doc(normalize_parabolic_surface(cone_model())), "8de1d71cbc9deff0", id="cone-model"),
         pytest.param(
             lambda: _result_doc(normalize_parabolic_surface(TruncatedSeries2(4, {(0, 2): F(1), (0, 3): F(1, 2)}))),
             "2305fe742dca122b",

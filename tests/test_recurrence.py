@@ -32,7 +32,8 @@ from parajet.recurrence import (
 )
 from parajet.sampling import random_cone_branch_jet, random_curve_jet, random_parabolic_jet
 from parajet.scalars import cbrt, to_float
-from parajet.series import TruncatedSeries2
+
+from reference import cone_model
 
 F = Fraction
 
@@ -297,8 +298,6 @@ def test_homogeneous_tangency():
 
 
 def test_cone_algebra_and_tangency():
-    import math
-
     from parajet.prolong import lie_bracket, p_neg, p_sub
 
     e1, e2, e3 = cone_symmetry_fields()
@@ -312,7 +311,7 @@ def test_cone_algebra_and_tangency():
     assert all(p_sub(x, p_neg(y)) == {} for x, y in zip(components(b), components(e1)))
     b = lie_bracket(e2, e3)
     assert all(p_sub(x, y) == {} for x, y in zip(components(b), components(e2)))
-    f = TruncatedSeries2(9, {(2, k): F(math.factorial(k)) for k in range(8)})
+    f = cone_model(9)
     for e in (e1, e2, e3):
         r = surface_tangency_residual(e, f)
         assert all(c == 0 for c in r.coeffs.values())
@@ -381,6 +380,11 @@ def test_gl2_curve_recurrences_normalize_once(monkeypatch):
 def test_solve_mc_surface_refuses_a_jet_off_the_named_branch():
     with pytest.raises(BranchError, match="not in the generic branch"):
         solve_mc_surface("Generic", random_cone_branch_jet(random.Random(32), 8))
+    # verify_recurrences reads the same check at the jet's frame
+    with pytest.raises(BranchError, match="not in the cone branch"):
+        verify_recurrences("Cone", random_parabolic_jet(random.Random(3), 8))
+    with pytest.raises(BranchError, match="not in the generic branch"):
+        verify_recurrences("Generic", random_cone_branch_jet(random.Random(3), 8))
 
 
 # solve_mc_surface: test_solve_mc_surface_rejects_unknown_branch
