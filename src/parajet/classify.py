@@ -255,7 +255,7 @@ def classify(
         # the jet criterion decides (analyticity); when it says zero, every
         # grid value must stay inside the truncation-tail envelope, otherwise
         # the surface is of mixed type
-        if not _low_zero(numerator(DerivativeView(Poly2(P.terms, P.den, cap=low + 2))), low, 1e3 * tol):
+        if not _low_zero(numerator(DerivativeView(P.capped(low + 2))), low, 1e3 * tol):
             return False
         full = numerator(G)
         if not all(_grid_zero(full, low, pt, tol, terms(c)) for pt, c in grid):

@@ -52,7 +52,7 @@ NOT_GRAPH_ALIGNED = (
 # -- the deciding numerators ----------------------------------------------------
 # Each is written once, as its signed terms: their left-to-right sum is the
 # value and they scale the branch rule's zero test.  On a jets.DerivativeView
-# of a series the same functions give the numerator series.
+# of a series.Poly2 the same functions give the numerator polynomial.
 
 
 def _total(terms):

@@ -214,15 +214,17 @@ def curve_total_derivative(f: Callable[[Mapping[int, object]], object], jet: Map
 
 
 class DerivativeView(dict):
-    """The lazy mapping (j, k) -> d^j_x d^k_y F of a series, derived in x first, then in y.
+    """The lazy mapping (j, k) -> d^j_x d^k_y F of a series or polynomial, derived in x first, then in y.
 
-    A jet function evaluated on it gives the series of its values; each derivative is taken once.
+    A jet function evaluated on it gives the series or polynomial of its values; each derivative is
+    taken once.  Numerators of a series are taken on the view of its :class:`~parajet.series.Poly2`,
+    capped at the degree they are read to, so that their products run on integer numerators.
     """
 
-    def __init__(self, F: TruncatedSeries2):
+    def __init__(self, F):
         super().__init__({(0, 0): F})
 
-    def __missing__(self, jk: Coord) -> TruncatedSeries2:
+    def __missing__(self, jk: Coord):
         j, k = jk
         self[jk] = self[(j, k - 1)].derivative("y") if k else self[(j - 1, 0)].derivative("x")
         return self[jk]

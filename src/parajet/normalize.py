@@ -28,6 +28,7 @@ Hyperbolic are refused; a negligible u_xx swaps the horizontal axes first):
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List
@@ -47,6 +48,7 @@ from .scalars import cbrt, cbrt_frac, snap, sqrt_frac, to_float
 from .series import (
     AffineTransform3,
     CurveTransform2,
+    Poly2,
     TruncatedSeries1,
     TruncatedSeries2,
     apply_affine,
@@ -248,19 +250,29 @@ def _nonvanishing(num: TruncatedSeries2, G: TruncatedSeries2, bound: float):
 def _check_parabolic(F: TruncatedSeries2, tol: float):
     """Refuse F unless its Hessian-determinant series vanishes to tol (1 + max(1, |F_jk|)^2).
 
-    In floats, each coefficient is within 2 (m + 6) 2^-53 times the same products on absolute values
-    (m <= (order + 1)^2 terms, each rounded a few times), plus an underflow allowance, of the exact one.
-    Only where that does not clear the threshold is the series built exactly to decide and word the error.
+    Both checks take the Hessian on a :class:`Poly2` capped at degree m = n - 2.  The float one rounds
+    each monomial coefficient F_jk / (j! k!) once, and the derivatives scale it by two integers, two
+    more roundings.  Each product of two adds one, a coefficient sums at most (n + 1)^2 of them, the two
+    Hessian terms are added and the sum is scaled back by j! k!: at most (n + 1)^2 + 5 roundings.  So
+    each coefficient is within 2 ((n + 1)^2 + 8) 2^-53 times the same sum on absolute values of the
+    exact one, plus an underflow allowance 4^n n! 2^-1000 scale.  Only where that does not clear the
+    threshold is the exact polynomial built, to decide and word the error.
     """
     n, scale = F.order, max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()]) ** 2 + 1.0
-    floats = {jk: float(c) for jk, c in F.coeffs.items()}
-    value = invariant_H(DerivativeView(TruncatedSeries2(n, floats)))
-    p, q = h_terms(DerivativeView(TruncatedSeries2(n, {jk: abs(c) for jk, c in floats.items()})))
-    slack, floor = 2 * ((n + 1) ** 2 + 6) * 2.0**-53, 4.0**n * 2.0**-1000 * scale
+    m, fact = max(n - 2, 0), [math.factorial(i) for i in range(n + 1)]
+    floats = {(j, k): c.numerator / (c.denominator * fact[j] * fact[k]) for (j, k), c in F.coeffs.items()}
+    value = invariant_H(DerivativeView(Poly2(floats, None, m))).terms
+    p, q = h_terms(DerivativeView(Poly2({jk: abs(c) for jk, c in floats.items()}, None, m)))
+    slack, floor = 2 * ((n + 1) ** 2 + 8) * 2.0**-53, 4.0**n * fact[n] * 2.0**-1000 * scale
     limit = tol * scale * (1 - 2.0**-50)
-    if floor <= limit and all(abs(value[jk]) + slack * a + floor <= limit for jk, a in (p - q).coeffs.items()):
+    if floor <= limit and all(
+        (abs(value.get((j, k), 0)) + slack * a) * (fact[j] * fact[k]) + floor <= limit
+        for (j, k), a in (p + -q).terms.items()
+    ):
         return
-    bad = _nonvanishing(invariant_H(DerivativeView(F)), F, tol)
+    p, q = h_terms(DerivativeView(Poly2.from_series(F).capped(m)))
+    # summed as series, whose key order names the first of tied coefficients
+    bad = _nonvanishing(p.to_series(m) + q.to_series(m), F, tol)
     if bad:
         jk, c = max(bad, key=lambda it: abs(to_float(it[1])))
         raise BranchError(
@@ -348,8 +360,8 @@ def _cylinder_branch(run: _Run, tol) -> NormalFormResult:
     moving frame, embedded in space and scaled by 1/det in y to keep the
     volume, is the last loop of the run.
     """
-    G = run.G
-    if _nonvanishing(s_numerator(DerivativeView(G)), G, 1e3 * tol):
+    G, m = run.G, max(run.G.order - 3, 0)
+    if _nonvanishing(s_numerator(DerivativeView(Poly2.from_series(G).capped(m))).to_series(m), G, 1e3 * tol):
         raise BranchError(
             "third-order slope invariant vanishes at the base point but not "
             "identically; mixed-type surfaces are excluded"

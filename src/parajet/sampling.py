@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from .invariants import conic_numerator, equiaffine_terms, s_numerator, w_numerator
 from .jets import ParabolicJet
-from .series import AffineTransform3, TruncatedSeries2
+from .series import AffineTransform3, Poly2, TruncatedSeries2
 
 Coord = Tuple[int, int]
 
@@ -76,7 +76,8 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
     y^0 row of the numerator series is the numerator evaluated on the y^0 rows
     of the derivative series it reads, and those hold only u_{j,0} and u_{j,1};
     u_{m,1} enters its x^(m-3) coefficient only through u_{2,0}^2 u_{m,1}, so
-    one evaluation of the rows to x^(m-3) with u_{m,1} = 0 gives it.
+    one evaluation of the rows, as polynomials capped at x^(m-3), with
+    u_{m,1} = 0 gives it.
     The chain always runs in exact rational arithmetic so the jet sits exactly
     on the subvariety; with ``exact=False`` the free draws are uniform floats
     converted losslessly.
@@ -97,11 +98,11 @@ def random_cone_branch_jet(rng: random.Random, order: int, exact: bool = False) 
             continue
         for m in range(3, order):
             coords[(m, 1)] = 0
-            rows = {
-                (j, k): TruncatedSeries2(m - 3, {(i, 0): coords[(i + j, k)] for i in range(m - 2)})
-                for j, k in ((2, 0), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0))
-            }
-            coords[(m, 1)] = -w_numerator(rows)[(m - 3, 0)] / coords[(2, 0)] ** 2
+            rows = {}
+            for j, k in ((2, 0), (1, 1), (2, 1), (3, 0), (3, 1), (4, 0)):
+                row = TruncatedSeries2(m - 3, {(i, 0): coords[(i + j, k)] for i in range(m - 2)})
+                rows[(j, k)] = Poly2.from_series(row).capped(m - 3)
+            coords[(m, 1)] = -w_numerator(rows).to_series(m - 3)[(m - 3, 0)] / coords[(2, 0)] ** 2
         p = ParabolicJet(order, coords)
         # keep away from the degenerate fifth-order locus
         if abs(float(conic_numerator(p))) < 0.1:

@@ -11,11 +11,7 @@ Both series classes share one body, :class:`_Series`: the degree filter on
 construction, indexing, equality, sums, differences and scalar multiples, so
 a univariate series behaves as the y-free slice of a bivariate one.  It
 multiplies and re-expands as that slice, ``(f.y_free() * g.y_free()).x_profile()``
-and ``f.y_free().shift(h, 0).x_profile()``.  Products run through one kernel,
-:func:`_product`: exact factors are convolved as integer numerators over
-their least common denominators, with one ``Fraction`` per output
-coefficient and no gcd per term pair; other coefficients run through the
-same loop in the same order, so float products are unchanged to the bit.
+and ``f.y_free().shift(h, 0).x_profile()``.
 
 Shifts re-expand at a new base point through one column kernel,
 :func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
@@ -28,16 +24,18 @@ last to change coefficient i, so a shift asked for total degree <= m stops
 each column after m + 1 passes and shifts only the rows of x-degree <= m.
 Exact values at a point are read off :class:`Poly2`, below.
 
-Compositions and the numerator polynomials of ``classify`` run on
-:class:`Poly2`, not on series products: a bivariate polynomial in monomial
-convention whose exact coefficients are integer numerators over one
-denominator.  Its products multiply the denominators, sums align them by
-their lcm, derivatives scale numerators by integers, and one ``Fraction`` is
-built per coefficient only when a factorial-convention series is read back.
-:func:`compose2` takes the powers of Y once and sums by Horner in X.  A
+Every product runs on one kernel, :class:`Poly2`: a bivariate polynomial in
+monomial convention whose exact coefficients are integer numerators over one
+denominator, truncated above its cap.  Its products multiply the
+denominators, sums align them by their lcm, derivatives scale numerators by
+integers, and one ``Fraction`` is built per coefficient only when a
+factorial-convention series is read back.  Other coefficients run the same
+loops without a denominator.  A series product reads both factors into it,
+capped at the lesser order, and reads the product back.  :func:`compose2`
+takes the powers of Y once and sums by Horner in X.  A
 :class:`~parajet.jets.DerivativeView` of one gives the Hessian, slope and
-fourth-order numerators as full polynomials, which evaluate exactly at a
-rational point.  Other coefficients run the same loops without a denominator.
+fourth-order numerators of ``classify``, the normalization's checks and the
+cone sampler, which evaluate exactly at a rational point.
 
 The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
@@ -115,26 +113,6 @@ def _integer_form(coeffs: dict):
     d = math.lcm(*[c.denominator for c in coeffs.values()])
     nums = {key: c.numerator * (d // c.denominator) for key, c in coeffs.items()}
     return (d if Fraction in kinds else None), nums
-
-
-def _product(A: dict, B: dict, n: int) -> dict:
-    """Coefficients (j, k), j + k <= n, of the product of two factorial-convention series."""
-    ia, ib = _integer_form(A), _integer_form(B)
-    if ia is not None and ib is not None:
-        (da, A), (db, B) = ia, ib
-    rows = [(c, d, c + d, v) for (c, d), v in B.items()]
-    out: Dict[Tuple[int, int], object] = {}
-    for (a, b), u in A.items():
-        room = n - a - b
-        for c, d, e, v in rows:
-            if e > room:
-                continue
-            jk = (a + c, b + d)
-            out[jk] = out.get(jk, 0) + math.comb(jk[0], a) * math.comb(jk[1], b) * u * v
-    if ia is None or ib is None or da is db is None:
-        return out
-    den = (da or 1) * (db or 1)
-    return {jk: Fraction(v, den) for jk, v in out.items() if v}
 
 
 def _taylor_shift(col: dict, n: int, h, upto: int) -> dict:
@@ -252,8 +230,9 @@ class TruncatedSeries2(_Series):
     _bivariate = True
 
     def __mul__(self, other: "TruncatedSeries2") -> "TruncatedSeries2":
+        """The product to the lesser order, taken on :class:`Poly2`."""
         n = min(self.order, other.order)
-        return TruncatedSeries2(n, _product(self.coeffs, other.coeffs, n))
+        return (Poly2.from_series(self).capped(n) * Poly2.from_series(other)).to_series(n)
 
     def derivative(self, direction: str) -> "TruncatedSeries2":
         """d/dx or d/dy, order drops by one (an order-0 series has derivative 0)."""
@@ -295,11 +274,11 @@ class Poly2:
     ``den`` None, and run the same loops; an operation on one exact and one
     other operand reads the exact one as ``Fraction``s first.
 
-    With a ``cap`` its products stop at that total degree, and its sums,
-    multiples and derivatives keep the cap.  A numerator evaluated on the
-    :class:`~parajet.jets.DerivativeView` of a capped polynomial is the
-    full one's part of degree <= cap, term for term and in the same order
-    of operations, so float terms keep their bits.
+    With a ``cap`` its products (by the left factor's cap) stop at that
+    total degree, and its sums, multiples and derivatives keep the cap.  A
+    numerator evaluated on the :class:`~parajet.jets.DerivativeView` of a
+    capped polynomial is the full one's part of degree <= cap, term for term
+    and in the same order of operations, so float terms keep their bits.
     """
 
     __slots__ = ("terms", "den", "cap")
@@ -315,6 +294,10 @@ class Poly2:
         mono = {(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in F.coeffs.items()}
         form = _integer_form(mono)
         return cls(mono) if form is None else cls(form[1], form[0] or 1)
+
+    def capped(self, cap: int) -> "Poly2":
+        """The same polynomial, its products truncated above total degree ``cap``."""
+        return Poly2(self.terms, self.den, cap)
 
     def to_series(self, order: int) -> TruncatedSeries2:
         """The factorial-convention series, one ``Fraction`` per exact coefficient."""
@@ -335,12 +318,11 @@ class Poly2:
             return self.generic(), other.generic(), None, None
         return self.terms, other.terms, self.den, other.den
 
-    def times(self, other: "Poly2", order: int | None = None) -> "Poly2":
-        """The product, truncated above total degree ``order`` if given, else above the cap."""
+    def __mul__(self, other: "Poly2") -> "Poly2":
+        """The product, truncated above the cap; each coefficient sums its pairs in the order of self's terms."""
         A, B, da, db = self._operands(other)
         rows = sorted(((c + d, c, d, v) for (c, d), v in B.items()), key=lambda row: row[0])
-        order = self.cap if order is None else order
-        limit = math.inf if order is None else order
+        limit = math.inf if self.cap is None else self.cap
         out: dict = {}
         for (a, b), u in A.items():
             room = limit - a - b
@@ -350,9 +332,6 @@ class Poly2:
                 key = (a + c, b + d)
                 out[key] = out.get(key, 0) + u * v
         return Poly2({key: v for key, v in out.items() if v}, None if da is None else da * db, self.cap)
-
-    def __mul__(self, other: "Poly2") -> "Poly2":
-        return self.times(other)
 
     def __add__(self, other: "Poly2") -> "Poly2":
         A, B, da, db = self._operands(other)
@@ -403,7 +382,8 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
 
     With F = sum f_ab x^a y^b in monomial convention, the powers of Y are
     taken once and the sum by Horner in X: R <- Q_a + X R with
-    Q_a = sum_b f_ab Y^b, for a = n, ..., 0.  Exact input runs on integer
+    Q_a = sum_b f_ab Y^b, for a = n, ..., 0, each product truncated above
+    degree n by the cap of its left factor.  Exact input runs on integer
     numerators, with f's denominator put back once at the end.
     """
     if X[(0, 0)] != 0 or Y[(0, 0)] != 0:
@@ -413,13 +393,13 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
     if any(P.den is None for P in polys):
         polys = [Poly2(P.generic()) for P in polys]
     f, x, y = polys
-    one = Poly2({(0, 0): 1}, None if y.den is None else 1)
+    one = Poly2({(0, 0): 1}, None if y.den is None else 1, n)
     ypows = [one]
     for _ in range(max((b for a, b in f.terms if a + b <= n), default=0)):
-        ypows.append(ypows[-1].times(y, n))
-    R = Poly2({}, one.den)
+        ypows.append(ypows[-1] * y)
+    R = Poly2({}, one.den, n)
     for a in range(n, -1, -1):
-        R = R.times(x, n)
+        R = R * x
         for b in range(n - a + 1):
             if (a, b) in f.terms:
                 R = R + f.terms[(a, b)] * ypows[b]

@@ -13,13 +13,16 @@ kernels raise and calls every function here.  :func:`assert_same` is the one
 bit-identity comparator and :func:`cone_model` the one cone-model fixture.
 """
 
+import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 
+from parajet.invariants import conic_numerator, s_numerator, w_terms
 from parajet.jets import ParabolicJet
 from parajet.prolong import p_eval, rank_one_substitution
+from parajet.sampling import S_FLOOR, U20_FLOOR, rand_rational
 from parajet.scalars import Sens, is_exact
 from parajet.series import AffineTransform3, TruncatedSeries1, TruncatedSeries2, _Series3
 
@@ -66,12 +69,8 @@ def from_monomials1(order: int, monos: dict) -> TruncatedSeries1:
     return TruncatedSeries1(order, {i: c * math.factorial(i) for i, c in monos.items()})
 
 
-def mul(u: dict, v: dict, n: int, leibniz: bool = False) -> dict:
-    """The product truncated above total degree n, pair by pair in the order of u's terms, then v's.
-
-    With ``leibniz`` both hold factorial-convention coefficients and each
-    pair is weighted by prod C(a_i + b_i, a_i) (the Leibniz rule).
-    """
+def mul(u: dict, v: dict, n: int) -> dict:
+    """The product truncated above total degree n, pair by pair in the order of u's terms, then v's."""
     out: dict = {}
     terms = [(b, sum(b), y) for b, y in v.items()]
     for a, x in u.items():
@@ -79,10 +78,39 @@ def mul(u: dict, v: dict, n: int, leibniz: bool = False) -> dict:
         for b, e, y in terms:
             if e <= room:
                 key = tuple(map(operator.add, a, b))
-                t = math.prod(map(math.comb, key, a)) * x * y if leibniz else x * y
                 prev = out.get(key)
-                out[key] = t if prev is None else prev + t
+                out[key] = x * y if prev is None else prev + x * y
     return out
+
+
+class _Truncated(dict):
+    """A bivariate polynomial that multiplies by :func:`mul` above degree ``n`` and is scaled by integers."""
+
+    def __init__(self, coeffs: dict, n: int):
+        super().__init__(coeffs)
+        self.n = n
+
+    def __mul__(self, other):
+        return _Truncated(mul(self, other, self.n), self.n)
+
+    def __rmul__(self, s):
+        return _Truncated({key: s * c for key, c in self.items()}, self.n)
+
+    def __neg__(self):
+        return -1 * self
+
+
+def numerator_terms(terms, u: dict, n: int) -> list:
+    """The signed terms of a deciding numerator on the bivariate polynomial u, each truncated above degree n.
+
+    ``terms`` is one of ``invariants.h_terms``, ``s_terms`` and ``w_terms``;
+    it reads the jet u_{a,b} as the polynomial d^a_x d^b_y u.
+    """
+    jets = {
+        (a, b): _Truncated({(j - a, k - b): c * math.perm(j, a) * math.perm(k, b) for (j, k), c in u.items() if j >= a and k >= b}, n)
+        for a, b in ((2, 0), (1, 1), (0, 2), (2, 1), (3, 0), (3, 1), (4, 0))
+    }
+    return [dict(t) for t in terms(jets)]
 
 
 def shift(u: dict, point) -> dict:
@@ -197,6 +225,54 @@ def rank_one_fill(coords: dict, order: int) -> dict:
             num, m = rank_one_substitution(d - k, k)
             out[(d - k, k)] = over(p_eval(num, coords), coords[(2, 0)] ** m)
     return out
+
+
+def w_chain_residual(coords: dict, m: int):
+    """The x^(m-3) coefficient of the fourth-order numerator series of the rank-one (m + 1)-jet on ``coords``.
+
+    The whole numerator series is built on the polynomial of the u_{j,0} and
+    u_{j,1} of degree <= m + 1.  A y-free coefficient of a product reads only
+    the y-free rows of its factors, and those of the derivatives d^a_x d^b_y,
+    b <= 1, hold no u_{j,k} with k >= 2, so the rank-one fill cannot reach it.
+    """
+    u = {jk: over(c, _factorial(jk)) for jk, c in coords.items() if sum(jk) <= m + 1}
+    W = functools.reduce(add, numerator_terms(w_terms, u, m - 3))
+    return W.get((m - 3, 0), 0) * math.factorial(m - 3)
+
+
+def cone_branch_jet(rng, order: int, exact: bool = False) -> ParabolicJet:
+    """``sampling.random_cone_branch_jet`` with each unknown u_{m,1}, m >= 4, solved by two evaluations.
+
+    The unknown is set to 0 and to 1 and :func:`w_chain_residual` taken both
+    times; the residual is affine in it, so the secant gives its root.
+    """
+    def val():
+        if exact:
+            return rand_rational(rng)
+        return Fraction(rng.uniform(-2.0, 2.0)).limit_denominator(10**6)
+
+    while True:
+        coords = {(0, 0): val(), (1, 0): val(), (0, 1): val()}
+        for j in range(2, order + 1):
+            coords[(j, 0)] = val()
+        coords[(1, 1)] = val()
+        coords[(2, 1)] = val()
+        if abs(float(coords[(2, 0)])) < U20_FLOOR:
+            continue
+        if abs(float(s_numerator(coords))) < S_FLOOR:
+            continue
+        u20, u11, u21, u30, u40 = (coords[jk] for jk in ((2, 0), (1, 1), (2, 1), (3, 0), (4, 0)))
+        coords[(3, 1)] = (u20 * u40 * u11 - 2 * u30**2 * u11 + 2 * u30 * u21 * u20) / u20**2
+        for m in range(4, order):
+            coords[(m, 1)] = 0
+            g0 = w_chain_residual(coords, m)
+            coords[(m, 1)] = 1
+            g1 = w_chain_residual(coords, m)
+            coords[(m, 1)] = -g0 / (g1 - g0)
+        p = ParabolicJet(order, coords)
+        if abs(float(conic_numerator(p))) < 0.1:
+            continue
+        return p
 
 
 def assert_same(got, want, partial_order: bool = False, zero_partials: bool = True) -> None:

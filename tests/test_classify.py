@@ -155,13 +155,13 @@ def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
     coeffs = {(j, k): F(rng.randint(-9, 9), 100) for j in range(9) for k in range(9 - j)}
     coeffs.update({(2, 0): F(1), (1, 1): F(0), (0, 2): F(1)})
     calls = []
-    times = Poly2.times
+    times = Poly2.__mul__
 
-    def counted_times(self, other, order=None):
+    def counted_times(self, other):
         calls.append(1)
-        return times(self, other, order)
+        return times(self, other)
 
-    monkeypatch.setattr(Poly2, "times", counted_times)
+    monkeypatch.setattr(Poly2, "__mul__", counted_times)
     assert classify(TruncatedSeries2(8, coeffs)).point_type == "elliptic"
     assert len(calls) == 2
 
@@ -290,7 +290,7 @@ def test_capped_numerators_are_the_low_part_of_the_full_ones(n, exact, data):
     F2 = TruncatedSeries2(n, {jk: data.draw(st.one_of(st.just(0), values)) for jk in keys})
     P = Poly2.from_series(F2)
     for numerator, cap in ((s_numerator, n - 1), (w_numerator, n - 2)):
-        full, capped = numerator(DerivativeView(P)), numerator(DerivativeView(Poly2(P.terms, P.den, cap)))
+        full, capped = numerator(DerivativeView(P)), numerator(DerivativeView(P.capped(cap)))
         assert capped.den == full.den
         reference.assert_same(capped.terms, {jk: v for jk, v in full.terms.items() if sum(jk) <= cap})
 

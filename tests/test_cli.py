@@ -159,6 +159,17 @@ def test_nonparabolic_surface_is_branch_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_a_surface_off_the_rank_one_locus_is_refused_with_its_hessian_coefficient(tmp_path, capsys):
+    # u = x^2/2 + y^4/24: the Hessian determinant has the coefficient H_02 = u20 u04 = 1
+    p = tmp_path / "not_rank_one.json"
+    p.write_text(json.dumps({"vars": 2, "order": 4, "coeffs": [{"j": 2, "k": 0, "value": "1"}, {"j": 0, "k": 4, "value": "1"}]}))
+    code, out, err = run_cli(["normalize", "--surface", p.as_posix()], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == (
+        "surface is not rank-one to the truncation order: Hessian determinant coefficient (0, 2) = 1.000e+00"
+    )
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "parajet.cli", "verify", "--suite", "homogeneous"],

@@ -317,6 +317,12 @@ def test_cone_algebra_and_tangency():
         assert all(c == 0 for c in r.coeffs.values())
 
 
+def test_a_field_that_touches_a_jet_variable_has_no_tangency_residual():
+    bad = vf("bad", xi=poly((1, {(1, 0): 1})))
+    with pytest.raises(ValueError, match="field touches a jet variable"):
+        surface_tangency_residual(bad, cone_model(6))
+
+
 def test_generation_property_one_depth():
     # the sixth-order invariants reconstruct from {W, M, D1M, D2M} through the
     # recurrences and agree with the normalization readings

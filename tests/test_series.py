@@ -11,7 +11,6 @@ and ``test_phi_is_checked_once_at_the_origin_in_every_regime``.
 import functools
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -371,15 +370,19 @@ def test_apply_affine_float_route_agrees_with_the_exact_route():
         assert abs(g[jk] - exact[jk]) <= 1e-12 * scale, jk
 
 
-# -- the products against the Leibniz product, to the bit ---------------------
+# -- the products against the reference product, to the bit ------------------
+# The kernel reads each factor's monomial coefficients as the reference does,
+# F_jk / (j! k!), and sums each product coefficient's pairs in the order of
+# the first factor's terms, as the reference does; so float products agree to
+# the bit, not only within a rounding bound.
 
 
-def _leibniz(f, g):
-    """The reference product of two series; univariate ones as their y-free slices."""
+def _reference_product(f, g):
+    """The reference product of two series on their monomial coefficients; univariate ones as their y-free slices."""
     if isinstance(f, TruncatedSeries1):
-        return _leibniz(f.y_free(), g.y_free()).x_profile()
+        return _reference_product(f.y_free(), g.y_free()).x_profile()
     n = min(f.order, g.order)
-    return TruncatedSeries2(n, reference.mul(f.coeffs, g.coeffs, n, leibniz=True))
+    return from_monomials2(n, reference.mul(reference.monomial(f), reference.monomial(g), n))
 
 
 def _random_coeffs(rng, keys, kind):
@@ -409,18 +412,18 @@ def test_products_equal_the_reference_loops_on_exact_and_mixed_series(kinds):
     rng = random.Random(70)
     for n, m in [(0, 0), (3, 5), (8, 8), (12, 10)]:
         f1, g1 = (TruncatedSeries1(o, _random_coeffs(rng, _keys1(o), kind)) for o, kind in zip((n, m), kinds))
-        reference.assert_same(_mul1(f1, g1), _leibniz(f1, g1))
+        reference.assert_same(_mul1(f1, g1), _reference_product(f1, g1))
         f2, g2 = (TruncatedSeries2(o, _random_coeffs(rng, _keys2(o), kind)) for o, kind in zip((n, m), kinds))
-        reference.assert_same(f2 * g2, _leibniz(f2, g2))
+        reference.assert_same(f2 * g2, _reference_product(f2, g2))
 
 
 @pytest.mark.parametrize("n", range(13))
 def test_products_of_float_series_are_bit_identical_to_the_reference_loops(n):
     rng = random.Random(71 + n)
     f1, g1 = (TruncatedSeries1(n, _random_coeffs(rng, _keys1(n), "float")) for _ in range(2))
-    reference.assert_same(_mul1(f1, g1), _leibniz(f1, g1))
+    reference.assert_same(_mul1(f1, g1), _reference_product(f1, g1))
     f2, g2 = (TruncatedSeries2(n, _random_coeffs(rng, _keys2(n), "float")) for _ in range(2))
-    reference.assert_same(f2 * g2, _leibniz(f2, g2))
+    reference.assert_same(f2 * g2, _reference_product(f2, g2))
 
 
 def test_jet_products_equal_the_reference_loops():
@@ -428,8 +431,8 @@ def test_jet_products_equal_the_reference_loops():
     f = realize_series(random_parabolic_jet(rng, 12, exact=True))
     g = realize_series(random_cone_branch_jet(rng, 10))
     for u, v in [(f, g), (f.derivative("x"), f.derivative("y")), (g, g)]:
-        reference.assert_same(u * v, _leibniz(u, v))
-        reference.assert_same(_mul1(u.x_profile(), v.x_profile()), _leibniz(u.x_profile(), v.x_profile()))
+        reference.assert_same(u * v, _reference_product(u, v))
+        reference.assert_same(_mul1(u.x_profile(), v.x_profile()), _reference_product(u.x_profile(), v.x_profile()))
 
 
 def _series_strategy(exact, bivariate=st.booleans(), max_order=6):
@@ -824,20 +827,22 @@ def _agree(got: TruncatedSeries2, want: TruncatedSeries2, exact: bool, bound=Non
         assert abs(got[jk] - want[jk]) <= 1e-12 * bound[jk], (jk, got[jk], want[jk])
 
 
-def _absolute(F: TruncatedSeries2, order: int) -> TruncatedSeries2:
-    return TruncatedSeries2(order, {jk: abs(c) for jk, c in F.coeffs.items()})
+def _absolute(F: TruncatedSeries2) -> TruncatedSeries2:
+    return TruncatedSeries2(F.order, {jk: abs(c) for jk, c in F.coeffs.items()})
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(n=st.integers(2, 10), exact=st.booleans(), data=st.data())
-def test_numerator_polynomials_equal_the_padded_series_products(n, exact, data):
+def test_numerator_polynomials_equal_the_reference_products(n, exact, data):
     F = _kernel_series(data, n, exact)
     kernel = DerivativeView(Poly2.from_series(F))
-    padded = DerivativeView(TruncatedSeries2(4 * n, F.coeffs))
-    absolute = DerivativeView(_absolute(F, 4 * n))
+    mono = reference.monomial(F)
+    absolute = {key: abs(c) for key, c in mono.items()}
     for numerator, terms in ((invariant_H, h_terms), (s_numerator, s_terms), (w_numerator, w_terms)):
-        bound = functools.reduce(operator.add, (_absolute(t, t.order) for t in terms(absolute)))
-        _agree(numerator(kernel).to_series(4 * n), numerator(padded), exact, bound)
+        want = functools.reduce(reference.add, reference.numerator_terms(terms, mono, 4 * n))
+        magnitudes = ({key: abs(c) for key, c in t.items()} for t in reference.numerator_terms(terms, absolute, 4 * n))
+        bound = functools.reduce(reference.add, magnitudes)
+        _agree(numerator(kernel).to_series(4 * n), from_monomials2(4 * n, want), exact, from_monomials2(4 * n, bound))
 
 
 def _composed(F, X, Y):
@@ -851,7 +856,7 @@ def _composed(F, X, Y):
 def test_compose2_equals_the_reference_composition(n, exact, data):
     F = _kernel_series(data, n, exact)
     X, Y = (_kernel_series(data, data.draw(st.integers(n, n + 2)), exact, zero_origin=True) for _ in range(2))
-    bound = None if exact else _composed(*(_absolute(S, S.order) for S in (F, X, Y)))
+    bound = None if exact else _composed(*map(_absolute, (F, X, Y)))
     _agree(compose2(F, X, Y), _composed(F, X, Y), exact, bound)
 
 
