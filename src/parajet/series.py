@@ -58,6 +58,16 @@ plain record: integer numerators over one denominator when exact or fixed
 point, factorial-convention scalars otherwise.  Phi = phi - u is assembled
 once for every regime; each only brings the affine part u to phi's terms.
 
+Every normalization loop after the transvection solves for a graph that
+starts at degree 2: the re-centred F has no linear terms and u no s or t
+term.  Phi then carries valuation 2.  The substitution gives v weight 2
+(s and t weigh 1) and builds Phi only to weight n, and the solve starts at
+degree 2 and builds (G^c)_e only for e >= 2c.  Each term left out would
+only have multiplied a part of G's powers that is exactly zero, so exact and
+fixed-point values are the same integers and every error radius, a sum of
+maxima over the factors kept, can only shrink.  Any other Phi has valuation
+1 and runs in full.
+
 Precision rule of the normalization loops: a loop whose run has taken an
 inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  Its
 exact F and T are rounded away from zero to integers X standing for X / 2^B,
@@ -413,26 +423,36 @@ class _Series3:
     hold monomial coefficients as integer numerators over one denominator
     ``den``; a fixed-point one has den 2^B, an error ``radius`` in ulps of
     2^-B and keeps its zero terms (a lacking key is zero).  Otherwise ``den``
-    is None and ``terms`` are factorial-convention scalars.
+    is None and ``terms`` are factorial-convention scalars.  ``valuation``
+    is the least degree of the graph it is solved for, 1 or 2, and the
+    weight of v in its truncation: s^i t^j v^k is kept to i + j + valuation k <= order.
     """
 
-    __slots__ = ("order", "terms", "den", "radius")
+    __slots__ = ("order", "terms", "den", "radius", "valuation")
 
-    def __init__(self, order: int, terms: dict | None = None, den: int | None = None, radius: int | None = None):
-        self.order, self.den, self.radius = order, den, radius
+    def __init__(
+        self, order: int, terms: dict | None = None, den: int | None = None, radius: int | None = None,
+        valuation: int = 1,
+    ):
+        self.order, self.den, self.radius, self.valuation = order, den, radius, valuation
         self.terms = {
             key: c for key, c in (terms or {}).items() if sum(key) <= order and (c != 0 or radius is not None)
         }
 
 
-def _times_linear(P: dict, form) -> dict:
-    """Monomial polynomial in (s, t, v) times the linear form form[0] s + form[1] t + form[2] v."""
+def _weighed(P: dict, vw: int, room: int) -> list:
+    """The terms of P of weight i + j + vw k <= room."""
+    return [(key, c) for key, c in P.items() if key[0] + key[1] + vw * key[2] <= room]
+
+
+def _times_linear(P: dict, form, cap: int, vw: int, top: int) -> dict:
+    """Monomial polynomial in (s, t, v), of weight <= top, times form[0] s + form[1] t + form[2] v, to weight cap."""
     out: dict = {}
     for (di, dj, dk), coef in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form):
         if coef == 0:
             continue
-        unit = coef == 1
-        for (i, j, k), c in P.items():
+        unit, room = coef == 1, cap - (vw if dk else 1)
+        for (i, j, k), c in P.items() if top <= room else _weighed(P, vw, room):
             key = (i + di, j + dj, k + dk)
             x = c if unit else coef * c
             prev = out.get(key)
@@ -441,7 +461,7 @@ def _times_linear(P: dict, form) -> dict:
 
 
 def series3_from_bivariate_in_linear(
-    F: TruncatedSeries2, xs, ys, order: int, fixed: int | None = None
+    F: TruncatedSeries2, xs, ys, order: int, fixed: int | None = None, tangent: bool = False
 ) -> _Series3:
     """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0.
 
@@ -449,8 +469,20 @@ def series3_from_bivariate_in_linear(
     constant parts re-center the expansion exactly on the truncation.  With
     F = sum f_ab x^a y^b in monomial convention and L1, L2 the linear parts,
     the powers of L2 are built once and the sum is taken by Horner in L1:
-    R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b, for a = order, ..., 0.  Each
-    Q_a has degree at most order - a, so no step needs a truncation.
+    R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b, for a = order, ..., 0.
+
+    With ``tangent`` (the caller's affine part u has no s or t term) and a
+    re-centred F without linear terms, the graph v = G(s, t) solved from
+    F(L1, L2) = u starts at degree 2, so s^i t^j v^k meets only the parts
+    of G^k of degree >= 2k.  The expansion then has valuation 2: v weighs 2,
+    s and t weigh 1, and only weight <= order is built.  L1 raises the
+    weight by at least 1, so R is kept to weight order - a after step a,
+    the powers of L2 to weight order and each Q_a to weight order - a.
+    Every term dropped is one that would multiply an exact zero of G's
+    powers.  Otherwise the valuation is 1 and weight is total degree.  A
+    part whose weight bound (order - a - 1 for R before step a, b for L2^b,
+    2b when v enters L2 at valuation 2) fits its cap is not weighed term by
+    term, so at valuation 1 no step truncates.
 
     When f and both linear parts are exact, f is brought to integers over its
     least common denominator D and L1, L2 over their own, qx and qy; with
@@ -461,6 +493,7 @@ def series3_from_bivariate_in_linear(
     returns them over 2^B with their error radius (module docstring).
     """
     Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
+    vw = 2 if tangent and Fc[(1, 0)] == 0 and Fc[(0, 1)] == 0 else 1
     n, B = order, fixed or 0
     fact = [math.factorial(i) for i in range(n + 1)]
     lx, ly, den = xs[:3], ys[:3], None
@@ -474,10 +507,10 @@ def series3_from_bivariate_in_linear(
             (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
             f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
             lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
-    # y_pows[b] = L2^b with its magnitude and radius; f and the forms have radius 1
-    y_pows, mags, radii = [{(0, 0, 0): 1 << B}], [1 << B], [0]
+    # y_pows[b] = L2^b, of weight <= wy b, with its magnitude and radius; f and the forms have radius 1
+    y_pows, mags, radii, wy = [{(0, 0, 0): 1 << B}], [1 << B], [0], vw if ly[2] else 1
     for _ in range(max((b for _, b in f), default=0)):
-        P = _times_linear(y_pows[-1], ly)
+        P = _times_linear(y_pows[-1], ly, n, vw, wy * (len(y_pows) - 1))
         if fixed:
             radii.append((sum(_err(abs(c), 1, mags[-1], radii[-1]) for c in ly if c) >> B) + 2)
             P = {key: c >> B for key, c in P.items()}
@@ -489,22 +522,22 @@ def series3_from_bivariate_in_linear(
             mr = max(map(abs, R.values()), default=0)
             err = sum(_err(abs(c), 1, mr, r) for c in lx if c)
             err += max((_err(abs(f[a, b]), 1, mags[b], radii[b]) for b in range(n - a + 1) if (a, b) in f), default=0)
-        R = _times_linear(R, lx)
+        R = _times_linear(R, lx, n - a, vw, n - a - 1)
         for b in range(n - a + 1):
             fab = f.get((a, b))
             if fab is None:
                 continue
-            for key, c in y_pows[b].items():
+            for key, c in y_pows[b].items() if wy * b <= n - a else _weighed(y_pows[b], vw, n - a):
                 x = fab * c
                 prev = R.get(key)
                 R[key] = x if prev is None else prev + x
         if fixed:
             R, r = {key: c >> B for key, c in R.items()}, (err >> B) + 2
     if fixed:
-        return _Series3(n, R, 1 << B, r)
+        return _Series3(n, R, 1 << B, r, vw)
     if den is not None:
-        return _Series3(n, R, den)
-    return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()})
+        return _Series3(n, R, den, valuation=vw)
+    return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()}, valuation=vw)
 
 
 def _times_homogeneous(A: dict, B: dict, out: dict) -> None:
@@ -565,6 +598,13 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     omits the phi_v(0) G_d term itself.  Only additions, products and that
     one division occur, so exactness is preserved in rational mode.
 
+    Phi's ``valuation`` w is the least degree of G: the solve starts at
+    degree w and builds (G^c)_e only for e >= w c, from G_i with i >= w.
+    At w = 2 (Phi's part linear in s and t is zero, see
+    :func:`series3_from_bivariate_in_linear`) G_1 = 0, so every part left out
+    is exactly zero, and the terms of Phi above weight n are never read; the
+    parts built are the same, to the bit.
+
     An exact Phi holds integer numerators over ``den`` and is solved on them:
     the equation is homogeneous in Phi, so the denominator drops out.  Each
     sum of products above runs on integer numerators over the lcm of its
@@ -578,7 +618,7 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     radius, and returns G rounded to the 2^-grid grid, or None where
     phi_v(0) or an output is not certified (module docstring).
     """
-    n, terms, rphi, B = Phi.order, Phi.terms, Phi.radius, (Phi.den or 1).bit_length() - 1
+    n, terms, rphi, B, w = Phi.order, Phi.terms, Phi.radius, (Phi.den or 1).bit_length() - 1, Phi.valuation
     if terms.get((0, 0, 0), 0) != 0:
         raise ValueError("Phi must vanish at the origin")
     if n == 0:
@@ -601,9 +641,9 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den or radius, coefficients)
     powers: Dict[int, Dict[int, tuple]] = {c: {} for c in range(1, vmax + 1)}
     out: Dict[Tuple[int, int], object] = {}
-    for d in range(1, n + 1):
-        for c in range(2, min(d, vmax) + 1):
-            pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(1, d - c + 2)]
+    for d in range(w, n + 1):
+        for c in range(2, min(d // w, vmax) + 1):
+            pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(w, d - w * (c - 1) + 1)]
             part = _sum_of_products({}, pairs, exact) if rphi is None else _fixed_sum(0, {}, pairs, B, n + 1)
             powers[c][d] = _reduced(*part) if exact else part
         pairs = [
@@ -656,7 +696,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = Non
     ``Fraction``s first.
     """
     n, B = F.order, None if grid is None else grid + FIXED_GUARD
-    phi = series3_from_bivariate_in_linear(F, xs, ys, n, B)
+    phi = series3_from_bivariate_in_linear(F, xs, ys, n, B, axis[(1, 0, 0)] == 0 and axis[(0, 1, 0)] == 0)
     terms, den, radius = dict(phi.terms), phi.den, phi.radius
     form = _integer_form(axis) if den is not None and radius is None else None
     if radius is not None:
@@ -678,7 +718,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = Non
     c0 = terms.pop((0, 0, 0), 0)
     if c0 != 0 and (is_exact(c0) or abs(c0) > 1e-9):
         raise ValueError(_MISSES_ORIGIN)
-    G = solve_implicit(_Series3(n, terms, den, radius), grid)
+    G = solve_implicit(_Series3(n, terms, den, radius, phi.valuation), grid)
     return G if G is not None else _solve_graph(F, xs, ys, axis)
 
 

@@ -498,6 +498,25 @@ def test_the_float_hessian_check_decides_and_words_as_the_exact_series(seed, ord
     assert None in verdicts and any(verdicts)
 
 
+def test_a_float_hessian_within_its_rounding_bound_of_the_threshold_is_decided_exactly():
+    # the cylinder over 2x + y, u_jk = 2^j, is rank one; u_04 + delta moves the (0, 2) Hessian coefficient by
+    # u_20 delta.  At 1e-9 of the threshold the float sum, whose terms are near 1e7 times the threshold, lands
+    # below it: only the rounding slack sends that case to the exact rule, which refuses it.
+    tol, threshold = 1e-9, F(1e-9 * (16**2 + 1))  # tol (1 + max |F_jk|^2), max |F_jk| = u_40 = 16
+    base = {(j, k): F(2**j) for j in range(5) for k in range(5 - j) if j + k >= 2}
+    for factor in (1 - F(1, 10**9), 1 + F(1, 10**9)):
+        f = TruncatedSeries2(4, {**base, (0, 4): 1 + threshold * factor / 4})
+        want = _exact_hessian_verdict(f, tol)
+        if factor < 1:
+            assert want is None
+            _check_parabolic(f, tol)
+            continue
+        assert want == "Hessian determinant coefficient (0, 2) = 2.570e-07"
+        with pytest.raises(BranchError) as err:
+            _check_parabolic(f, tol)
+        assert str(err.value).endswith(want)
+
+
 def test_a_tie_of_hessian_coefficients_is_worded_as_the_series_sum_lists_it():
     # H = -x^2/2 + xy + y^2/2 to order 2: the coefficients (2, 0), (1, 1) and (0, 2) tie at magnitude 1
     f = TruncatedSeries2(4, {(2, 0): F(1), (0, 4): F(1), (1, 3): F(1), (2, 2): F(-1)})

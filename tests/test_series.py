@@ -620,6 +620,82 @@ def test_grid_outputs_lie_within_one_grid_step_of_the_exact_image(n, grid, data)
     _on_grid_near(apply_affine_curve(g, Tc, grid), apply_affine_curve(g, Tc), grid)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.sampled_from([8, 40, 128]), st.data())
+def test_grid_outputs_at_valuation_2_lie_within_one_grid_step_of_the_exact_image(n, grid, data):
+    # no term of degree below 2 and p = q = 0: the graph starts at degree 2, the substitution and solve weigh v twice
+    f = TruncatedSeries2(n, {jk: data.draw(SMALL) for jk in _keys2(n) if sum(jk) >= 2})
+    T = AffineTransform3(**{name: data.draw(SMALL) for name in "abcklmr"})
+    assume(abs(T.r) >= F(1, 4))  # the v-derivative of Phi
+    g = TruncatedSeries1(n, {j: data.draw(SMALL) for j in range(2, n + 1)})
+    Tc = CurveTransform2(**{name: data.draw(SMALL) for name in "abd"})
+    assume(abs(Tc.d) >= F(1, 4))
+    assert series3_from_bivariate_in_linear(f, (T.a, T.b, T.c, 0), (T.k, T.l, T.m, 0), n, tangent=True).valuation == 2
+    _on_grid_near(apply_affine(f, T, grid), reference.apply_affine(f, T), grid)
+    _on_grid_near(apply_affine_curve(g, Tc, grid), reference.apply_affine_curve(g, Tc), grid)
+
+
+def _recording_valuations(monkeypatch, valuation=None):
+    """Record (v enters a linear form, valuation) per substitution; with ``valuation`` 1 force the full expansion."""
+    kernel, seen = series.series3_from_bivariate_in_linear, []
+
+    def recording(F, xs, ys, order, fixed=None, tangent=False):
+        phi = kernel(F, xs, ys, order, fixed, tangent and valuation != 1)
+        seen.append((xs[2] != 0 or ys[2] != 0, phi.valuation))
+        return phi
+
+    monkeypatch.setattr(series, "series3_from_bivariate_in_linear", recording)
+    return seen
+
+
+def _normal_forms(order):
+    out = []
+    for exact in (False, True):
+        for draw in (random_parabolic_jet, random_cone_branch_jet):
+            rng = random.Random(960 + order)
+            for _ in range(2):
+                res = normalize.normalize_parabolic_surface(realize_series(draw(rng, order, exact=exact)))
+                out.append((res.branch, res.normal_series, res.readings, res.transform, res.steps))
+    return out
+
+
+@pytest.mark.parametrize("order", [6, 8, 12])
+def test_normal_forms_at_valuation_2_are_bit_identical_to_valuation_1(order, monkeypatch):
+    seen = _recording_valuations(monkeypatch)
+    shipped = _normal_forms(order)
+    assert {branch for branch, *_ in shipped} == {"Generic", "Cone"}
+    # every loop after the transvection has p = q = 0 and a centred F without linear terms
+    assert {valuation for _, valuation in seen} == {2} and sum(implicit for implicit, _ in seen) >= 8
+    seen = _recording_valuations(monkeypatch, valuation=1)
+    assert _normal_forms(order) == shipped
+    assert {valuation for _, valuation in seen} == {1}
+
+
+def test_an_affine_part_in_s_or_t_or_a_linear_term_keeps_valuation_1(monkeypatch):
+    f = _centered_exact_jet(random.Random(64), 8)
+    assert f[(1, 0)] != 0 and f[(0, 1)] != 0
+    f0 = TruncatedSeries2(8, {jk: c for jk, c in f.coeffs.items() if sum(jk) >= 2})
+    shear = dict(c=F(1, 6), k=F(-1, 6), m=F(5, 18))
+    d, n = F(1, 5), F(-2, 7)
+    moved = f0.shift(-d, -n)  # a polynomial: re-centred at (d, n) it is f0 again, without linear terms
+    cases = [
+        (f0, AffineTransform3(**shear), 2),
+        (f0, AffineTransform3(**shear, p=F(3, 7)), 1),
+        (f0, AffineTransform3(**shear, q=F(-2, 5)), 1),
+        (f, AffineTransform3(**shear), 1),
+        (moved, AffineTransform3(**shear, d=d, n=n), 2),
+    ]
+    shifts, shift = [], TruncatedSeries2.shift
+    monkeypatch.setattr(TruncatedSeries2, "shift", lambda *args, **kw: shifts.append(args) or shift(*args, **kw))
+    seen = _recording_valuations(monkeypatch)
+    for F0, T, valuation in cases:
+        seen.clear()
+        shifts.clear()
+        assert apply_affine(F0, T) == reference.apply_affine(F0, T)
+        assert seen == [(True, valuation)]
+        assert len(shifts) == (1 if T.d else 0)  # the valuation is read off the one re-centred F
+
+
 def test_identity_part_maps_asked_for_the_grid_solve_onto_it():
     # the identity-part edit is exact; asked for the grid, the same maps run the fixed-point solve
     f = _centered_exact_jet(random.Random(68), 8)
