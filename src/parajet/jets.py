@@ -3,11 +3,25 @@
 A :class:`ParabolicJet` holds the independent coordinates of a rank-one jet:
 u, the pure x-jets ``u_{j,0}`` and the mixed jets ``u_{j,1}``.  Every
 ``u_{j,k}`` with ``k >= 2`` is a rational function of these whose denominator
-is a power of ``u_{2,0}``.  It is read off one coefficient of the rank-one
-relation ``F_xx F_yy = F_xy^2`` (:func:`_rank_one_entry`), degree by degree
-with k ascending inside each degree, and only up to the highest degree asked
-for so far; no formula is hard-coded.  Int and Fraction jets sum each entry on
-integers over one common denominator; float and ``Sens`` jets in their own arithmetic.
+is a power of ``u_{2,0}``.  It is transported along the gradient image, the
+curve u_y = g(u_x) where u_xx != 0: Q = u_y and lambda = u_xy / u_xx satisfy
+
+    Q_y = lambda Q_x                           the rank-one relation u_xx u_yy = u_xy^2, over u_xx;
+    lambda_y = lambda lambda_x                 its x-derivative, over u_xx^2;
+    d_y(lambda^k Q_x) = d_x(lambda^(k+1) Q_x)  the product rule with both,
+
+so by induction d_y^k Q = d_x^(k-1)(lambda^k Q_x) for k >= 1.
+
+On y = 0, in the factorial convention, A_i = u_{i+2,0} and B_i = u_{i+1,1}
+are the x-series of u_xx and of u_xy = Q_x, rho = B / A is lambda there and
+C_k = rho^k B is lambda^k Q_x, so ``u_{j,k+1} = C_k[j+k-1]``.  Both come by
+Leibniz: rho_i = (B_i - sum_{l<i} C(i,l) rho_l A_{i-l}) / A_0, C_0 = B and
+C_k[i] = sum_{l<=i} C(i,l) rho_l C_{k-1}[i-l], about n^3/2 products to order
+n and univariate series only.  An entry of degree d reads index d - 2 of
+some C_k, so the fill goes degree by degree and only up to the highest degree
+asked for so far; no formula is hard-coded.  Int and Fraction jets sum each
+coefficient on integers over one common denominator; float and ``Sens`` jets
+fold it in their own arithmetic.
 
 Every derivative of a scalar function of a jet is one chain rule: one
 evaluation on the :func:`seeded` jet, whose partials :func:`chain_rule`
@@ -44,46 +58,33 @@ class JetPoint:
         return self.values[jk]
 
 
-def _rank_one_entry(u: Mapping[Coord, object], j: int, k: int):
-    """u_{j,k}, k >= 2, from the (j, k - 2) coefficient of F_xx F_yy - F_xy^2 = 0.
+def _binomial_dot(i: int, stop: int, x: Sequence, y: Sequence, start, exact: bool, divisor=None):
+    """(start + sum over l < stop of C(i, l) x[l] y[i - l]) / divisor; the integer 0 when that sum is 0.
 
-    By Leibniz that coefficient is the sum over a <= j, b <= k - 2 of
-    C(j, a) C(k - 2, b) (u_{a+2,b} u_{j-a,k-b} - u_{a+1,b+1} u_{j-a+1,k-b-1}).
-    Only the (0, 0) term u_{2,0} u_{j,k} holds the unknown; every other factor
-    has lower degree, or the same degree and a lower k.  A zero sum gives the
-    integer 0 in every scalar mode, never a signed float zero.
-
-    Over ints and Fractions, R / L accumulates the sum on integers, with a gcd
-    only where L must grow; a float or ``Sens`` factor takes the generic sum.
+    Exact factors (ints and Fractions) accumulate R / L on integers, with a gcd
+    only where L must grow; any other factors fold left in their own arithmetic.
     """
-    if isinstance(u[(2, 0)], (int, Fraction)):
-        try:
-            R, L = 0, 1
-            for a in range(j + 1):
-                for b in range(k - 1):
-                    c = comb(j, a) * comb(k - 2, b)
-                    products = [(c, u[(a + 1, b + 1)], u[(j - a + 1, k - b - 1)])]
-                    if a or b:
-                        products.append((-c, u[(a + 2, b)], u[(j - a, k - b)]))
-                    for c, x, y in products:
-                        n, d = c * x.numerator * y.numerator, x.denominator * y.denominator
-                        if n:
-                            s, r = divmod(L, d)
-                            if r:
-                                g = gcd(L, d)
-                                R, L, s = R * (d // g), L // g * d, L // g
-                            R += n * s
-            return Fraction(R * u[(2, 0)].denominator, L * u[(2, 0)].numerator) if R else 0
-        except AttributeError:  # a float or Sens factor among rational ones
-            pass
-    rest = 0
-    for a in range(j + 1):
-        for b in range(k - 1):
-            t = u[(a + 1, b + 1)] * u[(j - a + 1, k - b - 1)]
-            if a or b:
-                t = t - u[(a + 2, b)] * u[(j - a, k - b)]
-            rest = rest + comb(j, a) * comb(k - 2, b) * t
-    return rest / u[(2, 0)] if rest != 0 else 0
+    if exact:
+        R, L = start.numerator, start.denominator
+        for l in range(stop):
+            a, b = x[l], y[i - l]
+            n = comb(i, l) * a.numerator * b.numerator
+            if n:
+                d = a.denominator * b.denominator
+                s, r = divmod(L, d)
+                if r:
+                    g = gcd(L, d)
+                    R, L, s = R * (d // g), L // g * d, L // g
+                R += n * s
+        if not R:
+            return 0
+        return Fraction(R, L) if divisor is None else Fraction(R * divisor.denominator, L * divisor.numerator)
+    total = start
+    for l in range(stop):
+        total = total + comb(i, l) * x[l] * y[i - l]
+    if total != 0:
+        return total if divisor is None else total / divisor
+    return 0
 
 
 class ParabolicJet:
@@ -91,9 +92,15 @@ class ParabolicJet:
 
     Coordinates: u, u_{j,0} for 1 <= j <= order and u_{j,1} for
     0 <= j <= order - 1; that is 3 + 2*order numbers.  Requires u_{2,0} != 0.
+
+    The dependent u_{j,k} come from the transport identity of the module
+    docstring: Q_y = lambda Q_x and lambda_y = lambda lambda_x give
+    d_y^k Q = d_x^(k-1)(lambda^k Q_x), read on y = 0 as u_{j,k+1} = C_k[j+k-1]
+    with C_k = rho^k B.  The jet keeps rho and the C_k as it fills; whether
+    the fill is exact is decided once, on all of A and B.
     """
 
-    __slots__ = ("order", "coords", "_values", "_degree")
+    __slots__ = ("order", "coords", "_values", "_degree", "_rho", "_transport", "_A", "_exact")
 
     def __init__(self, order: int, coords: Dict[Coord, object]):
         if order < 2:
@@ -113,12 +120,25 @@ class ParabolicJet:
         self.coords = dict(coords)
         self._values = dict(coords)  # the coordinates and every dependent entry filled so far
         self._degree = 1  # dependent entries are filled through this degree
+        self._rho: list = []  # rho = B / A, filled to index self._degree - 2
+        self._transport: list = []  # C_0 = B, C_1, ..., C_k = rho^k B
 
     def _fill(self, upto: int) -> None:
-        u = self._values
+        u, rho, C = self._values, self._rho, self._transport
+        if not C:  # A_i = u_{i+2,0} and C_0 = B, B_i = u_{i+1,1}, ints lifted to Fractions
+            A, B = ([self.coords[(i + 2 - k, k)] for i in range(self.order - 1)] for k in (0, 1))
+            A, B = ([Fraction(v) if isinstance(v, int) else v for v in row] for row in (A, B))
+            self._A, self._exact = A, all(isinstance(v, Fraction) for v in A + B)
+            C.append(B)
+        A, exact = self._A, self._exact
         for d in range(self._degree + 1, upto + 1):
-            for k in range(2, d + 1):
-                u[(d - k, k)] = _rank_one_entry(u, d - k, k)
+            i = d - 2
+            rho.append(_binomial_dot(i, i, rho, A, -C[0][i], exact, -A[0]))
+            C.append([])  # C_{d-1}, first read at degree d
+            for k in range(1, d):
+                for m in range(len(C[k]), i + 1):
+                    C[k].append(_binomial_dot(m, m + 1, rho, C[k - 1], 0, exact))
+                u[(d - k - 1, k + 1)] = C[k][i]
         self._degree = max(self._degree, upto)
 
     def __getitem__(self, jk: Coord):

@@ -256,7 +256,8 @@ def _check_parabolic(F: TruncatedSeries2, tol: float):
     Hessian terms are added and the sum is scaled back by j! k!: at most (n + 1)^2 + 5 roundings.  So
     each coefficient is within 2 ((n + 1)^2 + 8) 2^-53 times the same sum on absolute values of the
     exact one, plus an underflow allowance 4^n n! 2^-1000 scale.  Only where that does not clear the
-    threshold is the exact polynomial built, to decide and word the error.
+    threshold is the exact polynomial built, to decide and word the error.  The error names the largest
+    coefficient in magnitude, the least (j, k) among equally large ones.
     """
     n, scale = F.order, max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()]) ** 2 + 1.0
     m, fact = max(n - 2, 0), [math.factorial(i) for i in range(n + 1)]
@@ -271,10 +272,9 @@ def _check_parabolic(F: TruncatedSeries2, tol: float):
     ):
         return
     p, q = h_terms(DerivativeView(Poly2.from_series(F).capped(m)))
-    # summed as series, whose key order names the first of tied coefficients
     bad = _nonvanishing(p.to_series(m) + q.to_series(m), F, tol)
     if bad:
-        jk, c = max(bad, key=lambda it: abs(to_float(it[1])))
+        jk, c = min(bad, key=lambda it: (-abs(to_float(it[1])), it[0]))
         raise BranchError(
             f"surface is not rank-one to the truncation order: Hessian determinant "
             f"coefficient {jk} = {to_float(c):.3e}"

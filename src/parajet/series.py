@@ -824,9 +824,10 @@ def apply_affine(F: TruncatedSeries2, T: AffineTransform3, grid: int | None = No
     if identity_part and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
         if F[(0, 0)] != T.w:
             raise ValueError(_MISSES_ORIGIN)
+        # only the two edited coefficients are subtracted; Fraction(c) copies the rest without a gcd
         edit = {(1, 0): T.p, (0, 1): T.q}
         keys = (F.coeffs.keys() | edit.keys()) - {(0, 0)}
-        return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit.get(jk, 0)) for jk in keys})
+        return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit[jk] if jk in edit else F[jk]) for jk in keys})
     assert grid is None or not (T.d or T.n or T.w), "no fixed-point loop translates"
     axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
     return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, grid)

@@ -79,13 +79,25 @@ def test_fill_printed_low_order_relations():
         )
 
 
-@pytest.mark.parametrize("order", [6, 7, 8])
+@pytest.mark.parametrize("order", [6, 7, 8, 12])
 def test_fill_equals_symbolic_rank_one_substitution(order):
-    # every dependent entry against the rational expression built by total differentiation
+    # every dependent entry against the rational expression built by total differentiation, on the
+    # sampler's exact draws and on its default long-denominator ones (limit_denominator(10**6))
     rng = random.Random(order)
-    for p in (sampled_generic_jet(rng, order, exact=True), random_cone_branch_jet(rng, order, exact=True)):
+    exact = (sampled_generic_jet(rng, order, exact=True), random_cone_branch_jet(rng, order, exact=True))
+    for p in (*exact, sampled_generic_jet(rng, order)):
         dependent = {(j, k): v for (j, k), v in p.filled(order).items() if k >= 2}
         assert dependent == reference.rank_one_fill(p.coords, order)
+        assert all(type(v) is (int if v == 0 else Fraction) for v in dependent.values())
+
+
+def test_one_float_coordinate_among_fractions_fills_in_floats():
+    coords = dict(sampled_generic_jet(random.Random(5), 8).coords)
+    coords[(1, 1)] = float(coords[(1, 1)])
+    want = reference.rank_one_fill(coords, 8)
+    for (j, k), v in ParabolicJet(8, coords).filled(8).items():
+        if k >= 2:
+            assert type(v) is float and v == pytest.approx(want[(j, k)], rel=1e-12), (j, k)
 
 
 def test_fill_of_an_integer_jet_is_exact():
@@ -115,21 +127,22 @@ def test_rational_fill_equals_the_symbolic_substitution_exactly(order, flat, dat
 
 
 def test_fill_extends_degree_by_degree(monkeypatch):
+    # each coefficient of rho and of C_1 .. C_11 is one kernel call; its index i reads degree i + 2
     coords = random_parabolic_jet(random.Random(12), 12).coords
     calls = []
-    entry = jets_module._rank_one_entry
+    kernel = jets_module._binomial_dot
 
-    def counted_entry(u, j, k):
-        calls.append((j, k))
-        return entry(u, j, k)
+    def counted_kernel(i, stop, x, y, *rest):
+        calls.append((i, stop, id(y)))
+        return kernel(i, stop, x, y, *rest)
 
-    monkeypatch.setattr(jets_module, "_rank_one_entry", counted_entry)
+    monkeypatch.setattr(jets_module, "_binomial_dot", counted_kernel)
     p = ParabolicJet(12, coords)
     low = p.filled(3)
-    assert sorted(calls) == [(0, 2), (0, 3), (1, 2)]
+    assert len(calls) == 6 and max(i for i, _, _ in calls) == 1  # rho, C_1 and C_2 to index 1
     full = p.filled(12)
-    assert len(calls) == len(set(calls)) == 3 + 63
-    assert p.filled(12) == full and len(calls) == 66  # nothing is filled twice
+    assert len(calls) == len(set(calls)) == 12 * 11  # rho and C_1 .. C_11 to index 10, each once
+    assert p.filled(12) == full and len(calls) == 12 * 11  # nothing is filled twice
     assert full == ParabolicJet(12, coords).filled(12)
     assert low == {jk: v for jk, v in full.items() if sum(jk) <= 3}
 

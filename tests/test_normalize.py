@@ -517,12 +517,12 @@ def test_a_float_hessian_within_its_rounding_bound_of_the_threshold_is_decided_e
         assert str(err.value).endswith(want)
 
 
-def test_a_tie_of_hessian_coefficients_is_worded_as_the_series_sum_lists_it():
+def test_a_tie_of_hessian_coefficients_names_the_least_index():
     # H = -x^2/2 + xy + y^2/2 to order 2: the coefficients (2, 0), (1, 1) and (0, 2) tie at magnitude 1
     f = TruncatedSeries2(4, {(2, 0): F(1), (0, 4): F(1), (1, 3): F(1), (2, 2): F(-1)})
     with pytest.raises(BranchError) as err:
         _check_parabolic(f, 1e-9)
-    assert str(err.value).endswith("Hessian determinant coefficient (1, 1) = 1.000e+00")
+    assert str(err.value).endswith("Hessian determinant coefficient (0, 2) = 1.000e+00")
 
 
 def test_curve_translate_and_shear_loops_edit_the_series_without_a_solve(monkeypatch):
