@@ -14,6 +14,7 @@ jet-coefficient criterion at the base point, and reports its witnesses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -170,6 +171,21 @@ def _grid_zero(num: Poly2, low_degree: int, pt, tol: float, monoms) -> bool:
     return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
 
 
+def _tail_only(num: Poly2, low_degree: int, tol: float) -> bool:
+    """True when :func:`_grid_zero` of ``num`` holds at every point without evaluating it.
+
+    An exact numerator with no term of degree <= low is its tail, so at every
+    point |num(pt)| <= sum |p_jk / den| |x|^j |y|^k, the envelope; the factor 2
+    and the tol term absorb the rounding of the value and the envelope.  A tol
+    below the least normal float (0 among them) cannot absorb underflow, so
+    there the grid test runs.  A numerator capped above low decides it for the
+    full one: it holds the full one's low part term for term.
+    """
+    if num.den is None or not tol >= sys.float_info.min:
+        return False
+    return not any(v for (j, k), v in num.terms.items() if j + k <= low_degree)
+
+
 def _require_finite(F: TruncatedSeries2, grid) -> None:
     """Refuse a float series or grid jet past the float range: no zero test can judge inf or nan."""
     for where, values in [("series", F.coeffs), *((f"jet at ({x}, {y})", c) for (x, y), c in grid)]:
@@ -198,13 +214,20 @@ def classify(
     the full computation.  The grid jets go to total degree 4, the most the
     H, S and W terms read.  The jet criterion reads the S and W numerators to
     degree low + 2 (n - 1 and n - 2), so they are multiplied that far, on a
-    capped :class:`Poly2`; the full product is built only where the jet
-    criterion says zero, for the grid test, which reads its tail.  The
-    Hessian polynomial is full.
+    capped :class:`Poly2`.  Where that capped numerator is exact and its low
+    part is exactly zero, the grid test cannot fail (:func:`_tail_only`) and
+    is skipped; otherwise, where the jet criterion says zero, the full
+    product is built for the grid test, which reads its tail.  The Hessian
+    polynomial of an exact graph with H = 0 at the base point is likewise
+    first built to degree n; the full one only when that low part is not
+    exactly zero, or for float input or H != 0 at the base point.  The H
+    witness, like S and W, is read at the base point.
     """
     if sample_points is None:
         h = Fraction(1, 8)
         sample_points = [(0, 0), (h, 0), (0, h), (-h, h), (h, -h)]
+    if not sample_points:
+        raise ValueError("classification needs at least one sample point")
     n = F.order
     if n < 2:
         raise ValueError(f"classification needs a series of order >= 2, got {n}")
@@ -222,7 +245,10 @@ def classify(
     # family to its order gives a vanishing low part and the honest tail
     P = Poly2.from_series(F)
     G = DerivativeView(P)
-    Hfull = invariant_H(G)
+    # H(c0) is the Hessian polynomial's constant term: only an exact graph with
+    # H(c0) = 0 can have a low part that is exactly zero
+    Hlow = invariant_H(DerivativeView(P.capped(n))) if P.den is not None and invariant_H(c0) == 0 else None
+    Hfull = None if Hlow is not None and _tail_only(Hlow, n - 2, tol) else invariant_H(G)
     # the jet at each grid point to degree 4, shifted there once; the base point needs no shift
     grid = [
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt, upto=4)).values) for pt in sample_points
@@ -235,28 +261,31 @@ def classify(
         flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
         if flat_scale <= tol:
             types.append("flat")
-        elif _grid_zero(Hfull, n - 2, pt, tol, h_terms(c)):
+        elif Hfull is None or _grid_zero(Hfull, n - 2, pt, tol, h_terms(c)):
             types.append("parabolic")
         else:
             types.append("elliptic" if to_float(invariant_H(c)) > 0 else "hyperbolic")
     if len(set(types)) != 1:
         raise MixedTypeError(f"inconsistent point types across samples: {types}")
     point_type = types[0]
-    witnesses["H"] = invariant_H(grid[0][1])
+    witnesses["H"] = invariant_H(c0)
     if point_type != "parabolic":
         return Classification(point_type, None, witnesses)
     if n < 4:
         raise ValueError(f"classifying a parabolic point needs a series of order >= 4, got {n}")
     aligned_jet(c0, tol)  # raises on a jet aligned with neither axis
-    if not _low_zero(Hfull, n - 2, 1e3 * tol):
+    if Hfull is not None and not _low_zero(Hfull, n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 
     def vanishes(numerator, terms, low: int, name: str) -> bool:
         # the jet criterion decides (analyticity); when it says zero, every
         # grid value must stay inside the truncation-tail envelope, otherwise
         # the surface is of mixed type
-        if not _low_zero(numerator(DerivativeView(P.capped(low + 2))), low, 1e3 * tol):
+        capped = numerator(DerivativeView(P.capped(low + 2)))
+        if not _low_zero(capped, low, 1e3 * tol):
             return False
+        if _tail_only(capped, low, tol):
+            return True
         full = numerator(G)
         if not all(_grid_zero(full, low, pt, tol, terms(c)) for pt, c in grid):
             raise MixedTypeError(f"{name} vanishes as a jet but not across the grid")

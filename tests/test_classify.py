@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from parajet.classify import (
     Cone,
     Cylinder,
+    Graph,
     MixedTypeError,
     Tangential,
+    _grid_zero,
+    _tail_only,
     classify,
     realize_graph,
 )
@@ -84,33 +89,33 @@ def test_classify_nondegenerate_and_flat():
     assert fl.point_type == "flat"
 
 
-def test_classify_roundtrip_families():
-    rng = random.Random(44)
+def _draw_family(kind, rng, n=8):
+    """An exact family of the given kind at order n with coefficients k/12, redrawn until it clears the floors."""
 
     def rnd():
         return F(rng.randint(-24, 24), 12)
 
+    while True:
+        if kind == "cylinder":
+            prof = TruncatedSeries1(n, {i: rnd() for i in range(2, n + 1)})
+            if abs(prof[2]) >= F(1, 4):
+                return Cylinder(prof)
+        elif kind == "cone":
+            cs = {i: rnd() for i in range(2, n + 1)}
+            if abs(cs[2]) >= F(1, 4):
+                return Cone(TruncatedSeries1(n, cs))
+        else:
+            avs = {i: rnd() for i in range(2, n + 1)}
+            cvs = {i: rnd() for i in range(2, n + 1)}
+            if abs(avs[2]) >= F(1, 4) and abs(avs[3] * cvs[2] - avs[2] * cvs[3]) >= F(1, 6):
+                return Tangential(TruncatedSeries1(n, avs), TruncatedSeries1(n, cvs))
+
+
+def test_classify_roundtrip_families():
+    rng = random.Random(44)
     for kind in ("cylinder", "cone", "tangential"):
-        done = 0
-        while done < 10:
-            if kind == "cylinder":
-                prof = TruncatedSeries1(8, {i: rnd() for i in range(2, 9)})
-                if abs(prof[2]) < F(1, 4):
-                    continue
-                fam = Cylinder(prof)
-            elif kind == "cone":
-                cs = {i: rnd() for i in range(2, 9)}
-                if abs(cs[2]) < F(1, 4):
-                    continue
-                fam = Cone(TruncatedSeries1(8, cs))
-            else:
-                avs = {i: rnd() for i in range(2, 9)}
-                cvs = {i: rnd() for i in range(2, 9)}
-                if abs(avs[2]) < F(1, 4) or abs(avs[3] * cvs[2] - avs[2] * cvs[3]) < F(1, 6):
-                    continue
-                fam = Tangential(TruncatedSeries1(8, avs), TruncatedSeries1(8, cvs))
-            done += 1
-            assert classify(realize_graph(fam, 8)).developable_kind == kind
+        for _ in range(10):
+            assert classify(realize_graph(_draw_family(kind, rng), 8)).developable_kind == kind
 
 
 SWAPPED_FAMILIES = [
@@ -166,6 +171,33 @@ def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize(
+    "fam, exact",
+    [
+        (Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})), True),
+        (Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 4: F(1, 5)})), True),
+        (Cone(TruncatedSeries1(8, {2: 0.5, 3: -1 / 3, 4: 0.2})), False),
+    ],
+    ids=["exact-cylinder", "exact-cone", "float-cone"],
+)
+def test_exact_cylinders_and_cones_build_no_uncapped_numerator(monkeypatch, fam, exact):
+    # an exact numerator whose low part is exactly zero passes every grid test, so neither
+    # the full Hessian nor the full S (cylinder) or W (cone) polynomial is multiplied out;
+    # float input still builds them for its grid tests
+    g = realize_graph(fam, 8)
+    uncapped = []
+    times = Poly2.__mul__
+
+    def counted_times(self, other):
+        if self.cap is None:
+            uncapped.append(1)
+        return times(self, other)
+
+    monkeypatch.setattr(Poly2, "__mul__", counted_times)
+    assert classify(g).developable_kind == fam.kind
+    assert (len(uncapped) == 0) == exact
+
+
 def test_cone_w_numerator_vanishes_exactly():
     rng = random.Random(45)
     for _ in range(10):
@@ -194,6 +226,15 @@ def test_degenerate_families_rejected():
         Cone(TruncatedSeries1(4, {1: F(1), 2: F(1)}))
     with pytest.raises(ValueError):
         Tangential(TruncatedSeries1(4, {3: F(1)}), TruncatedSeries1(4, {2: F(1)}))
+    with pytest.raises(ValueError, match="must vanish to first order"):
+        Tangential(TruncatedSeries1(4, {2: F(1)}), TruncatedSeries1(4, {1: F(1), 2: F(1)}))
+
+
+def test_realize_graph_passes_a_graph_through_and_refuses_a_non_family():
+    g = TruncatedSeries2(4, {(2, 0): F(1), (0, 3): F(1, 2)})
+    assert realize_graph(Graph(g), 4) is g
+    with pytest.raises(TypeError, match="not a surface family"):
+        realize_graph(g, 4)
 
 
 @pytest.mark.parametrize(
@@ -409,6 +450,18 @@ def test_classify_shifts_once_per_non_origin_point(monkeypatch):
         assert sorted(shifts) == sorted([(h, h), (-h, 0)])
 
 
+def test_the_hessian_witness_is_read_at_the_base_point():
+    # u = x^2/2 + y^2/2 + x^3/6 has H = 1 + x: 1 at the base point, 9/8 at (1/8, 1/8)
+    h = F(1, 8)
+    got = classify(TruncatedSeries2(4, {(2, 0): F(1), (0, 2): F(1), (3, 0): F(1)}), sample_points=[(h, h), (-h, 0)])
+    assert got.point_type == "elliptic" and got.witnesses == {"H": 1}
+
+
+def test_classify_needs_a_sample_point():
+    with pytest.raises(ValueError, match="^classification needs at least one sample point$"):
+        classify(TruncatedSeries2(4, {(2, 0): F(1), (0, 2): F(1)}), sample_points=[])
+
+
 def test_classify_needs_order_2_and_order_4_when_parabolic():
     with pytest.raises(ValueError, match="order >= 2, got 1"):
         classify(TruncatedSeries2(1, {(1, 0): F(1)}))
@@ -446,3 +499,65 @@ def test_decimal_families_classify_as_their_fraction_twins(family, exact, decima
     for name, w in twin.witnesses.items():
         a, b = to_float(got.witnesses[name]), to_float(w)
         assert abs(a - b) <= 1e-12 * abs(b), (name, a, b)
+
+
+def _outcome(graph, points):
+    """The classification as JSON, or the refusal as its type and text."""
+    try:
+        return json.dumps(classify(graph, sample_points=points).to_dict())
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("kind", ["cylinder", "cone", "tangential"])
+def test_skipping_the_grid_tests_an_exact_tail_passes_changes_no_classification(monkeypatch, kind, n):
+    # exact families, also axis-swapped, on the default grid and on one without the base
+    # point, also with one coefficient of degree >= 4 moved by 1e-12 (a small nonzero low part):
+    # each classifies as it does with every grid test run
+    rng = random.Random(100 * n + len(kind))
+    h = F(1, 16)
+    module = sys.modules[classify.__module__]
+    fired = []
+
+    def recorded_tail_only(num, low, tol):
+        fired.append(_tail_only(num, low, tol))
+        return fired[-1]
+
+    for _ in range(2):
+        g = realize_graph(_draw_family(kind, rng, n), n)
+        moved = dict(g.coeffs)
+        key = rng.choice([(j, k) for j in range(n + 1) for k in range(n + 1 - j) if j + k >= 4])
+        moved[key] = moved.get(key, 0) + F(1, 10**12)
+        for coeffs in (g.coeffs, moved):
+            for graph in (TruncatedSeries2(n, coeffs), TruncatedSeries2(n, swap_axes(coeffs))):
+                for points in (None, [(h, 0), (0, -h), (-h, h)]):
+                    monkeypatch.setattr(module, "_tail_only", recorded_tail_only)
+                    shipped = _outcome(graph, points)
+                    monkeypatch.setattr(module, "_tail_only", lambda num, low, tol: False)
+                    assert shipped == _outcome(graph, points), (kind, n, key, points)
+    assert any(fired)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(low=st.integers(0, 6), data=st.data())
+def test_an_exact_numerator_without_a_low_part_passes_every_grid_test(low, data):
+    keys = [(j, k) for j in range(low + 9) for k in range(low + 9 - j) if j + k > low]
+    terms = data.draw(
+        st.dictionaries(st.sampled_from(keys), st.integers(-(10**6), 10**6).filter(bool), min_size=1, max_size=12)
+    )
+    num = Poly2(terms, data.draw(st.integers(1, 10**6)))
+    assert _tail_only(num, low, 1e-9) and not _tail_only(num, low, 0.0)
+    coord = st.one_of(st.fractions(-2, 2, max_denominator=64), st.floats(-2, 2))
+    for pt in data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)):
+        assert _grid_zero(num, low, pt, 1e-9, ())
+    # one term at or below the low degree, and the grid tests must run
+    j = data.draw(st.integers(0, low))
+    assert not _tail_only(Poly2({**terms, (j, low - j): 1}, num.den), low, 1e-9)
+
+
+def test_an_exact_cone_with_a_tail_past_the_float_range_classifies():
+    # its full Hessian and W polynomials have coefficients past 1.8e308, which the
+    # grid test's float envelope cannot hold; their low parts are exactly zero
+    g = realize_graph(Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 7: F(10**150)})), 8)
+    assert classify(g).developable_kind == "cone"
