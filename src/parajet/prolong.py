@@ -7,14 +7,13 @@ Variables of the jet polynomial ring are encoded as integer pairs:
 
 Curves are the ``k = 0`` slice of the same machinery.
 
-A prolonged coefficient is computed from the generator by total
-differentiation; push-forward to the rank-one jet locus substitutes every
-``u_{j,k}`` with ``k >= 2`` by its rational expression, giving a
-(polynomial, power-of-u20) pair.
-
-Exact polynomial division is by monomials only: by u20 when a rank-one
-substitution is reduced, and by u20 u02 when a tangency quotient v(H)/H is
-read off the terms of v(H) linear in u02.
+Exponents may be negative, so a ``Poly`` lives in the jet ring with u20
+inverted.  On the rank-one locus every u_{j,k} with k >= 2 is a Laurent
+polynomial in the independent coordinates with powers of u20 as the only
+denominators.  A prolonged coefficient is computed from the generator by
+total differentiation; push-forward to the rank-one jet locus substitutes
+every dependent u_{j,k} and splits the result into a (polynomial, least
+power of u20) pair.
 """
 
 from __future__ import annotations
@@ -69,18 +68,11 @@ def p_sub(a: Poly, b: Poly) -> Poly:
     return p_add(a, p_neg(b))
 
 
-def p_scale(a: Poly, s) -> Poly:
-    s = Fraction(s)
-    if not s:
-        return {}
-    return {m: c * s for m, c in a.items()}
-
-
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+    return tuple(sorted(item for item in d.items() if item[1]))
 
 
 def p_mul(a: Poly, b: Poly) -> Poly:
@@ -93,13 +85,6 @@ def p_mul(a: Poly, b: Poly) -> Poly:
                 out[m] = s
             elif m in out:
                 del out[m]
-    return out
-
-
-def p_pow(a: Poly, n: int) -> Poly:
-    out = poly((1, {}))
-    for _ in range(n):
-        out = p_mul(out, a)
     return out
 
 
@@ -157,20 +142,6 @@ def p_total_derivative(a: Poly, direction: str) -> Poly:
         if shift:
             out = p_add(out, p_mul(da, shift))
     return out
-
-
-def p_divexact(num: Poly, den: Poly) -> Poly:
-    """Exact division by a monomial; raises ``ArithmeticError`` if a term is not divisible."""
-    if len(den) != 1:
-        raise ValueError("exact division is by a monomial only")
-    ((dm, dc),) = den.items()
-    quot: Poly = {}
-    for m, c in num.items():
-        q = _mono_mul(m, tuple((v, -e) for v, e in dm))
-        if any(e < 0 for _, e in q):
-            raise ArithmeticError("polynomial division leaves a remainder")
-        quot[tuple((v, e) for v, e in q if e)] = c / dc
-    return quot
 
 
 @dataclass(frozen=True)
@@ -289,82 +260,57 @@ def _prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
 
 # -- symbolic rank-one substitutions -----------------------------------------
 
-RationalPoly = Tuple[Poly, int]  # numerator and the exponent of the u20 denominator
-U20: Poly = poly((1, {(2, 0): 1}))
+RationalPoly = Tuple[Poly, int]  # numerator / u20^m as (numerator, m): a polynomial and the least such m
+
+_R_CACHE: Dict[Tuple[int, int], Poly] = {}
 
 
-def _rp_add(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    (na, ma), (nb, mb) = a, b
-    m = max(ma, mb)
-    na2 = p_mul(na, p_pow(U20, m - ma)) if m > ma else na
-    nb2 = p_mul(nb, p_pow(U20, m - mb)) if m > mb else nb
-    return _rp_normalize((p_add(na2, nb2), m))
+def _dependent(j: int, k: int) -> Poly:
+    """u_{j,k}, k >= 2, on the rank-one locus: a Laurent polynomial, negative powers in u_{2,0} only.
+
+    Generated by total differentiation of u_{0,2} = u_{1,1}^2 u_{2,0}^-1; the
+    dependent jets each derivative brings in are substituted back.
+    """
+    key = (j, k)
+    val = _R_CACHE.get(key)
+    if val is None:
+        if key == (0, 2):
+            val = poly((1, {(1, 1): 2, (2, 0): -1}))
+        elif j > 0:
+            val = _substitute_dependents(p_total_derivative(_dependent(j - 1, k), "x"))
+        else:
+            val = _substitute_dependents(p_total_derivative(_dependent(0, k - 1), "y"))
+        _R_CACHE[key] = val
+    return val
 
 
-def _rp_mul(a: RationalPoly, b: RationalPoly) -> RationalPoly:
-    return _rp_normalize((p_mul(a[0], b[0]), a[1] + b[1]))
+def _substitute_dependents(a: Poly) -> Poly:
+    """Replace every u_{j,k} with k >= 2 by its rank-one substitution (x and y have k = 0, 1)."""
+    out: Poly = {}
+    for mono, c in a.items():
+        term: Poly = {tuple((v, e) for v, e in mono if v[1] < 2): c}
+        for v, e in mono:
+            if v[1] >= 2:
+                for _ in range(e):
+                    term = p_mul(term, _dependent(*v))
+        out = p_add(out, term)
+    return out
 
 
-def _rp_normalize(a: RationalPoly) -> RationalPoly:
-    num, m = a
-    while m > 0:
-        try:
-            num = p_divexact(num, U20)
-            m -= 1
-        except ArithmeticError:
-            break
-    return (num, m)
-
-
-_R_CACHE: Dict[Tuple[int, int], RationalPoly] = {}
+def _split(a: Poly) -> RationalPoly:
+    """A Laurent polynomial in u_{2,0} as (numerator, m), numerator / u_{2,0}^m, with m least."""
+    m = max([0] + [-e for mono in a for v, e in mono if v == (2, 0)])
+    return {_mono_mul(mono, (((2, 0), m),)): c for mono, c in a.items()}, m
 
 
 def rank_one_substitution(j: int, k: int) -> RationalPoly:
     """The rational expression of u_{j,k}, k >= 2, on the rank-one locus.
 
-    Generated by total differentiation of u_{0,2} = u_{1,1}^2 / u_{2,0};
-    denominators are powers of u_{2,0} by construction.
+    Denominators are powers of u_{2,0} by construction.
     """
     if k < 2:
         raise ValueError("only k >= 2 is dependent")
-    key = (j, k)
-    if key in _R_CACHE:
-        return _R_CACHE[key]
-    if key == (0, 2):
-        val: RationalPoly = (poly((1, {(1, 1): 2})), 1)
-    elif j > 0:
-        val = _rp_total_derivative(rank_one_substitution(j - 1, k), "x")
-    else:
-        val = _rp_total_derivative(rank_one_substitution(0, k - 1), "y")
-    _R_CACHE[key] = val
-    return val
-
-
-def _rp_total_derivative(a: RationalPoly, direction: str) -> RationalPoly:
-    # d/d(dir) of num/u20^m = (D num)/u20^m - m num D(u20)/u20^{m+1};
-    # D num may reintroduce dependent jets, which are substituted back.
-    num, m = a
-    dn, dm = _substitute_dependents(p_total_derivative(num, direction))
-    d_u20 = poly((1, {(3, 0): 1})) if direction == "x" else poly((1, {(2, 1): 1}))
-    lhs: RationalPoly = (dn, dm + m)
-    rhs: RationalPoly = (p_neg(p_scale(p_mul(num, d_u20), m)), m + 1)
-    return _rp_add(lhs, rhs)
-
-
-def _substitute_dependents(a: Poly) -> RationalPoly:
-    """Replace every u_{j,k} with k >= 2 by its rank-one substitution."""
-    out: RationalPoly = ({}, 0)
-    for m, c in a.items():
-        term: RationalPoly = ({ONE: c}, 0)
-        for v, e in m:
-            if v[0] >= 0 and v[1] >= 2:
-                sub = rank_one_substitution(v[0], v[1])
-                for _ in range(e):
-                    term = _rp_mul(term, sub)
-            else:
-                term = _rp_mul(term, (poly((1, {v: e})), 0))
-        out = _rp_add(out, term)
-    return out
+    return _split(_dependent(j, k))
 
 
 def parabolic_pushforward(phi: Poly) -> RationalPoly:
@@ -373,24 +319,26 @@ def parabolic_pushforward(phi: Poly) -> RationalPoly:
     Substitutes all dependent jets; the result is a polynomial in the
     independent coordinates over a power of u_{2,0}.
     """
-    return _substitute_dependents(phi)
+    return _split(_substitute_dependents(phi))
 
 
 def tangency_quotients() -> List[Poly]:
     """v_sigma(H)/H for the six non-trivial generators, H the Hessian determinant.
 
     Each quotient q contains no u02, so the terms of v(H) linear in u02 are
-    q u20 u02: q is read off them by one monomial division and checked by
-    multiplying back.  A quotient that does not divide signals a bug.
+    q u20 u02: q is read off them by multiplying with the monomial
+    u20^-1 u02^-1 and checked by multiplying back.  The check is the only
+    guard needed: u20 and u02 do not divide H, so a Laurent q with q H a
+    polynomial is a polynomial.  A quotient that fails it signals a bug.
     """
-    u20_u02 = poly((1, {(2, 0): 1, (0, 2): 1}))
-    H = p_sub(u20_u02, poly((1, {(1, 1): 2})))
+    H = p_sub(poly((1, {(2, 0): 1, (0, 2): 1})), poly((1, {(1, 1): 2})))
+    over_u20_u02 = poly((1, {(2, 0): -1, (0, 2): -1}))
     out = []
     for v in jet_generators():
         applied: Poly = {}
         for J in [(2, 0), (1, 1), (0, 2)]:
             applied = p_add(applied, p_mul(prolong(v, J), p_diff(H, J)))
-        q = p_divexact({m: c for m, c in applied.items() if dict(m).get((0, 2)) == 1}, u20_u02)
+        q = p_mul({m: c for m, c in applied.items() if dict(m).get((0, 2)) == 1}, over_u20_u02)
         if p_mul(q, H) != applied:
             raise ArithmeticError(f"v(H) is not a multiple of H for {v.name}")
         out.append(q)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import parajet.prolong as prolong_module
 from parajet.prolong import (
     X,
     _prolong,
+    _split,
     Y,
     det_poly_matrix,
     gl2_curve_generators,
@@ -14,12 +16,8 @@ from parajet.prolong import (
     orbit_rank,
     order2_matrix_symbolic,
     p_add,
-    p_divexact,
     p_eval,
     p_mul,
-    p_neg,
-    p_pow,
-    p_scale,
     p_sub,
     parabolic_pushforward,
     poly,
@@ -105,6 +103,24 @@ def test_rank_one_substitution_fixture():
     assert num == poly((2, {(1, 1): 1, (2, 1): 1, (2, 0): 1}), (-1, {(1, 1): 2, (3, 0): 1}))
 
 
+def test_substitutions_and_pushforwards_are_in_least_terms():
+    # the numerator is a polynomial and m is least: 0, or some numerator term is free of u20
+    entries = {("u", n - k, k): rank_one_substitution(n - k, k) for n in range(2, 11) for k in range(2, n + 1)}
+    for v in sa3_generators():
+        for n in range(1, 7):
+            for k in range(n + 1):
+                entries[(v.name, n - k, k)] = parabolic_pushforward(prolong(v, (n - k, k)))
+    for key, (num, m) in entries.items():
+        assert all(e > 0 for mono in num for _, e in mono), key
+        assert m == 0 or any((2, 0) not in dict(mono) for mono in num), key
+    assert entries[("u", 0, 2)] == (poly((1, {(1, 1): 2})), 1)
+
+
+def test_prolongation_refuses_the_zeroth_order():
+    with pytest.raises(ValueError, match=r"prolongation needs \|J\| >= 1"):
+        prolong(sa3_generators()[0], (0, 0))
+
+
 def test_tangency_quotients_printed():
     assert tangency_quotients() == [
         poly((-4, {})),
@@ -116,20 +132,19 @@ def test_tangency_quotients_printed():
     ]
 
 
-def test_divexact_divides_by_a_monomial_only():
-    six = poly((6, {(2, 0): 2, (1, 1): 1}), (-4, {(2, 0): 1}))
-    assert p_divexact(six, poly((2, {(2, 0): 1}))) == poly((3, {(2, 0): 1, (1, 1): 1}), (-2, {}))
-    with pytest.raises(ValueError, match="monomial"):
-        p_divexact(six, poly((1, {(2, 0): 1}), (1, {(1, 1): 1})))
-
-
 def test_tangency_quotients_refuse_a_field_that_moves_off_the_parabolic_locus(monkeypatch):
-    """y^2 d/du gives v(H) = 2 u20, not a multiple of H: the criterion 6 record cannot pass such a field."""
-    y2 = vf("bad", phi=poly((1, {Y: 2})))
+    """v(H) is not a multiple of H: the criterion 6 record cannot pass such a field.
+
+    y^2 d/du gives v(H) = 2 u20, with no u02 term; x^2 d/du gives v(H) = 2 u02,
+    whose u02-linear terms read off the Laurent quotient 2/u20.  The
+    multiply-back check refuses both, naming the field.
+    """
     good = prolong_module.jet_generators
-    monkeypatch.setattr(prolong_module, "jet_generators", lambda: good() + [y2])
-    with pytest.raises(ArithmeticError, match="bad"):
-        tangency_quotients()
+    for name, var in (("y2", Y), ("x2", X)):
+        bad = vf(name, phi=poly((1, {var: 2})))
+        monkeypatch.setattr(prolong_module, "jet_generators", lambda: good() + [bad])
+        with pytest.raises(ArithmeticError, match=f"for {name}$"):
+            tangency_quotients()
 
 
 def test_order2_symbolic_determinant():
@@ -137,32 +152,7 @@ def test_order2_symbolic_determinant():
 
 
 def test_order4_symbolic_determinant_vanishes():
-    m4 = order4_matrix_symbolic()
-    u20 = poly((1, {(2, 0): 1}))
-    cleared = []
-    for row in m4:
-        mx = max(pw for _, pw in row)
-        cleared.append([p_mul(num, p_pow(u20, mx - pw)) for num, pw in row])
-    assert det_poly_matrix(cleared) == {}
-
-
-def _rp_det(entries):
-    from parajet.prolong import _rp_add, _rp_mul
-
-    n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = ({}, 0)
-    for idx in range(n):
-        e = entries[0][idx]
-        if not e[0]:
-            continue
-        rest = _rp_det([[row[c] for c in range(n) if c != idx] for row in entries[1:]])
-        term = _rp_mul(e, rest)
-        if idx % 2 == 1:
-            term = (p_neg(term[0]), term[1])
-        acc = _rp_add(acc, term)
-    return acc
+    assert det_poly_matrix(order4_matrix_symbolic()) == {}
 
 
 def test_order4_minors_factor_and_never_vanish_together():
@@ -176,23 +166,22 @@ def test_order4_minors_factor_and_never_vanish_together():
 
     def minor(i, j):
         sub = [[m4[r][c] for c in range(6) if c != j - 1] for r in range(6) if r != i - 1]
-        return _rp_det(sub)
+        return _split(det_poly_matrix(sub))
 
     A = poly((1, {(2, 0): 1, (2, 1): 1}), (-1, {(1, 1): 1, (3, 0): 1}))
     B = poly((1, {(2, 0): 1, (3, 1): 1}), (-1, {(1, 1): 1, (4, 0): 1}))
     u20 = poly((1, {(2, 0): 1}))
     u10 = poly((1, {(1, 0): 1}))
     u30 = poly((1, {(3, 0): 1}))
-    br2 = p_add(
-        p_mul(p_add(poly((3, {(2, 0): 2})), poly((-5, {(1, 0): 1, (3, 0): 1}))), A),
-        p_scale(p_mul(p_mul(u10, u20), B), 2),
-    )
-    br3 = p_add(p_scale(p_mul(u30, A), -5), p_scale(p_mul(u20, B), 2))
-    got56 = minor(5, 6)
-    got66 = minor(6, 6)
-    assert got56[1] == 0 and got56[0] == p_scale(p_mul(p_mul(u20, A), br2), -18)
-    assert got66[1] == 0 and got66[0] == p_scale(p_mul(p_mul(u20, A), br3), -18)
-    assert p_sub(br2, p_mul(u10, br3)) == p_scale(p_mul(p_pow(u20, 2), A), 3)
+
+    def times(c, *factors):
+        return functools.reduce(p_mul, factors, poly((c, {})))
+
+    br2 = p_add(times(1, poly((3, {(2, 0): 2}), (-5, {(1, 0): 1, (3, 0): 1})), A), times(2, u10, u20, B))
+    br3 = p_add(times(-5, u30, A), times(2, u20, B))
+    assert minor(5, 6) == (times(-18, u20, A, br2), 0)
+    assert minor(6, 6) == (times(-18, u20, A, br3), 0)
+    assert p_sub(br2, p_mul(u10, br3)) == times(3, u20, u20, A)
     # and the printed bracket of the first minor closes the other elimination
     br1_printed = poly(
         (3, {(2, 0): 2, (2, 1): 2}),
@@ -202,7 +191,7 @@ def test_order4_minors_factor_and_never_vanish_together():
         (2, {(1, 1): 2, (2, 0): 1, (4, 0): 1}),
     )
     u11 = poly((1, {(1, 1): 1}))
-    assert p_add(br1_printed, p_mul(u11, br3)) == p_scale(p_mul(A, A), 3)
+    assert p_add(br1_printed, p_mul(u11, br3)) == times(3, A, A)
 
 
 def test_orbit_ranks_at_exact_jets():
@@ -239,13 +228,6 @@ def test_sa3_commutator_closure():
                     assert sum(e for _, e in mono) <= 1
 
 
-def test_divexact_raises_on_remainder():
-    import pytest
-
-    with pytest.raises(ArithmeticError):
-        p_divexact(poly((1, {(2, 0): 1})), poly((1, {(1, 1): 1})))
-
-
 def _laplace_det(rows):
     if not rows:
         return 1
@@ -276,6 +258,13 @@ def test_rank_exact_and_solve():
 
     sol = solve_linear_exact([[F(2), F(1)], [F(1), F(3)]], [F(4), F(7)])
     assert sol == [F(1), F(2)]
+
+
+def test_solve_linear_exact_refuses_a_singular_system():
+    from parajet.prolong import solve_linear_exact
+
+    with pytest.raises(ZeroDivisionError, match="singular linear system"):
+        solve_linear_exact([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
 
 
 @pytest.mark.parametrize(
