@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .invariants import (
+    DEFAULT_TOL,
     BranchError,
     aligned_jet,
     decide,
@@ -171,6 +172,19 @@ def _grid_zero(num: Poly2, low_degree: int, pt, tol: float, monoms) -> bool:
     return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
 
 
+def _in_float_range(num: Poly2, name: str) -> Poly2:
+    """``num`` for the zero tests, which weigh its magnitudes in floats; an exact coefficient
+    past the float range is refused, naming the numerator and its largest coefficient."""
+    if num.den is None:  # float magnitudes cannot overflow
+        return num
+    try:
+        num.magnitudes()
+    except OverflowError:
+        jk = max(num.terms, key=lambda key: abs(num.terms[key]))
+        raise ValueError(f"{name} numerator coefficient {jk} is past the float range of the zero tests") from None
+    return num
+
+
 def _tail_only(num: Poly2, low_degree: int, tol: float) -> bool:
     """True when :func:`_grid_zero` of ``num`` holds at every point without evaluating it.
 
@@ -197,7 +211,7 @@ def _require_finite(F: TruncatedSeries2, grid) -> None:
 def classify(
     F: TruncatedSeries2,
     sample_points: Optional[List[Tuple[object, object]]] = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> Classification:
     """Point type by Hessian rank; parabolic surfaces split by S and W.
 
@@ -206,9 +220,11 @@ def classify(
     is compared against the truncation-tail envelope of the corresponding
     numerator polynomial, and disagreement between the two criteria reports a
     mixed type instead of guessing.  A float series or grid jet that is not
-    finite raises :class:`OverflowError`.  A parabolic graph whose u_xx is
-    negligible is classified through its :func:`~parajet.invariants.aligned_jet`
-    axis swap, as in the closed forms and the loops.
+    finite raises :class:`OverflowError`; an exact numerator whose tail
+    leaves the float range raises :class:`ValueError` naming it.  A
+    parabolic graph whose u_xx is negligible is classified through its
+    :func:`~parajet.invariants.aligned_jet` axis swap, as in the closed
+    forms and the loops.
 
     Only the orders these tests read are built, so every result is that of
     the full computation.  The grid jets go to total degree 4, the most the
@@ -261,7 +277,7 @@ def classify(
         flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
         if flat_scale <= tol:
             types.append("flat")
-        elif Hfull is None or _grid_zero(Hfull, n - 2, pt, tol, h_terms(c)):
+        elif Hfull is None or _grid_zero(_in_float_range(Hfull, "Hessian"), n - 2, pt, tol, h_terms(c)):
             types.append("parabolic")
         else:
             types.append("elliptic" if to_float(invariant_H(c)) > 0 else "hyperbolic")
@@ -281,12 +297,12 @@ def classify(
         # the jet criterion decides (analyticity); when it says zero, every
         # grid value must stay inside the truncation-tail envelope, otherwise
         # the surface is of mixed type
-        capped = numerator(DerivativeView(P.capped(low + 2)))
+        capped = _in_float_range(numerator(DerivativeView(P.capped(low + 2))), name)
         if not _low_zero(capped, low, 1e3 * tol):
             return False
         if _tail_only(capped, low, tol):
             return True
-        full = numerator(G)
+        full = _in_float_range(numerator(G), name)  # every grid test sums its magnitudes
         if not all(_grid_zero(full, low, pt, tol, terms(c)) for pt, c in grid):
             raise MixedTypeError(f"{name} vanishes as a jet but not across the grid")
         return True

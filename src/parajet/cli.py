@@ -170,11 +170,7 @@ def cmd_normalize(args) -> int:
     except ValueError as exc:
         return _fail(str(exc), 1)
     normal = series_to_json(res.normal_series)
-    readings = {
-        k: (scalar_to_string(v) if v is not None else None)
-        for k, v in res.readings.items()
-        if not isinstance(v, dict)
-    }
+    readings = {k: (scalar_to_string(v) if v is not None else None) for k, v in res.readings.items()}
     return _emit(
         {
             "branch": res.branch,

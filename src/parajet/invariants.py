@@ -34,6 +34,8 @@ from .series import AffineTransform3, TruncatedSeries2, apply_affine
 
 Coord = Tuple[int, int]
 
+DEFAULT_TOL = 1e-9  # the zero-test tolerance of every branch decision
+
 
 class BranchError(ValueError):
     """Raised when the input sits outside the requested branch domain."""
@@ -52,7 +54,8 @@ NOT_GRAPH_ALIGNED = (
 # -- the deciding numerators ----------------------------------------------------
 # Each is written once, as its signed terms: their left-to-right sum is the
 # value and they scale the branch rule's zero test.  On a jets.DerivativeView
-# of a series.Poly2 the same functions give the numerator polynomial.
+# of a series.Poly2 the same functions give the numerator polynomial, and on
+# a mapping of prolong.Poly ring variables its jet-ring polynomial.
 
 
 def _total(terms):
@@ -630,7 +633,7 @@ def aligned_jet(c: Mapping[Coord, object], tol: float):
     return swap_axes(c)
 
 
-def surface_branch(c: Mapping[Coord, object], tol: float = 1e-9):
+def surface_branch(c: Mapping[Coord, object], tol: float = DEFAULT_TOL):
     """``(label, jet)`` of a filled surface jet: the one branch rule of both routes.
 
     In order: Flat (order < 2 or a negligible second-order part), Elliptic or
@@ -655,7 +658,7 @@ def surface_branch(c: Mapping[Coord, object], tol: float = 1e-9):
     return ("Cone[model]" if _vanishes(conic_terms(_x_jet(c)), tol) else "Cone"), c
 
 
-def evaluate_at_jet(c: Mapping[Coord, object], tol: float = 1e-9) -> InvariantReport:
+def evaluate_at_jet(c: Mapping[Coord, object], tol: float = DEFAULT_TOL) -> InvariantReport:
     """The branch of :func:`surface_branch` and the invariant values defined on it."""
     branch, aligned = surface_branch(c, tol)
     order = max(j + k for j, k in c)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List
 
-from .invariants import (  # the branch errors are re-exported from here
+from .invariants import (  # the branch errors and DEFAULT_TOL are re-exported from here
+    DEFAULT_TOL,
     AmbiguousBranchError,
     BranchError,
     decide,
@@ -70,9 +71,6 @@ def _snapped(F):
         key: snap(c, PIPELINE_BITS) if c.denominator.bit_length() > 2 * PIPELINE_BITS else c
         for key, c in F.coeffs.items()
     })
-
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass

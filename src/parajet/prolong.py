@@ -7,13 +7,16 @@ Variables of the jet polynomial ring are encoded as integer pairs:
 
 Curves are the ``k = 0`` slice of the same machinery.
 
-Exponents may be negative, so a ``Poly`` lives in the jet ring with u20
-inverted.  On the rank-one locus every u_{j,k} with k >= 2 is a Laurent
-polynomial in the independent coordinates with powers of u20 as the only
-denominators.  A prolonged coefficient is computed from the generator by
-total differentiation; push-forward to the rank-one jet locus substitutes
-every dependent u_{j,k} and splits the result into a (polynomial, least
-power of u20) pair.
+A :class:`Poly` is an element of that ring: a dict from monomials to
+nonzero rationals that carries its own ``+``, ``-``, unary ``-`` and ``*``,
+so formulas written for scalars (the deciding numerators of
+:mod:`parajet.invariants` among them) run on it unchanged.  Exponents may be
+negative, so the ring has u20 inverted.  On the rank-one locus every
+u_{j,k} with k >= 2 is a Laurent polynomial in the independent coordinates
+with powers of u20 as the only denominators.  A prolonged coefficient is
+computed from the generator by total differentiation; push-forward to the
+rank-one jet locus substitutes every dependent u_{j,k} and splits the
+result into a (polynomial, least power of u20) pair.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, List, Sequence, Tuple
 
+from .invariants import invariant_H
 from .scalars import to_float
 
 X = (-1, 0)
@@ -31,41 +35,49 @@ U = (0, 0)
 
 Var = Tuple[int, int]
 Monomial = Tuple[Tuple[Var, int], ...]
-Poly = Dict[Monomial, Fraction]
 
-ONE: Monomial = ()
-
-
-def poly(*terms) -> Poly:
-    """Build a polynomial from (coefficient, {var: exp}) terms."""
-    out: Poly = {}
-    for coeff, powers in terms:
-        mono = tuple(sorted((v, e) for v, e in powers.items() if e))
-        c = out.get(mono, Fraction(0)) + Fraction(coeff)
-        if c:
-            out[mono] = c
-        elif mono in out:
-            del out[mono]
-    return out
+_ZERO = Fraction(0)
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+class Poly(dict):
+    """A jet-ring polynomial {monomial: nonzero Fraction} with ``+``, ``-``, unary ``-`` and ``*``.
+
+    The right operand may be any monomial mapping, the read-only ones
+    :func:`prolong` returns among them, and ``*`` also takes a scalar on
+    either side.  A coefficient that sums to zero is dropped, so
+    ``a - a == {}``.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other) -> Poly:
+        return _sum(self, other.items())
+
+    def __sub__(self, other) -> Poly:
+        return _sum(self, ((m, -c) for m, c in other.items()))
+
+    def __neg__(self) -> Poly:
+        return Poly({m: -c for m, c in self.items()})
+
+    def __mul__(self, other) -> Poly:
+        if hasattr(other, "items"):  # not isinstance(other, Mapping), whose check slows the products
+            return _product(self, other)
+        return Poly({m: c * other for m, c in self.items()} if other else {})
+
+    def __rmul__(self, other) -> Poly:
+        return _product(other, self) if hasattr(other, "items") else self * other
+
+
+def _sum(a, terms) -> Poly:
+    """``a`` plus the (monomial, coefficient) pairs ``terms``, in that order."""
+    out = Poly(a)
+    for m, c in terms:
+        s = out.get(m, _ZERO) + c
         if s:
             out[m] = s
         elif m in out:
             del out[m]
     return out
-
-
-def p_neg(a: Poly) -> Poly:
-    return {m: -c for m, c in a.items()}
-
-
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_neg(b))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -75,43 +87,27 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(item for item in d.items() if item[1]))
 
 
-def p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            s = out.get(m, Fraction(0)) + c1 * c2
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-    return out
+def _product(a, b) -> Poly:
+    return _sum({}, ((_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()))
+
+
+def poly(*terms) -> Poly:
+    """Build a polynomial from (coefficient, {var: exp}) terms."""
+    pairs = ((tuple(sorted((v, e) for v, e in powers.items() if e)), Fraction(c)) for c, powers in terms)
+    return _sum({}, pairs)
 
 
 def p_diff(a: Poly, var: Var) -> Poly:
-    out: Poly = {}
+    out = Poly()
     for m, c in a.items():
-        d = dict(m)
-        e = d.get(var, 0)
-        if not e:
-            continue
-        if e == 1:
-            del d[var]
-        else:
-            d[var] = e - 1
-        mono = tuple(sorted(d.items()))
-        s = out.get(mono, Fraction(0)) + c * e
-        if s:
-            out[mono] = s
+        e = dict(m).get(var, 0)
+        if e:
+            out[_mono_mul(m, ((var, -1),))] = c * e
     return out
 
 
 def p_vars(a: Poly):
-    seen = set()
-    for m in a:
-        for v, _ in m:
-            seen.add(v)
-    return seen
+    return {v for m in a for v, _ in m}
 
 
 def p_eval(a: Poly, assignment):
@@ -127,20 +123,14 @@ def p_eval(a: Poly, assignment):
 
 def p_total_derivative(a: Poly, direction: str) -> Poly:
     """Formal D_x or D_y on the full jet polynomial ring."""
-    out: Poly = {}
+    out = Poly()
     for var in p_vars(a):
         da = p_diff(a, var)
-        if not da:
-            continue
-        if var == X:
-            shift = poly((1, {})) if direction == "x" else {}
-        elif var == Y:
-            shift = {} if direction == "x" else poly((1, {}))
-        else:
+        if var == (X if direction == "x" else Y):
+            out = out + da  # D_x x = D_y y = 1
+        elif var not in (X, Y):
             j, k = var
-            shift = poly((1, {(j + 1, k) if direction == "x" else (j, k + 1): 1}))
-        if shift:
-            out = p_add(out, p_mul(da, shift))
+            out = out + da * poly((1, {(j + 1, k) if direction == "x" else (j, k + 1): 1}))
     return out
 
 
@@ -148,22 +138,22 @@ def p_total_derivative(a: Poly, direction: str) -> Poly:
 class VectorField:
     """xi d/dx + eta d/dy + phi d/du with polynomial coefficients in (x, y, u)."""
 
-    xi: dict
-    eta: dict
-    phi: dict
+    xi: Poly
+    eta: Poly
+    phi: Poly
     name: str = ""
 
 
 def vf(name: str, xi=None, eta=None, phi=None) -> VectorField:
-    return VectorField(xi or {}, eta or {}, phi or {}, name)
+    return VectorField(Poly(xi or {}), Poly(eta or {}), Poly(phi or {}), name)
 
 
 def sa3_generators() -> List[VectorField]:
     """The 11 generators of the special affine algebra on (x, y, u)."""
     x, y, u = poly((1, {X: 1})), poly((1, {Y: 1})), poly((1, {U: 1}))
     return [
-        vf("v1", xi=x, phi=p_neg(u)),
-        vf("v2", eta=y, phi=p_neg(u)),
+        vf("v1", xi=x, phi=-u),
+        vf("v2", eta=y, phi=-u),
         vf("v3", xi=y),
         vf("v4", xi=u),
         vf("v5", eta=x),
@@ -184,7 +174,7 @@ def jet_generators() -> List[VectorField]:
 def sl2_curve_generators() -> List[VectorField]:
     x, u = poly((1, {X: 1})), poly((1, {U: 1}))
     return [
-        vf("v1", xi=x, phi=p_neg(u)),
+        vf("v1", xi=x, phi=-u),
         vf("v2", xi=u),
         vf("v3", phi=x),
     ]
@@ -203,18 +193,18 @@ def gl2_curve_generators() -> List[VectorField]:
 def lie_bracket(v: VectorField, w: VectorField) -> VectorField:
     """[v, w] componentwise on (x, y, u) coefficients."""
 
-    def apply(field: VectorField, target: dict) -> dict:
-        out: Poly = {}
+    def apply(field: VectorField, target: Poly) -> Poly:
+        out = Poly()
         for var, comp in ((X, field.xi), (Y, field.eta), (U, field.phi)):
             d = p_diff(target, var)
             if d and comp:
-                out = p_add(out, p_mul(comp, d))
+                out = out + comp * d
         return out
 
     return VectorField(
-        p_sub(apply(v, w.xi), apply(w, v.xi)),
-        p_sub(apply(v, w.eta), apply(w, v.eta)),
-        p_sub(apply(v, w.phi), apply(w, v.phi)),
+        apply(v, w.xi) - apply(w, v.xi),
+        apply(v, w.eta) - apply(w, v.eta),
+        apply(v, w.phi) - apply(w, v.phi),
         f"[{v.name},{w.name}]",
     )
 
@@ -242,20 +232,12 @@ def _prolong(v: VectorField, J: Tuple[int, int]) -> Poly:
     j, k = J
     if j + k < 1:
         raise ValueError("prolongation needs |J| >= 1")
-    q = p_sub(
-        v.phi,
-        p_add(
-            p_mul(v.xi, poly((1, {(1, 0): 1}))),
-            p_mul(v.eta, poly((1, {(0, 1): 1}))),
-        ),
-    )
+    q = v.phi - (v.xi * poly((1, {(1, 0): 1})) + v.eta * poly((1, {(0, 1): 1})))
     for _ in range(j):
         q = p_total_derivative(q, "x")
     for _ in range(k):
         q = p_total_derivative(q, "y")
-    q = p_add(q, p_mul(v.xi, poly((1, {(j + 1, k): 1}))))
-    q = p_add(q, p_mul(v.eta, poly((1, {(j, k + 1): 1}))))
-    return q
+    return q + v.xi * poly((1, {(j + 1, k): 1})) + v.eta * poly((1, {(j, k + 1): 1}))
 
 
 # -- symbolic rank-one substitutions -----------------------------------------
@@ -286,21 +268,21 @@ def _dependent(j: int, k: int) -> Poly:
 
 def _substitute_dependents(a: Poly) -> Poly:
     """Replace every u_{j,k} with k >= 2 by its rank-one substitution (x and y have k = 0, 1)."""
-    out: Poly = {}
+    out = Poly()
     for mono, c in a.items():
-        term: Poly = {tuple((v, e) for v, e in mono if v[1] < 2): c}
+        term = Poly({tuple((v, e) for v, e in mono if v[1] < 2): c})
         for v, e in mono:
             if v[1] >= 2:
                 for _ in range(e):
-                    term = p_mul(term, _dependent(*v))
-        out = p_add(out, term)
+                    term = term * _dependent(*v)
+        out = out + term
     return out
 
 
 def _split(a: Poly) -> RationalPoly:
     """A Laurent polynomial in u_{2,0} as (numerator, m), numerator / u_{2,0}^m, with m least."""
     m = max([0] + [-e for mono in a for v, e in mono if v == (2, 0)])
-    return {_mono_mul(mono, (((2, 0), m),)): c for mono, c in a.items()}, m
+    return Poly({_mono_mul(mono, (((2, 0), m),)): c for mono, c in a.items()}), m
 
 
 def rank_one_substitution(j: int, k: int) -> RationalPoly:
@@ -325,21 +307,23 @@ def parabolic_pushforward(phi: Poly) -> RationalPoly:
 def tangency_quotients() -> List[Poly]:
     """v_sigma(H)/H for the six non-trivial generators, H the Hessian determinant.
 
+    H is :func:`~parajet.invariants.invariant_H` on the ring variables.
+
     Each quotient q contains no u02, so the terms of v(H) linear in u02 are
     q u20 u02: q is read off them by multiplying with the monomial
     u20^-1 u02^-1 and checked by multiplying back.  The check is the only
     guard needed: u20 and u02 do not divide H, so a Laurent q with q H a
     polynomial is a polynomial.  A quotient that fails it signals a bug.
     """
-    H = p_sub(poly((1, {(2, 0): 1, (0, 2): 1})), poly((1, {(1, 1): 2})))
+    H = invariant_H({J: poly((1, {J: 1})) for J in [(2, 0), (1, 1), (0, 2)]})
     over_u20_u02 = poly((1, {(2, 0): -1, (0, 2): -1}))
     out = []
     for v in jet_generators():
-        applied: Poly = {}
+        applied = Poly()
         for J in [(2, 0), (1, 1), (0, 2)]:
-            applied = p_add(applied, p_mul(prolong(v, J), p_diff(H, J)))
-        q = p_mul({m: c for m, c in applied.items() if dict(m).get((0, 2)) == 1}, over_u20_u02)
-        if p_mul(q, H) != applied:
+            applied = applied + prolong(v, J) * p_diff(H, J)
+        q = Poly({m: c for m, c in applied.items() if dict(m).get((0, 2)) == 1}) * over_u20_u02
+        if q * H != applied:
             raise ArithmeticError(f"v(H) is not a multiple of H for {v.name}")
         out.append(q)
     return out
@@ -399,6 +383,9 @@ def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
 
 # -- the order-2 and order-4 rank stories -------------------------------------
 
+_ORDER2_BLOCK = ("v2", "v3", "v7", "v8", "w1", "w2", "w3")  # the generators of the 7x7 order-2 block
+
+
 def order2_matrix_symbolic() -> List[List[Poly]]:
     """The 7x7 block (v2, v3, v7, v8, w1, w2, w3) x (x, y, u, u10, u01, u20, u11).
 
@@ -407,7 +394,7 @@ def order2_matrix_symbolic() -> List[List[Poly]]:
     """
     gens = {g.name: g for g in sa3_generators()}
     out = []
-    for name in ["v2", "v3", "v7", "v8", "w1", "w2", "w3"]:
+    for name in _ORDER2_BLOCK:
         g = gens[name]
         row = [g.xi, g.eta, g.phi]
         for J in [(1, 0), (0, 1), (2, 0), (1, 1)]:
@@ -447,8 +434,7 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
     result = {"rank": rank_det_exact(rows)[0], "dim": 3 + 2 * order}
 
     if order == 2:
-        names = ["v2", "v3", "v7", "v8", "w1", "w2", "w3"]
-        block = [r for g, r in zip(gens, rows, strict=True) if g.name in names]
+        block = [r for g, r in zip(gens, rows, strict=True) if g.name in _ORDER2_BLOCK]
         result["det7"] = rank_det_exact(block)[1]
     if order == 4:
         # the last six columns: u20, u11, u30, u21, u40, u31
@@ -482,14 +468,13 @@ def det_poly_matrix(entries: List[List[Poly]]) -> Poly:
         key = cols
         if key in cache:
             return cache[key]
-        acc: Poly = {}
+        acc = Poly()
         for idx, col in enumerate(cols):
             e = entries[row][col]
             if not e:
                 continue
-            rest = minor(cols[:idx] + cols[idx + 1 :], row + 1)
-            term = p_mul(e, rest)
-            acc = p_add(acc, term if idx % 2 == 0 else p_neg(term))
+            term = e * minor(cols[:idx] + cols[idx + 1 :], row + 1)
+            acc = acc + term if idx % 2 == 0 else acc - term
         cache[key] = acc
         return acc
 

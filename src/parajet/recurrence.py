@@ -127,8 +127,7 @@ def _solve_mc_at_frame(branch: str, res: NormalFormResult) -> MaurerCartan:
     phantoms = _branch_phantoms(branch, res)
     q = parabolic_jet_of_series(res.normal_series)
     A, (rhs1, rhs2), (K1, K2) = _cramer(phantoms, _frame_point(q.filled(q.order)))
-    readings = {k: v for k, v in res.readings.items() if not isinstance(v, dict)}
-    return MaurerCartan(res.branch, K1, K2, A, rhs1, rhs2, readings)
+    return MaurerCartan(res.branch, K1, K2, A, rhs1, rhs2, dict(res.readings))
 
 
 def mc_closed_form(branch: str, W=None, M=None, I51=None, X=None, Y=None):
@@ -437,7 +436,7 @@ def cone_symmetry_fields():
     x = poly((1, {VAR_X: 1}))
     u = poly((1, {VAR_U: 1}))
     one_minus_y = poly((1, {}), (-1, {VAR_Y: 1}))
-    e1 = vf("e1", xi={m: -c for m, c in u.items()}, eta=x)
+    e1 = vf("e1", xi=-u, eta=x)
     e2 = vf("e2", xi=one_minus_y, phi=x)
     e3 = vf("e3", eta=one_minus_y, phi=u)
     return e1, e2, e3

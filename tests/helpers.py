@@ -3,7 +3,7 @@
 from typing import List
 
 from parajet.normalize import DEFAULT_TOL, normalize_parabolic_surface
-from parajet.prolong import Poly, jet_generators, p_mul, p_vars, parabolic_pushforward, poly, prolong
+from parajet.prolong import Poly, jet_generators, p_vars, parabolic_pushforward, poly, prolong
 from parajet.scalars import to_float
 from parajet.series import TruncatedSeries2
 
@@ -21,7 +21,7 @@ def order4_matrix_symbolic() -> List[List[Poly]]:
     """Pushed-forward coefficients of v1..v6 on the order-4 jet block, each num u20^-m as one Laurent polynomial."""
     cols = [(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1)]
     pushed = [[parabolic_pushforward(prolong(v, J)) for J in cols] for v in jet_generators()]
-    return [[p_mul(num, poly((1, {(2, 0): -m}))) for num, m in row] for row in pushed]
+    return [[num * poly((1, {(2, 0): -m})) for num, m in row] for row in pushed]
 
 
 def equivalent_surfaces(

@@ -561,3 +561,12 @@ def test_an_exact_cone_with_a_tail_past_the_float_range_classifies():
     # grid test's float envelope cannot hold; their low parts are exactly zero
     g = realize_graph(Cone(TruncatedSeries1(8, {2: F(1, 2), 3: F(-1, 3), 7: F(10**150)})), 8)
     assert classify(g).developable_kind == "cone"
+
+
+def test_an_exact_hessian_past_the_float_range_is_refused_by_name():
+    # u = x^2 + y^2 + 10^160 (x^8 + y^8) is elliptic; its Hessian polynomial holds 3136 10^320 x^6 y^6
+    big = F(math.factorial(8) * 10**160)
+    g = TruncatedSeries2(8, {(2, 0): F(2), (0, 2): F(2), (8, 0): big, (0, 8): big})
+    message = r"^Hessian numerator coefficient \(6, 6\) is past the float range of the zero tests$"
+    with pytest.raises(ValueError, match=message):
+        classify(g)

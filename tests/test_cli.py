@@ -324,6 +324,24 @@ def test_classify_refuses_a_family_that_overflows_the_float_range(capsys):
     assert "float arithmetic overflowed" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "j, numerator, key",
+    [(8, "fourth-order invariant", (15, 1)), (6, "slope invariant", (6, 1))],
+    ids=["grid-test", "jet-test"],
+)
+def test_classify_names_an_exact_numerator_coefficient_past_the_float_range(capsys, j, numerator, key):
+    # exact tangential families (a2 c3 - a3 c2 = 3/4) with a_j = 10^200: with j = 8 the tail of the W numerator
+    # the grid test reads leaves the float range, with j = 6 the low part of the S numerator the jet test reads
+    a = json.dumps([0, 0, 1, "1/2", 0, 0, 0, 0, 0][:j] + [str(10**200)] + [0] * (8 - j))
+    args = ["classify", "--family", "tangential", "--a", a, "--c", '[0, 0, "1/2", 1]', "--order", "8"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == f"{numerator} numerator coefficient {key} is past the float range of the zero tests"
+    assert "exact rationals" not in error
+
+
 def test_verify_has_no_tolerance_option(capsys):
     code, out, _ = run_cli(["verify", "--suite", "oracle", "--tol", "1"], capsys)
     assert code == 2

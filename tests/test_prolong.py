@@ -1,11 +1,14 @@
 import functools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 import parajet.prolong as prolong_module
+from parajet.invariants import invariant_H, s_numerator, w_numerator
 from parajet.prolong import (
+    Poly,
     X,
     _prolong,
     _split,
@@ -15,10 +18,7 @@ from parajet.prolong import (
     lie_bracket,
     orbit_rank,
     order2_matrix_symbolic,
-    p_add,
     p_eval,
-    p_mul,
-    p_sub,
     parabolic_pushforward,
     poly,
     prolong,
@@ -73,18 +73,14 @@ def test_pushforward_printed_entries():
     gens = {g.name: g for g in sa3_generators()}
     assert parabolic_pushforward(prolong(gens["v5"], (1, 1))) == (poly((-1, {(1, 1): 2})), 1)
     expected_521 = (
-        p_add(poly((-4, {(1, 1): 1, (2, 1): 1, (2, 0): 1})), poly((2, {(1, 1): 2, (3, 0): 1}))),
+        poly((-4, {(1, 1): 1, (2, 1): 1, (2, 0): 1})) + poly((2, {(1, 1): 2, (3, 0): 1})),
         2,
     )
     assert parabolic_pushforward(prolong(gens["v5"], (2, 1))) == expected_521
     expected_621 = (
-        p_add(
-            p_add(
-                poly((-4, {(1, 0): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1})),
-                poly((2, {(1, 0): 1, (1, 1): 2, (3, 0): 1})),
-            ),
-            p_add(poly((-3, {(1, 1): 2, (2, 0): 2})), poly((-2, {(2, 1): 1, (0, 1): 1, (2, 0): 2}))),
-        ),
+        poly((-4, {(1, 0): 1, (1, 1): 1, (2, 1): 1, (2, 0): 1}))
+        + poly((2, {(1, 0): 1, (1, 1): 2, (3, 0): 1}))
+        + (poly((-3, {(1, 1): 2, (2, 0): 2})) + poly((-2, {(2, 1): 1, (0, 1): 1, (2, 0): 2}))),
         2,
     )
     assert parabolic_pushforward(prolong(gens["v6"], (2, 1))) == expected_621
@@ -119,6 +115,42 @@ def test_substitutions_and_pushforwards_are_in_least_terms():
 def test_prolongation_refuses_the_zeroth_order():
     with pytest.raises(ValueError, match=r"prolongation needs \|J\| >= 1"):
         prolong(sa3_generators()[0], (0, 0))
+
+
+def test_jet_ring_operators_evaluate_as_their_values():
+    # prolonged coefficients with |J| <= 4 as ring elements; the right operand stays read-only
+    rng = random.Random(30)
+    coefficients = [prolong(g, (j, n - j)) for g in sa3_generators() for n in range(1, 5) for j in range(n + 1)]
+    for _ in range(40):
+        a, b = Poly(rng.choice(coefficients)), rng.choice(coefficients)
+        jet = {(j, k): rand_rational(rng) for j in range(6) for k in range(6 - j)}
+        values = {X: rand_rational(rng), Y: rand_rational(rng), **jet}
+        va, vb = p_eval(a, values), p_eval(b, values)
+        results = {
+            "a + b": (a + b, va + vb),
+            "a - b": (a - b, va - vb),
+            "-a": (-a, -va),
+            "a * b": (a * b, va * vb),
+            "b * a": (b * a, vb * va),
+            "3 * a": (3 * a, 3 * va),
+            "a / 3": (a * Fraction(1, 3), va / 3),
+        }
+        for name, (p, value) in results.items():
+            assert isinstance(p, Poly) and all(p.values()), name
+            assert p_eval(p, values) == value, name
+        assert a - a == {}
+
+
+def test_deciding_numerators_run_on_the_jet_ring():
+    ring = {J: poly((1, {J: 1})) for J in [(2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (4, 0), (3, 1)]}
+    numerators = {f: f(ring) for f in (invariant_H, s_numerator, w_numerator)}
+    # the H whose multiples tangency_quotients reads
+    assert numerators[invariant_H] == poly((1, {(2, 0): 1, (0, 2): 1}), (-1, {(1, 1): 2}))
+    rng = random.Random(31)
+    for _ in range(10):
+        jet = {J: rand_rational(rng) for J in ring}
+        for f, p in numerators.items():
+            assert isinstance(p, Poly) and p_eval(p, jet) == f(jet), f.__name__
 
 
 def test_tangency_quotients_printed():
@@ -175,13 +207,13 @@ def test_order4_minors_factor_and_never_vanish_together():
     u30 = poly((1, {(3, 0): 1}))
 
     def times(c, *factors):
-        return functools.reduce(p_mul, factors, poly((c, {})))
+        return functools.reduce(operator.mul, factors, poly((c, {})))
 
-    br2 = p_add(times(1, poly((3, {(2, 0): 2}), (-5, {(1, 0): 1, (3, 0): 1})), A), times(2, u10, u20, B))
-    br3 = p_add(times(-5, u30, A), times(2, u20, B))
+    br2 = times(1, poly((3, {(2, 0): 2}), (-5, {(1, 0): 1, (3, 0): 1})), A) + times(2, u10, u20, B)
+    br3 = times(-5, u30, A) + times(2, u20, B)
     assert minor(5, 6) == (times(-18, u20, A, br2), 0)
     assert minor(6, 6) == (times(-18, u20, A, br3), 0)
-    assert p_sub(br2, p_mul(u10, br3)) == times(3, u20, u20, A)
+    assert br2 - u10 * br3 == times(3, u20, u20, A)
     # and the printed bracket of the first minor closes the other elimination
     br1_printed = poly(
         (3, {(2, 0): 2, (2, 1): 2}),
@@ -191,7 +223,7 @@ def test_order4_minors_factor_and_never_vanish_together():
         (2, {(1, 1): 2, (2, 0): 1, (4, 0): 1}),
     )
     u11 = poly((1, {(1, 1): 1}))
-    assert p_add(br1_printed, p_mul(u11, br3)) == times(3, A, A)
+    assert br1_printed + u11 * br3 == times(3, A, A)
 
 
 def test_orbit_ranks_at_exact_jets():
@@ -215,9 +247,9 @@ def test_sa3_commutator_closure():
     b = lie_bracket(gens["v7"], gens["v4"])
     # [x du, u dx] = x dx - u du, which is the first scaling generator
     v1 = gens["v1"]
-    assert p_sub(b.xi, v1.xi) == {}
-    assert p_sub(b.eta, v1.eta) == {}
-    assert p_sub(b.phi, v1.phi) == {}
+    assert b.xi - v1.xi == {}
+    assert b.eta - v1.eta == {}
+    assert b.phi - v1.phi == {}
     # and every pairwise bracket stays degree <= 1 (the algebra closes)
     names = ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "w1", "w2", "w3"]
     for n1 in names:
