@@ -13,6 +13,7 @@ jet-coefficient criterion at the base point, and reports its witnesses.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -148,41 +149,38 @@ class MixedTypeError(ValueError):
     pass
 
 
-def _low_zero(num: Poly2, low_degree: int, tol: float) -> bool:
+def _low_zero(mags: dict, low_degree: int, tol: float) -> bool:
     # monomial magnitudes, measured against a near-low window: these graphs
     # may have small convergence radii, so the far tail grows geometrically
     # and must not set the scale of the zero test
-    mags = num.magnitudes()
     scale = max([1.0] + [v for (j, k), v in mags.items() if j + k <= low_degree + 2])
     return all(v <= tol * scale for (j, k), v in mags.items() if j + k <= low_degree)
 
 
-def _tail_envelope(num: Poly2, low_degree: int, pt) -> float:
+def _tail_envelope(mags: dict, low_degree: int, pt) -> float:
     hx, hy = abs(to_float(pt[0])), abs(to_float(pt[1]))
     total = 0.0
-    for (j, k), v in num.magnitudes().items():
+    for (j, k), v in mags.items():
         if j + k > low_degree:
             total += v * hx**j * hy**k
     return total
 
 
-def _grid_zero(num: Poly2, low_degree: int, pt, tol: float, monoms) -> bool:
+def _grid_zero(num: Poly2, mags: dict, low_degree: int, pt, tol: float, monoms) -> bool:
+    """|num(pt)| within tol of the jet's monomials plus twice the envelope of the tail of ``mags``, num's magnitudes."""
     value = num.eval(pt[0], pt[1])
     scale = max([0.0] + [abs(to_float(m)) for m in monoms])
-    return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(num, low_degree, pt)
+    return abs(to_float(value)) <= tol * (1.0 + scale) + 2.0 * _tail_envelope(mags, low_degree, pt)
 
 
-def _in_float_range(num: Poly2, name: str) -> Poly2:
-    """``num`` for the zero tests, which weigh its magnitudes in floats; an exact coefficient
-    past the float range is refused, naming the numerator and its largest coefficient."""
-    if num.den is None:  # float magnitudes cannot overflow
-        return num
+def _magnitudes(num: Poly2, name: str) -> dict:
+    """``num.magnitudes()``, taken once per numerator for the zero tests, which weigh them in floats;
+    an exact coefficient past the float range is refused, naming the numerator and its largest coefficient."""
     try:
-        num.magnitudes()
+        return num.magnitudes()
     except OverflowError:
         jk = max(num.terms, key=lambda key: abs(num.terms[key]))
         raise ValueError(f"{name} numerator coefficient {jk} is past the float range of the zero tests") from None
-    return num
 
 
 def _tail_only(num: Poly2, low_degree: int, tol: float) -> bool:
@@ -270,6 +268,7 @@ def classify(
         (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt, upto=4)).values) for pt in sample_points
     ]
     _require_finite(F, grid)
+    hessian_mags = functools.cache(lambda: _magnitudes(Hfull, "Hessian"))  # at the first grid test that reads them
 
     # point type across the grid
     types = []
@@ -277,7 +276,7 @@ def classify(
         flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
         if flat_scale <= tol:
             types.append("flat")
-        elif Hfull is None or _grid_zero(_in_float_range(Hfull, "Hessian"), n - 2, pt, tol, h_terms(c)):
+        elif Hfull is None or _grid_zero(Hfull, hessian_mags(), n - 2, pt, tol, h_terms(c)):
             types.append("parabolic")
         else:
             types.append("elliptic" if to_float(invariant_H(c)) > 0 else "hyperbolic")
@@ -290,20 +289,21 @@ def classify(
     if n < 4:
         raise ValueError(f"classifying a parabolic point needs a series of order >= 4, got {n}")
     aligned_jet(c0, tol)  # raises on a jet aligned with neither axis
-    if Hfull is not None and not _low_zero(Hfull, n - 2, 1e3 * tol):
+    if Hfull is not None and not _low_zero(hessian_mags(), n - 2, 1e3 * tol):
         raise MixedTypeError("Hessian vanishes on the grid but not as a jet")
 
     def vanishes(numerator, terms, low: int, name: str) -> bool:
         # the jet criterion decides (analyticity); when it says zero, every
         # grid value must stay inside the truncation-tail envelope, otherwise
         # the surface is of mixed type
-        capped = _in_float_range(numerator(DerivativeView(P.capped(low + 2))), name)
-        if not _low_zero(capped, low, 1e3 * tol):
+        capped = numerator(DerivativeView(P.capped(low + 2)))
+        if not _low_zero(_magnitudes(capped, name), low, 1e3 * tol):
             return False
         if _tail_only(capped, low, tol):
             return True
-        full = _in_float_range(numerator(G), name)  # every grid test sums its magnitudes
-        if not all(_grid_zero(full, low, pt, tol, terms(c)) for pt, c in grid):
+        full = numerator(G)
+        mags = _magnitudes(full, name)  # every grid test sums them
+        if not all(_grid_zero(full, mags, low, pt, tol, terms(c)) for pt, c in grid):
             raise MixedTypeError(f"{name} vanishes as a jet but not across the grid")
         return True
 

@@ -10,7 +10,8 @@ loops, is composed when read.  Loops are exact up to the run's first root and
 snapped to the 2^-PIPELINE_BITS grid after it.  From the first inexact root
 on they run in certified fixed point, each output coefficient within
 2^-PIPELINE_BITS of the exact image of the loop's input under its recorded
-transform (see :mod:`parajet.series`).
+transform (see :mod:`parajet.series`), and the series passes from loop to
+loop as integer numerators over 2^PIPELINE_BITS.
 
 Branch tree for surfaces, on the label of
 :func:`parajet.invariants.surface_branch` at the base point (Elliptic and
@@ -49,6 +50,7 @@ from .scalars import cbrt, cbrt_frac, snap, sqrt_frac, to_float
 from .series import (
     AffineTransform3,
     CurveTransform2,
+    GridSeries,
     Poly2,
     TruncatedSeries1,
     TruncatedSeries2,
@@ -66,7 +68,11 @@ PIPELINE_BITS = 128
 
 
 def _snapped(F):
-    """The exact series (either class) with long-denominator coefficients snapped to the pipeline grid."""
+    """The exact series (either class) with long-denominator coefficients snapped to the pipeline grid.
+
+    Only exactly rooted runs and the exact fallback of a certified loop need it: a certified loop's
+    output lies on the grid already.
+    """
     return type(F)(F.order, {
         key: snap(c, PIPELINE_BITS) if c.denominator.bit_length() > 2 * PIPELINE_BITS else c
         for key, c in F.coeffs.items()
@@ -91,15 +97,25 @@ class _Run:
     """One normalization: the series, its loop transforms (the identity first) and the step notes.
 
     Roots are taken only through :meth:`root`.  From the first one on, :meth:`loop`
-    snaps; from the first inexact one on, its loops run in certified fixed point.
+    snaps; from the first inexact one on, its loops run in certified fixed point and
+    the series is held as a :class:`GridSeries`, or snapped where a certificate
+    failed and the exact kernel ran.  ``run[key]`` reads one coefficient, ``run.G``
+    the whole series.
     """
 
     def __init__(self, F):
         self.curve = isinstance(F, TruncatedSeries1)
-        self.G = type(F)(F.order, {key: Fraction(c) for key, c in F.coeffs.items()})  # exact lift
+        self.F = type(F)(F.order, {key: Fraction(c) for key, c in F.coeffs.items()})  # exact lift
         self.loops = [CurveTransform2.identity() if self.curve else AffineTransform3.identity()]
         self.steps: List[str] = []
         self.rooted = self.approximated = False
+
+    def __getitem__(self, key):
+        return self.F[key]
+
+    @property
+    def G(self):
+        return self.F.series() if isinstance(self.F, GridSeries) else self.F
 
     def root(self, fn, x):
         """``fn`` (:func:`cbrt_frac` or :func:`sqrt_frac`) of x at the pipeline precision."""
@@ -112,16 +128,17 @@ class _Run:
         """Apply and record T; T None means the coefficient is already normal, and the note stands."""
         if T is not None:
             grid = PIPELINE_BITS if self.approximated else None
-            G = apply_affine_curve(self.G, T, grid) if self.curve else apply_affine(self.G, T, grid)
-            self.G = _snapped(G) if self.rooted else G
+            G = apply_affine_curve(self.F, T, grid) if self.curve else apply_affine(self.F, T, grid)
+            self.F = _snapped(G) if self.rooted and not isinstance(G, GridSeries) else G
             self.loops.append(T)
         self.steps.append(note)
 
     def result(self, branch: str, readings: Dict[str, object]) -> NormalFormResult:
         """The run's normal form; a curve's readings start with its coefficients G2, G3, ..."""
+        G = self.G
         if self.curve:
-            readings = {**{f"G{i}": self.G[i] for i in range(2, self.G.order + 1)}, **readings}
-        return NormalFormResult(branch, self.G, self.loops, readings, self.steps)
+            readings = {**{f"G{i}": G[i] for i in range(2, G.order + 1)}, **readings}
+        return NormalFormResult(branch, G, self.loops, readings, self.steps)
 
 
 # -- curves -------------------------------------------------------------------
@@ -130,18 +147,18 @@ class _Run:
 def _curve_prenormalize(F: TruncatedSeries1, tol: float) -> _Run:
     """Kill F0 (translation) and F1 (shear u -> u - F1 x); require F2 != 0."""
     run = _Run(F)
-    if run.G[0] != 0:
-        run.loop(CurveTransform2(f=run.G[0]), "translate graph to the origin")  # u = v + F0
-    if run.G[1] != 0:
-        run.loop(CurveTransform2(c=run.G[1]), "shear away the first-order term")  # u = F1 y + v
-    if decide(run.G[2], [1.0, *run.G.coeffs.values()], tol):
+    if run[0] != 0:
+        run.loop(CurveTransform2(f=run[0]), "translate graph to the origin")  # u = v + F0
+    if run[1] != 0:
+        run.loop(CurveTransform2(c=run[1]), "shear away the first-order term")  # u = F1 y + v
+    if decide(run[2], [1.0, *run.G.coeffs.values()], tol):
         raise BranchError("flat curve: second-order coefficient vanishes")
     return run
 
 
 def _kill_g3(run: _Run):
     """Loop 2 of both curve groups: a unipotent shear kills G3."""
-    g3 = run.G[3]
+    g3 = run[3]
     T2 = CurveTransform2(a=1, b=-g3 / 3, d=1) if g3 != 0 else None
     run.loop(T2, "unipotent shear kills the third-order term")
 
@@ -154,7 +171,7 @@ def normalize_curve_sl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     """
     run = _curve_prenormalize(F, tol)
     # loop 1: scale so that G2 = 1 (real cube root keeps this total on F2 < 0)
-    a = 1 / run.root(cbrt_frac, run.G[2])
+    a = 1 / run.root(cbrt_frac, run[2])
     run.loop(CurveTransform2(a=a, d=1 / a), "volume-preserving scaling makes the second-order term 1")
     _kill_g3(run)
     return run.result("sl2-curve", {})
@@ -168,13 +185,13 @@ def normalize_curve_gl2(F: TruncatedSeries1, tol: float = DEFAULT_TOL) -> Normal
     absolute invariant.
     """
     run = _curve_prenormalize(F, tol)
-    if to_float(run.G[2]) < 0:
+    if to_float(run[2]) < 0:
         # half-turn pins the residual sign freedom; every reading below is
         # invariant under it, so closed forms and pipeline agree
         run.loop(CurveTransform2(a=-1, d=-1), "half-turn makes the second-order term positive")
     scale = max([1.0] + [abs(to_float(c)) for c in run.G.coeffs.values()])
     # loop 1: G2 := 1 with diag(1, F2)
-    run.loop(CurveTransform2(a=1, d=run.G[2]), "vertical scaling makes the second-order term 1")
+    run.loop(CurveTransform2(a=1, d=run[2]), "vertical scaling makes the second-order term 1")
     _kill_g3(run)
     G = run.G
     if F.order < 4 or decide(G[4], (scale,), tol):
@@ -290,9 +307,9 @@ def normalize_parabolic_surface(
     when read), and the invariant readings.
     """
     run = _Run(F)
-    if run.G[(0, 0)] != 0:
-        run.loop(AffineTransform3(w=run.G[(0, 0)]), "translate the graph to the origin")
-    f10, f01 = run.G[(1, 0)], run.G[(0, 1)]
+    if run[(0, 0)] != 0:
+        run.loop(AffineTransform3(w=run[(0, 0)]), "translate the graph to the origin")
+    f10, f01 = run[(1, 0)], run[(0, 1)]
     if f10 != 0 or f01 != 0:
         run.loop(AffineTransform3(p=f10, q=f01), "transvection kills the first-order terms")
     base = jets_of_series(run.G).values
@@ -305,13 +322,13 @@ def normalize_parabolic_surface(
     if c is not base:
         # swap the horizontal axes: x = t', y = -s' keeps the volume form; a
         # relabelling of the coefficients, so it is recorded without a solve
-        run.G = TruncatedSeries2(run.G.order, swap_axes(run.G.coeffs))
+        run.F = TruncatedSeries2(run.F.order, swap_axes(run.F.coeffs))
         run.loops.append(AffineTransform3(a=Fraction(0), b=Fraction(1), k=Fraction(-1), l=Fraction(0)))
         run.steps.append("swap horizontal axes so that u_xx != 0")
     _check_parabolic(run.G, tol)
 
     # loop 1: G20 := 1, G11 := 0
-    f20, f11 = run.G[(2, 0)], run.G[(1, 1)]
+    f20, f11 = run[(2, 0)], run[(1, 1)]
     c3 = run.root(cbrt_frac, f20)
     T1 = AffineTransform3(a=1 / c3, b=-f11 / f20, r=c3)
     run.loop(T1, "scale and shear: second-order terms become s^2/2")
@@ -319,17 +336,17 @@ def normalize_parabolic_surface(
         return _cylinder_branch(run, tol)
 
     # loop 2: G21 := 1, G30 := 0
-    f21, f30 = run.G[(2, 1)], run.G[(3, 0)]
+    f21, f30 = run[(2, 1)], run[(3, 0)]
     r3 = run.root(cbrt_frac, f21)
     T2 = AffineTransform3(a=r3, k=-f30 / (3 * r3 * r3), l=1 / f21, r=r3 * r3)
     run.loop(T2, "scalings and shear: third-order terms become s^2 t / 2")
 
     # loop 3: G40 := 0
-    g40 = run.G[(4, 0)]
+    g40 = run[(4, 0)]
     T3 = AffineTransform3(m=-g40 / 6) if g40 != 0 else None
     run.loop(T3, "vertical transvection kills the pure fourth-order term")
 
-    W = run.G[(3, 1)]
+    W = run[(3, 1)]
     readings: Dict[str, object] = {"W": W}
     if branch == "order-too-low":
         return run.result(branch, readings)
@@ -337,7 +354,7 @@ def normalize_parabolic_surface(
         return _cone_branch(run, readings, tol, branch)
 
     # generic branch, loop 4: G41 := 0
-    c = run.G[(4, 1)] / (2 * W)
+    c = run[(4, 1)] / (2 * W)
     T4 = AffineTransform3(c=c, k=-c, m=2 * c * W / 3 - c * c / 2)
     run.loop(T4, "residual shear kills the (4,1) coefficient")
     G = run.G

@@ -362,11 +362,19 @@ def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
 
 
 def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
-    """Solve a square system over Fractions, floats or ``Sens`` (pivots chosen by value)."""
-    n = len(b)
-    if len(a) != n or any(len(row) != n for row in a):
+    """Solve a square system over Fractions, floats or ``Sens`` (pivots chosen by value).
+
+    ``b`` is one right-hand side, or a list of them (each a list or tuple), and
+    then the solutions come back as a list: every column rides along in one
+    elimination, with the pivots and the operations it would see alone.
+    """
+    many = bool(b) and isinstance(b[0], (list, tuple))
+    cols = b if many else [b]
+    n = len(cols[0])
+    if len(a) != n or any(len(row) != n for row in a) or any(len(c) != n for c in cols):
         raise ValueError(f"expected {n} rows of {n} entries for {n} right-hand sides")
-    m = [list(a[i]) + [b[i]] for i in range(n)]
+    m = [list(a[i]) + [c[i] for c in cols] for i in range(n)]
+    width = n + len(cols)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(to_float(m[r][col])))
         if m[piv][col] == 0:
@@ -376,9 +384,10 @@ def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col] / pv
-                for cidx in range(col, n + 1):
+                for cidx in range(col, width):
                     m[r][cidx] -= f * m[col][cidx]
-    return [m[i][n] / m[i][i] for i in range(n)]
+    sols = [[m[i][n + j] / m[i][i] for i in range(n)] for j in range(len(cols))]
+    return sols if many else sols[0]
 
 
 # -- the order-2 and order-4 rank stories -------------------------------------

@@ -85,11 +85,12 @@ def _frame_point(coords: Mapping[Coord, object]) -> Dict[object, object]:
 def _phantom_system(gens, phantoms, values, shifts):
     """Rows A, right sides and solutions of the phantom Cramer systems A K_i = -(I_{J+e_i})_J.
 
-    Row J holds the prolonged generators at ``values``; one system per shift e_i.
+    Row J holds the prolonged generators at ``values``; one right side per shift e_i, all solved in one
+    elimination of A.
     """
     A = [[p_eval(prolong(g, J), values) for g in gens] for J in phantoms]
     rhs = [[-values[(j + dj, k + dk)] for (j, k) in phantoms] for dj, dk in shifts]
-    return A, rhs, [solve_linear_exact(A, b) for b in rhs]
+    return A, rhs, solve_linear_exact(A, rhs) if rhs else []
 
 
 def _cramer(phantoms, values):

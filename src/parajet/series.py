@@ -41,48 +41,71 @@ The module also provides affine transforms of graphs: an
 :class:`AffineTransform3` holds the *inverse* substitution (source
 coordinates as functions of target coordinates), and :func:`apply_affine`
 produces the graphing series of the transformed surface in one graded pass
-per kernel.  :func:`series3_from_bivariate_in_linear` substitutes the two
-linear forms by Horner in the first over cached powers of the second, and
+per kernel.  Two kernels serve its regimes.
+
+Exact and generic coefficients (no ``grid``):
+:func:`series3_from_bivariate_in_linear` substitutes the two linear forms by
+Horner in the first over cached powers of the second, and
 :func:`solve_implicit` solves the fundamental equation degree by degree from
 cached homogeneous parts of the powers of the graph (Brent & Kung 1978).
-Both kernels work in monomial convention inside, so no binomial weight
-enters an inner loop.  Exact inputs stay on integer numerators from the
-substitution to the solve: the substitution runs on integers over one
-denominator, the fundamental equation is homogeneous so that denominator
-drops out, and the solve reduces each homogeneous part once per degree and
-builds one ``Fraction`` per output coefficient.  Other coefficients run the
-same loops on the scalars, with factorials divided out on entry and put
-back on exit as before, so float and ``Sens`` results are unchanged to the
-bit.  The trivariate series between the two kernels, :class:`_Series3`, is a
-plain record: integer numerators over one denominator when exact or fixed
-point, factorial-convention scalars otherwise.  Phi = phi - u is assembled
-once for every regime; each only brings the affine part u to phi's terms.
+Both work in monomial convention inside, so no binomial weight enters an
+inner loop.  Exact inputs stay on integer numerators from the substitution
+to the solve: the substitution runs on integers over one denominator, the
+fundamental equation is homogeneous so that denominator drops out, and the
+solve reduces each homogeneous part once per degree and builds one
+``Fraction`` per output coefficient.  Other coefficients run the same loops
+on the scalars, with factorials divided out on entry and put back on exit,
+so float and ``Sens`` results keep their bits.  The trivariate series
+between the two, :class:`_Series3`, is a plain record: integer numerators
+over one denominator when exact, factorial-convention scalars otherwise.
+Phi = phi - u is assembled once; each regime only brings the affine part u
+to phi's terms.
+
+The certified fixed-point regime (``grid``, the rooted normalization loops):
+:func:`substitute_on_grid` expands F(a s + b t + c v, k s + l t + m v) as
+sum_k v^k E_k(a s + b t, k s + l t), E_k = (c d/dx + m d/dy)^k F / k! built
+one directional-derivative step per k, and applies the (s, t) map by at most
+two binomial passes; :func:`solve_on_grid` solves by Horner in G,
+K_c = phi_c + G K_(c+1), built online degree by degree.  Phi is kept sparse:
+a term is stored only where some product reaches it.  A Phi free of v (c = m
+= 0) builds no K: G = -phi_0 / phi_v, part by part.  Between loops the
+series travels as a :class:`GridSeries`, its numerators on the grid.
 
 Every normalization loop after the transvection solves for a graph that
 starts at degree 2: the re-centred F has no linear terms and u no s or t
-term.  Phi then carries valuation 2.  The substitution gives v weight 2
-(s and t weigh 1) and builds Phi only to weight n, and the solve starts at
-degree 2 and builds (G^c)_e only for e >= 2c.  Each term left out would
-only have multiplied a part of G's powers that is exactly zero, so exact and
-fixed-point values are the same integers and every error radius, a sum of
-maxima over the factors kept, can only shrink.  Any other Phi has valuation
-1 and runs in full.
+term.  Phi then carries valuation 2.  Both substitutions give v weight 2 (s
+and t weigh 1) and build Phi only to weight n.  Both solves start at degree
+2; the exact one builds (G^c)_e only for e >= 2c, the Horner one (K_c)_e
+only for e <= n - 2c.  Each term left out would only have multiplied a part
+of G that is exactly zero, so exact and fixed-point values are the same
+integers and every error radius can only shrink.  Any other Phi has
+valuation 1 and runs in full.
 
 Precision rule of the normalization loops: a loop whose run has taken an
-inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  Its
-exact F and T are rounded away from zero to integers X standing for X / 2^B,
-B = g + ``FIXED_GUARD`` (within one ulp, and zero only where the exact value
-is), and the same substitution and solve run on them, shifting right by B
-after each step's products.  Every intermediate polynomial or homogeneous
-part carries one integer error radius r in ulps of 2^-B, bounding every
-coefficient's distance from the exact one.  A product (XY) >> B adds ((|X| + rX) rY + (|Y| + rY) rX) >> B,
-plus 2 (one ulp for rounding the bound, one for the shift); sums of products
-add the per-pair bounds and shift once.  Dividing a residual R by the
-v-derivative P, with |P| > rP certified, adds
-(rR |P| + |R| rP) 2^B / ((|P| - rP) |P|), plus 1.  Each output coefficient
+inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  F's
+monomial coefficients are rounded away from zero to integers X standing for
+X / 2^B, B = g + ``FIXED_GUARD`` (within one ulp, and zero only where the
+exact value is), and the transform's factors (C and M for c and m, and the
+binomial entries C(q, u) kappa^u lam^(q-u)) to 2^-B' with B' = B +
+``FACTOR_GUARD``.  Every intermediate polynomial or homogeneous part carries
+one integer error radius r in ulps of 2^-B, bounding every coefficient's
+distance from the exact one:
+
+* a derivative step ((a+1) C X + (b+1) M Y) // (k 2^B') and a binomial sum
+  (sum X K) >> B' add, coefficient by coefficient, the sum over their
+  products of |X| rC + |C| rX + rX rC, over the divisor, plus 2 (one ulp for
+  rounding the bound, one for the floor); the part's radius is the largest;
+* u's coefficients, rounded to 2^-B, add their radius (1, or 0 where exact)
+  to Phi's parts;
+* a product (XY) >> B of two parts adds ((|X| + rX) rY + (|Y| + rY) rX) >> B,
+  plus 2; sums of products add the per-pair bounds and shift once;
+* dividing a residual R by the v-derivative P, with |P| > rP certified, adds
+  (rR |P| + |R| rP) 2^B / ((|P| - rP) |P|), plus 1.
+
+A part with no term is exactly zero, of radius 0.  Each output coefficient
 G_jk = j! k! g_jk is certified when r j! k! <= 2^(B - g - 2): it is then
-within 2^-(g+2) of the exact image before and 2^-g after rounding it to the
-grid.  Where the certificate fails, the exact kernel runs instead.
+within 2^-(g+2) of the exact image before and 2^-g after rounding it half up
+to the grid.  Where the certificate fails, the exact kernel runs instead.
 """
 
 from __future__ import annotations
@@ -95,18 +118,15 @@ from typing import Dict, Tuple
 from .scalars import is_exact, scalar_from_string, scalar_to_string, to_float
 
 FIXED_GUARD = 256  # fixed-point fraction bits beyond the output grid
+FACTOR_GUARD = 64  # fraction bits of the transform's factors beyond the coefficients' 2^-B
 
 
-def _fixed(x, bits: int, m: int = 1) -> int:
-    """Exact x / m in ulps of 2^-bits, rounded away from zero: within one ulp, and 0 only for x = 0."""
-    p, q = x.as_integer_ratio()
-    v = -((-abs(p) << bits) // (q * m))
-    return v if p >= 0 else -v
-
-
-def _err(X: int, rX: int, Y: int, rY: int) -> int:
-    """Bound on |xy - XY| at scale 2^2B for |X|, |Y| bounds on the magnitudes and rX, rY the radii."""
-    return (X + rX) * rY + (Y + rY) * rX
+def _fixed_ratio(p: int, q: int, bits: int):
+    """(X, r): p / q in ulps of 2^-bits rounded away from zero, so 0 only for p = 0; r = 0 where exact, else 1."""
+    v, rem = divmod(abs(p) << bits, q)
+    if rem:
+        v += 1
+    return (v if p >= 0 else -v), int(rem != 0)
 
 
 def _integer_form(coeffs: dict):
@@ -419,25 +439,19 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
 class _Series3:
     """Internal trivariate truncated series in (s, t, v): a plain record.
 
-    ``terms`` maps (i, j, k) to a coefficient.  Exact and fixed-point series
-    hold monomial coefficients as integer numerators over one denominator
-    ``den``; a fixed-point one has den 2^B, an error ``radius`` in ulps of
-    2^-B and keeps its zero terms (a lacking key is zero).  Otherwise ``den``
-    is None and ``terms`` are factorial-convention scalars.  ``valuation``
-    is the least degree of the graph it is solved for, 1 or 2, and the
-    weight of v in its truncation: s^i t^j v^k is kept to i + j + valuation k <= order.
+    ``terms`` maps (i, j, k) to a coefficient.  An exact series holds
+    monomial coefficients as integer numerators over one denominator ``den``.
+    Otherwise ``den`` is None and ``terms`` are factorial-convention scalars.
+    ``valuation`` is the least degree of the graph it is solved for, 1 or 2,
+    and the weight of v in its truncation: s^i t^j v^k is kept to
+    i + j + valuation k <= order.
     """
 
-    __slots__ = ("order", "terms", "den", "radius", "valuation")
+    __slots__ = ("order", "terms", "den", "valuation")
 
-    def __init__(
-        self, order: int, terms: dict | None = None, den: int | None = None, radius: int | None = None,
-        valuation: int = 1,
-    ):
-        self.order, self.den, self.radius, self.valuation = order, den, radius, valuation
-        self.terms = {
-            key: c for key, c in (terms or {}).items() if sum(key) <= order and (c != 0 or radius is not None)
-        }
+    def __init__(self, order: int, terms: dict | None = None, den: int | None = None, valuation: int = 1):
+        self.order, self.den, self.valuation = order, den, valuation
+        self.terms = {key: c for key, c in (terms or {}).items() if sum(key) <= order and c != 0}
 
 
 def _weighed(P: dict, vw: int, room: int) -> list:
@@ -460,9 +474,7 @@ def _times_linear(P: dict, form, cap: int, vw: int, top: int) -> dict:
     return out
 
 
-def series3_from_bivariate_in_linear(
-    F: TruncatedSeries2, xs, ys, order: int, fixed: int | None = None, tangent: bool = False
-) -> _Series3:
+def series3_from_bivariate_in_linear(F: TruncatedSeries2, xs, ys, order: int, tangent: bool = False) -> _Series3:
     """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0.
 
     ``xs`` and ``ys`` are 4-tuples (coef_s, coef_t, coef_v, constant).  The
@@ -488,40 +500,24 @@ def series3_from_bivariate_in_linear(
     least common denominator D and L1, L2 over their own, qx and qy; with
     f_ab scaled by qx^(order-a) qy^(order-b) the same Horner pass runs on
     integers and yields the monomial numerators over D qx^order qy^order.
-    With ``fixed`` = B (exact input, no constant parts) it runs on fixed-point
-    integers instead, shifting each power and Horner step back by B once, and
-    returns them over 2^B with their error radius (module docstring).
     """
     Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
     vw = 2 if tangent and Fc[(1, 0)] == 0 and Fc[(0, 1)] == 0 else 1
-    n, B = order, fixed or 0
+    n = order
     fact = [math.factorial(i) for i in range(n + 1)]
     lx, ly, den = xs[:3], ys[:3], None
-    if fixed:
-        f = {(a, b): _fixed(c, B, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
-        lx, ly = [_fixed(c, B) for c in lx], [_fixed(c, B) for c in ly]
-    else:
-        f = {(a, b): _over(c, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
-        forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
-        if None not in forms:
-            (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
-            f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
-            lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
-    # y_pows[b] = L2^b, of weight <= wy b, with its magnitude and radius; f and the forms have radius 1
-    y_pows, mags, radii, wy = [{(0, 0, 0): 1 << B}], [1 << B], [0], vw if ly[2] else 1
+    f = {(a, b): _over(c, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
+    forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
+    if None not in forms:
+        (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
+        f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
+        lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
+    # y_pows[b] = L2^b, of weight <= wy b
+    y_pows, wy = [{(0, 0, 0): 1}], vw if ly[2] else 1
     for _ in range(max((b for _, b in f), default=0)):
-        P = _times_linear(y_pows[-1], ly, n, vw, wy * (len(y_pows) - 1))
-        if fixed:
-            radii.append((sum(_err(abs(c), 1, mags[-1], radii[-1]) for c in ly if c) >> B) + 2)
-            P = {key: c >> B for key, c in P.items()}
-            mags.append(max(map(abs, P.values()), default=0))
-        y_pows.append(P)
-    R, r = {}, 0
+        y_pows.append(_times_linear(y_pows[-1], ly, n, vw, wy * (len(y_pows) - 1)))
+    R = {}
     for a in range(n, -1, -1):
-        if fixed:
-            mr = max(map(abs, R.values()), default=0)
-            err = sum(_err(abs(c), 1, mr, r) for c in lx if c)
-            err += max((_err(abs(f[a, b]), 1, mags[b], radii[b]) for b in range(n - a + 1) if (a, b) in f), default=0)
         R = _times_linear(R, lx, n - a, vw, n - a - 1)
         for b in range(n - a + 1):
             fab = f.get((a, b))
@@ -531,10 +527,6 @@ def series3_from_bivariate_in_linear(
                 x = fab * c
                 prev = R.get(key)
                 R[key] = x if prev is None else prev + x
-        if fixed:
-            R, r = {key: c >> B for key, c in R.items()}, (err >> B) + 2
-    if fixed:
-        return _Series3(n, R, 1 << B, r, vw)
     if den is not None:
         return _Series3(n, R, den, valuation=vw)
     return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()}, valuation=vw)
@@ -570,25 +562,13 @@ def _sum_of_products(init: dict, pairs, exact: bool):
     return den, out
 
 
-def _fixed_sum(r0: int, init: dict, pairs, bits: int, m: int):
-    """(radius, init + sum of A B) on fixed-point parts (radius, {power of s: X}), shifted once.
-
-    Each pair adds sA rB + sB rA + m rA rB at scale 2^2B: s sums magnitudes, m >= pairs per coefficient.
-    """
-    out, err = {j: x << bits for j, x in init.items()}, r0 << bits
-    for (ra, A), (rb, B) in pairs:
-        _times_homogeneous(A, B, out)
-        err += sum(map(abs, A.values())) * rb + sum(map(abs, B.values())) * ra + m * ra * rb
-    return (err >> bits) + 2, {j: x >> bits for j, x in out.items()}
-
-
 def _reduced(den: int, nums: dict):
     """(den, nums) over the least common denominator of the fractions nums[j] / den."""
     g = math.gcd(den, *nums.values())
     return (den, nums) if g == 1 else (den // g, {j: x // g for j, x in nums.items()})
 
 
-def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 | None:
+def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     """The unique G(s,t), G(0,0)=0, with Phi(s,t,G(s,t)) = 0 to truncation order.
 
     Degree-graded solve in monomial convention (Brent & Kung 1978).  Write
@@ -613,22 +593,16 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
     term pair.  Factorial-convention scalars (float, ``Fraction``, mixed or
     ``Sens``) run the same loops in the same order.  At order 0 there is
     nothing to solve: G = 0.
-
-    A fixed-point Phi runs the same loops on its integers, each part with its
-    radius, and returns G rounded to the 2^-grid grid, or None where
-    phi_v(0) or an output is not certified (module docstring).
     """
-    n, terms, rphi, B, w = Phi.order, Phi.terms, Phi.radius, (Phi.den or 1).bit_length() - 1, Phi.valuation
+    n, terms, w = Phi.order, Phi.terms, Phi.valuation
     if terms.get((0, 0, 0), 0) != 0:
         raise ValueError("Phi must vanish at the origin")
     if n == 0:
         return TruncatedSeries2(0, {})
     pv = terms.get((0, 0, 1), 0)
-    if rphi is not None and abs(pv) <= rphi:
-        return None
     if pv == 0 or (not is_exact(pv) and abs(pv) < 1e-12):
         raise ValueError("implicit solve needs a nonvanishing v-derivative at the origin")
-    exact = Phi.den is not None and rphi is None
+    exact = Phi.den is not None
     fact = [math.factorial(i) for i in range(n + 1)]
     if Phi.den is None:
         terms = {(a, b, c): _over(x, fact[a] * fact[b] * fact[c]) for (a, b, c), x in terms.items()}
@@ -638,31 +612,21 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
         if (a, b, c) != (0, 0, 1):
             phi.setdefault(c, {}).setdefault(a + b, {})[a] = x
     vmax = max(max(phi, default=0), 1)
-    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den or radius, coefficients)
+    # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den, coefficients)
     powers: Dict[int, Dict[int, tuple]] = {c: {} for c in range(1, vmax + 1)}
     out: Dict[Tuple[int, int], object] = {}
     for d in range(w, n + 1):
         for c in range(2, min(d // w, vmax) + 1):
             pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(w, d - w * (c - 1) + 1)]
-            part = _sum_of_products({}, pairs, exact) if rphi is None else _fixed_sum(0, {}, pairs, B, n + 1)
+            part = _sum_of_products({}, pairs, exact)
             powers[c][d] = _reduced(*part) if exact else part
         pairs = [
-            ((1 if rphi is None else rphi, h), powers[c][d - e])
+            ((1, h), powers[c][d - e])
             for c in range(1, vmax + 1)
             for e, h in phi.get(c, {}).items()
             if d - e in powers[c]
         ]
-        init = phi.get(0, {}).get(d, {})
-        if rphi is not None:
-            r, residual = _fixed_sum(rphi, init, pairs, B, n + 1)
-            apv = abs(pv)
-            r = -(-((r * apv + max(map(abs, residual.values()), default=0) * rphi) << B) // ((apv - rphi) * apv)) + 1
-            powers[1][d] = (r, {j: (-x << B) // pv for j, x in residual.items()})
-            for j, x in powers[1][d][1].items():
-                fac = fact[j] * fact[d - j]
-                out[(j, d - j)] = (x * fac, r * fac)
-            continue
-        den, residual = _sum_of_products(init, pairs, exact)
+        den, residual = _sum_of_products(phi.get(0, {}).get(d, {}), pairs, exact)
         if not exact:
             powers[1][d] = (1, {j: -x / pv for j, x in residual.items() if x != 0})
             for j, x in powers[1][d][1].items():
@@ -672,36 +636,27 @@ def solve_implicit(Phi: _Series3, grid: int | None = None) -> TruncatedSeries2 |
         den, part = powers[1][d] = _reduced(den * abs(pv), {j: sign * x for j, x in residual.items() if x})
         for j, x in part.items():
             out[(j, d - j)] = Fraction(x * (fact[j] * fact[d - j]), den)
-    if rphi is None:
-        return TruncatedSeries2(n, out)
-    if any(r > 1 << (B - grid - 2) for _, r in out.values()):
-        return None
-    half = B - grid - 1  # round half up to the grid
-    return TruncatedSeries2(n, {jk: Fraction(((x >> half) + 1) >> 1, 1 << grid) for jk, (x, _) in out.items()})
+    return TruncatedSeries2(n, out)
 
 
 _MISSES_ORIGIN = "transformed graph misses the target origin; adjust the translation"
 
 
-def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = None):
+def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict):
     """The graph v = G(s, t) of F(L1, L2) = u(s, t, v), L1, L2 the linear forms xs, ys.
 
     ``axis`` holds the coefficients of the affine function u at the keys
     (0,0,0), (1,0,0), (0,1,0) and (0,0,1).  Phi = phi - u is assembled once;
-    each regime only brings u to phi's terms.  With ``grid`` phi is in fixed
-    point, u is rounded onto its grid and G comes back on the 2^-grid grid;
-    where its certificate fails the exact kernel runs.  An exact phi and u are
-    brought over one lcm, which then drops out.  Otherwise u is subtracted as
-    it is from the factorial-convention scalars, an exact phi read as
-    ``Fraction``s first.
+    each regime only brings u to phi's terms.  An exact phi and u are brought
+    over one lcm, which then drops out.  Otherwise u is subtracted as it is
+    from the factorial-convention scalars, an exact phi read as ``Fraction``s
+    first.
     """
-    n, B = F.order, None if grid is None else grid + FIXED_GUARD
-    phi = series3_from_bivariate_in_linear(F, xs, ys, n, B, axis[(1, 0, 0)] == 0 and axis[(0, 1, 0)] == 0)
-    terms, den, radius = dict(phi.terms), phi.den, phi.radius
-    form = _integer_form(axis) if den is not None and radius is None else None
-    if radius is not None:
-        u, radius = {key: _fixed(c, B) for key, c in axis.items()}, radius + 1
-    elif form is not None:
+    n = F.order
+    phi = series3_from_bivariate_in_linear(F, xs, ys, n, axis[(1, 0, 0)] == 0 and axis[(0, 1, 0)] == 0)
+    terms, den = dict(phi.terms), phi.den
+    form = _integer_form(axis) if den is not None else None
+    if form is not None:
         da = form[0] or 1
         lcm = math.lcm(den, da)
         if lcm != den:
@@ -718,8 +673,286 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict, grid: int | None = Non
     c0 = terms.pop((0, 0, 0), 0)
     if c0 != 0 and (is_exact(c0) or abs(c0) > 1e-9):
         raise ValueError(_MISSES_ORIGIN)
-    G = solve_implicit(_Series3(n, terms, den, radius, phi.valuation), grid)
-    return G if G is not None else _solve_graph(F, xs, ys, axis)
+    return solve_implicit(_Series3(n, terms, den, phi.valuation))
+
+
+# -- the certified fixed-point kernel of the rooted normalization loops --------
+
+
+class GridSeries:
+    """A series on the 2^-bits grid held as integer numerators: coefficient ``nums[key] / 2^bits``.
+
+    ``kind`` is the series class it stands for, and ``nums`` holds its nonzero
+    numerators under that class's keys.  The certified loops of
+    :func:`apply_affine` read and return these, so a run of them builds a
+    ``Fraction`` only for a coefficient read by indexing and for the whole
+    series through :meth:`series` (or ``coeffs``) once.
+    """
+
+    __slots__ = ("kind", "order", "nums", "bits", "_series")
+
+    def __init__(self, kind, order: int, nums: dict, bits: int):
+        self.kind, self.order, self.nums, self.bits, self._series = kind, order, nums, bits, None
+
+    def __getitem__(self, key):
+        N = self.nums.get(key)
+        return 0 if N is None else Fraction(N, 1 << self.bits)
+
+    def series(self):
+        """The same series as an instance of ``kind``, built once."""
+        if self._series is None:
+            one = 1 << self.bits
+            self._series = self.kind(self.order, {key: Fraction(N, one) for key, N in self.nums.items()})
+        return self._series
+
+    @property
+    def coeffs(self) -> dict:
+        return self.series().coeffs
+
+    def y_free(self) -> "GridSeries":
+        return GridSeries(TruncatedSeries2, self.order, {(j, 0): N for j, N in self.nums.items()}, self.bits)
+
+    def x_profile(self) -> "GridSeries":
+        return GridSeries(TruncatedSeries1, self.order, {j: N for (j, k), N in self.nums.items() if k == 0}, self.bits)
+
+
+def _binomial_table(kappa, lam, top: int, bits: int) -> list:
+    """Rows q <= top of entries (u, K, rK, |K| + 2 rK): K = C(q, u) kappa^u lam^(q-u) in ulps of 2^-bits, rK its radius.
+
+    Each power of kappa and lam is divided once at ``bits``, toward zero; a
+    product of two is within |Qk| + |Ql| + 3 of the exact one at 2^-2bits,
+    and C(q, u) times that, shifted, bounds rK.  A row leaves out the
+    entries that are exactly zero, the powers of a zero kappa or lam.
+    """
+    def powers(x):
+        p, q = x.as_integer_ratio()
+        out, num, den = [], 1, 1
+        for i in range(top + 1 if p else 1):
+            out.append((-1 if p < 0 and i % 2 else 1) * ((abs(num) << bits) // den))
+            num, den = num * p, den * q
+        return out
+
+    pk, pl = powers(kappa), powers(lam)
+    table = []
+    for q in range(top + 1):
+        row = []
+        for u in range(max(0, q - len(pl) + 1), min(q, len(pk) - 1) + 1):
+            a, b, C = pk[u], pl[q - u], math.comb(q, u)
+            K, rK = (C * a * b) >> bits, ((C * (abs(a) + abs(b) + 3)) >> bits) + 2
+            row.append((u, K, rK, abs(K) + 2 * rK))
+        table.append(row)
+    return table
+
+
+def _shear_on_grid(parts: dict, r: int, table: list, gbits: int):
+    """(radius, parts) after y := kappa x + lam y, on homogeneous parts {degree: {power of x: X}} of radius r.
+
+    Output coefficient x^(p + u) of degree e sums X_p K[e - p][u], the table's
+    entries at ``gbits`` fraction bits, and shifts once.  Its error is at most
+    the sum of |X| rK + r (|K| + 2 rK) over its terms, before the shift, taken
+    coefficient by coefficient; the radius is the largest, shifted, plus 2.
+    """
+    out, worst = {}, 0
+    for e, part in parts.items():
+        acc: dict = {}
+        for p, X in part.items():
+            aX = abs(X)
+            for u, K, rK, cK in table[e - p]:
+                prev = acc.get(p + u)
+                if prev is None:
+                    acc[p + u] = [X * K, aX * rK, cK]
+                else:
+                    prev[0] += X * K
+                    prev[1] += aX * rK
+                    prev[2] += cK
+        out[e] = {p: x >> gbits for p, (x, _, _) in acc.items()}
+        worst = max([worst, *(ex + r * ek for _, ex, ek in acc.values())])
+    return (worst >> gbits) + 2, out
+
+
+def _reflected(parts: dict) -> dict:
+    """Homogeneous parts with the two variables exchanged."""
+    return {e: {e - p: X for p, X in part.items()} for e, part in parts.items()}
+
+
+def _taylor_on_grid(f: dict, n: int, c, m, vw: int, bits: int) -> list:
+    """[(radius, E_k)]: E_k = (c d/dx + m d/dy)^k F / k! in monomial fixed point, to degree n - vw k.
+
+    E_0 = f, of radius 1.  Each coefficient of E_k is
+    ((a+1) C E[a+1, b] + (b+1) M E[a, b+1]) // (k 2^gbits) for C and M the
+    direction at gbits = bits + FACTOR_GUARD fraction bits, one rounding;
+    its error is at most (a+1) (|E| rC + |C| r + r rC) + (b+1) (...) over
+    k 2^gbits, plus one.  A v-free direction gives E_0 alone.
+    """
+    gbits = bits + FACTOR_GUARD
+    (C, rc), (M, rm) = (_fixed_ratio(*x.as_integer_ratio(), gbits) for x in (c, m))
+    out = [(1, f)]
+    if not (C or M):
+        return out
+    for k in range(1, n // vw + 1):
+        r, E = out[-1]
+        top, div = n - vw * k, k << gbits
+        keys = dict.fromkeys(
+            [(a - 1, b) for a, b in E if a and C and a + b <= top + 1]
+            + [(a, b - 1) for a, b in E if b and M and a + b <= top + 1]
+        )
+        new, worst = {}, 0
+        for a, b in keys:
+            acc = err = 0
+            X = E.get((a + 1, b)) if C else None
+            if X is not None:
+                acc += (a + 1) * (C * X)
+                err += (a + 1) * (abs(X) * rc + (abs(C) + rc) * r)
+            X = E.get((a, b + 1)) if M else None
+            if X is not None:
+                acc += (b + 1) * (M * X)
+                err += (b + 1) * (abs(X) * rm + (abs(M) + rm) * r)
+            new[(a, b)] = acc // div
+            worst = max(worst, err)
+        out.append((worst // div + 2, new))
+    return out
+
+
+class _GridPhi:
+    """Phi for the grid kernel: ``parts[c]`` = (radius, {degree: {power of s: X}}), v^c's coefficient at 2^-bits."""
+
+    __slots__ = ("order", "parts", "bits", "valuation")
+
+    def __init__(self, order: int, parts: list, bits: int, valuation: int):
+        self.order, self.parts, self.bits, self.valuation = order, parts, bits, valuation
+
+
+def substitute_on_grid(f: dict, n: int, T: "AffineTransform3", bits: int, valuation: int) -> _GridPhi:
+    """Phi = sum_k v^k E_k(a s + b t, k s + l t) - (p s + q t + r v) on fixed-point monomials f of F.
+
+    E_k is :func:`_taylor_on_grid`'s, kept to weight n with v of weight
+    ``valuation``.  The (s, t) map runs as at most two binomial passes,
+    x := alpha s + beta y and then y := k s + l t, with beta = b / l; when l
+    is 0 and b is not, x and y are exchanged first.  u's coefficients are
+    rounded to the grid and add their radius to Phi's v^0 and v^1 parts.
+    """
+    a, b, c, k, l, m = T.a, T.b, T.c, T.k, T.l, T.m
+    if l == 0 and b != 0:
+        f = {(j, i): X for (i, j), X in f.items()}
+        a, b, c, k, l, m = k, l, m, a, b, c
+    beta = Fraction(b) / Fraction(l) if b else 0
+    alpha, gbits = a - beta * k, bits + FACTOR_GUARD
+    tables = [
+        (flip, _binomial_table(kappa, lam, n, gbits))
+        for flip, kappa, lam in ((True, beta, alpha), (False, k, l))
+        if (kappa, lam) != (0, 1)
+    ]
+    parts = []
+    for r, E in _taylor_on_grid(f, n, c, m, valuation, bits):
+        P: Dict[int, dict] = {}
+        for (i, j), X in E.items():
+            P.setdefault(i + j, {})[i] = X
+        for flip, table in tables:
+            r, P = _shear_on_grid(_reflected(P) if flip else P, r, table, gbits)
+            P = _reflected(P) if flip else P
+        parts.append((r, P))
+    for c, e, j, x in ((0, 1, 1, T.p), (0, 1, 0, T.q), (1, 0, 0, T.r)):
+        X, rx = _fixed_ratio(*(-x).as_integer_ratio(), bits)
+        if X:
+            parts += [(0, {})] * (c + 1 - len(parts))
+            r, P = parts[c]
+            part = P.setdefault(e, {})
+            part[j] = part.get(j, 0) + X
+            parts[c] = (r + rx, P)
+    return _GridPhi(n, parts, bits, valuation)
+
+
+def _fixed_sum(r0: int, init: dict, pairs, bits: int, m: int):
+    """(radius, init + sum of A B) on fixed-point parts (radius, {power of s: X}), shifted once.
+
+    Each pair adds sA rB + sB rA + m rA rB at scale 2^2B: s sums magnitudes, m >= pairs per coefficient.
+    Without pairs it is init itself; an empty part is exactly zero, of radius 0.
+    """
+    pairs = [(a, b) for a, b in pairs if a[1] and b[1]]
+    if not pairs:
+        return (r0 if init else 0), init
+    out, err = {j: x << bits for j, x in init.items()}, r0 << bits
+    for (ra, A), (rb, B) in pairs:
+        _times_homogeneous(A, B, out)
+        err += sum(map(abs, A.values())) * rb + sum(map(abs, B.values())) * ra + m * ra * rb
+    return (err >> bits) + 2, {j: x >> bits for j, x in out.items()}
+
+
+def _quotient(R: tuple, pv: int, rpv: int, bits: int):
+    """(radius, -R / pv) on a fixed-point part R = (rR, {power of s: X}), |pv| > rpv certified.
+
+    Adds (rR |pv| + |R| rpv) 2^B / ((|pv| - rpv) |pv|), plus one for the floor.
+    """
+    (rR, part), apv = R, abs(pv)
+    if not part:
+        return 0, part
+    top = max(map(abs, part.values()))
+    r = -(-((rR * apv + top * rpv) << bits) // ((apv - rpv) * apv)) + 1
+    return r, {j: (-x << bits) // pv for j, x in part.items()}
+
+
+def solve_on_grid(Phi: _GridPhi):
+    """G's homogeneous parts {degree: (radius, {power of s: X})} from Phi, or None where phi_v(0) is not certified.
+
+    Horner in G: K_c = phi_c + G K_(c+1), and the residual phi_0 + G K_1 at
+    degree d, less its phi_v(0) G_d term, gives G_d = -residual / phi_v(0).
+    [K_c]_e is built at degree d = e + c w, w the valuation, from G_i with
+    i <= e < d: G starts at degree w and each G factor raises the degree by
+    at least w.  A v-free Phi (phi_1 = phi_v(0), no higher power of v) builds
+    no K and no product: G = -phi_0 / phi_v(0), part by part.
+    """
+    n, B, w = Phi.order, Phi.bits, Phi.valuation
+    parts = Phi.parts + [(0, {})] * (2 - len(Phi.parts))
+    (r0, phi0), (r1, phi1) = parts[:2]
+    pv = phi1.get(0, {}).get(0, 0)
+    if abs(pv) <= r1:
+        return None
+    vmax = len(parts) - 1
+    K: list = [{} for _ in range(vmax + 2)]
+    G: dict = {}
+    for d in range(w, n + 1):
+        for c in range(vmax, 0, -1):
+            e = d - c * w
+            if e >= (1 if c == 1 else 0):
+                rc, P = parts[c]
+                pairs = [(G[i], K[c + 1][e - i]) for i in range(w, e + 1) if e - i in K[c + 1]]
+                K[c][e] = _fixed_sum(rc, P.get(e, {}), pairs, B, n + 1)
+        pairs = [(G[i], K[1][d - i]) for i in range(w, d) if d - i in K[1]]
+        G[d] = _quotient(_fixed_sum(r0, phi0.get(d, {}), pairs, B, n + 1), pv, r1, B)
+    return G
+
+
+def _grid_image(F, T: "AffineTransform3", grid: int):
+    """The image of u = F under T on the 2^-grid grid as a :class:`GridSeries`, or None where not certified.
+
+    F is a bivariate series or a :class:`GridSeries` of one; its monomial
+    coefficients are rounded to 2^-B, B = grid + FIXED_GUARD, radius 1.  A
+    certified coefficient G_jk = j! k! g_jk, r j! k! <= 2^(B - grid - 2), is
+    rounded half up to the grid.
+    """
+    n, B = F.order, grid + FIXED_GUARD
+    coeffs, shift = (F.nums, B - F.bits) if isinstance(F, GridSeries) else (F.coeffs, B)
+    if coeffs.get((0, 0), 0) != 0:
+        raise ValueError(_MISSES_ORIGIN)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    f = {}
+    for (a, b), c in coeffs.items():
+        p, q = c.as_integer_ratio()
+        f[(a, b)] = _fixed_ratio(p, q * fact[a] * fact[b], shift)[0]
+    tangent = T.p == 0 and T.q == 0 and (1, 0) not in f and (0, 1) not in f
+    G = solve_on_grid(substitute_on_grid(f, n, T, B, 2 if tangent else 1))
+    if G is None:
+        return None
+    limit, half, out = 1 << (B - grid - 2), B - grid - 1, {}
+    for d, (r, part) in G.items():
+        for j, x in part.items():
+            fac = fact[j] * fact[d - j]
+            if r * fac > limit:
+                return None
+            N = ((x * fac >> half) + 1) >> 1  # round half up to the grid
+            if N:
+                out[(j, d - j)] = N
+    return GridSeries(TruncatedSeries2, n, out, grid)
 
 
 @dataclass(frozen=True)
@@ -808,7 +1041,7 @@ class AffineTransform3:
         return AffineTransform3()
 
 
-def apply_affine(F: TruncatedSeries2, T: AffineTransform3, grid: int | None = None) -> TruncatedSeries2:
+def apply_affine(F, T: AffineTransform3, grid: int | None = None):
     """Graphing series of the transformed surface {u = F} under T (inverse form).
 
     Assembles Phi(s,t,v) = -(p s + q t + r v + w) + F(a s + b t + c v + d, ...)
@@ -816,21 +1049,28 @@ def apply_affine(F: TruncatedSeries2, T: AffineTransform3, grid: int | None = No
     the target origin, i.e. Phi(0,0,0) = 0.  Exact F and T run on integer
     numerators from the substitution through the solve, or edit the affine
     part, G = F - (p s + q t + w), when T's linear part is the identity.
-    With ``grid`` (exact F and T, no translation) G comes back on the 2^-grid
-    grid within 2^-grid of the exact image (module docstring).
+    F may also be a :class:`GridSeries`.  With ``grid`` (exact F and T, no
+    translation) the certified fixed-point kernel returns G as a
+    :class:`GridSeries` on the 2^-grid grid, within 2^-grid of the exact
+    image; where its certificate fails, the exact image comes back instead
+    (module docstring).
     """
+    if grid is not None:
+        assert not (T.d or T.n or T.w), "no fixed-point loop translates"
+        G = _grid_image(F, T, grid)
+        if G is not None:
+            return G
+    F = F.series() if isinstance(F, GridSeries) else F
     rest = (T.a, T.b, T.c, T.k, T.l, T.m, T.r, T.d, T.n)
-    identity_part = grid is None and rest == (1, 0, 0, 0, 1, 0, 1, 0, 0)
-    if identity_part and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
+    if rest == (1, 0, 0, 0, 1, 0, 1, 0, 0) and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
         if F[(0, 0)] != T.w:
             raise ValueError(_MISSES_ORIGIN)
         # only the two edited coefficients are subtracted; Fraction(c) copies the rest without a gcd
         edit = {(1, 0): T.p, (0, 1): T.q}
         keys = (F.coeffs.keys() | edit.keys()) - {(0, 0)}
         return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit[jk] if jk in edit else F[jk]) for jk in keys})
-    assert grid is None or not (T.d or T.n or T.w), "no fixed-point loop translates"
     axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
-    return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis, grid)
+    return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis)
 
 
 @dataclass(frozen=True)
@@ -869,8 +1109,8 @@ class CurveTransform2:
         return CurveTransform2()
 
 
-def apply_affine_curve(F: TruncatedSeries1, T: CurveTransform2, grid: int | None = None) -> TruncatedSeries1:
-    """Curve analogue: the profile of the y-free graph u = F(x) under T's embedding; ``grid`` as there."""
+def apply_affine_curve(F, T: CurveTransform2, grid: int | None = None):
+    """Curve analogue: the profile of the y-free graph u = F(x) under T's embedding; ``grid`` and F as there."""
     return apply_affine(F.y_free(), T.embedded(), grid).x_profile()
 
 

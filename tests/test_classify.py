@@ -550,7 +550,7 @@ def test_an_exact_numerator_without_a_low_part_passes_every_grid_test(low, data)
     assert _tail_only(num, low, 1e-9) and not _tail_only(num, low, 0.0)
     coord = st.one_of(st.fractions(-2, 2, max_denominator=64), st.floats(-2, 2))
     for pt in data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5)):
-        assert _grid_zero(num, low, pt, 1e-9, ())
+        assert _grid_zero(num, num.magnitudes(), low, pt, 1e-9, ())
     # one term at or below the low degree, and the grid tests must run
     j = data.draw(st.integers(0, low))
     assert not _tail_only(Poly2({**terms, (j, low - j): 1}, num.den), low, 1e-9)

@@ -525,14 +525,33 @@ def test_a_tie_of_hessian_coefficients_names_the_least_index():
     assert str(err.value).endswith("Hessian determinant coefficient (0, 2) = 1.000e+00")
 
 
-def test_curve_translate_and_shear_loops_edit_the_series_without_a_solve(monkeypatch):
-    # with F0 and F1 nonzero, both first loops are identity-part edits of the y-free graph
-    substitutions, loops = [], []
-    kernel, apply = series.series3_from_bivariate_in_linear, normalize.apply_affine_curve
+@pytest.mark.parametrize("order", [8, 12])
+def test_the_benchmark_draws_certify_every_rooted_loop(order, monkeypatch):
+    # the oracle draws (generic and cone jets at orders 8 and 12) and the frames draws (order-8 jets and
+    # sa2 and gl2 curves): no rooted loop falls back to the exact kernel
+    images, image = [], series._grid_image
+    monkeypatch.setattr(series, "_grid_image", lambda F, T, grid: images.append(image(F, T, grid)) or images[-1])
+    rng = random.Random(980 + order)
+    for _ in range(5):
+        for draw in (random_parabolic_jet, random_cone_branch_jet):
+            normalize_parabolic_surface(realize_series(draw(rng, order)))
+        normalize_curve_sl2(TruncatedSeries1(8, dict(random_curve_jet(rng, 8))))
+        normalize_curve_gl2(TruncatedSeries1(8, dict(random_curve_jet(rng, 8, affine_floor=0.3))))
+    assert len(images) >= 45 and None not in images
 
-    def counting(*args, **kwargs):
-        substitutions.append(args)
-        return kernel(*args, **kwargs)
+
+def test_curve_translate_and_shear_loops_edit_the_series_without_a_solve(monkeypatch):
+    # with F0 and F1 nonzero, both first loops are identity-part edits of the y-free graph; every later
+    # loop substitutes, in the exact kernel or in the fixed-point one
+    substitutions, loops = [], []
+    apply = normalize.apply_affine_curve
+
+    def counting(kernel):
+        def count(*args, **kwargs):
+            substitutions.append(args)
+            return kernel(*args, **kwargs)
+
+        return count
 
     def recording(F, T, grid=None):
         before = len(substitutions)
@@ -540,7 +559,8 @@ def test_curve_translate_and_shear_loops_edit_the_series_without_a_solve(monkeyp
         loops.append((T, len(substitutions) - before))
         return G
 
-    monkeypatch.setattr(series, "series3_from_bivariate_in_linear", counting)
+    for name in ("series3_from_bivariate_in_linear", "substitute_on_grid"):
+        monkeypatch.setattr(series, name, counting(getattr(series, name)))
     monkeypatch.setattr(normalize, "apply_affine_curve", recording)
     curve = TruncatedSeries1(6, dict(enumerate(map(F, ["1/3", "2", "3", "1/2", "-1", "1/7", "5"]))))
     res = normalize_curve_gl2(curve)

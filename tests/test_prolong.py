@@ -292,6 +292,29 @@ def test_rank_exact_and_solve():
     assert sol == [F(1), F(2)]
 
 
+def test_solve_linear_exact_solves_every_right_side_in_one_elimination():
+    # each column sees the pivots and the operations it would see alone: Fractions, floats and Sens keep their bits
+    from parajet.prolong import solve_linear_exact
+    from parajet.scalars import Sens
+
+    import reference
+
+    rng = random.Random(31)
+    draws = {
+        "exact": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "float": lambda: rng.uniform(-3, 3),
+        "sens": lambda: Sens(rng.uniform(-3, 3), {"a": rng.uniform(-1, 1), "b": rng.uniform(-1, 1)}),
+    }
+    for draw in draws.values():
+        for n in (1, 3, 6):
+            a = [[draw() for _ in range(n)] for _ in range(n)]
+            rhs = [[draw() for _ in range(n)] for _ in range(3)]
+            together = solve_linear_exact(a, rhs)
+            assert len(together) == 3
+            for b, x in zip(rhs, together, strict=True):
+                reference.assert_same(tuple(x), tuple(solve_linear_exact(a, b)), partial_order=True)
+
+
 def test_solve_linear_exact_refuses_a_singular_system():
     from parajet.prolong import solve_linear_exact
 

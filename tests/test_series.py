@@ -13,6 +13,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,13 +24,14 @@ import parajet.series as series
 from parajet.invariants import h_terms, invariant_H, s_numerator, s_terms, w_numerator, w_terms
 from parajet.jets import DerivativeView, realize_series
 from parajet.sampling import near_identity_transform, random_cone_branch_jet, random_curve_jet, random_parabolic_jet
-from parajet.scalars import Sens, is_exact
+from parajet.scalars import Sens, cbrt_frac, is_exact, snap, sqrt_frac
 from parajet.series import (
     AffineTransform3,
     CurveTransform2,
     Poly2,
     TruncatedSeries1,
     TruncatedSeries2,
+    GridSeries,
     _Series3,
     apply_affine,
     apply_affine_curve,
@@ -586,17 +588,16 @@ def test_a_failed_certificate_falls_back_to_the_exact_kernel_and_the_snap(monkey
         m.setattr(normalize, "apply_affine_curve", lambda F, T, grid=None: apply_affine_curve(F, T))
         refs = runs()
     attempts = []
-    solve = series.solve_implicit
+    image = series._grid_image
 
-    def spy(Phi, grid=None):
-        G = solve(Phi, grid)
-        if grid is not None:
-            attempts.append(G)
+    def spy(F, T, grid):
+        G = image(F, T, grid)
+        attempts.append(G)
         return G
 
     # two guard bits certify no output, so every fixed-point attempt must fall back
     monkeypatch.setattr(series, "FIXED_GUARD", 2)
-    monkeypatch.setattr(series, "solve_implicit", spy)
+    monkeypatch.setattr(series, "_grid_image", spy)
     for got, ref in zip(runs(), refs):
         reference.assert_same(got.normal_series, ref.normal_series)
         assert got.readings == ref.readings and got.transform == ref.transform and got.steps == ref.steps
@@ -631,20 +632,31 @@ def test_grid_outputs_at_valuation_2_lie_within_one_grid_step_of_the_exact_image
     Tc = CurveTransform2(**{name: data.draw(SMALL) for name in "abd"})
     assume(abs(Tc.d) >= F(1, 4))
     assert series3_from_bivariate_in_linear(f, (T.a, T.b, T.c, 0), (T.k, T.l, T.m, 0), n, tangent=True).valuation == 2
-    _on_grid_near(apply_affine(f, T, grid), reference.apply_affine(f, T), grid)
-    _on_grid_near(apply_affine_curve(g, Tc, grid), reference.apply_affine_curve(g, Tc), grid)
+    with mock.patch.object(series, "substitute_on_grid", wraps=series.substitute_on_grid) as grid_kernel:
+        _on_grid_near(apply_affine(f, T, grid), reference.apply_affine(f, T), grid)
+        _on_grid_near(apply_affine_curve(g, Tc, grid), reference.apply_affine_curve(g, Tc), grid)
+    assert [call.args[4] for call in grid_kernel.call_args_list] == [2, 2]
 
 
 def _recording_valuations(monkeypatch, valuation=None):
-    """Record (v enters a linear form, valuation) per substitution; with ``valuation`` 1 force the full expansion."""
-    kernel, seen = series.series3_from_bivariate_in_linear, []
+    """Record (v enters a linear form, valuation) per substitution of either kernel.
 
-    def recording(F, xs, ys, order, fixed=None, tangent=False):
-        phi = kernel(F, xs, ys, order, fixed, tangent and valuation != 1)
+    With ``valuation`` 1, force the full expansion.
+    """
+    kernel, grid_kernel, seen = series.series3_from_bivariate_in_linear, series.substitute_on_grid, []
+
+    def recording(F, xs, ys, order, tangent=False):
+        phi = kernel(F, xs, ys, order, tangent and valuation != 1)
         seen.append((xs[2] != 0 or ys[2] != 0, phi.valuation))
         return phi
 
+    def recording_on_grid(f, n, T, bits, w):
+        phi = grid_kernel(f, n, T, bits, valuation or w)
+        seen.append((T.c != 0 or T.m != 0, phi.valuation))
+        return phi
+
     monkeypatch.setattr(series, "series3_from_bivariate_in_linear", recording)
+    monkeypatch.setattr(series, "substitute_on_grid", recording_on_grid)
     return seen
 
 
@@ -694,6 +706,56 @@ def test_an_affine_part_in_s_or_t_or_a_linear_term_keeps_valuation_1(monkeypatch
         assert apply_affine(F0, T) == reference.apply_affine(F0, T)
         assert seen == [(True, valuation)]
         assert len(shifts) == (1 if T.d else 0)  # the valuation is read off the one re-centred F
+
+
+def _rooted_shapes(rng, n):
+    """(series, transform) pairs shaped as the rooted loops' traffic, every coefficient on the 2^-128 grid.
+
+    The surface is a drawn jet, snapped to the grid; ratios of its coefficients and roots at the pipeline precision
+    give long denominators, as the loops' transforms have.  The shapes: a v-free scaling with a shear in
+    (s, t) (loop 1), a v-free map with k, l != 0 (loop 2), the shears in v of loops 3 and 4, a general
+    transform with p, q != 0 on a graph with linear terms (both drawn as the property tests draw them,
+    r a root), and the sl2 and gl2 curve embeddings.
+    """
+    bits = normalize.PIPELINE_BITS
+    f = realize_series(random_parabolic_jet(rng, n))
+    f = TruncatedSeries2(n, {jk: snap(c, bits) for jk, c in f.coeffs.items() if jk != (0, 0)})
+    centered = TruncatedSeries2(n, {jk: c for jk, c in f.coeffs.items() if sum(jk) >= 2})
+    g = centered.x_profile()
+    u = [centered[jk] for jk in ((2, 0), (1, 1), (2, 1), (3, 0), (4, 0), (4, 1), (3, 1))]
+    c3, r3, s4 = cbrt_frac(u[0], bits), cbrt_frac(u[2], bits), sqrt_frac(abs(g[4]), bits)
+    c = u[5] / (2 * u[6])
+
+    def small():
+        return F(rng.randint(-36, 36), 12)
+
+    drawn = TruncatedSeries2(n, {jk: snap(small(), bits) for jk in _keys2(n) if sum(jk) >= 1})
+    return [
+        (centered, AffineTransform3(a=1 / c3, b=-u[1] / u[0], r=c3)),
+        (centered, AffineTransform3(a=r3, k=-u[3] / (3 * r3 * r3), l=1 / u[2], r=r3 * r3)),
+        (centered, AffineTransform3(m=-u[4] / 6)),
+        (centered, AffineTransform3(c=c, k=-c, m=2 * c * u[6] / 3 - c * c / 2)),
+        (drawn, AffineTransform3(**{name: small() for name in "abcklmpq"}, r=c3)),
+        (g, CurveTransform2(a=1 / cbrt_frac(g[2], bits), d=cbrt_frac(g[2], bits))),
+        (g, CurveTransform2(a=1, b=-g[3] / 3, d=1)),
+        (g, CurveTransform2(a=1 / s4, d=1 / abs(g[4]))),
+    ]
+
+
+@pytest.mark.parametrize("order", [8, 12, 16])
+def test_rooted_shapes_return_the_exact_image_rounded_half_up_to_the_grid(order):
+    # certified, the fixed-point kernel's output is the exact image rounded half up, numerator by numerator,
+    # whether its input comes as a series or as a grid series
+    bits = normalize.PIPELINE_BITS
+    for G, T in _rooted_shapes(random.Random(970 + order), order):
+        apply = apply_affine_curve if isinstance(T, CurveTransform2) else apply_affine
+        exact = apply(G, T)
+        want = {key: N for key, c in exact.coeffs.items() if (N := math.floor(c * (1 << bits) + F(1, 2)))}
+        on_grid = GridSeries(type(G), G.order, {key: int(c * (1 << bits)) for key, c in G.coeffs.items()}, bits)
+        for source in (G, on_grid):
+            got = apply(source, T, bits)
+            assert isinstance(got, GridSeries) and got.kind is type(G) and got.nums == want, T
+        assert got.series() == type(G)(order, {key: F(N, 1 << bits) for key, N in want.items()})
 
 
 def test_identity_part_maps_asked_for_the_grid_solve_onto_it():
@@ -877,7 +939,7 @@ def test_a_float_zero_transform_entry_keeps_the_integer_kernel():
         T = AffineTransform3(**{**SHEAR, **zeros})
         T0 = AffineTransform3(**{**SHEAR, **{name: F(0) for name in zeros}})
         phi = series3_from_bivariate_in_linear(f, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), 8)
-        assert phi.den is not None and phi.radius is None
+        assert phi.den is not None
         got = apply_affine(f, T)
         assert got == apply_affine(f, T0)
         assert all(type(c) is Fraction for c in got.coeffs.values())
