@@ -224,18 +224,22 @@ def classify(
     :func:`~parajet.invariants.aligned_jet` axis swap, as in the closed
     forms and the loops.
 
-    Only the orders these tests read are built, so every result is that of
-    the full computation.  The grid jets go to total degree 4, the most the
-    H, S and W terms read.  The jet criterion reads the S and W numerators to
-    degree low + 2 (n - 1 and n - 2), so they are multiplied that far, on a
-    capped :class:`Poly2`.  Where that capped numerator is exact and its low
-    part is exactly zero, the grid test cannot fail (:func:`_tail_only`) and
-    is skipped; otherwise, where the jet criterion says zero, the full
-    product is built for the grid test, which reads its tail.  The Hessian
-    polynomial of an exact graph with H = 0 at the base point is likewise
-    first built to degree n; the full one only when that low part is not
-    exactly zero, or for float input or H != 0 at the base point.  The H
-    witness, like S and W, is read at the base point.
+    Only the orders these tests read are built, so every result is that of the
+    full computation.  The grid jets go to total degree 4, the most the H, S
+    and W terms read, and are shifted once, at the first grid test that reads
+    them: the Hessian one (skipped as below) or an S or W one.  Float F or
+    sample points build them up front, to refuse a non-finite one; exact F at
+    exact points takes the flat test off the exact values of u_xx, u_xy and
+    u_yy there, so its grid jets are built only for a grid test.  The jet
+    criterion reads the S and W numerators to degree low + 2 (n - 1 and
+    n - 2), so they are multiplied that far, on a capped :class:`Poly2`.  Where
+    that capped numerator is exact and its low part is exactly zero, the grid
+    test cannot fail (:func:`_tail_only`) and is skipped; otherwise, where the
+    jet criterion says zero, the full product is built for the grid test,
+    which reads its tail.  The Hessian polynomial of an exact graph with H = 0
+    at the base point is likewise first built to degree n; the full one only
+    when that low part is not exactly zero, or for float input or H != 0 at
+    the base point.  The H witness, like S and W, is read at the base point.
     """
     if sample_points is None:
         h = Fraction(1, 8)
@@ -263,23 +267,26 @@ def classify(
     # H(c0) = 0 can have a low part that is exactly zero
     Hlow = invariant_H(DerivativeView(P.capped(n))) if P.den is not None and invariant_H(c0) == 0 else None
     Hfull = None if Hlow is not None and _tail_only(Hlow, n - 2, tol) else invariant_H(G)
-    # the jet at each grid point to degree 4, shifted there once; the base point needs no shift
-    grid = [
-        (pt, c0 if pt == (0, 0) else jets_of_series(F.shift(*pt, upto=4)).values) for pt in sample_points
-    ]
-    _require_finite(F, grid)
+    # the jet at each grid point to degree 4, shifted there once, and only for a grid test that reads
+    # it; the base point needs no shift.  Exact F at exact points takes its flat test off G instead.
+    jets = functools.cache(
+        lambda: [c0 if pt == (0, 0) else jets_of_series(F.shift(*pt, upto=4)).values for pt in sample_points]
+    )
+    exact = P.den is not None and all(is_exact(x) and is_exact(y) for x, y in sample_points)
+    if not exact:
+        _require_finite(F, zip(sample_points, jets()))
     hessian_mags = functools.cache(lambda: _magnitudes(Hfull, "Hessian"))  # at the first grid test that reads them
 
     # point type across the grid
     types = []
-    for pt, c in grid:
-        flat_scale = max(abs(to_float(c[(2, 0)])), abs(to_float(c[(1, 1)])), abs(to_float(c[(0, 2)])))
-        if flat_scale <= tol:
+    for i, pt in enumerate(sample_points):
+        second = [G[jk].eval(*pt) if exact else jets()[i][jk] for jk in ((2, 0), (1, 1), (0, 2))]
+        if max(abs(to_float(v)) for v in second) <= tol:
             types.append("flat")
-        elif Hfull is None or _grid_zero(Hfull, hessian_mags(), n - 2, pt, tol, h_terms(c)):
+        elif Hfull is None or _grid_zero(Hfull, hessian_mags(), n - 2, pt, tol, h_terms(jets()[i])):
             types.append("parabolic")
         else:
-            types.append("elliptic" if to_float(invariant_H(c)) > 0 else "hyperbolic")
+            types.append("elliptic" if to_float(invariant_H(jets()[i])) > 0 else "hyperbolic")
     if len(set(types)) != 1:
         raise MixedTypeError(f"inconsistent point types across samples: {types}")
     point_type = types[0]
@@ -303,7 +310,7 @@ def classify(
             return True
         full = numerator(G)
         mags = _magnitudes(full, name)  # every grid test sums them
-        if not all(_grid_zero(full, mags, low, pt, tol, terms(c)) for pt, c in grid):
+        if not all(_grid_zero(full, mags, low, pt, tol, terms(c)) for pt, c in zip(sample_points, jets())):
             raise MixedTypeError(f"{name} vanishes as a jet but not across the grid")
         return True
 

@@ -40,7 +40,6 @@ from .invariants import (  # the branch errors and DEFAULT_TOL are re-exported f
     BranchError,
     decide,
     h_terms,
-    invariant_H,
     s_numerator,
     surface_branch,
     swap_axes,
@@ -105,7 +104,8 @@ class _Run:
 
     def __init__(self, F):
         self.curve = isinstance(F, TruncatedSeries1)
-        self.F = type(F)(F.order, {key: Fraction(c) for key, c in F.coeffs.items()})  # exact lift
+        lift = {key: c if isinstance(c, Fraction) else Fraction(c) for key, c in F.coeffs.items()}
+        self.F = type(F)(F.order, lift)  # exact lift, each Fraction kept as it is
         self.loops = [CurveTransform2.identity() if self.curve else AffineTransform3.identity()]
         self.steps: List[str] = []
         self.rooted = self.approximated = False
@@ -265,25 +265,42 @@ def _nonvanishing(num: TruncatedSeries2, G: TruncatedSeries2, bound: float):
 def _check_parabolic(F: TruncatedSeries2, tol: float):
     """Refuse F unless its Hessian-determinant series vanishes to tol (1 + max(1, |F_jk|)^2).
 
-    Both checks take the Hessian on a :class:`Poly2` capped at degree m = n - 2.  The float one rounds
-    each monomial coefficient F_jk / (j! k!) once, and the derivatives scale it by two integers, two
-    more roundings.  Each product of two adds one, a coefficient sums at most (n + 1)^2 of them, the two
-    Hessian terms are added and the sum is scaled back by j! k!: at most (n + 1)^2 + 5 roundings.  So
-    each coefficient is within 2 ((n + 1)^2 + 8) 2^-53 times the same sum on absolute values of the
-    exact one, plus an underflow allowance 4^n n! 2^-1000 scale.  Only where that does not clear the
-    threshold is the exact polynomial built, to decide and word the error.  The error names the largest
-    coefficient in magnitude, the least (j, k) among equally large ones.
+    Both checks take the Hessian capped at degree m = n - 2.  The float one makes one pass over F: each
+    monomial coefficient F_jk / (j! k!) rounds once, and its scaling into a monomial of F_xx, F_yy or
+    F_xy by one integer once more.  One product loop per Hessian term then sums each coefficient's
+    value and magnitude together.  A product carries its factors' four roundings and one of its own,
+    a coefficient sums at most (n + 1)^2 products of both terms, and the sum is scaled back by j! k!:
+    at most (n + 1)^2 + 5 roundings.  So each coefficient is within 2 ((n + 1)^2 + 8) 2^-53 times the
+    same sum on absolute values of the exact one, plus an underflow allowance 4^n n! 2^-1000 scale.
+    Only where that does not clear the threshold is the exact polynomial built, to decide and word the
+    error.  The error names the largest coefficient in magnitude, the least (j, k) among equally large
+    ones.
     """
     n, scale = F.order, max([1.0] + [abs(to_float(c)) for c in F.coeffs.values()]) ** 2 + 1.0
     m, fact = max(n - 2, 0), [math.factorial(i) for i in range(n + 1)]
-    floats = {(j, k): c.numerator / (c.denominator * fact[j] * fact[k]) for (j, k), c in F.coeffs.items()}
-    value = invariant_H(DerivativeView(Poly2(floats, None, m))).terms
-    p, q = h_terms(DerivativeView(Poly2({jk: abs(c) for jk, c in floats.items()}, None, m)))
+    xx, yy, xy = {}, {}, {}
+    for (j, k), c in F.coeffs.items():
+        f = c.numerator / (c.denominator * fact[j] * fact[k])
+        if j > 1:
+            xx[(j - 2, k)] = j * (j - 1) * f
+        if k > 1:
+            yy[(j, k - 2)] = k * (k - 1) * f
+        if j and k:
+            xy[(j - 1, k - 1)] = j * k * f
+    value, size = {}, {}
+    for A, B, sign in ((xx, yy, 1.0), (xy, xy, -1.0)):
+        rows = sorted(((c + d, c, d, v) for (c, d), v in B.items()), key=lambda row: row[0])
+        for (a, b), u in A.items():
+            for e, c, d, v in rows:
+                if e > m - a - b:
+                    break
+                key, uv = (a + c, b + d), u * v
+                value[key] = value.get(key, 0.0) + sign * uv
+                size[key] = size.get(key, 0.0) + abs(uv)
     slack, floor = 2 * ((n + 1) ** 2 + 8) * 2.0**-53, 4.0**n * fact[n] * 2.0**-1000 * scale
     limit = tol * scale * (1 - 2.0**-50)
     if floor <= limit and all(
-        (abs(value.get((j, k), 0)) + slack * a) * (fact[j] * fact[k]) + floor <= limit
-        for (j, k), a in (p + -q).terms.items()
+        (abs(value[j, k]) + slack * a) * (fact[j] * fact[k]) + floor <= limit for (j, k), a in size.items()
     ):
         return
     p, q = h_terms(DerivativeView(Poly2.from_series(F).capped(m)))

@@ -1065,10 +1065,10 @@ def apply_affine(F, T: AffineTransform3, grid: int | None = None):
     if rest == (1, 0, 0, 0, 1, 0, 1, 0, 0) and all(map(is_exact, (*rest, T.p, T.q, T.w))) and F.is_exact():
         if F[(0, 0)] != T.w:
             raise ValueError(_MISSES_ORIGIN)
-        # only the two edited coefficients are subtracted; Fraction(c) copies the rest without a gcd
-        edit = {(1, 0): T.p, (0, 1): T.q}
-        keys = (F.coeffs.keys() | edit.keys()) - {(0, 0)}
-        return TruncatedSeries2(F.order, {jk: Fraction(F[jk] - edit[jk] if jk in edit else F[jk]) for jk in keys})
+        # only the two edited coefficients are subtracted; every other Fraction is kept as it is
+        G = {jk: c if isinstance(c, Fraction) else Fraction(c) for jk, c in F.coeffs.items() if jk != (0, 0)}
+        G[(1, 0)], G[(0, 1)] = Fraction(F[(1, 0)] - T.p), Fraction(F[(0, 1)] - T.q)
+        return TruncatedSeries2(F.order, G)
     axis = {(0, 0, 0): T.w, (1, 0, 0): T.p, (0, 1, 0): T.q, (0, 0, 1): T.r}
     return _solve_graph(F, (T.a, T.b, T.c, T.d), (T.k, T.l, T.m, T.n), axis)
 

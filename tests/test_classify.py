@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -135,7 +136,8 @@ def test_axis_swapped_families_classify_as_their_kind(fam):
 
 @pytest.mark.parametrize("fam", SWAPPED_FAMILIES, ids=lambda fam: fam.kind)
 def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
-    # the swap is decided on the base jet, before the numerator polynomials and the grid
+    # the swap is decided on the base jet, before the numerator polynomials; the exact grid tests
+    # are decided without the grid jets, so no point is shifted
     swapped = TruncatedSeries2(8, swap_axes(realize_graph(fam, 8).coeffs))
     calls = {"from_series": 0, "shift": 0}
     from_series, shift = Poly2.from_series, TruncatedSeries2.shift
@@ -151,7 +153,7 @@ def test_axis_swapped_family_is_classified_in_one_pass(monkeypatch, fam):
     monkeypatch.setattr(Poly2, "from_series", counted_from_series)
     monkeypatch.setattr(TruncatedSeries2, "shift", counted_shift)
     assert classify(swapped).developable_kind == fam.kind
-    assert calls == {"from_series": 1, "shift": 4}
+    assert calls == {"from_series": 1, "shift": 0}
 
 
 def test_elliptic_graph_multiplies_only_the_hessian(monkeypatch):
@@ -425,7 +427,20 @@ def test_realize_graph_rejects_singular_parametrization():
         realize_graph(Cone(TruncatedSeries1(2, {2: F(1)})), 0)
 
 
-def test_classify_shifts_once_per_non_origin_point(monkeypatch):
+def _float_family(fam):
+    """The family with every coefficient converted by float()."""
+    fl = lambda s: TruncatedSeries1(s.order, {i: float(c) for i, c in s.coeffs.items()})
+    return type(fam)(*(fl(getattr(fam, f.name)) for f in dataclasses.fields(fam)))
+
+
+SHIFT_FAMILIES = {
+    "cylinder": Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
+    "cone": Cone(TruncatedSeries1(3, {2: F(1, 2), 3: F(-1, 3)})),
+    "tangential": Tangential(TruncatedSeries1(8, {2: F(1)}), TruncatedSeries1(8, {3: F(1)})),
+}
+
+
+def _counted_shifts(monkeypatch) -> list:
     shifts = []
     plain = TruncatedSeries2.shift
 
@@ -434,20 +449,73 @@ def test_classify_shifts_once_per_non_origin_point(monkeypatch):
         return plain(self, hx, hy, **kw)
 
     monkeypatch.setattr(TruncatedSeries2, "shift", counted)
-    fams = {
-        "cylinder": Cylinder(TruncatedSeries1(8, {2: F(1), 3: F(-1, 2), 5: F(2, 3)})),
-        "cone": Cone(TruncatedSeries1(3, {2: F(1, 2), 3: F(-1, 3)})),
-        "tangential": Tangential(TruncatedSeries1(8, {2: F(1)}), TruncatedSeries1(8, {3: F(1)})),
-    }
+    return shifts
+
+
+def test_exact_families_decided_without_the_grid_jets_shift_no_point(monkeypatch):
+    shifts = _counted_shifts(monkeypatch)
     h = F(1, 8)
-    for kind, fam in fams.items():
+    for kind, fam in SHIFT_FAMILIES.items():
         g = realize_graph(fam, 8)
+        assert classify(g).developable_kind == kind
+        assert classify(g, sample_points=[(h, h), (-h, 0)]).developable_kind == kind
+    assert shifts == []
+
+
+def test_classify_shifts_once_per_non_origin_point(monkeypatch):
+    # the grid jets are shifted once per point when a grid test reads them: every grid test of a float
+    # family, and the Hessian one of an exact graph whose Hessian has a low part
+    shifts = _counted_shifts(monkeypatch)
+    h = F(1, 8)
+    for kind, fam in SHIFT_FAMILIES.items():
+        g = realize_graph(_float_family(fam), 8)
         shifts.clear()
         assert classify(g).developable_kind == kind
         assert sorted(shifts) == sorted([(h, 0), (0, h), (-h, h), (h, -h)])
         shifts.clear()
         assert classify(g, sample_points=[(h, h), (-h, 0)]).developable_kind == kind
         assert sorted(shifts) == sorted([(h, h), (-h, 0)])
+    # H = 1 + x: elliptic at every point
+    shifts.clear()
+    assert classify(TruncatedSeries2(6, {(2, 0): F(1), (0, 2): F(1), (3, 0): F(1)})).point_type == "elliptic"
+    assert sorted(shifts) == sorted([(h, 0), (0, h), (-h, h), (h, -h)])
+    # H = x - y^2: the parabolic base point meets elliptic grid points
+    shifts.clear()
+    with pytest.raises(MixedTypeError, match=re.escape("['parabolic', 'elliptic', 'elliptic']")):
+        classify(TruncatedSeries2(6, {(2, 0): F(1), (1, 2): F(1)}), sample_points=[(0, 0), (h, h), (h, 0)])
+    assert sorted(shifts) == sorted([(h, h), (h, 0)])
+
+
+def test_the_exact_flat_test_reads_the_second_derivatives_of_the_shifted_jets(monkeypatch):
+    # exact F at exact points takes u_xx, u_xy and u_yy off the derivative polynomials: the values the
+    # shifted jets hold, at the default points and at custom ones, on the axis-swapped points too
+    rng, h = random.Random(32), F(1, 8)
+    points = [[(0, 0), (h, 0), (0, h), (-h, h), (h, -h)], [(F(1, 5), F(-1, 7)), (F(-2, 9), 0), (0, 0)]]
+    for kind in ("cylinder", "cone", "tangential"):
+        for _ in range(3):
+            g = realize_graph(_draw_family(kind, rng), 8)
+            G = DerivativeView(Poly2.from_series(g))
+            for pt in points[0] + points[1] + [(-y, x) for x, y in points[0] + points[1]]:
+                jet = g.shift(*pt, upto=4)
+                for jk in ((2, 0), (1, 1), (0, 2)):
+                    assert G[jk].eval(*pt) == jet[jk], (kind, pt, jk)
+            for pts in points:
+                assert classify(g, sample_points=pts).developable_kind == kind
+    # u = x^2/2 - 4x^3/3, a cylinder with u_xx = 1 - 8x, is flat at (h, 0) only; u = x^3/6 + x^2 y/2 has
+    # u_xx = x + y, u_xy = x and H = -x^2, and is flat at the origin only
+    mixed = [
+        ({(2, 0): F(1), (3, 0): F(-8)}, [(0, 0), (h, 0), (0, h)], "'parabolic', 'flat', 'parabolic'"),
+        ({(3, 0): F(1), (2, 1): F(1)}, None, "'flat', 'hyperbolic', 'parabolic', 'hyperbolic', 'hyperbolic'"),
+    ]
+    for coeffs, pts, types in mixed:
+        with pytest.raises(MixedTypeError) as err:
+            classify(TruncatedSeries2(6, coeffs), sample_points=pts)
+        assert str(err.value) == f"inconsistent point types across samples: [{types}]"
+    # float sample points still read the shifted jets
+    shifts = _counted_shifts(monkeypatch)
+    g = realize_graph(SHIFT_FAMILIES["cone"], 8)
+    assert classify(g, sample_points=[(0, 0), (0.125, 0.0), (-0.125, 0.125)]).developable_kind == "cone"
+    assert sorted(shifts) == sorted([(0.125, 0.0), (-0.125, 0.125)])
 
 
 def test_the_hessian_witness_is_read_at_the_base_point():

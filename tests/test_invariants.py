@@ -1,5 +1,7 @@
+import collections
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -480,3 +482,25 @@ def test_perturbing_one_table_coefficient_moves_the_integer_sum_by_its_monomial(
         monomial = math.prod(c[v] ** e for v, e in zip(variables, exps))
         assert monomial != 0
         assert _table_numerator(perturbed, variables, c) - base == monomial
+
+
+M_DOMAIN = "M needs u_xx, the slope numerator and the W numerator nonzero"
+ZERO_DOMAINS = {
+    # a jet in each zero set of each closed form, every other coordinate 0, and the form's message
+    "S-u_xx": (invariant_S, {(2, 1): 1}, "S needs u_xx != 0"),
+    "W-u_xx": (invariant_W, {(2, 1): 1}, "W needs u_xx != 0 and a nonzero slope invariant"),
+    "W-S": (invariant_W, {(2, 0): 1, (3, 1): 1}, "W needs u_xx != 0 and a nonzero slope invariant"),
+    "M-u_xx": (invariant_M, {(2, 1): 1, (3, 1): 1}, M_DOMAIN),
+    "M-S": (invariant_M, {(2, 0): 1, (3, 1): 1}, M_DOMAIN),
+    "M-W": (invariant_M, {(2, 0): 1, (2, 1): 1}, M_DOMAIN),
+    "Y-u_xx": (invariant_Y, {(2, 1): 1, (5, 0): 1}, "Y needs u_xx != 0 and a nonzero fifth-order invariant"),
+    "Y-conic": (invariant_Y, {(2, 0): 1, (2, 1): 1}, "Y needs u_xx != 0 and a nonzero fifth-order invariant"),
+    "curvature-u2": (equiaffine_curvature, {3: 1, 4: 1}, "curvature needs u2 != 0"),
+    "conic-u2": (conic_invariant, {3: 1, 5: 1}, "conic invariant needs u2 != 0"),
+}
+
+
+@pytest.mark.parametrize("fn, jet, message", ZERO_DOMAINS.values(), ids=ZERO_DOMAINS.keys())
+def test_each_closed_form_refuses_its_zero_set_by_name(fn, jet, message):
+    with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
+        fn(collections.defaultdict(Fraction, {key: Fraction(v) for key, v in jet.items()}))

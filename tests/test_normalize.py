@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -523,6 +524,25 @@ def test_a_tie_of_hessian_coefficients_names_the_least_index():
     with pytest.raises(BranchError) as err:
         _check_parabolic(f, 1e-9)
     assert str(err.value).endswith("Hessian determinant coefficient (0, 2) = 1.000e+00")
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_the_benchmark_draws_pass_the_float_hessian_certificate(order, monkeypatch):
+    # the oracle draws (generic and cone jets at orders 8 and 12): the fused float pass certifies every
+    # Hessian, so the exact branch never runs; a bound too loose would show only as that slow branch
+    checks, fallbacks = [], []
+    check, exact = normalize._check_parabolic, normalize.h_terms
+    monkeypatch.setattr(normalize, "_check_parabolic", lambda F, tol: checks.append(F) or check(F, tol))
+    monkeypatch.setattr(normalize, "h_terms", lambda c: fallbacks.append(c) or exact(c))
+    rng = random.Random(order)
+    for _ in range(10):
+        for draw in (random_parabolic_jet, random_cone_branch_jet):
+            normalize_parabolic_surface(realize_series(draw(rng, order)))
+    assert len(checks) == 20 and fallbacks == []
+    # the spy sees the exact branch where the float pass refuses to certify
+    with pytest.raises(BranchError, match=re.escape("coefficient (0, 0) = 1.000e+00")):
+        check(TruncatedSeries2(4, {(2, 0): F(1), (0, 2): F(1)}), 1e-9)
+    assert len(fallbacks) == 1
 
 
 @pytest.mark.parametrize("order", [8, 12])
