@@ -15,13 +15,11 @@ and ``f.y_free().shift(h, 0).x_profile()``.
 
 Shifts re-expand at a new base point through one column kernel,
 :func:`_taylor_shift`: repeated Horner steps ``g[j] += h g[j+1]`` on the
-monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997).  For exact
-h = p/q the column is brought to integers over one denominator d n! q^n,
-term i scaled by (n!/i!) q^(n-i), so the steps run on integers with p, no
-``Fraction`` is divided on entry and one is built per output.  A bivariate
-shift is separable: each y-column in x, then each x-row in y.  Pass i is the
-last to change coefficient i, so a shift asked for total degree <= m stops
-each column after m + 1 passes and shifts only the rows of x-degree <= m.
+monomial coefficients (von zur Gathen & Gerhard, ISSAC 1997), on the
+scalars themselves, ``Fraction``s where exact.  A bivariate shift is
+separable: each y-column in x, then each x-row in y.  Pass i is the last to
+change coefficient i, so a shift asked for total degree <= m stops each
+column after m + 1 passes and shifts only the rows of x-degree <= m.
 Exact values at a point are read off :class:`Poly2`, below.
 
 Every product runs on one kernel, :class:`Poly2`: a bivariate polynomial in
@@ -49,17 +47,18 @@ Horner in the first over cached powers of the second, and
 :func:`solve_implicit` solves the fundamental equation degree by degree from
 cached homogeneous parts of the powers of the graph (Brent & Kung 1978).
 Both work in monomial convention inside, so no binomial weight enters an
-inner loop.  Exact inputs stay on integer numerators from the substitution
-to the solve: the substitution runs on integers over one denominator, the
-fundamental equation is homogeneous so that denominator drops out, and the
-solve reduces each homogeneous part once per degree and builds one
-``Fraction`` per output coefficient.  Other coefficients run the same loops
-on the scalars, with factorials divided out on entry and put back on exit,
-so float and ``Sens`` results keep their bits.  The trivariate series
-between the two, :class:`_Series3`, is a plain record: integer numerators
-over one denominator when exact, factorial-convention scalars otherwise.
-Phi = phi - u is assembled once; each regime only brings the affine part u
-to phi's terms.
+inner loop, and neither weighs v.  Exact inputs stay on integer numerators
+from the substitution to the solve: F enters through
+:meth:`Poly2.from_series`, the substitution runs on integers over one
+denominator, the fundamental equation is homogeneous so that denominator
+drops out, and the solve reduces each homogeneous part once per degree and
+builds one ``Fraction`` per output coefficient.  Other coefficients run the
+same loops on the scalars, with factorials divided out on entry and put back
+on exit, so float and ``Sens`` results keep their bits.  The trivariate
+series between the two, :class:`_Series3`, is a plain record: integer
+numerators over one denominator when exact, factorial-convention scalars
+otherwise.  Phi = phi - u is assembled once; each regime only brings the
+affine part u to phi's terms.
 
 The certified fixed-point regime (``grid``, the rooted normalization loops):
 :func:`substitute_on_grid` expands F(a s + b t + c v, k s + l t + m v) as
@@ -71,15 +70,14 @@ a term is stored only where some product reaches it.  A Phi free of v (c = m
 = 0) builds no K: G = -phi_0 / phi_v, part by part.  Between loops the
 series travels as a :class:`GridSeries`, its numerators on the grid.
 
-Every normalization loop after the transvection solves for a graph that
-starts at degree 2: the re-centred F has no linear terms and u no s or t
-term.  Phi then carries valuation 2.  Both substitutions give v weight 2 (s
-and t weigh 1) and build Phi only to weight n.  Both solves start at degree
-2; the exact one builds (G^c)_e only for e >= 2c, the Horner one (K_c)_e
-only for e <= n - 2c.  Each term left out would only have multiplied a part
-of G that is exactly zero, so exact and fixed-point values are the same
-integers and every error radius can only shrink.  Any other Phi has
-valuation 1 and runs in full.
+Every rooted normalization loop after the transvection solves for a graph
+that starts at degree 2: F has no linear terms and u no s or t term.
+:func:`_grid_image` then gives v weight 2 (s and t weigh 1): the grid
+substitution builds Phi only to weight n, and the Horner solve starts at
+degree 2 and builds (K_c)_e only for e <= n - 2c.  Each term left out would
+only have multiplied a part of G that is exactly zero, so the fixed-point
+values are the same integers and every error radius can only shrink.  Any
+other Phi, and every exact one, runs in full at valuation 1.
 
 Precision rule of the normalization loops: a loop whose run has taken an
 inexact root asks for its output on the 2^-g grid (``grid=g``, g = 128).  F's
@@ -130,46 +128,33 @@ def _fixed_ratio(p: int, q: int, bits: int):
 
 
 def _integer_form(coeffs: dict):
-    """(d, {key: d c}), d the least common denominator or None for ints only; None if inexact.
+    """(d, {key: d c}), d the least common denominator; None if inexact.
 
     A zero of any type, such as a float 0.0 entry of a transform, counts as the exact 0.
     """
-    kinds = {type(c) for c in coeffs.values()}
-    if not kinds <= {int, Fraction} and 0 in coeffs.values():
-        coeffs = {key: c if c != 0 else 0 for key, c in coeffs.items()}
-        kinds = {type(c) for c in coeffs.values()}
-    if not kinds <= {int, Fraction}:
+    coeffs = {key: c if c != 0 else 0 for key, c in coeffs.items()}
+    if not all(map(is_exact, coeffs.values())):
         return None
     d = math.lcm(*[c.denominator for c in coeffs.values()])
-    nums = {key: c.numerator * (d // c.denominator) for key, c in coeffs.items()}
-    return (d if Fraction in kinds else None), nums
+    return d, {key: c.numerator * (d // c.denominator) for key, c in coeffs.items()}
 
 
 def _taylor_shift(col: dict, n: int, h, upto: int) -> dict:
     """Coefficients i <= min(n, upto) of the univariate factorial-convention series col re-expanded at h.
 
     Horner pass i is the last to change coefficient i, so the first upto + 1
-    passes give those coefficients as the full run does, to the bit.  An
-    exact column over h = p/q runs on the integers c_i d (n!/i!) q^(n-i), d
-    the lcm of its denominators, over d n! q^n.
+    passes give those coefficients as the full run does, to the bit.  Exact
+    coefficients run the steps on ``Fraction``s.
     """
     if h == 0:
         return {i: c for i, c in col.items() if i <= upto}
     fact = [math.factorial(i) for i in range(n + 1)]
-    form = _integer_form(col) if is_exact(h) else None
-    if form is None:
-        g, q, den = [_over(col.get(i, 0), fact[i]) for i in range(n + 1)], 1, None
-    else:
-        (d, nums), (h, q) = form, h.as_integer_ratio()
-        g = [nums.get(i, 0) * (fact[n] // fact[i]) * q ** (n - i) for i in range(n + 1)]
-        den = (d or 1) * fact[n] * q**n
+    g = [_over(col.get(i, 0), fact[i]) for i in range(n + 1)]
     for i in range(min(n, upto + 1)):
         for j in range(n - 1, i - 1, -1):
             g[j] += h * g[j + 1]
     del g[upto + 1:]
-    if den is None:
-        return {j: v * fact[j] for j, v in enumerate(g) if v != 0}
-    return {j: Fraction(v * q**j * fact[j], den) for j, v in enumerate(g) if v}
+    return {j: v * fact[j] for j, v in enumerate(g) if v != 0}
 
 
 def _shift_columns(coeffs: dict, n: int, h, upto) -> dict:
@@ -320,10 +305,19 @@ class Poly2:
 
     @classmethod
     def from_series(cls, F: TruncatedSeries2) -> "Poly2":
+        """F's monomial coefficients c_jk / (j! k!); exact ones as integer numerators over one ``den``.
+
+        Exact F is read off each c's numerator and denominator and the
+        factorials, in lowest terms by one lcm and one gcd, with no ``Fraction``.
+        """
         fact = [math.factorial(i) for i in range(F.order + 1)]
-        mono = {(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in F.coeffs.items()}
-        form = _integer_form(mono)
-        return cls(mono) if form is None else cls(form[1], form[0] or 1)
+        if not F.is_exact():
+            return cls({(j, k): _over(c, fact[j] * fact[k]) for (j, k), c in F.coeffs.items()})
+        dens = {(j, k): c.denominator * fact[j] * fact[k] for (j, k), c in F.coeffs.items()}
+        den = math.lcm(*dens.values())
+        terms = {key: c.numerator * (den // dens[key]) for key, c in F.coeffs.items()}
+        g = math.gcd(den, *terms.values())
+        return cls(terms if g == 1 else {key: v // g for key, v in terms.items()}, den // g)
 
     def capped(self, cap: int) -> "Poly2":
         """The same polynomial, its products truncated above total degree ``cap``."""
@@ -439,34 +433,27 @@ def compose2(F: TruncatedSeries2, X: TruncatedSeries2, Y: TruncatedSeries2) -> T
 class _Series3:
     """Internal trivariate truncated series in (s, t, v): a plain record.
 
-    ``terms`` maps (i, j, k) to a coefficient.  An exact series holds
-    monomial coefficients as integer numerators over one denominator ``den``.
-    Otherwise ``den`` is None and ``terms`` are factorial-convention scalars.
-    ``valuation`` is the least degree of the graph it is solved for, 1 or 2,
-    and the weight of v in its truncation: s^i t^j v^k is kept to
-    i + j + valuation k <= order.
+    ``terms`` maps (i, j, k), i + j + k <= order, to a coefficient.  An exact
+    series holds monomial coefficients as integer numerators over one
+    denominator ``den``.  Otherwise ``den`` is None and ``terms`` are
+    factorial-convention scalars.
     """
 
-    __slots__ = ("order", "terms", "den", "valuation")
+    __slots__ = ("order", "terms", "den")
 
-    def __init__(self, order: int, terms: dict | None = None, den: int | None = None, valuation: int = 1):
-        self.order, self.den, self.valuation = order, den, valuation
+    def __init__(self, order: int, terms: dict | None = None, den: int | None = None):
+        self.order, self.den = order, den
         self.terms = {key: c for key, c in (terms or {}).items() if sum(key) <= order and c != 0}
 
 
-def _weighed(P: dict, vw: int, room: int) -> list:
-    """The terms of P of weight i + j + vw k <= room."""
-    return [(key, c) for key, c in P.items() if key[0] + key[1] + vw * key[2] <= room]
-
-
-def _times_linear(P: dict, form, cap: int, vw: int, top: int) -> dict:
-    """Monomial polynomial in (s, t, v), of weight <= top, times form[0] s + form[1] t + form[2] v, to weight cap."""
+def _times_linear(P: dict, form) -> dict:
+    """Monomial polynomial in (s, t, v) times form[0] s + form[1] t + form[2] v."""
     out: dict = {}
     for (di, dj, dk), coef in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), form):
         if coef == 0:
             continue
-        unit, room = coef == 1, cap - (vw if dk else 1)
-        for (i, j, k), c in P.items() if top <= room else _weighed(P, vw, room):
+        unit = coef == 1
+        for (i, j, k), c in P.items():
             key = (i + di, j + dj, k + dk)
             x = c if unit else coef * c
             prev = out.get(key)
@@ -474,62 +461,52 @@ def _times_linear(P: dict, form, cap: int, vw: int, top: int) -> dict:
     return out
 
 
-def series3_from_bivariate_in_linear(F: TruncatedSeries2, xs, ys, order: int, tangent: bool = False) -> _Series3:
-    """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0.
+def series3_from_bivariate_in_linear(F: TruncatedSeries2, xs, ys, order: int) -> _Series3:
+    """Expand F(x, y) after x := xs . (s,t,v) + xs0, y := ys . (s,t,v) + ys0, to total degree ``order``.
 
     ``xs`` and ``ys`` are 4-tuples (coef_s, coef_t, coef_v, constant).  The
     constant parts re-center the expansion exactly on the truncation.  With
-    F = sum f_ab x^a y^b in monomial convention and L1, L2 the linear parts,
-    the powers of L2 are built once and the sum is taken by Horner in L1:
-    R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b, for a = order, ..., 0.
+    F = sum f_ab x^a y^b in monomial convention (:meth:`Poly2.from_series`)
+    and L1, L2 the linear parts, the powers of L2 are built once and the sum
+    is taken by Horner in L1: R <- Q_a + L1 R with Q_a = sum_b f_ab L2^b,
+    for a = order, ..., 0.  R has degree <= order - a after step a, so no
+    step truncates.
 
-    With ``tangent`` (the caller's affine part u has no s or t term) and a
-    re-centred F without linear terms, the graph v = G(s, t) solved from
-    F(L1, L2) = u starts at degree 2, so s^i t^j v^k meets only the parts
-    of G^k of degree >= 2k.  The expansion then has valuation 2: v weighs 2,
-    s and t weigh 1, and only weight <= order is built.  L1 raises the
-    weight by at least 1, so R is kept to weight order - a after step a,
-    the powers of L2 to weight order and each Q_a to weight order - a.
-    Every term dropped is one that would multiply an exact zero of G's
-    powers.  Otherwise the valuation is 1 and weight is total degree.  A
-    part whose weight bound (order - a - 1 for R before step a, b for L2^b,
-    2b when v enters L2 at valuation 2) fits its cap is not weighed term by
-    term, so at valuation 1 no step truncates.
-
-    When f and both linear parts are exact, f is brought to integers over its
-    least common denominator D and L1, L2 over their own, qx and qy; with
-    f_ab scaled by qx^(order-a) qy^(order-b) the same Horner pass runs on
-    integers and yields the monomial numerators over D qx^order qy^order.
+    When f and both linear parts are exact, f holds integer numerators over
+    its least common denominator D and L1, L2 are brought over their own, qx
+    and qy; with f_ab scaled by qx^(order-a) qy^(order-b) the same Horner
+    pass runs on integers and yields the monomial numerators over
+    D qx^order qy^order.  An exact f under an inexact linear part is read
+    as ``Fraction``s.
     """
     Fc = F if (xs[3] == 0 and ys[3] == 0) else F.shift(xs[3], ys[3])
-    vw = 2 if tangent and Fc[(1, 0)] == 0 and Fc[(0, 1)] == 0 else 1
-    n = order
-    fact = [math.factorial(i) for i in range(n + 1)]
+    n, P = order, Poly2.from_series(Fc)
     lx, ly, den = xs[:3], ys[:3], None
-    f = {(a, b): _over(c, fact[a] * fact[b]) for (a, b), c in Fc.coeffs.items() if a + b <= n}
-    forms = [_integer_form(f), _integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
-    if None not in forms:
-        (d, f), (qx, lx), (qy, ly) = ((q or 1, nums) for q, nums in forms)
-        f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in f.items()}
-        lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), d * qx**n * qy**n
-    # y_pows[b] = L2^b, of weight <= wy b
-    y_pows, wy = [{(0, 0, 0): 1}], vw if ly[2] else 1
+    forms = [_integer_form(dict(enumerate(lx))), _integer_form(dict(enumerate(ly)))]
+    if P.den is None or None in forms:
+        f = {(a, b): c for (a, b), c in P.generic().items() if a + b <= n}
+    else:
+        (qx, lx), (qy, ly) = forms
+        f = {(a, b): c * qx ** (n - a) * qy ** (n - b) for (a, b), c in P.terms.items() if a + b <= n}
+        lx, ly, den = (lx[0], lx[1], lx[2]), (ly[0], ly[1], ly[2]), P.den * qx**n * qy**n
+    y_pows = [{(0, 0, 0): 1}]  # y_pows[b] = L2^b
     for _ in range(max((b for _, b in f), default=0)):
-        y_pows.append(_times_linear(y_pows[-1], ly, n, vw, wy * (len(y_pows) - 1)))
+        y_pows.append(_times_linear(y_pows[-1], ly))
     R = {}
     for a in range(n, -1, -1):
-        R = _times_linear(R, lx, n - a, vw, n - a - 1)
+        R = _times_linear(R, lx)
         for b in range(n - a + 1):
             fab = f.get((a, b))
             if fab is None:
                 continue
-            for key, c in y_pows[b].items() if wy * b <= n - a else _weighed(y_pows[b], vw, n - a):
+            for key, c in y_pows[b].items():
                 x = fab * c
                 prev = R.get(key)
                 R[key] = x if prev is None else prev + x
     if den is not None:
-        return _Series3(n, R, den, valuation=vw)
-    return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()}, valuation=vw)
+        return _Series3(n, R, den)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    return _Series3(n, {(i, j, k): c * (fact[i] * fact[j] * fact[k]) for (i, j, k), c in R.items()})
 
 
 def _times_homogeneous(A: dict, B: dict, out: dict) -> None:
@@ -578,13 +555,6 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     omits the phi_v(0) G_d term itself.  Only additions, products and that
     one division occur, so exactness is preserved in rational mode.
 
-    Phi's ``valuation`` w is the least degree of G: the solve starts at
-    degree w and builds (G^c)_e only for e >= w c, from G_i with i >= w.
-    At w = 2 (Phi's part linear in s and t is zero, see
-    :func:`series3_from_bivariate_in_linear`) G_1 = 0, so every part left out
-    is exactly zero, and the terms of Phi above weight n are never read; the
-    parts built are the same, to the bit.
-
     An exact Phi holds integer numerators over ``den`` and is solved on them:
     the equation is homogeneous in Phi, so the denominator drops out.  Each
     sum of products above runs on integer numerators over the lcm of its
@@ -594,7 +564,7 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     ``Sens``) run the same loops in the same order.  At order 0 there is
     nothing to solve: G = 0.
     """
-    n, terms, w = Phi.order, Phi.terms, Phi.valuation
+    n, terms = Phi.order, Phi.terms
     if terms.get((0, 0, 0), 0) != 0:
         raise ValueError("Phi must vanish at the origin")
     if n == 0:
@@ -615,9 +585,9 @@ def solve_implicit(Phi: _Series3) -> TruncatedSeries2:
     # powers[c][e]: homogeneous part of degree e of G^c (G_e itself for c = 1), as (den, coefficients)
     powers: Dict[int, Dict[int, tuple]] = {c: {} for c in range(1, vmax + 1)}
     out: Dict[Tuple[int, int], object] = {}
-    for d in range(w, n + 1):
-        for c in range(2, min(d // w, vmax) + 1):
-            pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(w, d - w * (c - 1) + 1)]
+    for d in range(1, n + 1):
+        for c in range(2, min(d, vmax) + 1):
+            pairs = [(powers[1][i], powers[c - 1].get(d - i, (1, {}))) for i in range(1, d - c + 2)]
             part = _sum_of_products({}, pairs, exact)
             powers[c][d] = _reduced(*part) if exact else part
         pairs = [
@@ -653,15 +623,15 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict):
     first.
     """
     n = F.order
-    phi = series3_from_bivariate_in_linear(F, xs, ys, n, axis[(1, 0, 0)] == 0 and axis[(0, 1, 0)] == 0)
+    phi = series3_from_bivariate_in_linear(F, xs, ys, n)
     terms, den = dict(phi.terms), phi.den
     form = _integer_form(axis) if den is not None else None
     if form is not None:
-        da = form[0] or 1
+        da, nums = form
         lcm = math.lcm(den, da)
         if lcm != den:
             terms = {key: c * (lcm // den) for key, c in phi.terms.items()}
-        u, den = {key: c * (lcm // da) for key, c in form[1].items()}, 1
+        u, den = {key: c * (lcm // da) for key, c in nums.items()}, 1
     else:
         if den is not None:
             fact = [math.factorial(i) for i in range(n + 1)]
@@ -673,7 +643,7 @@ def _solve_graph(F: TruncatedSeries2, xs, ys, axis: dict):
     c0 = terms.pop((0, 0, 0), 0)
     if c0 != 0 and (is_exact(c0) or abs(c0) > 1e-9):
         raise ValueError(_MISSES_ORIGIN)
-    return solve_implicit(_Series3(n, terms, den, phi.valuation))
+    return solve_implicit(_Series3(n, terms, den))
 
 
 # -- the certified fixed-point kernel of the rooted normalization loops --------
