@@ -21,6 +21,7 @@ result into a (polynomial, least power of u20) pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -332,41 +333,60 @@ def tangency_quotients() -> List[Poly]:
 # -- exact linear algebra -----------------------------------------------------
 
 
-def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
-    """Rank over the rationals and determinant by one exact forward elimination.
+def _bareiss(m, ncols: int, above: bool = False) -> Tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``m`` in place, pivots in the first ``ncols`` columns.
 
-    The determinant is that of a square matrix; it is 0 whenever the rank
-    falls short of the number of rows or columns.
+    Every update ``(pivot a_ij - a_ik a_pj) // previous pivot`` divides exactly.  ``above`` clears the rows above
+    each pivot too, which leaves d x in the right-hand columns of a square system.  Returns (rank, sign, last pivot d).
     """
-    m = [list(map(Fraction, r)) for r in rows]
-    ncols = len(m[0]) if m else 0
-    rank, det = 0, Fraction(1)
+    rank, sign, prev = 0, 1, 1
     for col in range(ncols):
         if rank == len(m):
             break
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            det = -det
-        pv = m[rank][col]
-        det *= pv
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                for cidx in range(col, ncols):
-                    m[r][cidx] -= f * m[rank][cidx]
-        rank += 1
-    return rank, det if rank == len(m) == ncols else Fraction(0)
+            m[rank], m[piv], sign = m[piv], m[rank], -sign
+        top, pv = m[rank], m[rank][col]
+        for row in m[:rank] + m[rank + 1 :] if above else m[rank + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(pv * x - f * t) // prev for x, t in zip(row[col + 1 :], top[col + 1 :], strict=True)]
+        rank, prev = rank + 1, pv
+    return rank, sign, prev
+
+
+def _integer_rows(rows) -> Tuple[List[List[int]], int]:
+    """Each row of ints, Fractions or floats over its own lcm, exactly: (integer rows, product of the lcms)."""
+    out, scale = [], 1
+    for r in rows:
+        pairs = [x.as_integer_ratio() for x in r]
+        lcm = math.lcm(*[d for _, d in pairs])  # not a starred generator, whose tuples pile up in CPython's free list
+        out.append([a * (lcm // d) for a, d in pairs])
+        scale *= lcm
+    return out, scale
+
+
+def rank_det_exact(rows: Sequence[Sequence[Fraction]]) -> Tuple[int, Fraction]:
+    """Rank over the rationals and determinant by one fraction-free elimination (:func:`_bareiss`).
+
+    The determinant, sign x last pivot / product of the row lcms, is that of a square matrix; it is 0
+    whenever the rank falls short of the number of rows or columns.
+    """
+    m, scale = _integer_rows(rows)
+    ncols = len(m[0]) if m else 0
+    rank, sign, last = _bareiss(m, ncols)
+    return rank, Fraction(sign * last, scale) if rank == len(m) == ncols else Fraction(0)
 
 
 def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
-    """Solve a square system over Fractions, floats or ``Sens`` (pivots chosen by value).
+    """Solve a square system over Fractions, floats or ``Sens``.
 
     ``b`` is one right-hand side, or a list of them (each a list or tuple), and
     then the solutions come back as a list: every column rides along in one
-    elimination, with the pivots and the operations it would see alone.
+    elimination.  Ints and Fractions alone go fraction-free (:func:`_bareiss`),
+    one ``Fraction`` per entry; anything else pivots by value, each column with
+    the pivots and the operations it would see alone.
     """
     many = bool(b) and isinstance(b[0], (list, tuple))
     cols = b if many else [b]
@@ -375,6 +395,13 @@ def solve_linear_exact(a: Sequence[Sequence], b: Sequence):
         raise ValueError(f"expected {n} rows of {n} entries for {n} right-hand sides")
     m = [list(a[i]) + [c[i] for c in cols] for i in range(n)]
     width = n + len(cols)
+    if all(isinstance(x, (int, Fraction)) for row in m for x in row):
+        m, _ = _integer_rows(m)
+        rank, _, d = _bareiss(m, n, above=True)
+        if rank < n:
+            raise ZeroDivisionError("singular linear system")
+        sols = [[Fraction(m[i][n + j], d) for i in range(n)] for j in range(len(cols))]
+        return sols if many else sols[0]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(to_float(m[r][col])))
         if m[piv][col] == 0:
@@ -449,20 +476,9 @@ def orbit_rank(order: int, p, base=(0, 0)) -> dict:
         # the last six columns: u20, u11, u30, u21, u40, u31
         sub = [row[5:] for row in rows[:6]]
         result["block_rank"], result["block_det"] = rank_det_exact(sub)
-        result["minors"] = {
-            "M46": rank_det_exact(_delete(sub, 3, 5))[1],
-            "M56": rank_det_exact(_delete(sub, 4, 5))[1],
-            "M66": rank_det_exact(_delete(sub, 5, 5))[1],
-        }
+        # the 5x5 minors without column u31 and one of the rows v4, v5, v6
+        result["minors"] = {f"M{i + 1}6": rank_det_exact([r[:5] for r in sub[:i] + sub[i + 1 :]])[1] for i in (3, 4, 5)}
     return result
-
-
-def _delete(matrix, i, j):
-    return [
-        [e for cj, e in enumerate(row) if cj != j]
-        for ri, row in enumerate(matrix)
-        if ri != i
-    ]
 
 
 def det_poly_matrix(entries: List[List[Poly]]) -> Poly:

@@ -48,6 +48,7 @@ from .prolong import (
     X as VAR_X,
     Y as VAR_Y,
     U as VAR_U,
+    _integer_rows,
     gl2_curve_generators,
     jet_generators,
     p_eval,
@@ -202,7 +203,7 @@ def invariant_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
 
 
 def frame_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
-    """Operator coefficients from the composed moving-frame transform.
+    """Operator coefficients from the moving frame's loops, exactly (:func:`_frame_coeffs`).
 
     Works on both surface branches, which settles the cone branch where no
     closed form is printed.
@@ -213,10 +214,19 @@ def frame_derivatives(p: ParabolicJet) -> InvariantDerivationCoeffs:
 def _frame_coeffs(res: NormalFormResult, p: ParabolicJet) -> InvariantDerivationCoeffs:
     """(D1; D2) = M^{-1} (D_x; D_y) for M = [[Dx s, Dx t], [Dy s, Dy t]].
 
-    (s, t) are the first two forward components of the composed moving-frame
-    transform, restricted to the graph.
+    (s, t) are the first two forward components of the composed moving-frame transform,
+    restricted to the graph: rows 0 and 1 of its linear part's inverse, carried back through
+    the loops in integers (R <- q R adj(N) / det(N) for each loop's N / q, the last loop first).
     """
-    A = res.transform.inverse_matrix()
+    R, den = [[1, 0, 0], [0, 1, 0]], 1
+    for T in reversed(res.loops):
+        (n,), q = _integer_rows([sum(T.matrix(), ())])
+        N = lambda i, j: n[3 * (i % 3) + j % 3]  # the loop's linear part is N / q; C holds N's cofactors
+        C = [[N(i + 1, j + 1) * N(i + 2, j + 2) - N(i + 1, j + 2) * N(i + 2, j + 1) for j in range(3)]
+             for i in range(3)]
+        R = [[q * sum(r[h] * C[j][h] for h in range(3)) for j in range(3)] for r in R]
+        den *= sum(n[j] * C[0][j] for j in range(3))
+    A = [[Fraction(x, den) for x in r] for r in R]
     fx, fy = p.coords[(1, 0)], p.coords[(0, 1)]
     dxs = A[0][0] + A[0][2] * fx
     dys = A[0][1] + A[0][2] * fy

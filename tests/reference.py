@@ -1,4 +1,4 @@
-"""Definitional references for the series kernels, on plain dicts.
+"""Definitional references for the series kernels, on plain dicts, and for the exact linear algebra.
 
 A polynomial is a dict from exponent tuples, in one to three variables, to
 monomial coefficients: sum c_a x^a.  parajet's series keep the factorial
@@ -273,6 +273,57 @@ def cone_branch_jet(rng, order: int, exact: bool = False) -> ParabolicJet:
         if abs(float(conic_numerator(p))) < 0.1:
             continue
         return p
+
+
+def rank_det(rows) -> tuple:
+    """Rank over the rationals and determinant of ``rows`` by Gaussian elimination on ``Fraction``s.
+
+    The determinant is that of a square matrix and 0 whenever the rank falls
+    short of the number of rows or columns; ``[]`` has rank 0 and determinant 1.
+    """
+    m = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for col in range(ncols):
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        pv = m[rank][col]
+        det *= pv
+        for r in range(rank + 1, len(m)):
+            if m[r][col] != 0:
+                f = m[r][col] / pv
+                for c in range(col, ncols):
+                    m[r][c] -= f * m[rank][c]
+        rank += 1
+    return rank, det if rank == len(m) == ncols else Fraction(0)
+
+
+def solve_linear(a, rhs) -> list:
+    """The solutions x of a x = b, one per right side b in ``rhs``, as ``Fraction``s, by Gauss-Jordan elimination.
+
+    Pivots are chosen by absolute value; a column without a nonzero one raises
+    ``ZeroDivisionError("singular linear system")``.
+    """
+    n, width = len(a), len(a) + len(rhs)
+    m = [[Fraction(x) for x in a[i]] + [Fraction(b[i]) for b in rhs] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0:
+            raise ZeroDivisionError("singular linear system")
+        m[col], m[piv] = m[piv], m[col]
+        pv = m[col][col]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col] / pv
+                for c in range(col, width):
+                    m[r][c] -= f * m[col][c]
+    return [[m[i][n + j] / m[i][i] for i in range(n)] for j in range(len(rhs))]
 
 
 def assert_same(got, want, partial_order: bool = False, zero_partials: bool = True) -> None:

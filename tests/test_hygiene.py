@@ -10,6 +10,7 @@ from pathlib import Path
 import parajet.jets as jets
 import parajet.series as series
 from parajet.invariants import w_terms
+from parajet.prolong import rank_det_exact, solve_linear_exact
 from parajet.series import AffineTransform3, CurveTransform2, Poly2, TruncatedSeries1, TruncatedSeries2, _Series3
 
 import reference
@@ -152,6 +153,7 @@ def test_references_run_on_no_parajet_kernel(monkeypatch):
     series_kernels = ("compose2", "apply_affine", "apply_affine_curve", "solve_implicit", "series3_from_bivariate_in_linear")
     series_kernels += ("_grid_image", "substitute_on_grid", "solve_on_grid", "_taylor_on_grid", "_shear_on_grid", "_binomial_table")
     kernels = [TruncatedSeries2.__mul__, TruncatedSeries2.shift, Poly2.__mul__, jets._binomial_dot]
+    kernels += [rank_det_exact, solve_linear_exact]
     kernels += [getattr(series, name) for name in series_kernels]
     for kernel in kernels:
         monkeypatch.setattr(kernel, "__code__", refuse.__code__)
@@ -173,6 +175,8 @@ def test_references_run_on_no_parajet_kernel(monkeypatch):
         "compose": lambda: reference.compose(mono, [x, y], 3),
         "linear_substitution": lambda: reference.linear_substitution(mono, (1, 0, F(1, 2), 0), (0, 1, 0, F(1, 4)), 3),
         "solve": lambda: reference.solve({(0, 0, 1): F(-1), (2, 0, 0): F(1), (0, 0, 2): F(1)}, 3),
+        "rank_det": lambda: reference.rank_det([[F(1, 2), 2, 0], [1, F(-1, 3), 4]]),
+        "solve_linear": lambda: reference.solve_linear([[0, F(1, 2)], [3, 1]], [[1, 2], [F(1, 3), 0]]),
         "apply_affine": lambda: reference.apply_affine(f, AffineTransform3(b=F(1, 3), r=F(2))),
         "apply_affine_curve": lambda: reference.apply_affine_curve(TruncatedSeries1(3, {2: F(1)}), CurveTransform2(c=F(1, 3))),
         "rank_one_fill": lambda: reference.rank_one_fill(reference.cone_model_jet(4).coords, 4),

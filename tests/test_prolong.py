@@ -240,6 +240,9 @@ def test_orbit_ranks_at_exact_jets():
         assert r4["block_det"] == 0
         assert r4["block_rank"] == 5
         assert r4["rank"] == 10
+    for order in (1, 5):
+        with pytest.raises(ValueError, match="order must be 2, 3 or 4"):
+            orbit_rank(order, p)
 
 
 def test_sa3_commutator_closure():
@@ -281,6 +284,9 @@ def test_rank_det_exact_matches_cofactor_expansion():
     assert rank_det_exact([[F(0), F(1)], [F(1), F(0)]]) == (2, -1)
     assert rank_det_exact([[F(0), F(1), F(2)], [F(0), F(2), F(4)]]) == (1, 0)
     assert rank_det_exact([[F(1), F(2)], [F(3), F(4)], [F(5), F(7)]]) == (2, 0)
+    # wide matrices of full row rank: the elimination stops once every row has a pivot
+    assert rank_det_exact([[1, 0, 2, 3, 5], [0, F(1, 2), 1, 7, 9], [4, 4, 0, 0, 1]]) == (3, 0)
+    assert rank_det_exact([[F(1, 3), 2, 0]]) == (1, 0)
 
 
 def test_rank_exact_and_solve():
@@ -316,10 +322,12 @@ def test_solve_linear_exact_solves_every_right_side_in_one_elimination():
 
 
 def test_solve_linear_exact_refuses_a_singular_system():
+    # the fraction-free elimination and the pivot-by-value loop refuse alike
     from parajet.prolong import solve_linear_exact
 
-    with pytest.raises(ZeroDivisionError, match="singular linear system"):
-        solve_linear_exact([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)])
+    for kind in (F, float):
+        with pytest.raises(ZeroDivisionError, match="singular linear system"):
+            solve_linear_exact([[kind(1), kind(2)], [kind(2), kind(4)]], [kind(1), kind(2)])
 
 
 @pytest.mark.parametrize(
@@ -332,6 +340,91 @@ def test_solve_linear_exact_rejects_a_non_square_system(a):
 
     with pytest.raises(ValueError):
         solve_linear_exact(a, [2, 3])
+
+
+_GRID = 2**128  # the normal forms' snapping grid
+
+
+def _exact_draws(rng):
+    """Entry draws: ints, Fractions, an int/Fraction mix and normal-form-sized denominators (2^128 and long odd)."""
+    small = lambda: F(rng.randint(-9, 9), rng.randint(1, 9))
+    return {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": small,
+        "mixed": lambda: rng.choice((rng.randint(-9, 9), small())),
+        "normal-form": lambda: F(rng.randint(-_GRID, _GRID), rng.choice((_GRID, rng.randrange(1, _GRID, 2)))),
+    }
+
+
+def _deficient(rng, draw, nrows, ncols, rank):
+    """nrows x ncols rows of rank ``rank``: independent draws, the rest combinations of them, shuffled."""
+    free = [[draw() for _ in range(ncols)] for _ in range(rank)]
+    rows = list(free)
+    for _ in range(nrows - rank):
+        w = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in free]
+        rows.append([sum((wi * r[c] for wi, r in zip(w, free)), F(0)) for c in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_exact_linear_algebra_equals_the_fraction_reference():
+    import reference
+    from parajet.prolong import solve_linear_exact
+
+    rng = random.Random(35)
+    for kind, draw in _exact_draws(rng).items():
+        matrices = [[], [[0]], [[draw() or 1]], [[0, 0], [0, 0]]]
+        for _ in range(12):
+            n = rng.randint(1, 6)
+            matrices.append([[draw() for _ in range(n)] for _ in range(n)])  # square
+            nrows, ncols = rng.sample(range(1, 8), 2)
+            matrices.append([[draw() for _ in range(ncols)] for _ in range(nrows)])  # wide or tall
+            rank = rng.randint(0, min(nrows, ncols))
+            matrices.append(_deficient(rng, draw, nrows, ncols, rank))
+            square = _deficient(rng, draw, n, n, rng.randint(0, n))
+            square[rng.randrange(n)] = [0] * n  # a zero row
+            matrices.append(square)
+            c = rng.randrange(n)
+            matrices.append([[0 if j == c else draw() for j in range(n)] for _ in range(n)])  # a zero column
+        for rows in matrices:
+            got = rank_det_exact(rows)
+            assert got == reference.rank_det(rows) and isinstance(got[1], F), (kind, rows)
+            if rows and len(rows) == len(rows[0]):
+                n = len(rows)
+                rhs = [[draw() for _ in range(n)] for _ in range(rng.randint(1, 3))]
+                if got[0] < n:
+                    for b in (rhs, rhs[0]):
+                        with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+                            solve_linear_exact(rows, b)
+                    with pytest.raises(ZeroDivisionError, match="^singular linear system$"):
+                        reference.solve_linear(rows, rhs)
+                    continue
+                want = reference.solve_linear(rows, rhs)
+                together, alone = solve_linear_exact(rows, rhs), solve_linear_exact(rows, rhs[0])
+                assert together == want and alone == want[0], (kind, rows, rhs)
+                assert all(type(x) is F for x in alone + [x for xs in together for x in xs])
+    # the rank-deficient draws reach the rank they were built with
+    draw = _exact_draws(rng)["normal-form"]
+    for rank in range(5):
+        assert rank_det_exact(_deficient(rng, draw, 5, 4, rank))[0] == rank
+
+
+@pytest.mark.parametrize("kind", ["int", "mixed", "normal-form"])
+def test_an_exact_system_solves_to_fractions(kind):
+    # int / int true division used to turn an all-int system into floats
+    from parajet.prolong import solve_linear_exact
+
+    assert solve_linear_exact([[2, 1], [1, 3]], [1, 2]) == [F(1, 5), F(3, 5)]
+    rng = random.Random(36)
+    draw = _exact_draws(rng)[kind]
+    for n in (1, 2, 4, 6):
+        a = [[draw() for _ in range(n)] for _ in range(n)]
+        if rank_det_exact(a)[0] < n:
+            continue
+        b = [draw() for _ in range(n)]
+        x = solve_linear_exact(a, b)
+        assert all(type(v) is F for v in x)
+        assert [sum((a[i][j] * x[j] for j in range(n)), F(0)) for i in range(n)] == b
 
 
 def test_filled_jet_rows_equal_pushforward_rows():

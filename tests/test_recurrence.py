@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from parajet import recurrence
-from parajet.invariants import invariant_W, invariant_X
+from parajet.invariants import invariant_W, invariant_X, s_numerator
 from parajet.jets import ParabolicJet, parabolic_jet_of_series
 from parajet.normalize import BranchError, surface_frame
 from parajet.prolong import X, jet_generators, poly, vf
@@ -128,6 +128,42 @@ def test_closed_form_derivations_match_moving_frame():
     for name in ("alpha", "beta", "gamma", "delta"):
         a, b = to_float(getattr(cd, name)), to_float(getattr(fd, name))
         assert abs(a - b) <= 1e-9 * (1 + abs(a))
+
+
+def _composed_frame_coeffs(res, p):
+    """The operators from rows 0 and 1 of the composed transform's inverse matrix, as composed before."""
+    A = res.transform.inverse_matrix()
+    fx, fy = p.coords[(1, 0)], p.coords[(0, 1)]
+    dxs, dys = A[0][0] + A[0][2] * fx, A[0][1] + A[0][2] * fy
+    dxt, dyt = A[1][0] + A[1][2] * fx, A[1][1] + A[1][2] * fy
+    det = dxs * dyt - dxt * dys
+    return dyt / det, -dxt / det, -dys / det, dxs / det
+
+
+@pytest.mark.parametrize("order", [8, 12])
+@pytest.mark.parametrize("sampler", [random_parabolic_jet, random_cone_branch_jet], ids=["generic", "cone"])
+def test_frame_operators_equal_the_composed_transforms_inverse(sampler, order):
+    # the loops' inverses carried back through two rows give the composed inverse's rows: Fraction for Fraction,
+    # and a float jet's operators to the bit
+    import reference
+
+    rng = random.Random(order)
+    for _ in range(3):
+        p = sampler(rng, order)
+        floats = ParabolicJet(order, {jk: float(c) for jk, c in p.coords.items()})
+        for q in (p, floats) if sampler is random_parabolic_jet else (p,):
+            res = surface_frame(q)
+            got = recurrence._frame_coeffs(res, q)
+            reference.assert_same((got.alpha, got.beta, got.gamma, got.delta), _composed_frame_coeffs(res, q))
+
+
+def test_cone_frame_operators_have_determinant_u20_over_s_to_the_two_thirds():
+    rng = random.Random(37)
+    for _ in range(6):
+        p = random_cone_branch_jet(rng, 8)
+        expect = to_float(p.coords[(2, 0)] / cbrt(s_numerator(p.coords)) ** 2)
+        got = to_float(frame_derivatives(p).determinant())
+        assert abs(got - expect) <= 1e-10 * abs(expect)
 
 
 def test_d2w_equals_2w():
